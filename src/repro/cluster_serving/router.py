@@ -110,8 +110,11 @@ class RouterService:
         self._cache = (
             QueryCache(cache_size, min_cost=cache_min_cost) if cache_size > 0 else None
         )
-        self._history: list[tuple[tuple[str, ...], float]] = []
-        self._lock = threading.Lock()  # guards history + catalog rebuilds
+        # requests answered and their summed seconds: a pair, not a
+        # per-request list, so a long-lived server's memory stays flat
+        self._served = 0
+        self._served_seconds = 0.0
+        self._lock = threading.Lock()  # guards latency counters + catalog rebuilds
         self._catalog_version: int | None = None
         self._rebuild_catalog()
         # seed liveness + per-shard info so routing can prefer known-alive
@@ -422,7 +425,8 @@ class RouterService:
                         version, query, result, extra=extra, cost=result.total_genes
                     )
         with self._lock:
-            self._history.append((tuple(query), sw.elapsed))
+            self._served += 1
+            self._served_seconds += sw.elapsed
         return result, report
 
     def search(
@@ -535,13 +539,13 @@ class RouterService:
     @property
     def query_count(self) -> int:
         with self._lock:
-            return len(self._history)
+            return self._served
 
     def mean_latency(self) -> float:
         with self._lock:
-            if not self._history:
+            if not self._served:
                 raise SearchError("no queries executed yet")
-            return sum(t for _, t in self._history) / len(self._history)
+            return self._served_seconds / self._served
 
     def index_bytes(self) -> int:
         """Summed shard index footprint (from the latest heartbeat info)."""

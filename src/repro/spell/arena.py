@@ -1,29 +1,33 @@
 """Fused shard arena + reusable scoring scratch for the SPELL hot path.
 
-Two allocation sinks dominated the per-query cost of
-:meth:`repro.spell.index.SpellIndex.search` once the math itself was
-vectorized:
+Two allocation sinks would otherwise dominate the per-query cost of
+the :class:`repro.spell.index.SpellIndex` scoring kernel:
 
 * **Shard fragmentation** — the index held one independently-allocated
   normalized matrix per dataset, so a query walked a Python list of
   arrays scattered across the heap.  :class:`ShardArena` lays every
   shard's rows into **one contiguous buffer per dtype** and hands back
   zero-copy *views* (an ``offsets`` table derived from the views is
-  kept for introspection), so the scoring loop iterates windows of a
-  single array.
+  kept for introspection), so the kernel's per-dataset matmuls read
+  windows of a single array.
   Matmuls against a view are bit-identical to matmuls against the
   original shard (same values, same BLAS reduction order), which the
   oracle tests assert.
 
-* **Per-query scratch** — every search used to allocate three fresh
-  universe-sized arrays (``totals``/``weight_mass``/``counts``).
-  :class:`ScoreScratch` owns those arrays; a :class:`ScratchPool`
-  free-list recycles them across queries *and threads* (a
-  thread-per-request server like ``ThreadingHTTPServer`` never reuses a
-  thread, so thread-local storage would defeat the pool on the primary
-  serving path).  Handing arrays out zeroes them (one memset each, no
-  allocator or page-fault traffic) and grows them only when the gene
-  universe does.
+* **Per-query scratch** — the scoring kernel writes every dataset's
+  ``Q @ Q.T`` Gram into one pair buffer and every positive-weight
+  dataset's ``Xn @ Q.T`` block into one flat buffer (``Σ genes × q``
+  elements: around a megabyte, i.e. a fresh ``mmap`` and a page fault
+  per 4 KiB if allocated per query).  :class:`ScoreScratch` owns both;
+  a :class:`ScratchPool` free-list recycles them across queries *and
+  threads* (a thread-per-request server like ``ThreadingHTTPServer``
+  never reuses a thread, so thread-local storage would defeat the pool
+  on the primary serving path).  The buffers are handed out
+  uninitialised — the kernel overwrites every element it reads — and
+  grow only when a query needs more than any before it.  The three
+  universe-sized accumulators are *not* pooled: they are ``np.bincount``
+  outputs, fresh per query, which is also why a result can never alias
+  scratch.
 
 **Fusion discipline**: only shards that are plain in-RAM arrays
 *owning their data* are fused.  Shards reopened from the persistent
@@ -123,36 +127,36 @@ class ShardArena:
 
 
 class ScoreScratch:
-    """The three universe-sized accumulators one search needs, reusable.
+    """The two per-query work buffers of the scoring kernel, reusable.
 
-    ``arrays(n_slots)`` returns zeroed ``totals`` / ``weight_mass`` /
-    ``counts`` arrays of exactly ``n_slots`` entries, growing the
-    backing buffers only when the universe has (slots are append-only,
-    so growth is monotonic).  Zeroing is a memset per array — no
-    allocation, no first-touch page faults after the first query.
+    ``grams(n, dtype)`` is the pair buffer the per-dataset ``Q @ Q.T``
+    Grams are written into; ``flat(n, dtype)`` is the one flat buffer
+    every positive-weight ``Xn @ Q.T`` matmul of a query writes its
+    ``(genes, q)`` block into (``Σ genes × q`` elements — the only
+    allocation of a query that is large enough to be served by a fresh
+    ``mmap`` and faulted in page by page).  Both hand back the first
+    ``n`` elements **uninitialised** — the kernel overwrites all of them
+    — and re-allocate only to grow or when the shard dtype changes.
     """
 
-    __slots__ = ("totals", "weight_mass", "counts")
+    __slots__ = ("_grams", "_flat")
 
     def __init__(self) -> None:
-        self.totals = np.zeros(0, dtype=np.float64)
-        self.weight_mass = np.zeros(0, dtype=np.float64)
-        self.counts = np.zeros(0, dtype=np.intp)
+        self._grams = np.empty(0, dtype=np.float64)
+        self._flat = np.empty(0, dtype=np.float64)
 
-    def arrays(self, n_slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.totals.shape[0] < n_slots:
-            self.totals = np.zeros(n_slots, dtype=np.float64)
-            self.weight_mass = np.zeros(n_slots, dtype=np.float64)
-            self.counts = np.zeros(n_slots, dtype=np.intp)
-        else:
-            self.totals[:n_slots] = 0.0
-            self.weight_mass[:n_slots] = 0.0
-            self.counts[:n_slots] = 0
-        return (
-            self.totals[:n_slots],
-            self.weight_mass[:n_slots],
-            self.counts[:n_slots],
-        )
+    def _window(self, name: str, n: int, dtype) -> np.ndarray:
+        buffer = getattr(self, name)
+        if buffer.shape[0] < n or buffer.dtype != dtype:
+            buffer = np.empty(n, dtype=dtype)
+            setattr(self, name, buffer)
+        return buffer[:n]
+
+    def grams(self, n: int, dtype) -> np.ndarray:
+        return self._window("_grams", n, dtype)
+
+    def flat(self, n: int, dtype) -> np.ndarray:
+        return self._window("_flat", n, dtype)
 
 
 class ScratchPool:

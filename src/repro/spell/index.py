@@ -14,22 +14,50 @@ agreement against the exact engine.
 
 Hot-path layout (see :mod:`repro.spell.arena`): the shards' normalized
 rows live in one contiguous per-dtype arena whenever they are in-RAM
-arrays, and ``search`` iterates zero-copy *views* of that one buffer
-instead of a Python list of independent allocations; the three
-universe-sized accumulators a query needs come from a per-thread
-scratch pool instead of being allocated fresh every call.  Shards
-reopened from the persistent store stay memory-mapped (fusing would
-fault in every page and destroy the zero-copy cold start), in which
-case the views are simply the per-shard maps.
+arrays, and the kernel walks zero-copy *views* of that one buffer;
+shards reopened from the persistent store stay memory-mapped (fusing
+would fault in every page and destroy the zero-copy cold start), in
+which case the views are simply the per-shard maps.  Either way it is
+one code path over ``ShardArena.views``.
 
-:meth:`search_batch` is the batched kernel: it makes **one pass over
-the arena per batch**, stacking every query's rows per dataset into a
-single ``Xn @ Qall.T`` matmul and de-interleaving the per-query means,
-instead of B independent passes.  Its rankings are bit-identical to
-per-query :meth:`search` (each output column of the stacked matmul
-depends only on its own query rows, and the per-query mean reduces the
-same values in the same order) — asserted by the oracle tests and the
-throughput bench.
+One kernel, :meth:`SpellIndex._score`, is the only place shard values
+are multiplied; ``search``, ``search_batch`` and ``search_partials`` all
+end in it.  What it does **per dataset** is the BLAS calls and nothing
+else: gather the query rows ``Q``, ``Q @ Q.T`` into the pooled pair
+buffer, and — for positive-weight datasets — ``Xn @ Q.T`` into the
+pooled flat buffer.  Everything else runs **once per query** across all
+selected datasets: one gather from the stacked slot->row table says
+where every query gene sits in every shard; the ``i < j`` Gram entries
+are Fisher-z'd, averaged and squared into weights as one
+``(datasets, pairs)`` array; the flat buffer is clipped and
+row-averaged in one go; and the three universe accumulators come from
+three ``np.bincount`` calls (:func:`repro.spell.partials.rank_scores`).
+A query costs a few hundred NumPy calls instead of a few thousand,
+which matters twice on a serving thread: each call is dispatch overhead
+larger than the arithmetic it wraps, and each is a GIL hand-off point
+for the next handler thread to convoy on.
+
+Three reductions fix the float order, and each is the one a textbook
+per-dataset loop performs (the executable spec in
+``tests/test_spell_kernel.py`` holds the kernel to that loop bit for
+bit): the pair mean is a C-contiguous axis-1 ``mean`` — per row the
+very sum ``np.mean`` takes over that dataset's 1-D pair vector; the
+score mean adds a gene's ``q`` correlations left to right and divides
+once — what ``mean(axis=1)`` does below 8 query genes, and the
+canonical order from 8 up, where numpy would sum in 8 lanes (the spec
+bounds that difference); and ``bincount`` walks the concatenated
+contributions front to back, so each gene's slot receives its datasets'
+terms in compendium order starting from ``0.0``, exactly like a
+per-dataset ``totals[slots] += weight * scores``.
+
+:meth:`search_batch` resolves (and so validates) every member, then
+scores them in turn through that kernel on one pooled scratch —
+:meth:`search` *is* a batch of one — so batch rankings are
+bit-identical to per-query rankings by construction, not by parallel
+maintenance of two loops.  The pooled scratch owns the pair buffer and
+the flat matmul buffer, so no query allocates its ``Σ genes × q``
+workspace; results never alias it (the accumulators are fresh
+``bincount`` outputs).
 
 Because each dataset's shard is independent, the index supports both a
 parallel sharded :meth:`build` (normalization fanned over
@@ -51,7 +79,8 @@ accumulates in float64 regardless of shard dtype.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -59,13 +88,9 @@ import numpy as np
 from repro.data.compendium import Compendium
 from repro.data.dataset import Dataset
 from repro.parallel.pmap import parallel_map
-from repro.spell.arena import ScratchPool, ShardArena
-from repro.spell.engine import (
-    DatasetScore,
-    SpellResult,
-    MIN_QUERY_PRESENT,
-    ranked_gene_table,
-)
+from repro.spell.arena import ScoreScratch, ScratchPool, ShardArena
+from repro.spell.engine import DatasetScore, SpellResult, MIN_QUERY_PRESENT
+from repro.spell.partials import DatasetPartial, rank_scores
 from repro.stats.correlation import fisher_z
 from repro.util.errors import SearchError, ValidationError
 
@@ -73,6 +98,16 @@ __all__ = ["SpellIndex", "BatchQuery"]
 
 #: Shard dtypes the index (and its on-disk store) supports.
 SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+
+@lru_cache(maxsize=64)
+def _pair_index(p: int) -> np.ndarray:
+    """Flat positions of the ``i < j`` pairs of a ``(p, p)`` Gram matrix,
+    in ``np.triu_indices`` (row-major) order."""
+    i, j = np.triu_indices(p, k=1)
+    index = i * p + j
+    index.setflags(write=False)  # one cached array serves every query
+    return index
 
 
 @dataclass(frozen=True)
@@ -172,10 +207,8 @@ class SpellIndex:
         self._slot_gene: list[str] = []
         self._slot_gene_arr: np.ndarray | None = None  # cache, rebuilt on growth
         self._global_rows: list[np.ndarray] = []  # parallel to _entries
-        # per-shard inverse map (universe slot -> local row, -1 = absent);
-        # sized to the universe at shard-registration time, so probes must
-        # bounds-check slots assigned by later shards
-        self._slot_to_row: list[np.ndarray] = []
+        # dataset name -> position in _entries (the filter lookup)
+        self._position = {e.name: i for i, e in enumerate(self._entries)}
         # Bulk slot assignment: one np.unique over every shard's gene list
         # instead of a per-gene Python dict probe — the cold-start path
         # (store load) spends its time here, and slot *numbering* is
@@ -185,22 +218,19 @@ class SpellIndex:
         uniq, inv = np.unique(np.concatenate(id_arrays), return_inverse=True)
         self._slot_gene = uniq.tolist()
         self._gene_slot = {g: i for i, g in enumerate(self._slot_gene)}
-        n_slots = len(self._slot_gene)
-        # datasets currently containing each slot's gene: slots are never
-        # retired, so membership questions must consult this, not the
-        # slot table (a gene unique to a removed dataset keeps its slot
-        # but stops being live)
-        self._slot_live = np.zeros(n_slots, dtype=np.int64)
+        # Stacked inverse map, one row per shard: _row_table[i, slot] is
+        # the local row of that slot's gene in shard i, -1 = absent.  One
+        # column gather answers "where is each query gene, in every
+        # shard" for the whole query; a column of -1s is a gene whose
+        # only datasets were removed (slots are never retired).
+        self._row_table = np.full((len(self._entries), len(uniq)), -1, dtype=np.intp)
         inv = np.asarray(inv, dtype=np.intp)
         offset = 0
-        for arr in id_arrays:
+        for i, arr in enumerate(id_arrays):
             rows = inv[offset : offset + arr.shape[0]]
             offset += arr.shape[0]
-            inverse = np.full(n_slots, -1, dtype=np.intp)
-            inverse[rows] = np.arange(rows.shape[0], dtype=np.intp)
+            self._row_table[i, rows] = np.arange(rows.shape[0], dtype=np.intp)
             self._global_rows.append(rows)
-            self._slot_to_row.append(inverse)
-            self._slot_live[rows] += 1
         # Fused arena: freshly-normalized shards' rows land in one
         # contiguous buffer and the entries are repointed
         # (value-preserving) at the views, so the per-shard allocations
@@ -225,16 +255,15 @@ class SpellIndex:
                 self._gene_slot[g] = slot
                 self._slot_gene.append(g)
             rows[i] = slot
-        n_slots = len(self._slot_gene)
-        inverse = np.full(n_slots, -1, dtype=np.intp)
-        inverse[rows] = np.arange(len(entry.gene_ids), dtype=np.intp)
+        # one more table row, widened to the grown universe (a copy of
+        # the table: in-place maintenance is the offline path)
+        n_shards, n_slots = self._row_table.shape
+        table = np.full((n_shards + 1, len(self._slot_gene)), -1, dtype=np.intp)
+        table[:n_shards, :n_slots] = self._row_table
+        table[n_shards, rows] = np.arange(rows.shape[0], dtype=np.intp)
+        self._row_table = table
         self._global_rows.append(rows)
-        self._slot_to_row.append(inverse)
-        if self._slot_live.shape[0] < n_slots:
-            grown = np.zeros(n_slots, dtype=np.int64)
-            grown[: self._slot_live.shape[0]] = self._slot_live
-            self._slot_live = grown
-        self._slot_live[rows] += 1
+        self._position[entry.name] = n_shards
         self._arena.append(entry.normalized)
 
     def _slot_ids(self) -> np.ndarray:
@@ -266,7 +295,7 @@ class SpellIndex:
         shard stays outside the fused arena buffer (extending it would
         copy every live view); a fresh build or ``updated()`` re-fuses.
         """
-        if dataset.name in self.dataset_names:
+        if dataset.name in self._position:
             raise ValidationError(f"dataset {dataset.name!r} already indexed")
         entry = _index_dataset(dataset, dtype=self.dtype)
         self._register(entry)
@@ -274,15 +303,14 @@ class SpellIndex:
 
     def remove_dataset(self, name: str) -> None:
         """Drop one dataset's shard; other shards are untouched."""
-        for i, entry in enumerate(self._entries):
-            if entry.name == name:
-                self._slot_live[self._global_rows[i]] -= 1
-                del self._entries[i]
-                del self._global_rows[i]
-                del self._slot_to_row[i]
-                self._arena.remove(i)
-                return
-        raise ValidationError(f"dataset {name!r} not in index")
+        i = self._position.get(name)
+        if i is None:
+            raise ValidationError(f"dataset {name!r} not in index")
+        del self._entries[i]
+        del self._global_rows[i]
+        self._row_table = np.delete(self._row_table, i, axis=0)
+        self._arena.remove(i)
+        self._position = {e.name: k for k, e in enumerate(self._entries)}
 
     def updated(self, compendium: Compendium) -> "SpellIndex":
         """Copy-on-write sync: a new index matching ``compendium``.
@@ -342,98 +370,10 @@ class SpellIndex:
         if datasets is None:
             return list(range(len(self._entries)))
         allowed = {str(d) for d in datasets}
-        unknown = sorted(allowed - set(self.dataset_names))
+        unknown = sorted(allowed - self._position.keys())
         if unknown:
             raise SearchError(f"unknown dataset(s) in filter: {unknown}")
-        return [i for i, e in enumerate(self._entries) if e.name in allowed]
-
-    def _resolve_query(
-        self,
-        query: list[str],
-        selected: list[int],
-        *,
-        filtered: bool,
-    ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-        """Vectorized membership split: (query_used, query_missing, q_slots).
-
-        Membership against the cached global universe — no per-gene scan
-        over every shard (``_slot_live`` guards against slots whose only
-        dataset was removed).  Under a dataset filter, membership means
-        "present in a selected shard": one boolean scatter per selected
-        shard plus a single gather, replacing the old per-gene ``any()``
-        Python inner loop over ``_slot_to_row``.
-        """
-        slot_arr = np.fromiter(
-            (self._gene_slot.get(g, -1) for g in query),
-            dtype=np.intp,
-            count=len(query),
-        )
-        known = slot_arr >= 0
-        alive = np.zeros(len(query), dtype=bool)
-        if filtered:
-            mask = np.zeros(len(self._slot_gene), dtype=bool)
-            for i in selected:
-                mask[self._global_rows[i]] = True
-            alive[known] = mask[slot_arr[known]]
-        else:
-            alive[known] = self._slot_live[slot_arr[known]] > 0
-        query_used = tuple(g for g, a in zip(query, alive) if a)
-        query_missing = tuple(g for g, a in zip(query, alive) if not a)
-        return query_used, query_missing, slot_arr[alive]
-
-    def _query_rows(self, i: int, q_slots: np.ndarray) -> np.ndarray:
-        """Local rows of the query genes in shard ``i`` via the precomputed
-        slot->row map (vectorized; bounds-checked for late-assigned slots)."""
-        inverse = self._slot_to_row[i]
-        local = np.full(q_slots.shape, -1, dtype=np.intp)
-        in_range = q_slots < inverse.shape[0]
-        local[in_range] = inverse[q_slots[in_range]]
-        return local[local >= 0]
-
-    def _weigh(self, i: int, rows: np.ndarray) -> tuple[float, np.ndarray]:
-        """Coherence weight of shard ``i`` for query rows, plus the query
-        submatrix ``Q`` (reused by the scoring matmul)."""
-        Q = self._arena.views[i][rows]  # (q, cond) unit rows
-        qcorr = np.clip(Q @ Q.T, -1.0, 1.0)
-        iu = np.triu_indices(rows.shape[0], k=1)
-        mean_r = float(np.tanh(np.mean(fisher_z(qcorr[iu]))))
-        return max(0.0, mean_r) ** 2, Q
-
-    def _finalize(
-        self,
-        query: list[str],
-        query_used: tuple[str, ...],
-        query_missing: tuple[str, ...],
-        dataset_scores: list[DatasetScore],
-        totals: np.ndarray,
-        weight_mass: np.ndarray,
-        counts: np.ndarray,
-        q_slots: np.ndarray,
-        *,
-        exclude_query_from_genes: bool,
-        top_k: int | None,
-    ) -> SpellResult:
-        """Rank the accumulated universe arrays into a :class:`SpellResult`.
-
-        The gathered slices (``totals[scored]`` etc.) are fresh arrays,
-        so the result never aliases pooled scratch.
-        """
-        dataset_scores.sort(key=lambda d: (-d.weight, d.name))
-        scored = np.flatnonzero(counts)
-        if exclude_query_from_genes:
-            scored = scored[~np.isin(scored, q_slots)]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            final = totals[scored] / weight_mass[scored]
-        genes = ranked_gene_table(
-            self._slot_ids()[scored], final, counts[scored], top_k=top_k
-        )
-        return SpellResult(
-            query=tuple(query),
-            query_used=query_used,
-            query_missing=query_missing,
-            datasets=tuple(dataset_scores),
-            genes=genes,
-        )
+        return sorted(self._position[d] for d in allowed)
 
     @staticmethod
     def _validate_query(query) -> list[str]:
@@ -443,6 +383,138 @@ class SpellIndex:
         if len(set(query)) != len(query):
             raise SearchError("query contains duplicate genes")
         return query
+
+    def _locate(
+        self, query: list[str], datasets: Sequence[str] | None
+    ) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """``(selected, slots, local)`` for a validated query.
+
+        ``slots[k]`` is the universe slot of ``query[k]`` (-1 = never
+        seen) and ``local[s, k]`` its row in the s-th selected shard
+        (-1 = absent there): the one stacked table gather that replaces
+        a bounds-checked probe per shard.
+        """
+        selected = self._select(datasets)
+        slots = np.fromiter(
+            (self._gene_slot.get(g, -1) for g in query),
+            dtype=np.intp,
+            count=len(query),
+        )
+        # an unknown gene's -1 reads some real column; mask it back out
+        local = np.where(slots >= 0, self._row_table[:, slots], -1)
+        if datasets is not None:
+            local = local[selected]
+        return selected, slots, local
+
+    def _resolve(self, query, datasets: Sequence[str] | None):
+        """Validate one search request down to what the kernel consumes:
+        ``(query, query_used, query_missing, q_slots, selected, local)``,
+        with membership judged against the selected shards only (a gene
+        whose every dataset was removed or filtered out is missing)."""
+        query = self._validate_query(query)
+        selected, slots, local = self._locate(query, datasets)
+        alive = (local >= 0).any(axis=0)
+        query_used = tuple(g for g, a in zip(query, alive) if a)
+        if not query_used:
+            raise SearchError(f"no query gene exists in any dataset: {query}")
+        query_missing = tuple(g for g, a in zip(query, alive) if not a)
+        return query, query_used, query_missing, slots[alive], selected, local[:, alive]
+
+    # ----------------------------------------------------------------- kernel
+    def _score(
+        self, selected: list[int], local: np.ndarray, scratch: ScoreScratch
+    ) -> tuple[list[int], list[float], np.ndarray]:
+        """The scoring kernel: the only code that multiplies shard values.
+
+        ``local`` is :meth:`_locate`'s row table for the selected shards.
+        Returns, parallel to ``selected``, the number of query genes
+        present in and the coherence weight of each shard, plus the
+        float64 score vectors of the positive-weight shards concatenated
+        in ``selected`` order — exactly what :func:`rank_scores` (or a
+        partials reply) consumes.  Per shard the Python work is a row
+        gather and ``Q @ Q.T`` in the weight pass and ``Xn @ Q.T`` in the
+        score pass; everything else runs once per query.
+        """
+        views = self._arena.views
+        present = local >= 0
+        n_present = present.sum(axis=1)
+        weights = [0.0] * len(selected)
+        q_rows: list = [None] * len(selected)  # each shard's Q, kept for the score pass
+
+        # weight pass: shards with the same number of query genes present
+        # (all of them, bar ragged compendia) share one (shards, p, p) Gram
+        # buffer whose i<j pairs are Fisher-z'd and averaged in one go.
+        # The reduce is a C-contiguous axis-1 mean, i.e. per row the same
+        # pairwise sum np.mean takes over that shard's 1-D pair vector.
+        for p in np.unique(n_present[n_present >= MIN_QUERY_PRESENT]).tolist():
+            members = np.flatnonzero(n_present == p).tolist()
+            grams = scratch.grams(len(members) * p * p, self.dtype).reshape(-1, p, p)
+            for gram, s in zip(grams, members):
+                rows = local[s] if p == local.shape[1] else local[s][present[s]]
+                q_rows[s] = Q = views[selected[s]][rows]  # (p, cond) unit rows
+                np.matmul(Q, Q.T, out=gram)
+            pairs = np.take(grams.reshape(-1, p * p), _pair_index(p), axis=1)
+            mean_r = np.tanh(fisher_z(pairs).mean(axis=1))
+            for s, r in zip(members, mean_r.tolist()):
+                weights[s] = max(0.0, r) ** 2
+
+        # score pass: every positive-weight shard's all-gene correlations
+        # land as a (genes, p) block in one pooled flat buffer, which is
+        # clipped once and row-averaged once per run of equal p (one run,
+        # bar ragged compendia).  The average adds the p columns left to
+        # right and divides once: below 8 columns that is bit for bit
+        # numpy's own mean(axis=1) (whose pairwise sum is a plain loop
+        # there) at a fifth of its cost; from 8 query genes up numpy would
+        # sum in 8 lanes, so this fixed order is the canonical one.
+        scoring = [(views[i], Q) for i, Q, w in zip(selected, q_rows, weights) if w > 0.0]
+        flat = scratch.flat(sum(v.shape[0] * Q.shape[0] for v, Q in scoring), self.dtype)
+        pos = 0
+        for view, Q in scoring:
+            block = flat[pos : pos + view.shape[0] * Q.shape[0]].reshape(-1, Q.shape[0])
+            np.matmul(view, Q.T, out=block)
+            pos += block.size
+        np.clip(flat, -1.0, 1.0, out=flat)
+        scores = np.empty(sum(v.shape[0] for v, _ in scoring))
+        pos = row = 0
+        for p, run in groupby(scoring, key=lambda vq: vq[1].shape[0]):
+            n_rows = sum(v.shape[0] for v, _ in run)
+            block = flat[pos : pos + n_rows * p].reshape(n_rows, p)
+            mean = scores[row : row + n_rows]
+            np.add(block[:, 0], block[:, 1], out=mean, dtype=np.float64)
+            for j in range(2, p):
+                np.add(mean, block[:, j], out=mean)
+            mean /= p
+            pos += block.size
+            row += n_rows
+        return n_present.tolist(), weights, scores
+
+    def _answer(
+        self,
+        resolved,
+        scratch: ScoreScratch,
+        *,
+        exclude_query_from_genes: bool,
+        top_k: int | None,
+    ) -> SpellResult:
+        """Score one :meth:`_resolve`d request and rank it."""
+        query, query_used, query_missing, q_slots, selected, local = resolved
+        n_present, weights, scores = self._score(selected, local, scratch)
+        return rank_scores(
+            self._slot_ids(),
+            [self._global_rows[i] for i, w in zip(selected, weights) if w > 0.0],
+            [w for w in weights if w > 0.0],
+            scores,
+            q_slots,
+            [
+                DatasetScore(self._entries[i].name, w, n)
+                for i, w, n in zip(selected, weights, n_present)
+            ],
+            query=query,
+            query_used=query_used,
+            query_missing=query_missing,
+            exclude_query_from_genes=exclude_query_from_genes,
+            top_k=top_k,
+        )
 
     # ----------------------------------------------------------------- search
     def search(
@@ -463,48 +535,47 @@ class SpellIndex:
         shards: only they are weighted, only their genes aggregate, and
         query presence is judged against the filtered subset.
         """
+        return self.search_batch(
+            [BatchQuery(genes=tuple(query), top_k=top_k, datasets=datasets)],
+            exclude_query_from_genes=exclude_query_from_genes,
+        )[0]
+
+    def search_batch(
+        self,
+        queries: Sequence[Sequence[str] | BatchQuery],
+        *,
+        exclude_query_from_genes: bool = True,
+    ) -> list[SpellResult]:
+        """Answer a batch: every member resolved first, then scored in turn.
+
+        Each member may be a plain gene sequence or a :class:`BatchQuery`
+        carrying its own ``top_k`` / ``datasets`` filter.  All-or-nothing:
+        any invalid member raises, answering none of them.  Members run
+        through the same kernel as :meth:`search` (which *is* a batch of
+        one) on one pooled scratch, so results are bit-identical to
+        per-member :meth:`search` by construction.
+        """
         if not self._entries:
             raise SearchError("index is empty")
-        query = self._validate_query(query)
-        selected = self._select(datasets)
-        query_used, query_missing, q_slots = self._resolve_query(
-            query, selected, filtered=datasets is not None
-        )
-        if not query_used:
-            raise SearchError(f"no query gene exists in any dataset: {query}")
-
-        dataset_scores: list[DatasetScore] = []
+        specs = [
+            q if isinstance(q, BatchQuery) else BatchQuery(genes=tuple(q))
+            for q in queries
+        ]
+        resolved = [self._resolve(spec.genes, spec.datasets) for spec in specs]
+        # try/finally: a failure mid-scoring (e.g. a bad top_k surfacing
+        # in the ranking tail) must not strand the scratch and silently
+        # regrow the pool query after failed query
         scratch = self._scratch.acquire()
         try:
-            totals, weight_mass, counts = scratch.arrays(len(self._slot_gene))
-
-            for i in selected:
-                entry, slots = self._entries[i], self._global_rows[i]
-                rows = self._query_rows(i, q_slots)
-                if rows.shape[0] < MIN_QUERY_PRESENT:
-                    dataset_scores.append(
-                        DatasetScore(entry.name, 0.0, rows.shape[0])
-                    )
-                    continue
-                weight, Q = self._weigh(i, rows)
-                dataset_scores.append(DatasetScore(entry.name, weight, rows.shape[0]))
-                if weight <= 0.0:
-                    continue
-                # all-gene scores in one matmul: mean corr to query rows;
-                # scatter-add into the dense universe arrays (row slots are
-                # unique within a dataset, so fancy-index += is safe)
-                scores = np.clip(self._arena.views[i] @ Q.T, -1.0, 1.0).mean(
-                    axis=1, dtype=np.float64
+            return [
+                self._answer(
+                    member,
+                    scratch,
+                    exclude_query_from_genes=exclude_query_from_genes,
+                    top_k=spec.top_k,
                 )
-                totals[slots] += weight * scores
-                weight_mass[slots] += weight
-                counts[slots] += 1
-
-            return self._finalize(
-                query, query_used, query_missing, dataset_scores,
-                totals, weight_mass, counts, q_slots,
-                exclude_query_from_genes=exclude_query_from_genes, top_k=top_k,
-            )
+                for spec, member in zip(specs, resolved)
+            ]
         finally:
             self._scratch.release(scratch)
 
@@ -514,7 +585,7 @@ class SpellIndex:
         query: list[str] | tuple[str, ...],
         *,
         datasets: Sequence[str] | None = None,
-    ):
+    ) -> list[DatasetPartial]:
         """Per-dataset contributions for the scatter-gather serving tier.
 
         Returns one :class:`~repro.spell.partials.DatasetPartial` per
@@ -522,156 +593,28 @@ class SpellIndex:
         cross-dataset aggregation: the coordinator replays the canonical
         accumulation itself (see :mod:`repro.spell.partials`), which is
         what keeps sharded rankings bit-identical to single-node search.
-        Each partial's score vector is exactly the ``scores`` the
-        single-node loop would scatter-add for that dataset — same
-        matmul, same clip, same fixed-order float64 mean.
+        Each partial's score vector is the kernel's own output for that
+        dataset — a window of the very array :meth:`search` would
+        accumulate.
 
         Unlike :meth:`search`, a query with *no* gene in this shard is
         legal (the genes may live on other shards); it simply yields
         zero-weight partials.
         """
-        from repro.spell.partials import DatasetPartial
-
         if not self._entries:
             raise SearchError("index is empty")
-        query = self._validate_query(query)
-        selected = self._select(datasets)
-        # Slots of query genes known to this shard's universe; per-dataset
-        # presence is judged by _query_rows exactly as single-node search
-        # does (a gene absent from this shard is absent from every one of
-        # its datasets, so the per-dataset row sets are unchanged).
-        slot_arr = np.fromiter(
-            (self._gene_slot.get(g, -1) for g in query),
-            dtype=np.intp,
-            count=len(query),
-        )
-        q_slots = slot_arr[slot_arr >= 0]
-
-        partials = []
-        for i in selected:
-            entry = self._entries[i]
-            rows = self._query_rows(i, q_slots)
-            if rows.shape[0] < MIN_QUERY_PRESENT:
-                partials.append(
-                    DatasetPartial(entry.name, entry.fingerprint, rows.shape[0], 0.0, None)
-                )
-                continue
-            weight, Q = self._weigh(i, rows)
-            if weight <= 0.0:
-                partials.append(
-                    DatasetPartial(entry.name, entry.fingerprint, rows.shape[0], weight, None)
-                )
-                continue
-            scores = np.clip(self._arena.views[i] @ Q.T, -1.0, 1.0).mean(
-                axis=1, dtype=np.float64
-            )
-            partials.append(
-                DatasetPartial(entry.name, entry.fingerprint, rows.shape[0], weight, scores)
-            )
-        return partials
-
-    # ---------------------------------------------------------- batched search
-    def search_batch(
-        self,
-        queries: Sequence[Sequence[str] | BatchQuery],
-        *,
-        exclude_query_from_genes: bool = True,
-    ) -> list[SpellResult]:
-        """Score a whole batch in one pass over the arena.
-
-        Each member may be a plain gene sequence or a :class:`BatchQuery`
-        carrying its own ``top_k`` / ``datasets`` filter.  Per dataset,
-        every participating query's rows are stacked into a single
-        ``Xn @ Qall.T`` matmul whose per-query column blocks are then
-        averaged separately — B queries cost one BLAS dispatch per shard
-        instead of B.  Results are bit-identical to calling
-        :meth:`search` per member (all-or-nothing: any invalid member
-        raises, answering none of them).
-        """
-        if not self._entries:
-            raise SearchError("index is empty")
-        specs = [
-            q if isinstance(q, BatchQuery)
-            else BatchQuery(genes=tuple(str(g) for g in q))
-            for q in queries
-        ]
-        if not specs:
-            return []
-
-        n_slots = len(self._slot_gene)
-        resolved: list[tuple[list[str], tuple, tuple, np.ndarray, list[int]]] = []
-        for spec in specs:
-            query = self._validate_query(spec.genes)
-            selected = self._select(spec.datasets)
-            query_used, query_missing, q_slots = self._resolve_query(
-                query, selected, filtered=spec.datasets is not None
-            )
-            if not query_used:
-                raise SearchError(f"no query gene exists in any dataset: {query}")
-            resolved.append((query, query_used, query_missing, q_slots, selected))
-
-        # phase 1 — weights: per (query, shard) coherence from the small
-        # Q @ Q.T matmuls (identical code path to single search), and the
-        # roster of positive-weight participants per shard
-        B = len(specs)
-        dataset_scores: list[list[DatasetScore]] = [[] for _ in range(B)]
-        participants: dict[int, list[tuple[int, np.ndarray, float]]] = {}
-        for qi, (_, _, _, q_slots, selected) in enumerate(resolved):
-            for i in selected:
-                entry = self._entries[i]
-                rows = self._query_rows(i, q_slots)
-                if rows.shape[0] < MIN_QUERY_PRESENT:
-                    dataset_scores[qi].append(
-                        DatasetScore(entry.name, 0.0, rows.shape[0])
-                    )
-                    continue
-                weight, _ = self._weigh(i, rows)
-                dataset_scores[qi].append(
-                    DatasetScore(entry.name, weight, rows.shape[0])
-                )
-                if weight > 0.0:
-                    participants.setdefault(i, []).append((qi, rows, weight))
-
-        # phase 2 — one stacked matmul per shard, de-interleaved per query.
-        # Shards ascend so each query's accumulation order matches the
-        # single-query loop exactly (float addition is order-sensitive).
-        # The B per-query accumulator triples come from the same
-        # ScratchPool as single-query search (one pooled ScoreScratch
-        # per batch member) instead of three fresh (B, n_slots)
-        # allocations per batch; acquire/release is try/finally-guarded
-        # so a failure mid-scoring (e.g. a bad top_k surfacing in
-        # _finalize) can never leak buffers and silently regrow the
-        # pool query after failed query.
-        scratches = [self._scratch.acquire() for _ in range(B)]
+        selected, _, local = self._locate(self._validate_query(query), datasets)
+        scratch = self._scratch.acquire()
         try:
-            accum = [s.arrays(n_slots) for s in scratches]
-            for i in sorted(participants):
-                view = self._arena.views[i]
-                roster = participants[i]
-                Qall = np.concatenate([view[rows] for (_, rows, _) in roster], axis=0)
-                big = np.clip(view @ Qall.T, -1.0, 1.0)
-                slots = self._global_rows[i]
-                col = 0
-                for qi, rows, weight in roster:
-                    q = rows.shape[0]
-                    scores = big[:, col : col + q].mean(axis=1, dtype=np.float64)
-                    col += q
-                    totals, weight_mass, counts = accum[qi]
-                    totals[slots] += weight * scores
-                    weight_mass[slots] += weight
-                    counts[slots] += 1
-
-            # _finalize gathers copies, so the results outlive the
-            # scratch buffers released below
-            return [
-                self._finalize(
-                    query, query_used, query_missing, dataset_scores[qi],
-                    accum[qi][0], accum[qi][1], accum[qi][2], q_slots,
-                    exclude_query_from_genes=exclude_query_from_genes,
-                    top_k=specs[qi].top_k,
-                )
-                for qi, (query, query_used, query_missing, q_slots, _) in enumerate(resolved)
-            ]
+            n_present, weights, scores = self._score(selected, local, scratch)
         finally:
-            for scratch in scratches:
-                self._scratch.release(scratch)
+            self._scratch.release(scratch)
+        partials = []
+        pos = 0
+        for i, w, n in zip(selected, weights, n_present):
+            entry, own = self._entries[i], None
+            if w > 0.0:
+                own = scores[pos : pos + len(entry.gene_ids)]
+                pos += len(entry.gene_ids)
+            partials.append(DatasetPartial(entry.name, entry.fingerprint, n, w, own))
+        return partials

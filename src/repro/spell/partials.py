@@ -8,12 +8,13 @@ only if the float additions happen in the same order as the single-node
 loop.  Pre-summed per-shard accumulators would regroup the additions
 (``(a + c) + b ≠ (a + b) + c`` in floats), so shards instead return the
 **per-dataset** contributions (:class:`DatasetPartial`) and the
-coordinator replays the canonical accumulation: walk the datasets in
-compendium order, scatter-add each contribution into universe-slot
-arrays, then finalize exactly like
-:meth:`repro.spell.index.SpellIndex.search`.  The per-dataset score
-vector itself is deterministic for given shard values (one matmul, one
-fixed-order mean), so *where* it is computed cannot change it.
+coordinator replays the canonical accumulation: concatenate the
+contributions in compendium order and hand them to :func:`rank_scores`
+— the one accumulate/rank tail, which
+:meth:`repro.spell.index.SpellIndex.search` ends in too.  The
+per-dataset score vector itself is deterministic for given shard values
+(one matmul, one fixed-order mean), so *where* it is computed cannot
+change it.
 
 :class:`GeneUniverse` is the coordinator's metadata-only replica of the
 index's slot bookkeeping — gene universe, per-dataset row slots, query
@@ -33,7 +34,7 @@ import numpy as np
 from repro.spell.engine import DatasetScore, SpellResult, ranked_gene_table
 from repro.util.errors import SearchError
 
-__all__ = ["DatasetPartial", "GeneUniverse"]
+__all__ = ["DatasetPartial", "GeneUniverse", "rank_scores"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,56 @@ class DatasetPartial:
     n_query_present: int
     weight: float
     scores: np.ndarray | None  # float64, len == len(dataset gene_ids), or None
+
+
+def rank_scores(
+    slot_ids: np.ndarray,
+    rows: Sequence[np.ndarray],
+    weights: Sequence[float],
+    scores: np.ndarray,
+    q_slots: np.ndarray,
+    dataset_scores: list[DatasetScore],
+    *,
+    query: Sequence[str],
+    query_used: tuple[str, ...],
+    query_missing: tuple[str, ...],
+    exclude_query_from_genes: bool,
+    top_k: int | None,
+) -> SpellResult:
+    """Accumulate per-dataset score vectors and rank the gene universe.
+
+    ``rows[k]`` / ``weights[k]`` are the universe slots and the
+    (positive) weight of the k-th contributing dataset in canonical
+    (compendium) order, and ``scores`` is their float64 score vectors
+    concatenated in that order.  ``np.bincount`` walks its input front
+    to back adding each weight to its bin, so every slot receives its
+    datasets' terms in canonical order starting from ``0.0`` — the same
+    float additions, in the same order, as a per-dataset
+    ``totals[slots] += weight * scores`` loop, which is what keeps every
+    path through this function bit-identical to every other.
+    """
+    n_slots = slot_ids.shape[0]
+    slots = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
+    mass = np.repeat(np.asarray(weights, dtype=np.float64), [r.shape[0] for r in rows])
+    totals = np.bincount(slots, weights=scores * mass, minlength=n_slots)
+    weight_mass = np.bincount(slots, weights=mass, minlength=n_slots)
+    counts = np.bincount(slots, minlength=n_slots)
+
+    dataset_scores.sort(key=lambda d: (-d.weight, d.name))
+    candidate = counts > 0
+    if exclude_query_from_genes:
+        candidate[q_slots] = False
+    scored = np.flatnonzero(candidate)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        final = totals[scored] / weight_mass[scored]
+    genes = ranked_gene_table(slot_ids[scored], final, counts[scored], top_k=top_k)
+    return SpellResult(
+        query=tuple(query),
+        query_used=query_used,
+        query_missing=query_missing,
+        datasets=tuple(dataset_scores),
+        genes=genes,
+    )
 
 
 class GeneUniverse:
@@ -97,7 +148,7 @@ class GeneUniverse:
     def resolve_query(
         self, query: Sequence[str], selected: Sequence[str], *, filtered: bool
     ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-        """Mirror of ``SpellIndex._resolve_query`` over catalog metadata.
+        """Mirror of ``SpellIndex._resolve`` over catalog metadata.
 
         Returns ``(query_used, query_missing, q_slots)`` with membership
         judged against the selected datasets when ``filtered`` (else the
@@ -147,10 +198,10 @@ class GeneUniverse:
         function never hides it.
         """
         skipped = set(skipped)
-        totals = np.zeros(self.n_slots, dtype=np.float64)
-        weight_mass = np.zeros(self.n_slots, dtype=np.float64)
-        counts = np.zeros(self.n_slots, dtype=np.int64)
         dataset_scores: list[DatasetScore] = []
+        rows: list[np.ndarray] = []
+        weights: list[float] = []
+        scores: list[np.ndarray] = []
         for name in selected:
             if name in skipped:
                 continue
@@ -168,23 +219,19 @@ class GeneUniverse:
                     f"partial for {name!r} has {part.scores.shape[0]} scores, "
                     f"expected {slots.shape[0]}"
                 )
-            totals[slots] += part.weight * part.scores
-            weight_mass[slots] += part.weight
-            counts[slots] += 1
-
-        dataset_scores.sort(key=lambda d: (-d.weight, d.name))
-        scored = np.flatnonzero(counts)
-        if exclude_query_from_genes:
-            scored = scored[~np.isin(scored, q_slots)]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            final = totals[scored] / weight_mass[scored]
-        genes = ranked_gene_table(
-            self._slot_gene[scored], final, counts[scored], top_k=top_k
-        )
-        return SpellResult(
-            query=tuple(query),
+            rows.append(slots)
+            weights.append(part.weight)
+            scores.append(part.scores)
+        return rank_scores(
+            self._slot_gene,
+            rows,
+            weights,
+            np.concatenate(scores) if scores else np.empty(0, dtype=np.float64),
+            q_slots,
+            dataset_scores,
+            query=query,
             query_used=query_used,
             query_missing=query_missing,
-            datasets=tuple(dataset_scores),
-            genes=genes,
+            exclude_query_from_genes=exclude_query_from_genes,
+            top_k=top_k,
         )

@@ -23,8 +23,7 @@ served.
 Workers are spawned (not forked — the parent may be running server
 threads) lazily on first use and reused across batches; each holds one
 :class:`~repro.spell.index.SpellIndex` and answers its slice of the
-batch with the fused batched kernel
-(:meth:`~repro.spell.index.SpellIndex.search_batch`).
+batch with :meth:`~repro.spell.index.SpellIndex.search_batch`.
 """
 
 from __future__ import annotations

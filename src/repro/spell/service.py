@@ -209,8 +209,11 @@ class SpellService:
         self._procpool: IndexWorkerPool | None = None  # spawned lazily
         self._pool_respawns = 0
         self._pool_disabled = False  # set when respawning stops helping
-        self._history: list[tuple[tuple[str, ...], float]] = []
-        self._lock = threading.Lock()  # guards history + index maintenance
+        # requests answered and their summed seconds: a pair, not a
+        # per-request list, so a long-lived server's memory stays flat
+        self._served = 0
+        self._served_seconds = 0.0
+        self._lock = threading.Lock()  # guards latency counters + index maintenance
         self._store_lock = threading.Lock()  # serializes on-disk store writes
         self._pool_lock = threading.Lock()  # guards procpool lifecycle
 
@@ -280,7 +283,7 @@ class SpellService:
             index = self._index
         if self._store_dir is not None:
             # mirror the splice on disk: only stale shards rewrite.  Disk
-            # IO happens outside self._lock (searches append history under
+            # IO happens outside self._lock (searches count their latency under
             # it); _store_lock alone serializes writers on the directory.
             with self._store_lock:
                 IndexStore.sync(index, self._store_dir, stats=self.storage)
@@ -421,7 +424,8 @@ class SpellService:
                     )
         self._note_dataset_use(result)
         with self._lock:
-            self._history.append((tuple(query), sw.elapsed))
+            self._served += 1
+            self._served_seconds += sw.elapsed
         return result
 
     def _note_dataset_use(self, result: SpellResult) -> None:
@@ -576,7 +580,7 @@ class SpellService:
 
         With ``n_procs >= 2`` the batch's cache misses are scattered
         across the process pool (each worker mmap-shares the persistent
-        store and scores its slice with the fused batched kernel); cache
+        store and scores its slice with ``search_batch``); cache
         hits are answered inline either way.  Any pool failure falls
         back to the thread path below.  ``scheduler="map"`` uses the
         order-preserving thread pool; ``"steal"`` routes through
@@ -691,9 +695,9 @@ class SpellService:
         search would — so the proc path and the thread path are
         indistinguishable to a later query.  If the pool cannot serve
         (spawn failure, dead worker, persistent staleness), the *same*
-        pending specs are answered in-process by the batched kernel —
+        pending specs are answered in-process by ``search_batch`` —
         the inline cache hits are never recomputed and every counter
-        (hits, misses, history) moves exactly once per member.
+        (hits, misses, query count) moves exactly once per member.
         Member-request errors (bad page, unknown gene) propagate as
         themselves, failing the batch all-or-nothing.
         """
@@ -715,7 +719,8 @@ class SpellService:
                     result = rebind_result(cached, list(req.genes))
                     self._note_dataset_use(result)
                     with self._lock:
-                        self._history.append((tuple(req.genes), sw.elapsed))
+                        self._served += 1
+                        self._served_seconds += sw.elapsed
                     responses[idx] = SearchResponse.from_result(
                         result, req, elapsed_seconds=sw.elapsed, strict=strict_page
                     )
@@ -753,7 +758,8 @@ class SpellService:
                     )
                 self._note_dataset_use(result)
                 with self._lock:
-                    self._history.append((tuple(req.genes), per_query))
+                    self._served += 1
+                    self._served_seconds += per_query
                 responses[idx] = SearchResponse.from_result(
                     result, req, elapsed_seconds=per_query, strict=strict_page
                 )
@@ -884,7 +890,7 @@ class SpellService:
     @property
     def query_count(self) -> int:
         with self._lock:
-            return len(self._history)
+            return self._served
 
     def register_transport_stats(self, label: str, probe) -> None:
         """Attach a transport's counter snapshot to ``serving_stats``.
@@ -914,9 +920,9 @@ class SpellService:
 
     def mean_latency(self) -> float:
         with self._lock:
-            if not self._history:
+            if not self._served:
                 raise SearchError("no queries executed yet")
-            return sum(t for _, t in self._history) / len(self._history)
+            return self._served_seconds / self._served
 
     def index_bytes(self) -> int:
         return self._index.nbytes() if self._index is not None else 0

@@ -105,20 +105,20 @@ class TestShardArena:
         shrunk = SpellIndex.build(Compendium(datasets[1:]))
         assert _rows(index.search(q)) == _rows(shrunk.search(q))
 
-    def test_scratch_reuses_arrays_and_rezeroes(self):
+    def test_scratch_reuses_buffers_and_grows(self):
         scratch = ScoreScratch()
-        totals, mass, counts = scratch.arrays(16)
-        totals[3] = 7.0
-        mass[3] = 1.0
-        counts[3] = 2
-        t2, m2, c2 = scratch.arrays(16)
-        assert t2.base is scratch.totals or t2 is scratch.totals
-        assert not t2.any() and not m2.any() and not c2.any()
-        # growth re-allocates, shrink requests reuse
-        t3, _, _ = scratch.arrays(32)
-        assert t3.shape[0] == 32
-        t4, _, _ = scratch.arrays(8)
-        assert t4.shape[0] == 8 and not t4.any()
+        flat = scratch.flat(16, np.float64)
+        assert flat.shape == (16,) and flat.dtype == np.float64
+        # same or smaller requests are windows of the same allocation
+        assert np.shares_memory(scratch.flat(16, np.float64), flat)
+        assert np.shares_memory(scratch.flat(8, np.float64), flat)
+        assert scratch.flat(8, np.float64).shape == (8,)
+        # growth and a dtype change re-allocate
+        assert not np.shares_memory(scratch.flat(32, np.float64), flat)
+        assert scratch.flat(8, np.float32).dtype == np.float32
+        # the pair buffer is independent of the flat buffer
+        grams = scratch.grams(12, np.float32)
+        assert grams.shape == (12,) and not np.shares_memory(grams, scratch.flat(8, np.float32))
 
     def test_scratch_pool_recycles_across_threads(self):
         """The free-list must survive thread death (thread-per-request
@@ -130,7 +130,7 @@ class TestShardArena:
 
         def use():
             scratch = pool.acquire()
-            scratch.arrays(8)
+            scratch.flat(8, np.float64)
             pool.release(scratch)
             holder.append(scratch)
 
@@ -255,7 +255,7 @@ class TestScratchPoolLeak:
         bad_batch = [
             BatchQuery(genes=query),
             # the second member's bad top_k fires after the batch
-            # acquired one scratch per member
+            # acquired its scratch
             BatchQuery(genes=query[:2], top_k=-1),
         ]
         with pytest.raises(SearchError):
@@ -279,17 +279,20 @@ class TestScratchPoolLeak:
                 index.search(["totally-unknown-gene"])
         assert index._scratch.idle_count() == steady
 
-    def test_batch_reuses_pooled_scratch(self, setup):
-        """The batched kernel draws from (and returns to) the same pool
-        as single-query search — no per-batch accumulator allocations."""
+    def test_batch_shares_one_pooled_scratch(self, setup):
+        """A batch scores its members in turn on one scratch drawn from
+        (and returned to) the same pool as single-query search — no
+        per-member buffers, no per-batch allocations."""
         comp, truth = setup
         index = SpellIndex.build(comp)
         queries = _queries(comp, truth, n=6)
+        steady = self._steady_state(index, list(truth.query_genes))
         index.search_batch(queries)
-        pooled = index._scratch.idle_count()
-        assert pooled >= len(queries)  # every member's scratch came back
+        assert index._scratch.idle_count() == steady == 1
+        scratch = index._scratch.acquire()
+        index._scratch.release(scratch)
         index.search_batch(queries)
-        assert index._scratch.idle_count() == pooled  # reused, not regrown
+        assert index._scratch.acquire() is scratch  # reused, not regrown
 
 
 # ----------------------------------------------------------- process serving
