@@ -3,10 +3,12 @@
 This package is the architectural seam between the analysis core and
 every frontend: a typed wire protocol (:mod:`repro.api.protocol`), a
 unified error model (:mod:`repro.api.errors`), one application object
-routing to SPELL / clustering / rendering (:mod:`repro.api.app`), and a
-stdlib HTTP facade (:mod:`repro.api.http`).  See the ROADMAP's
-"Versioned query API" section for the endpoint list, wire schema, error
-codes, and compatibility policy.
+routing to SPELL / clustering / rendering (:mod:`repro.api.app`), one
+sans-IO request pipeline (:mod:`repro.api.pipeline`) and the two socket
+drivers under it (:mod:`repro.api.http`, :mod:`repro.api.aio`).
+``docs/api.md`` (generated from :mod:`repro.api.routes`) is the endpoint
+list, wire schema and error-code reference; the compatibility policy is
+in :mod:`repro.api.protocol`.
 
 ``protocol`` and ``errors`` are import-light (they never touch the
 analysis core) and load eagerly; ``ApiApp`` and the HTTP helpers import

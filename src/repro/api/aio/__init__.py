@@ -5,13 +5,14 @@ isolation:
 
 * :mod:`repro.api.aio.http11` — pure incremental HTTP/1.1 parsing and
   response encoding (no sockets, no loop);
-* :mod:`repro.api.aio.server` — one event loop serving one
-  :class:`~repro.api.app.ApiApp`: accept loop, keep-alive, pipelining,
-  chunked export streaming, bounded-executor dispatch, graceful drain;
+* :mod:`repro.api.aio.server` — one event loop driving sockets under
+  the shared request pipeline (:mod:`repro.api.pipeline`): accept loop,
+  keep-alive, pipelining, chunk framing, bounded-executor dispatch,
+  graceful drain;
 * :mod:`repro.api.aio.supervisor` — the multi-loop topology: N worker
   processes, each its own loop, sharing one port via ``SO_REUSEPORT``;
-* ``python -m repro.api.aio`` — the CLI (mirrors
-  ``python -m repro.api.http``, plus ``--loops``).
+* ``python -m repro.api.aio`` — the CLI (the flag table of
+  :mod:`repro.api.cli`, plus ``--loops`` and the per-loop bounds).
 """
 
 from repro.api.aio.http11 import ProtocolError, RequestHead, RequestParser

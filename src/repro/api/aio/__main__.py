@@ -1,26 +1,26 @@
 """CLI: ``python -m repro.api.aio`` — serve the v1 API on event loops.
 
-Mirrors ``python -m repro.api.http`` (same demo compendium, same
-hardening flags) plus the async-tier knobs: ``--loops`` for the
-SO_REUSEPORT multi-loop topology, and the per-loop bounds
-(``--pipeline-depth``, ``--max-connections``, ``--executor-threads``,
-``--drain-seconds``).
+Takes every flag ``python -m repro.api.http`` takes (one table,
+:mod:`repro.api.cli`) and adds only what an event loop has that a thread
+pool has not: ``--loops`` for the SO_REUSEPORT multi-loop topology and
+the per-loop bounds (``--pipeline-depth``, ``--max-connections``,
+``--executor-threads``, ``--drain-seconds``).
 
 ``--loops 1`` (default) serves in-process on one event loop; SIGTERM /
 Ctrl-C triggers the graceful drain.  ``--loops N`` spawns N worker
-processes sharing the port (see :mod:`repro.api.aio.supervisor`).
+processes sharing the port (see :mod:`repro.api.aio.supervisor`), each
+building its own app from the same options.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import signal
 import sys
 import time
 
-from repro.api.limits import DEFAULT_MAX_BODY_BYTES, RequestGate
+from repro.api import cli
 from repro.api.transport import DEFAULT_DRAIN_SECONDS
 from repro.api.aio.server import (
     DEFAULT_MAX_CONNECTIONS,
@@ -29,8 +29,6 @@ from repro.api.aio.server import (
 )
 from repro.api.aio.supervisor import LoopGroup
 
-_PREFIX = "/v1/"
-
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -38,9 +36,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Serve the v1 SPELL query API on asyncio event loops "
                     "(demo compendium).",
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8080,
-                        help="listening port (0 = ephemeral)")
+    cli.add_flags(parser, "listen", "synth", "backend", "service", "gate", "catalog")
     parser.add_argument("--loops", type=int, default=1,
                         help="event loops (worker processes) sharing the "
                              "port via SO_REUSEPORT; size to physical cores")
@@ -59,171 +55,20 @@ def _parser() -> argparse.ArgumentParser:
                         default=DEFAULT_DRAIN_SECONDS,
                         help="bound on the graceful drain of in-flight "
                              "requests at shutdown")
-    parser.add_argument("--store-dir", default=None,
-                        help="persistent index directory (mmap cold start; "
-                             "with --loops > 1, workers share the store)")
-    parser.add_argument("--store-verify", choices=("eager", "lazy"), default=None,
-                        help="shard integrity policy at store load: eager "
-                             "hashes every shard before serving (quarantine + "
-                             "rebuild on mismatch); lazy keeps the zero-copy "
-                             "mmap cold start and defers to a verify scrub. "
-                             "Default: eager for in-RAM loads, lazy for mmap")
-    parser.add_argument("--dtype", choices=("float64", "float32"), default="float64")
-    parser.add_argument("--n-workers", type=int, default=4)
-    parser.add_argument("--n-procs", type=int, default=1)
-    parser.add_argument("--pool-timeout", type=float, default=120.0)
-    parser.add_argument("--cache-size", type=int, default=256)
-    parser.add_argument("--cache-min-cost", type=int, default=0)
-    parser.add_argument("--synth-datasets", type=int, default=12)
-    parser.add_argument("--synth-genes", type=int, default=300)
-    parser.add_argument("--synth-conditions", type=int, default=14)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--auth-token-file", default=None,
-                        help="file holding the shared bearer token; when "
-                             "set, requests (except /v1/health) must send "
-                             "'Authorization: Bearer <token>' or get 401")
-    parser.add_argument("--auth-tokens-file", default=None,
-                        help="multi-credential file, one 'principal:token' "
-                             "per line; each principal gets its own "
-                             "--token-rate-limit quota bucket")
-    parser.add_argument("--rate-limit", type=float, default=0.0,
-                        help="per-client requests/second (token bucket; 0 "
-                             "disables); over-budget clients get 429")
-    parser.add_argument("--rate-burst", type=int, default=None)
-    parser.add_argument("--token-rate-limit", type=float, default=0.0,
-                        help="per-authenticated-principal requests/second "
-                             "quota, distinct from the per-peer --rate-limit "
-                             "(0 disables)")
-    parser.add_argument("--token-rate-burst", type=int, default=None)
-    parser.add_argument("--tenant-rate-limit", type=float, default=0.0,
-                        help="per-compendium requests/second budget across "
-                             "all callers (0 disables)")
-    parser.add_argument("--tenant-rate-burst", type=int, default=None)
-    parser.add_argument("--max-body-bytes", type=int,
-                        default=DEFAULT_MAX_BODY_BYTES)
-    parser.add_argument("--catalog-root", default=None,
-                        help="multi-tenant catalog directory: each tenant "
-                             "compendium lives under <root>/<tenant>/ with "
-                             "its own datasets/ and store/; requests carry "
-                             "the tenant in the 'compendium' field. With "
-                             "--loops > 1 each worker holds its own catalog "
-                             "view: an ingest is visible to its own loop "
-                             "immediately and to sibling loops at their next "
-                             "tenant (re)load")
-    parser.add_argument("--max-resident", type=int, default=4,
-                        help="LRU bound on tenants resident in RAM at once "
-                             "(the default tenant is pinned and not counted "
-                             "against evictions)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log drain/teardown events to stderr")
     return parser
 
 
-def _read_auth_token(parser: argparse.ArgumentParser,
-                     args: argparse.Namespace) -> str | None:
-    if args.auth_token_file is None:
-        return None
-    with open(args.auth_token_file, encoding="utf-8") as fh:
-        token = fh.read().strip()
-    if not token:
-        parser.error(f"auth token file {args.auth_token_file!r} is empty")
-    return token
-
-
-def _print_examples(host: str, port: int, example_query: str | None) -> None:
-    print(f"serving v1 API on http://{host}:{port}{_PREFIX}", flush=True)
-    print(f"  try: curl http://{host}:{port}/v1/health", flush=True)
-    if example_query is not None:
-        print(
-            f"  try: curl -X POST http://{host}:{port}/v1/search "
-            f"-d '{example_query}'",
-            flush=True,
-        )
-    print(f"  try: curl http://{host}:{port}/v1/datasets", flush=True)
-
-
-def _serve_single(args: argparse.Namespace, auth_token: str | None,
-                  auth_tokens: dict[str, str]) -> int:
-    """One in-process event loop (the --loops 1 path)."""
-    from repro.api.app import ApiApp
-    from repro.api.http import _build_catalog, _build_service, _gate_kwargs
-
-    service, truth = _build_service(args)
-    catalog = _build_catalog(args, service)
-    gate = RequestGate(**_gate_kwargs(args, auth_token, auth_tokens))
-    app = ApiApp(service, gate=gate, catalog=catalog)
-    server = AioApiServer(
-        app,
-        host=args.host,
-        port=args.port,
-        pipeline_depth=args.pipeline_depth,
-        max_connections=args.max_connections,
-        executor_threads=args.executor_threads,
-        drain_seconds=args.drain_seconds,
-        quiet=not args.verbose,
-    )
-    host, port = server.server_address[:2]
-    example = json.dumps({"genes": list(truth.query_genes), "page_size": 10})
-    _print_examples(host, port, example)
-
-    async def _main() -> None:
-        task = asyncio.current_task()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, task.cancel)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_main())
-    finally:
-        if catalog is not None:
-            catalog.close()
-        service.close()
-    return 0
-
-
-def _serve_group(args: argparse.Namespace, auth_token: str | None,
-                 auth_tokens: dict[str, str]) -> int:
+def _serve_group(args: argparse.Namespace, options: dict, server_options: dict) -> int:
     """N spawned loops sharing the port (the --loops > 1 path)."""
     group = LoopGroup(
         n_loops=args.loops,
         host=args.host,
         port=args.port,
-        factory_kwargs={
-            "synth_datasets": args.synth_datasets,
-            "synth_genes": args.synth_genes,
-            "synth_conditions": args.synth_conditions,
-            "seed": args.seed,
-            "n_workers": args.n_workers,
-            "n_procs": args.n_procs,
-            "cache_size": args.cache_size,
-            "cache_min_cost": args.cache_min_cost,
-            "dtype": args.dtype,
-            "store_dir": args.store_dir,
-            "store_verify": args.store_verify,
-            "pool_timeout": args.pool_timeout,
-            "auth_token": auth_token,
-            "auth_tokens": auth_tokens,
-            "rate_limit": args.rate_limit,
-            "rate_burst": args.rate_burst,
-            "token_rate_limit": args.token_rate_limit,
-            "token_rate_burst": args.token_rate_burst,
-            "tenant_rate_limit": args.tenant_rate_limit,
-            "tenant_rate_burst": args.tenant_rate_burst,
-            "max_body_bytes": args.max_body_bytes,
-            "catalog_root": args.catalog_root,
-            "max_resident": args.max_resident,
-        },
-        server_options={
-            "pipeline_depth": args.pipeline_depth,
-            "max_connections": args.max_connections,
-            "executor_threads": args.executor_threads,
-            "drain_seconds": args.drain_seconds,
-            "quiet": not args.verbose,
-        },
+        factory_kwargs=options,
+        server_options=server_options,
     )
     group.start()
-    _print_examples(args.host, group.port, None)
+    cli.print_banner(args.host, group.port)
     print(f"  loops: {args.loops} (SO_REUSEPORT)", flush=True)
 
     stop = {"signaled": False}
@@ -249,19 +94,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.loops < 1:
         parser.error("--loops must be >= 1")
-    auth_token = _read_auth_token(parser, args)
-    from repro.api.http import _read_auth_tokens
-
-    try:
-        auth_tokens = _read_auth_tokens(args.auth_tokens_file)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        if args.loops == 1:
-            return _serve_single(args, auth_token, auth_tokens)
-        return _serve_group(args, auth_token, auth_tokens)
-    except KeyboardInterrupt:
-        return 0
+    options = cli.app_options(parser, args)
+    server_options = {
+        "pipeline_depth": args.pipeline_depth,
+        "max_connections": args.max_connections,
+        "executor_threads": args.executor_threads,
+        "drain_seconds": args.drain_seconds,
+        "quiet": not args.verbose,
+    }
+    if args.loops > 1:
+        return _serve_group(args, options, server_options)
+    app, truth = cli.build_app(**options)
+    server = AioApiServer(app, host=args.host, port=args.port, **server_options)
+    cli.print_banner(*server.server_address[:2], truth)
+    cli.serve_until_signalled(
+        server, app, lambda: asyncio.run(server.serve_forever())
+    )
+    return 0
 
 
 if __name__ == "__main__":

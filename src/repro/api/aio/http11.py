@@ -31,6 +31,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.api.transport import declared_body_length
+
 __all__ = [
     "MAX_REQUEST_LINE_BYTES",
     "MAX_HEADER_BYTES",
@@ -214,25 +216,13 @@ class RequestParser:
             raise ProtocolError(f"malformed request target {target[:120]!r}")
         return RequestHead(method=method, target=target, version=version)
 
-    def _validate_body_framing(self, head: RequestHead) -> None:
+    @staticmethod
+    def _validate_body_framing(head: RequestHead) -> None:
         """Pin down the body length from the headers (never trust later)."""
-        if "transfer-encoding" in head.headers:
-            # the v1 surface has no streaming *requests*; a chunked body
-            # would make the declared-length body cap meaningless
-            raise ProtocolError(
-                "chunked request bodies are not supported; "
-                "send Content-Length"
-            )
-        raw = head.headers.get("content-length")
-        if raw is None:
-            head.content_length = 0
-            return
-        # RFC 9110 says 1*DIGIT, nothing else: Python's int() also
-        # accepts '+5', ' 5', and '1_0', and a parser more lenient than
-        # the proxy in front of it is the request-smuggling precondition
-        if not raw or not all(c in "0123456789" for c in raw):
-            raise ProtocolError(f"bad Content-Length {raw!r}")
-        head.content_length = int(raw)
+        try:
+            head.content_length = declared_body_length(head.headers)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
 
     # ------------------------------------------------------------------ body
     def poll_body(self, head: RequestHead) -> bytes | None:

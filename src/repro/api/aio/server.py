@@ -1,59 +1,50 @@
-"""One-event-loop HTTP/1.1 server over :class:`~repro.api.app.ApiApp`.
+"""Event-loop socket driver for the v1 API (one loop, one listening socket).
 
 This is the asyncio half of the serving tier: a hand-rolled accept loop
 (``loop.sock_accept`` on a socket the server binds itself, optionally
 with ``SO_REUSEPORT`` so N worker processes share one port), per
 connection a **reader** coroutine (incremental HTTP/1.1 parsing via
-:mod:`repro.api.aio.http11`, admission control on headers alone) and a
-**responder** coroutine (in-order dispatch and response writing) joined
-by a bounded queue — the queue *is* the per-connection pipelining
-window, and a full queue stops the reader, which stops ``sock_recv``,
-which is TCP backpressure.
+:mod:`repro.api.aio.http11`) and a **responder** coroutine (in-order
+dispatch and response writing) joined by a bounded queue — the queue
+*is* the per-connection pipelining window, and a full queue stops the
+reader, which stops ``sock_recv``, which is TCP backpressure.
 
-The event loop never blocks on the analysis core: every
-``ApiApp.handle_wire`` / ``export`` call — which may wait on the index
-worker pool's pipes or the sharded router's sockets — runs on a bounded
-thread-pool executor (``loop.run_in_executor``), so hundreds of
-connections stay responsive while a handful of requests compute.
+**What this module decides** is how bytes move and where code runs:
+the reader plans each request on its head
+(:func:`~repro.api.pipeline.plan_request` — admission control runs
+there, before the body is read) and buffers the declared body; the
+responder runs :func:`~repro.api.pipeline.respond` — every call into
+the analysis core, which may wait on the index worker pool's pipes or
+the sharded router's sockets — on a bounded thread-pool executor, so
+hundreds of connections stay responsive while a handful of requests
+compute; the loop itself only ever moves ready bytes.  **What it does
+not decide** is anything about the request: routing, the gate, body
+rules, error bodies, headers and the close decision are
+:mod:`repro.api.pipeline`'s, the same code the threaded driver
+(:mod:`repro.api.http`) runs.
 
-Semantics are **identical** to the threaded facade
-(:mod:`repro.api.http`) by construction: the same route registry, the
-same :class:`~repro.api.limits.RequestGate` run *before* the body is
-read (the context is marked admitted, so no token is ever spent twice),
-the same structured error codes, the same ``Retry-After`` header on
-429s, and the same close-don't-desync rule — a request rejected before
-its body was drained answers ``Connection: close``.  The oracle tests
-assert byte-identical JSON bodies against the threaded facade and
-direct ``ApiApp`` calls.
-
-Graceful drain (shared contract with the threaded facade, see
-:mod:`repro.api.transport`): ``shutdown()`` stops accepting, lets every
-parsed-and-admitted request finish writing its response (bounded by
-``drain_seconds``), closes idle keep-alive connections, and only then
-tears the loop down — an in-flight response is never dropped.
+Graceful drain (the contract in :mod:`repro.api.transport`):
+``shutdown()`` stops accepting, lets every parsed-and-admitted request
+finish writing its response (bounded by ``drain_seconds``), closes idle
+keep-alive connections, and only then tears the loop down — an
+in-flight response is never dropped.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import os
 import socket
 import sys
 import threading
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import partial
-from urllib.parse import parse_qs, urlparse
 
-from repro.api.app import ApiApp, all_endpoints
-from repro.api.errors import ApiError, as_api_error, error_payload
-from repro.api.limits import RequestContext
-from repro.api.routes import ROUTE_BY_NAME, Route
-from repro.api.transport import (
-    DEFAULT_DRAIN_SECONDS,
-    TransportStats,
-    close_quietly as _close_quietly,
-    retry_after_headers,
-)
+from repro.api.app import ApiApp
+from repro.api.errors import ApiError
+from repro.api.pipeline import Plan, Response, plan_request, read_body, respond
+from repro.api.transport import DEFAULT_DRAIN_SECONDS, TransportStats
 from repro.api.aio.http11 import (
     CHUNKED_EOF,
     ProtocolError,
@@ -65,8 +56,6 @@ from repro.api.aio.http11 import (
 )
 
 __all__ = ["AioApiServer", "serve", "serve_background"]
-
-_PREFIX = "/v1/"
 
 #: Bytes asked of the socket per read — large enough that a pipelined
 #: burst of small requests arrives in one syscall.
@@ -83,21 +72,12 @@ DEFAULT_MAX_CONNECTIONS = 512
 
 _DONE = object()  # responder sentinel: no more items for this connection
 
-#: Gate-rejection codes raised before ``handle_wire`` could do its own
-#: error accounting (mirrors the threaded facade).
-_GATE_CODES = frozenset({"UNAUTHORIZED", "RATE_LIMITED", "BODY_TOO_LARGE"})
-
-
 @dataclass
 class _Item:
-    """One parsed request handed from the reader to the responder."""
+    """One planned request handed from the reader to the responder."""
 
-    kind: str  # "unary" | "stream" | "raw" | "error"
-    route: Route | None = None
-    payload: dict | None = None
-    context: RequestContext | None = None
-    error: ApiError | None = None
-    close: bool = False  # client asked (or framing demands) to close after
+    plan: Plan
+    keep_alive: bool = False  # the client permits reuse after this response
 
 
 @dataclass
@@ -170,16 +150,11 @@ class AioApiServer:
         self._sock = sock
         self.server_address = sock.getsockname()
 
-        register = getattr(app.service, "register_transport_stats", None)
-        if callable(register):
-            register(self.transport_label, self.stats.snapshot)
+        app.service.register_transport_stats(self.transport_label, self.stats.snapshot)
 
     # ------------------------------------------------------------------ serve
     async def serve_forever(self) -> None:
         """Accept and serve until :meth:`shutdown` (or task cancellation)."""
-        from concurrent.futures import ThreadPoolExecutor
-        import os
-
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._serve_task = asyncio.current_task()
@@ -294,8 +269,7 @@ class AioApiServer:
             except ProtocolError as exc:
                 await self._enqueue(
                     queue, state, responder,
-                    _Item(kind="error", close=True,
-                          error=ApiError(exc.code, exc.message)),
+                    _Item(Plan(error=ApiError(exc.code, exc.message))),
                 )
                 return  # unframeable stream: nothing after it is trusted
             if head is None:
@@ -310,86 +284,33 @@ class AioApiServer:
                 parser.feed(data)
                 continue
 
-            item = await self._parse_request(sock, loop, parser, head, addr)
+            item = await self._plan(sock, loop, parser, head, addr)
             if not await self._enqueue(queue, state, responder, item):
                 return  # responder exited (close/write failure) mid-wait
-            if item.kind == "error":
+            if item.plan.error is not None:
                 # the body (if any) was not drained; the stream cannot
                 # be resynced — stop reading, responder will close
                 return
 
-    async def _parse_request(self, sock, loop, parser, head: RequestHead, addr) -> _Item:
-        """Route + admit on headers, then read and parse the body.
-
-        Mirrors the threaded facade's ``_dispatch`` ordering exactly:
-        route resolution, then the gate (pre-body-read), then the body —
-        any :class:`ApiError` on that path becomes an error item that
-        closes the connection (the declared body may be undrained).
-        """
-        parsed = urlparse(head.target)
-        route: Route | None = None
-        try:
-            route = self._route(parsed.path, head.method)
-            context = self._context(head, addr)
-            self.app.gate.admit(route.name, context)
-            context = replace(context, admitted=True)
-            if head.method == "POST":
-                payload = await self._read_body(loop, sock, parser, head)
-            else:
-                payload = {}
-                if head.content_length > 0:
-                    # a GET that declared a body: the gate already judged
-                    # the declared size in admit(), so drain it (bounded
-                    # by the body cap) — left in the buffer it would be
-                    # parsed as the *next* request on this keep-alive
-                    # connection, a stream desync the threaded facade
-                    # avoids by closing
-                    await self._buffer_body(loop, sock, parser, head)
-        except ApiError as err:
-            if err.code in _GATE_CODES:
-                self.app.record_rejection(route.name if route is not None else "(unknown)")
-            return _Item(kind="error", error=err, close=True)
-
-        close = not head.keep_alive
-        if route.kind == "stream":
-            return _Item(kind="stream", route=route, payload=payload,
-                         context=context, close=close)
-        raw = self._raw_format(parsed.query)
-        if raw is not None and raw in route.raw_formats:
-            return _Item(kind="raw", route=route, payload=payload,
-                         context=context, close=close)
-        return _Item(kind="unary", route=route, payload=payload,
-                     context=context, close=close)
-
-    async def _read_body(self, loop, sock, parser, head: RequestHead) -> dict:
-        """Read the declared body (the cap was already judged) and parse it."""
-        self.app.gate.check_body(head.content_length)  # 413 pre-read
-        body = await self._buffer_body(loop, sock, parser, head)
-        try:
-            payload = json.loads(body or b"{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ApiError("MALFORMED_BODY", f"request body is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise ApiError(
-                "MALFORMED_BODY",
-                f"request body must be a JSON object, got {type(payload).__name__}",
-            )
-        return payload
-
-    @staticmethod
-    async def _buffer_body(loop, sock, parser, head: RequestHead) -> bytes:
-        """Pull the declared ``content_length`` bytes off the wire."""
-        while True:
-            body = parser.poll_body(head)
-            if body is not None:
-                return body
+    async def _plan(self, sock, loop, parser, head: RequestHead, addr) -> _Item:
+        """Plan on the head (admission included), then buffer the body."""
+        plan = plan_request(
+            self.app, head.method, head.target, head.headers,
+            str(addr[0]) if addr else "unknown",
+        )
+        body = parser.poll_body(head) if plan.body_bytes else b""
+        while body is None:
             try:
                 data = await loop.sock_recv(sock, _RECV_BYTES)
-            except OSError as exc:
-                raise ApiError("MALFORMED_BODY", f"connection lost mid-body: {exc}")
+            except OSError:
+                data = b""
             if not data:
-                raise ApiError("MALFORMED_BODY", "connection closed mid-body")
+                body = b""  # client went away mid-body; read_body reports it
+                break
             parser.feed(data)
+            body = parser.poll_body(head)
+        read_body(plan, body)
+        return _Item(plan, keep_alive=head.keep_alive)
 
     async def _enqueue(
         self, queue, state: _ConnState, responder: asyncio.Task, item: _Item
@@ -464,148 +385,45 @@ class AioApiServer:
     async def _write_response(self, sock, item: _Item) -> bool:
         """Write one response; returns whether the connection must close."""
         loop = asyncio.get_running_loop()
-        close = item.close or self._draining
-        if item.kind == "error":
-            body = error_payload(item.error)
-            await loop.sock_sendall(sock, self._json_bytes(
-                item.error.http_status, body, close=True
+        answer = partial(
+            respond, self.app, item.plan,
+            keep_alive=item.keep_alive, draining=self._draining,
+        )
+        # an already-failed plan never reaches the application, so it is
+        # answered on the loop; everything else may block
+        if item.plan.error is not None:
+            response: Response = answer()
+        else:
+            response = await loop.run_in_executor(self._executor, answer)
+        if response.lines is None:
+            await loop.sock_sendall(sock, encode_response(
+                response.status, response.body, response.content_type,
+                extra_headers=response.headers, close=response.close,
             ))
-            return True
-        if item.kind == "unary":
-            status, body = await loop.run_in_executor(
-                self._executor,
-                partial(self.app.handle_wire, item.route.name, item.payload,
-                        context=item.context),
-            )
-            await loop.sock_sendall(sock, self._json_bytes(status, body, close=close))
-            return close
-        if item.kind == "raw":
-            return await self._write_raw(loop, sock, item, close)
-        return await self._write_stream(loop, sock, item, close)
-
-    async def _write_raw(self, loop, sock, item: _Item, close: bool) -> bool:
-        """``?format=ppm``: the image bytes themselves, not a JSON envelope."""
+            return response.close
+        # each next() on the line stream is blocking work (slicing +
+        # JSON + checksum), so it too runs on the executor
+        lines = response.lines
         try:
-            response = await loop.run_in_executor(
-                self._executor,
-                partial(self.app.render_heatmap_wire, item.payload,
-                        context=item.context),
-            )
-        except Exception as exc:  # noqa: BLE001 — boundary
-            err = as_api_error(exc)
             await loop.sock_sendall(
-                sock, self._json_bytes(err.http_status, error_payload(err), close=close)
+                sock, encode_stream_head(response.content_type, close=response.close)
             )
-            return close
-        await loop.sock_sendall(sock, encode_response(
-            200, response.ppm, "image/x-portable-pixmap", close=close
-        ))
-        return close
-
-    async def _write_stream(self, loop, sock, item: _Item, close: bool) -> bool:
-        """``/v1/search/export``: chunked NDJSON, error trailer discipline.
-
-        The eager half of the export (gate, parse, the search) runs in
-        the executor and still answers plain JSON errors; once the
-        chunked header is committed, failures surface as the structured
-        error trailer the app layer emits.  Each ``next()`` on the line
-        iterator is blocking work (slicing + JSON + checksum), so it too
-        runs on the executor — the loop only ever moves ready bytes.
-        """
-        try:
-            lines = await loop.run_in_executor(
-                self._executor,
-                partial(self.app.export, item.payload, context=item.context),
-            )
-        except Exception as exc:  # noqa: BLE001 — boundary
-            err = as_api_error(exc)
-            await loop.sock_sendall(
-                sock, self._json_bytes(err.http_status, error_payload(err), close=close)
-            )
-            return close
-        iterator = iter(lines)
-        completed = False
-        try:
-            await loop.sock_sendall(sock, encode_stream_head(close=close))
             while True:
-                line = await loop.run_in_executor(
-                    self._executor, partial(next, iterator, None)
-                )
+                line = await loop.run_in_executor(self._executor, next, lines, None)
                 if line is None:
                     break
                 await loop.sock_sendall(sock, encode_chunk(line))
             await loop.sock_sendall(sock, CHUNKED_EOF)
-            completed = True
-        finally:
-            # client gone (ConnectionError/OSError) or task cancelled
-            # mid-stream: closing the generator fires its GeneratorExit
-            # path, which records the failed export and releases anything
-            # pinned for the stream; a no-op after a completed stream.
-            # The original exception keeps propagating to the responder
-            # loop, which balances the connection-slot accounting.
-            if not completed and hasattr(lines, "close"):
-                await loop.run_in_executor(
-                    self._executor, partial(_close_quietly, lines)
-                )
-        return close
+        except BaseException:
+            # client gone (OSError) or task cancelled mid-stream: close
+            # the stream where its generator runs; the exception keeps
+            # propagating to the responder loop, which balances the
+            # connection-slot accounting
+            await loop.run_in_executor(self._executor, lines.close)
+            raise
+        return response.close
 
     # -------------------------------------------------------------- plumbing
-    def _json_bytes(self, status: int, body: dict, *, close: bool) -> bytes:
-        return encode_response(
-            status,
-            json.dumps(body).encode("utf-8"),
-            extra_headers=retry_after_headers(body),
-            close=close,
-        )
-
-    def _route(self, path: str, verb: str) -> Route:
-        """Resolve a URL path against the declarative route registry."""
-        if verb not in ("GET", "POST"):
-            raise ApiError(
-                "METHOD_NOT_ALLOWED",
-                f"method {verb} is not supported; use GET or POST",
-                details={"allowed": ["GET", "POST"]},
-            )
-        if not path.startswith(_PREFIX):
-            raise ApiError(
-                "UNKNOWN_ENDPOINT",
-                f"no route {path!r}; endpoints live under {_PREFIX}",
-                details={"endpoints": [_PREFIX + e for e in all_endpoints()]},
-            )
-        endpoint = path[len(_PREFIX):].strip("/")
-        route = ROUTE_BY_NAME.get(endpoint)
-        if route is None:
-            raise ApiError(
-                "UNKNOWN_ENDPOINT",
-                f"no endpoint {path!r}",
-                details={"endpoints": [_PREFIX + e for e in all_endpoints()]},
-            )
-        if verb != route.method:
-            raise ApiError(
-                "METHOD_NOT_ALLOWED",
-                f"{path} expects {route.method}, got {verb}",
-                details={"allowed": [route.method]},
-            )
-        return route
-
-    @staticmethod
-    def _context(head: RequestHead, addr) -> RequestContext:
-        """Describe one request for admission control (before any read)."""
-        client = addr[0] if addr else "unknown"
-        auth = head.headers.get("authorization", "")
-        token = auth[7:].strip() if auth.startswith("Bearer ") else None
-        return RequestContext(
-            client=str(client),
-            auth_token=token,
-            body_bytes=head.content_length,
-            declared_client=head.headers.get("x-client-id") or None,
-        )
-
-    @staticmethod
-    def _raw_format(query_string: str) -> str | None:
-        value = parse_qs(query_string).get("format", ["json"])[-1]
-        return None if value == "json" else value
-
     def _log(self, message: str) -> None:
         if not self.quiet:
             sys.stderr.write(f"repro.api.aio: {message}\n")

@@ -18,17 +18,19 @@ accept load-balancing, the reservation never steals a connection.  The
 socket is held open for the group's lifetime so the port cannot be
 reused out from under a restarting worker.
 
-Workers build their own :class:`~repro.api.app.ApiApp` from a picklable
+This module owns the *processes* and nothing about what they serve:
+workers build their own :class:`~repro.api.app.ApiApp` from a picklable
 ``"module:callable"`` factory spec (a bound app object cannot cross a
-``spawn`` boundary); the default factory serves the same synthetic
-compendium as the CLIs, so equal seeds give every worker bit-identical
-data — the oracle invariant holds regardless of which loop the kernel
-picks.
+``spawn`` boundary) and a plain options dict.  The default factory is
+:func:`repro.api.cli.build_app` — the builder every serving CLI uses —
+so equal options give every worker bit-identical data, and the oracle
+invariant holds regardless of which loop the kernel picks.
 
 Shutdown honors the drain contract end-to-end: ``stop()`` sends
-SIGTERM, each worker stops accepting, finishes in-flight responses
-(bounded), and exits; stragglers past the bound are killed and
-reported.
+SIGTERM, each worker runs :func:`repro.api.cli.serve_until_signalled`
+(stop accepting, finish in-flight responses — bounded — then close the
+catalog and the service) and exits; stragglers past the bound are
+killed and reported.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import importlib
 import json
 import multiprocessing
 import os
-import signal
 import socket
 import time
 import urllib.error
@@ -66,103 +67,17 @@ def resolve_factory(spec: str):
     return fn
 
 
-def default_app_factory(
-    *,
-    synth_datasets: int = 12,
-    synth_genes: int = 300,
-    synth_conditions: int = 14,
-    n_relevant: int | None = None,
-    module_size: int | None = None,
-    query_size: int = 4,
-    seed: int = 42,
-    n_workers: int = 4,
-    n_procs: int = 1,
-    cache_size: int = 256,
-    cache_min_cost: int = 0,
-    dtype: str = "float64",
-    store_dir: str | None = None,
-    store_verify: str | None = None,
-    pool_timeout: float = 120.0,
-    auth_token: str | None = None,
-    auth_tokens: dict | None = None,
-    rate_limit: float = 0.0,
-    rate_burst: int | None = None,
-    token_rate_limit: float = 0.0,
-    token_rate_burst: int | None = None,
-    tenant_rate_limit: float = 0.0,
-    tenant_rate_burst: int | None = None,
-    max_body_bytes: int | None = None,
-    catalog_root: str | None = None,
-    max_resident: int = 4,
-):
-    """Build the demo :class:`ApiApp` (synthetic compendium) in-process.
+def default_app_factory(**options):
+    """Build the demo :class:`~repro.api.app.ApiApp` in this process.
 
-    Mirrors ``repro.api.http``'s ``_build_service`` so both CLIs serve
-    identical data for identical arguments; every kwarg is a plain
-    picklable scalar, so the same call crosses the ``spawn`` boundary.
+    ``options`` are :func:`repro.api.cli.build_app`'s keywords — the
+    plain picklable scalars the CLI parsed in the parent — so every
+    worker (and the threaded CLI) serves identical data for identical
+    arguments.
     """
-    import numpy as np
+    from repro.api.cli import build_app
 
-    from repro.api.app import ApiApp
-    from repro.api.limits import DEFAULT_MAX_BODY_BYTES, RequestGate
-    from repro.spell.service import SpellService
-    from repro.synth import make_spell_compendium
-
-    compendium, _truth = make_spell_compendium(
-        n_datasets=synth_datasets,
-        n_relevant=max(1, synth_datasets // 4) if n_relevant is None else n_relevant,
-        n_genes=synth_genes,
-        n_conditions=synth_conditions,
-        module_size=max(6, synth_genes // 20) if module_size is None else module_size,
-        query_size=query_size,
-        seed=seed,
-    )
-    service = SpellService(
-        compendium,
-        n_workers=n_workers,
-        n_procs=n_procs,
-        cache_size=cache_size,
-        cache_min_cost=cache_min_cost,
-        dtype=np.float32 if dtype == "float32" else np.float64,
-        store_dir=store_dir,
-        store_verify=store_verify,
-        pool_timeout=pool_timeout,
-    )
-    catalog = None
-    if catalog_root is not None:
-        # each worker holds its own catalog view over the shared root:
-        # an ingest publishes durably (sources + per-tenant store), is
-        # visible to its own loop immediately, and to sibling loops at
-        # their next tenant (re)load — never a torn state, because the
-        # store publish is manifest-first and the sources are atomic
-        from repro.spell.catalog import CompendiumCatalog
-
-        catalog = CompendiumCatalog(
-            catalog_root,
-            default_service=service,
-            max_resident=max_resident,
-            service_options={
-                "n_workers": n_workers,
-                "cache_size": cache_size,
-                "cache_min_cost": cache_min_cost,
-                "dtype": np.float32 if dtype == "float32" else np.float64,
-                "store_verify": store_verify,
-            },
-        )
-    gate = RequestGate(
-        auth_token=auth_token,
-        auth_tokens=auth_tokens or {},
-        rate_limit=rate_limit,
-        rate_burst=rate_burst,
-        token_rate_limit=token_rate_limit,
-        token_rate_burst=token_rate_burst,
-        tenant_rate_limit=tenant_rate_limit,
-        tenant_rate_burst=tenant_rate_burst,
-        max_body_bytes=(
-            DEFAULT_MAX_BODY_BYTES if max_body_bytes is None else max_body_bytes
-        ),
-    )
-    return ApiApp(service, gate=gate, catalog=catalog)
+    return build_app(**options)[0]
 
 
 def _worker_main(
@@ -176,6 +91,7 @@ def _worker_main(
     """Entry point of one worker process: build app, serve, drain on TERM."""
     import asyncio
 
+    from repro.api.cli import serve_until_signalled
     from repro.api.aio.server import AioApiServer
 
     app = resolve_factory(factory_spec)(**(factory_kwargs or {}))
@@ -187,25 +103,7 @@ def _worker_main(
         transport_label=f"aio:{index}",
         **(server_options or {}),
     )
-
-    async def _main() -> None:
-        task = asyncio.current_task()
-        loop = asyncio.get_running_loop()
-        # first signal: graceful (cancel → drain); a second one lands
-        # mid-drain and cancels the drain sleep, forcing exit
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, task.cancel)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_main())
-    finally:
-        catalog = getattr(app, "catalog", None)
-        if catalog is not None:
-            catalog.close()
-        close = getattr(app.service, "close", None)
-        if callable(close):
-            close()
+    serve_until_signalled(server, app, lambda: asyncio.run(server.serve_forever()))
 
 
 class LoopGroup:

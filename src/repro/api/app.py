@@ -49,8 +49,8 @@ from repro.api.protocol import (
 from repro.api.routes import ROUTES, all_endpoints, stream_endpoints, unary_endpoints
 from repro.cluster.hierarchical import hierarchical_cluster
 from repro.data.loader import parse_dataset
+from repro.spell.backend import SearchBackend
 from repro.spell.engine import SpellResult
-from repro.spell.service import SpellService
 from repro.util.deadline import Deadline
 from repro.util.timing import Stopwatch
 from repro.viz.colormap import get_colormap
@@ -135,7 +135,7 @@ class ApiApp:
 
     def __init__(
         self,
-        service: SpellService,
+        service: SearchBackend,
         *,
         gate: RequestGate | None = None,
         catalog=None,
@@ -252,10 +252,7 @@ class ApiApp:
     def datasets(self, request: DatasetListRequest) -> DatasetListResponse:
         with self._timed("datasets"):
             tenant, service = self._resolve(request.compendium)
-            # storage tiers exist only where a SpellService owns a store;
-            # router frontends report everything resident (the v1 default)
-            tiers_fn = getattr(service, "dataset_tiers", None)
-            tiers = tiers_fn() if callable(tiers_fn) else {}
+            tiers = service.dataset_tiers()  # {} -> all resident (the v1 default)
             return DatasetListResponse(
                 datasets=tuple(
                     DatasetInfo(
@@ -501,12 +498,6 @@ class ApiApp:
     def health(self) -> HealthResponse:
         with self._timed("health"):
             service = self.service
-            # sharded services report per-node routing state; single-node
-            # services have no shard_stats and answer the v1 default ({})
-            shard_stats = getattr(service, "shard_stats", None)
-            # storage tiers exist only where a SpellService owns a store;
-            # router frontends answer the v1 default ({})
-            storage_stats = getattr(service, "storage_stats", None)
             tenants = self.catalog.stats() if self.catalog is not None else {}
             return HealthResponse(
                 status="ok",
@@ -519,8 +510,8 @@ class ApiApp:
                 endpoints=self._stats.snapshot(),
                 serving=service.serving_stats(),
                 limits=self.gate.stats(),
-                shards=shard_stats() if callable(shard_stats) else {},
-                storage=storage_stats() if callable(storage_stats) else {},
+                shards=service.shard_stats(),
+                storage=service.storage_stats(),
                 tenants=tenants,
             )
 
@@ -553,7 +544,7 @@ class ApiApp:
             self._stats.record(endpoint, sw.stop(), error=False)
 
     def _gene_universe(
-        self, service: SpellService | None = None, tenant: str = DEFAULT_TENANT
+        self, service: SearchBackend | None = None, tenant: str = DEFAULT_TENANT
     ) -> frozenset[str]:
         """Known gene ids, cached per tenant against its version token."""
         service = self.service if service is None else service
@@ -570,7 +561,7 @@ class ApiApp:
     def _check(
         self,
         request: SearchRequest,
-        service: SpellService | None = None,
+        service: SearchBackend | None = None,
         tenant: str = DEFAULT_TENANT,
     ) -> None:
         """Raise precise codes for unknown genes / datasets before searching.
@@ -610,7 +601,7 @@ class ApiApp:
     def _full_result(
         self,
         request: SearchRequest,
-        service: SpellService | None = None,
+        service: SearchBackend | None = None,
         tenant: str = DEFAULT_TENANT,
     ) -> SpellResult:
         """Full (un-truncated) search result for cluster/render endpoints."""
@@ -633,7 +624,7 @@ class ApiApp:
         result: SpellResult,
         dataset: str | None,
         top_genes: int,
-        service: SpellService | None = None,
+        service: SearchBackend | None = None,
     ):
         """Expression submatrix of the result's top genes in one dataset."""
         service = self.service if service is None else service

@@ -1,79 +1,47 @@
-"""Stdlib-only HTTP facade over :class:`~repro.api.app.ApiApp` (v1).
+"""Threaded socket driver for the v1 API (stdlib ``http.server``).
 
 The paper's deployed SPELL is a *web* query interface over a pre-built
-compendium; this module is that deployment surface, built entirely on
-``http.server`` (no new dependencies).  A
+compendium; this module is one of the two front doors onto it, built
+entirely on ``http.server`` (no new dependencies).  A
 :class:`~http.server.ThreadingHTTPServer` serves concurrent requests
 against the shared memory-mapped index — NumPy releases the GIL in the
 scoring matmuls, so concurrent searches genuinely overlap.
 
-Routes (all JSON in/out; errors are structured codes, never raw 500s):
-
-==========================  ======  =========================================
-``/v1/search``              POST    one SPELL query, paginated
-``/v1/search/batch``        POST    many queries, answered concurrently
-``/v1/search/export``       POST    full ranking as a chunked NDJSON stream
-``/v1/datasets``            GET     served datasets (name, shape, metadata)
-``/v1/cluster``             POST    dendrogram over a result's top genes
-``/v1/render/heatmap``      POST    heatmap PPM (``?format=ppm`` for raw bytes)
-``/v1/health``              GET     liveness + per-endpoint serving counters
-==========================  ======  =========================================
-
-``/v1/search/export`` answers ``Transfer-Encoding: chunked`` with
-``application/x-ndjson``: one JSON line per ranking slice, terminated
-by a trailer line carrying totals and a content checksum (a mid-stream
-failure streams a structured *error* trailer, never a silent cut).
-
-**Hardening** (:mod:`repro.api.limits`, enforced in
-:meth:`repro.api.app.ApiApp.handle_wire` so every transport inherits
-it; this facade additionally runs the gate *before reading the body*,
-marking the context admitted so no token is spent twice): optional
-bearer-token auth (``--auth-token-file``; 401), per-client token-bucket
-rate limiting (``--rate-limit``/``--rate-burst``; 429 with
-``retry_after_ms`` and a ``Retry-After`` header), and a request body cap
-(``--max-body-bytes``; 413) checked against ``Content-Length`` *before*
-the body is read — a hostile 2 GB header never becomes an allocation,
-and a rejected client never costs a body read.  The rate-limit key is
-the peer address; an ``X-Client-Id`` header is honored only on
-*authenticated* requests (an anonymous spoofable key would mint a
-fresh bucket per request and void the limit).
+**What this module decides** is how bytes move: a thread per
+connection, the stdlib's request-line/header parser, one blocking read
+of the body, the stdlib's head writer, chunk framing of a line stream,
+connection/request counters, and the graceful drain
+(:mod:`repro.api.transport`).  **What it does not decide** is anything
+about the request: routing, verbs, admission control before the body
+is read, body-length and JSON rules, raw-format negotiation, error
+bodies, ``Retry-After`` and when a connection must close are
+:mod:`repro.api.pipeline`'s, shared with the asyncio driver
+(:mod:`repro.api.aio.server`); the routes themselves are declared in
+:mod:`repro.api.routes` and documented in ``docs/api.md``.
 
 Run a demo server over a synthetic compendium (the repo ships no
 proprietary data) with a persistent index store::
 
     python -m repro.api.http --port 8080 --store-dir /tmp/spell-index
 
-The CLI prints a ready-to-curl example query against the planted module.
+The flags are :mod:`repro.api.cli`'s (``docs/operations.md`` has the
+table); the CLI prints ready-to-curl example queries against the
+planted module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import signal
 import sys
 import threading
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
-from repro.api.app import ApiApp, all_endpoints
-from repro.api.errors import ApiError, as_api_error, error_payload
-from repro.api.limits import DEFAULT_MAX_BODY_BYTES, RequestContext, RequestGate
-from repro.api.routes import ROUTE_BY_NAME, Route
-from repro.api.transport import (
-    DEFAULT_DRAIN_SECONDS,
-    TransportStats,
-    close_quietly as _close_quietly,
-    retry_after_headers,
-)
+from repro.api import cli
+from repro.api.app import ApiApp
+from repro.api.pipeline import Response, plan_request, read_body, respond
+from repro.api.transport import DEFAULT_DRAIN_SECONDS, TransportStats
 
 __all__ = ["ApiHTTPServer", "serve", "main"]
-
-#: Back-compat alias; the live cap is the app gate's ``max_body_bytes``.
-MAX_BODY_BYTES = DEFAULT_MAX_BODY_BYTES
-
-_PREFIX = "/v1/"
 
 
 class ApiHTTPServer(ThreadingHTTPServer):
@@ -103,9 +71,7 @@ class ApiHTTPServer(ThreadingHTTPServer):
         self.drain_seconds = float(drain_seconds)
         self.stats = TransportStats()
         self._closed = False
-        register = getattr(app.service, "register_transport_stats", None)
-        if callable(register):
-            register(str(transport_label), self.stats.snapshot)
+        app.service.register_transport_stats(str(transport_label), self.stats.snapshot)
 
     @property
     def draining(self) -> bool:
@@ -154,260 +120,78 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             stats.connection_closed()
 
-    # ----------------------------------------------------------------- verbs
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._tracked(self._dispatch, "GET")
+    def _serve_one(self) -> None:
+        """One request: accounting + the drain contract around the pipeline.
 
-    def do_POST(self) -> None:  # noqa: N802
-        self._tracked(self._dispatch, "POST")
-
-    def _tracked(self, fn, *args) -> None:
-        """Request accounting + the drain contract around one request.
-
-        ``request_started``/``request_finished`` bracket the handler so
+        ``request_started``/``request_finished`` bracket the request so
         a graceful ``close()`` can wait for the response bytes to hit
-        the socket; during a drain the response advertises and performs
-        ``Connection: close`` so keep-alive clients disperse.
+        the socket.  The stdlib parsed the head (and already decided
+        ``close_connection`` from the client's ``Connection`` header and
+        HTTP version); everything after that is the pipeline's call.
         """
-        stats: TransportStats = self.server.stats  # type: ignore[attr-defined]
-        served = getattr(self, "_requests_served", 0)
+        server: ApiHTTPServer = self.server  # type: ignore[assignment]
+        served = self._requests_served
         self._requests_served = served + 1
-        if getattr(self.server, "draining", False):
-            self.close_connection = True
-        stats.request_started(reused=served > 0)
+        server.stats.request_started(reused=served > 0)
         try:
-            fn(*args)
+            plan = plan_request(
+                server.app,
+                self.command,
+                self.path,
+                {name.lower(): value for name, value in self.headers.items()},
+                str(self.client_address[0]) if self.client_address else "unknown",
+            )
+            read_body(plan, self.rfile.read(plan.body_bytes) if plan.body_bytes else b"")
+            response = respond(
+                server.app,
+                plan,
+                keep_alive=not self.close_connection,
+                draining=server.draining,
+            )
+            self.close_connection = response.close
+            self._write(response)
         finally:
-            stats.request_finished()
+            server.stats.request_finished()
 
-    def _reject_verb(self) -> None:
-        """Non-GET/POST verbs get the structured 405, not the stdlib's
-        HTML 501 page — the error contract holds for every method."""
-        err = ApiError(
-            "METHOD_NOT_ALLOWED",
-            f"method {self.command} is not supported; use GET or POST",
-            details={"allowed": ["GET", "POST"]},
-        )
-        self.close_connection = True  # request body (if any) was not drained
-        self._tracked(self._send_json, err.http_status, error_payload(err))
+    # every verb takes the pipeline, so an unsupported one gets the
+    # structured 405 rather than the stdlib's HTML 501 page
+    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = _serve_one
 
-    do_PUT = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = _reject_verb
-
-    #: Gate-rejection codes the facade raises before ``handle_wire`` ran
-    #: (and could do its own error accounting).
-    _GATE_CODES = frozenset({"UNAUTHORIZED", "RATE_LIMITED", "BODY_TOO_LARGE"})
-
-    # ------------------------------------------------------------- plumbing
-    def _dispatch(self, verb: str) -> None:
-        app: ApiApp = self.server.app  # type: ignore[attr-defined]
-        parsed = urlparse(self.path)
-        route: Route | None = None
-        try:
-            route = self._route(parsed.path, verb)
-            # gate BEFORE the body read: a 401/429/413 must not cost the
-            # server a recv of the (up to cap-sized) declared body
-            context = self._admit(app, route.name)
-            payload = self._read_body(app) if verb == "POST" else {}
-        except ApiError as err:
-            # the declared body may be unread at this point; a reused
-            # keep-alive connection would parse it as the next request
-            # line, so close instead of desyncing the stream
-            self.close_connection = True
-            if err.code in self._GATE_CODES:
-                app.record_rejection(route.name if route is not None else "(unknown)")
-            self._send_json(err.http_status, error_payload(err))
-            return
-
-        if route.kind == "stream":
-            self._stream(app, payload, context)
-            return
-        raw = self._raw_format(parsed.query)
-        if raw is not None and raw in route.raw_formats:
-            self._render_raw(app, payload, context)
-            return
-        status, body = app.handle_wire(route.name, payload, context=context)
-        self._send_json(status, body)
-
-    def _admit(self, app: ApiApp, endpoint: str) -> RequestContext:
-        """Run admission control on the headers alone, pre-body-read.
-
-        Returns the context marked ``admitted`` so the app layer's own
-        ``gate.admit`` (which every transport inherits) passes it
-        through without spending a second token.
-        """
-        context = self._context()
-        app.gate.admit(endpoint, context)
-        return replace(context, admitted=True)
-
-    def _context(self) -> RequestContext:
-        """Describe this request for admission control (before any read).
-
-        ``client`` is the peer address — transport-assigned, so an
-        anonymous caller cannot mint fresh rate buckets per request;
-        an ``X-Client-Id`` header rides as ``declared_client``, which
-        the gate honors only once auth vouched for the caller.  The
-        bearer token comes from ``Authorization``; ``body_bytes`` is
-        the *declared* Content-Length — what the cap must judge, since
-        rejecting after reading defends nothing.
-        """
-        client = self.client_address[0] if self.client_address else "unknown"
-        auth = self.headers.get("Authorization", "")
-        token = auth[7:].strip() if auth.startswith("Bearer ") else None
-        try:
-            declared = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            declared = None
-        return RequestContext(
-            client=str(client),
-            auth_token=token,
-            body_bytes=declared,
-            declared_client=self.headers.get("X-Client-Id") or None,
-        )
-
-    def _route(self, path: str, verb: str) -> Route:
-        """Resolve a URL path against the declarative route registry."""
-        if not path.startswith(_PREFIX):
-            raise ApiError(
-                "UNKNOWN_ENDPOINT",
-                f"no route {path!r}; endpoints live under {_PREFIX}",
-                details={"endpoints": [_PREFIX + e for e in all_endpoints()]},
-            )
-        endpoint = path[len(_PREFIX):].strip("/")
-        route = ROUTE_BY_NAME.get(endpoint)
-        if route is None:
-            raise ApiError(
-                "UNKNOWN_ENDPOINT",
-                f"no endpoint {path!r}",
-                details={"endpoints": [_PREFIX + e for e in all_endpoints()]},
-            )
-        if verb != route.method:
-            raise ApiError(
-                "METHOD_NOT_ALLOWED",
-                f"{path} expects {route.method}, got {verb}",
-                details={"allowed": [route.method]},
-            )
-        return route
-
-    def _read_body(self, app: ApiApp) -> dict:
-        """Read and parse the POST body — after validating its *declared*
-        size.  A bad or negative ``Content-Length`` is a 400; a length
-        over the gate's cap is a structured 413 **before** any byte is
-        read or buffered, so an unauthenticated 2 GB header can never
-        become an allocation request (regression-tested over a raw
-        socket)."""
-        length_header = self.headers.get("Content-Length", "0")
-        # RFC 9110: 1*DIGIT only — int() also accepts '+5', ' 5', '1_0',
-        # and disagreeing with a stricter front proxy on framing is the
-        # request-smuggling precondition (same rule as the aio parser)
-        if not length_header or not all(c in "0123456789" for c in length_header):
-            raise ApiError("MALFORMED_BODY", f"bad Content-Length {length_header!r}")
-        length = int(length_header)
-        app.gate.check_body(length)  # raises BODY_TOO_LARGE pre-read
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            payload = json.loads(raw or b"{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ApiError("MALFORMED_BODY", f"request body is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise ApiError(
-                "MALFORMED_BODY",
-                f"request body must be a JSON object, got {type(payload).__name__}",
-            )
-        return payload
-
-    @staticmethod
-    def _raw_format(query_string: str) -> str | None:
-        """The ``?format=`` value when it requests raw bytes, else None."""
-        value = parse_qs(query_string).get("format", ["json"])[-1]
-        return None if value == "json" else value
-
-    def _render_raw(self, app: ApiApp, payload: dict, context: RequestContext) -> None:
-        """``?format=ppm``: the image bytes themselves, not a JSON envelope."""
-        try:
-            response = app.render_heatmap_wire(payload, context=context)
-        except Exception as exc:  # noqa: BLE001 — boundary
-            err = as_api_error(exc)
-            self._send_json(err.http_status, error_payload(err))
-            return
-        self._send_bytes(200, response.ppm, "image/x-portable-pixmap")
-
-    def _stream(self, app: ApiApp, payload: dict, context: RequestContext) -> None:
-        """``/v1/search/export``: chunked NDJSON streaming.
-
-        Pre-stream failures (gate, parse, unknown gene, the search) still
-        answer with an ordinary JSON error status; once the 200 and the
-        ``Transfer-Encoding: chunked`` header are committed, failures
-        surface as the structured error trailer the app layer emits.
-        """
-        try:
-            lines = app.export(payload, context=context)
-        except Exception as exc:  # noqa: BLE001 — boundary
-            err = as_api_error(exc)
-            self._send_json(err.http_status, error_payload(err))
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson; charset=utf-8")
-        self.send_header("Transfer-Encoding", "chunked")
+    def _write(self, response: Response) -> None:
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        if response.lines is None:
+            self.send_header("Content-Length", str(len(response.body)))
+        else:
+            self.send_header("Transfer-Encoding", "chunked")
+        for name, value in response.headers.items():
+            self.send_header(name, value)
+        if response.close:
+            # advertise what we will do — a keep-alive client must not
+            # queue another request on this socket
+            self.send_header("Connection", "close")
         self.end_headers()
-        completed = False
+        if response.lines is None:
+            self.wfile.write(response.body)
+            return
         try:
-            for line in lines:
-                self._write_chunk(line)
+            for line in response.lines:
+                # one HTTP/1.1 chunk: size line, payload, CRLF
+                self.wfile.write(f"{len(line):X}\r\n".encode("ascii"))
+                self.wfile.write(line)
+                self.wfile.write(b"\r\n")
             self.wfile.write(b"0\r\n\r\n")
             self.wfile.flush()
-            completed = True
         except OSError:
             # client went away mid-stream (BrokenPipeError /
             # ConnectionResetError / TimeoutError are all OSErrors; a raw
             # EPIPE surfaces the same way): the connection is dead, drop it
             self.close_connection = True
         finally:
-            # closing the generator fires its GeneratorExit path, which
-            # records the failed export and releases anything pinned for
-            # the stream — on *every* abnormal exit, not just connection
-            # errors; a no-op after a completed stream
-            if not completed:
-                _close_quietly(lines)
-
-    def _write_chunk(self, data: bytes) -> None:
-        """One HTTP/1.1 chunk: size line, payload, CRLF."""
-        self.wfile.write(f"{len(data):X}\r\n".encode("ascii"))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
-
-    def _send_json(self, status: int, body: dict) -> None:
-        # Retry-After on 429s comes from the shared transport helper so
-        # the header cannot drift between the threaded and async facades
-        headers = retry_after_headers(body)
-        self._send_bytes(
-            status,
-            json.dumps(body).encode("utf-8"),
-            "application/json; charset=utf-8",
-            extra_headers=headers,
-        )
-
-    def _send_bytes(
-        self,
-        status: int,
-        data: bytes,
-        content_type: str,
-        *,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            # advertise what we will do — a keep-alive client must not
-            # queue another request on this socket
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+            response.lines.close()
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not getattr(self.server, "quiet", True):
+        if not self.server.quiet:  # type: ignore[attr-defined]
             sys.stderr.write(
                 f"{self.address_string()} - {format % args}\n"
             )
@@ -437,226 +221,17 @@ def serve_background(app: ApiApp, *, host: str = "127.0.0.1", port: int = 0,
 # --------------------------------------------------------------------------
 # CLI: python -m repro.api.http
 # --------------------------------------------------------------------------
-def _build_service(args: argparse.Namespace):
-    """Synthetic-compendium service (the repo ships no proprietary data)."""
-    import numpy as np
-
-    from repro.spell.service import SpellService
-    from repro.synth import make_spell_compendium
-
-    compendium, truth = make_spell_compendium(
-        n_datasets=args.synth_datasets,
-        n_relevant=max(1, args.synth_datasets // 4),
-        n_genes=args.synth_genes,
-        n_conditions=args.synth_conditions,
-        module_size=max(6, args.synth_genes // 20),
-        query_size=4,
-        seed=args.seed,
-    )
-    service = SpellService(
-        compendium,
-        n_workers=args.n_workers,
-        n_procs=args.n_procs,
-        cache_size=args.cache_size,
-        cache_min_cost=args.cache_min_cost,
-        dtype=np.float32 if args.dtype == "float32" else np.float64,
-        store_dir=args.store_dir,
-        store_verify=getattr(args, "store_verify", None),
-        pool_timeout=args.pool_timeout,
-    )
-    return service, truth
-
-
-def _build_catalog(args: argparse.Namespace, service):
-    """The multi-tenant catalog when ``--catalog-root`` asks for one.
-
-    The CLI-built service stays the pinned default tenant, so a fleet
-    deployment answers default-tenant requests bit-identically to the
-    single-tenant CLI it replaces.  Tenant services inherit the serving
-    knobs but never a process pool — per-tenant pools would multiply
-    worker processes by resident tenants.
-    """
-    if getattr(args, "catalog_root", None) is None:
-        return None
-    import numpy as np
-
-    from repro.spell.catalog import CompendiumCatalog
-
-    return CompendiumCatalog(
-        args.catalog_root,
-        default_service=service,
-        max_resident=getattr(args, "max_resident", 4),
-        service_options={
-            "n_workers": args.n_workers,
-            "cache_size": args.cache_size,
-            "cache_min_cost": args.cache_min_cost,
-            "dtype": np.float32 if args.dtype == "float32" else np.float64,
-            "store_verify": getattr(args, "store_verify", None),
-        },
-    )
-
-
-def _read_auth_tokens(path: str | None) -> dict[str, str]:
-    """Parse a ``principal:token`` per-line credentials file.
-
-    Returns token -> principal (the shape :class:`RequestGate` keys its
-    per-token quota buckets on).  Blank lines and ``#`` comments are
-    skipped.
-    """
-    if path is None:
-        return {}
-    tokens: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            principal, sep, token = line.partition(":")
-            if not sep or not principal.strip() or not token.strip():
-                raise ValueError(
-                    f"{path}:{lineno}: want 'principal:token', got {line!r}"
-                )
-            tokens[token.strip()] = principal.strip()
-    return tokens
-
-
-def _gate_kwargs(args: argparse.Namespace, auth_token: str | None,
-                 auth_tokens: dict[str, str] | None = None) -> dict:
-    """One gate-construction recipe both CLI facades share — the flag
-    set and the policy it produces can never drift between them."""
-    return {
-        "auth_token": auth_token,
-        "auth_tokens": auth_tokens or {},
-        "rate_limit": args.rate_limit,
-        "rate_burst": args.rate_burst,
-        "token_rate_limit": getattr(args, "token_rate_limit", 0.0),
-        "token_rate_burst": getattr(args, "token_rate_burst", None),
-        "tenant_rate_limit": getattr(args, "tenant_rate_limit", 0.0),
-        "tenant_rate_burst": getattr(args, "tenant_rate_burst", None),
-        "max_body_bytes": args.max_body_bytes,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.api.http",
         description="Serve the v1 SPELL query API over HTTP (demo compendium).",
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8080,
-                        help="listening port (0 = ephemeral)")
-    parser.add_argument("--store-dir", default=None,
-                        help="persistent index directory (mmap cold start)")
-    parser.add_argument("--store-verify", choices=("eager", "lazy"), default=None,
-                        help="shard integrity policy at store load: eager "
-                             "hashes every shard before serving (quarantine + "
-                             "rebuild on mismatch); lazy keeps the zero-copy "
-                             "mmap cold start and defers to a verify scrub. "
-                             "Default: eager for in-RAM loads, lazy for mmap")
-    parser.add_argument("--dtype", choices=("float64", "float32"), default="float64")
-    parser.add_argument("--n-workers", type=int, default=4)
-    parser.add_argument("--n-procs", type=int, default=1,
-                        help=">= 2 serves /v1/search/batch from a process "
-                             "pool sharing the mmap index store")
-    parser.add_argument("--pool-timeout", type=float, default=120.0,
-                        help="seconds to wait on one pool worker's reply "
-                             "before declaring the pool broken (request "
-                             "deadline_ms budgets clamp waits further)")
-    parser.add_argument("--cache-size", type=int, default=256)
-    parser.add_argument("--cache-min-cost", type=int, default=0,
-                        help="result-cache admission threshold: only cache "
-                             "results that ranked at least this many genes")
-    parser.add_argument("--synth-datasets", type=int, default=12)
-    parser.add_argument("--synth-genes", type=int, default=300)
-    parser.add_argument("--synth-conditions", type=int, default=14)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--auth-token-file", default=None,
-                        help="file holding the shared bearer token; when "
-                             "set, requests (except /v1/health) must send "
-                             "'Authorization: Bearer <token>' or get 401")
-    parser.add_argument("--auth-tokens-file", default=None,
-                        help="multi-credential file, one 'principal:token' "
-                             "per line; each principal gets its own "
-                             "--token-rate-limit quota bucket")
-    parser.add_argument("--rate-limit", type=float, default=0.0,
-                        help="per-client request budget in requests/second "
-                             "(token bucket; 0 disables). Over-budget "
-                             "clients get 429 RATE_LIMITED with "
-                             "retry_after_ms")
-    parser.add_argument("--rate-burst", type=int, default=None,
-                        help="token-bucket burst size (default: "
-                             "ceil(rate-limit))")
-    parser.add_argument("--token-rate-limit", type=float, default=0.0,
-                        help="per-authenticated-principal requests/second "
-                             "quota, distinct from the per-peer --rate-limit "
-                             "(0 disables)")
-    parser.add_argument("--token-rate-burst", type=int, default=None)
-    parser.add_argument("--tenant-rate-limit", type=float, default=0.0,
-                        help="per-compendium requests/second budget across "
-                             "all callers (0 disables)")
-    parser.add_argument("--tenant-rate-burst", type=int, default=None)
-    parser.add_argument("--max-body-bytes", type=int,
-                        default=DEFAULT_MAX_BODY_BYTES,
-                        help="largest accepted request body; bigger "
-                             "declared bodies get 413 BODY_TOO_LARGE "
-                             "before any byte is read")
-    parser.add_argument("--catalog-root", default=None,
-                        help="multi-tenant catalog directory: each tenant "
-                             "compendium lives under <root>/<tenant>/ with "
-                             "its own datasets/ and store/; requests carry "
-                             "the tenant in the 'compendium' field")
-    parser.add_argument("--max-resident", type=int, default=4,
-                        help="LRU bound on tenants resident in RAM at once "
-                             "(the default tenant is pinned and not counted "
-                             "against evictions)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log each request to stderr")
+    cli.add_flags(parser, "listen", "synth", "backend", "service", "gate", "catalog")
     args = parser.parse_args(argv)
-
-    auth_token = None
-    if args.auth_token_file is not None:
-        with open(args.auth_token_file, encoding="utf-8") as fh:
-            auth_token = fh.read().strip()
-        if not auth_token:
-            parser.error(f"auth token file {args.auth_token_file!r} is empty")
-    try:
-        auth_tokens = _read_auth_tokens(args.auth_tokens_file)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    service, truth = _build_service(args)
-    catalog = _build_catalog(args, service)
-    gate = RequestGate(**_gate_kwargs(args, auth_token, auth_tokens))
-    app = ApiApp(service, gate=gate, catalog=catalog)
+    app, truth = cli.build_app(**cli.app_options(parser, args))
     server = serve(app, host=args.host, port=args.port, quiet=not args.verbose)
-    host, port = server.server_address[:2]
-    example = json.dumps({"genes": list(truth.query_genes), "page_size": 10})
-    print(f"serving v1 API on http://{host}:{port}{_PREFIX}", flush=True)
-    print(f"  try: curl http://{host}:{port}/v1/health", flush=True)
-    print(
-        f"  try: curl -X POST http://{host}:{port}/v1/search -d '{example}'",
-        flush=True,
-    )
-    print(
-        f"  try: curl -N -X POST http://{host}:{port}/v1/search/export "
-        f"-d '{json.dumps({'genes': list(truth.query_genes), 'chunk_size': 100})}'",
-        flush=True,
-    )
-    def _on_term(signum, frame):
-        # close() must come from off the serving thread (shutdown() blocks
-        # until serve_forever exits); the drain happens on the helper
-        threading.Thread(target=server.close, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _on_term)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-        if catalog is not None:
-            catalog.close()
-        service.close()
+    cli.print_banner(*server.server_address[:2], truth)
+    cli.serve_until_signalled(server, app, server.serve_forever)
     return 0
 
 

@@ -1,0 +1,299 @@
+"""Sans-IO request pipeline: one code path from a parsed head to response bytes.
+
+Every HTTP request, whichever socket driver accepted it, takes the same
+three steps — and each step is decided here, once:
+
+1. :func:`plan_request` judges the **head alone** ``(method, target,
+   lower-cased headers, peer)``: body framing, route + verb, the
+   :class:`~repro.api.limits.RequestContext`, admission control (auth,
+   rate limits, the body cap on the *declared* size — so a rejected
+   client never costs a body read), rejection accounting, and whether
+   the answer is a JSON body, raw bytes or a line stream.  The returned
+   :class:`Plan` says how many body bytes the driver must read.
+2. :func:`read_body` applies the JSON-object rules to those bytes.
+3. :func:`respond` calls the application and returns one
+   :class:`Response` value: status, content type, extra headers, the
+   body bytes *or* a line stream, and whether the connection must close.
+
+A driver (:mod:`repro.api.http`, :mod:`repro.api.aio.server`) only moves
+bytes: it parses a head, calls the three functions, and writes the
+:class:`Response`.  Nothing here touches a socket, a thread or an event
+loop, so the whole request contract is unit-testable as a table
+(``tests/test_api_conformance.py``) and cannot differ between facades.
+
+The close rule is *close, don't desync*: a request refused before its
+body was read leaves that body on the wire, where a reused keep-alive
+connection would parse it as the next request line — so every error
+plan answers ``Connection: close``.  A *valid* declared body is always
+read, GET included, for the same reason.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field, replace
+from typing import Mapping
+from urllib.parse import parse_qs, urlparse
+
+from repro.api.app import ApiApp, all_endpoints
+from repro.api.errors import ApiError, as_api_error, error_payload
+from repro.api.limits import RequestContext
+from repro.api.routes import ROUTE_BY_NAME, Route
+from repro.api.transport import (
+    close_quietly,
+    declared_body_length,
+    retry_after_headers,
+)
+
+__all__ = ["PREFIX", "Plan", "Response", "plan_request", "read_body", "respond"]
+
+PREFIX = "/v1/"
+
+JSON_TYPE = "application/json; charset=utf-8"
+NDJSON_TYPE = "application/x-ndjson; charset=utf-8"
+PPM_TYPE = "image/x-portable-pixmap"
+
+_VERBS = ("GET", "POST")
+
+#: Gate-rejection codes raised here, before ``handle_wire`` ran (and
+#: could do its own error accounting).
+_GATE_CODES = frozenset({"UNAUTHORIZED", "RATE_LIMITED", "BODY_TOO_LARGE"})
+
+
+@dataclass
+class Plan:
+    """One request as judged on its head; completed by :func:`read_body`.
+
+    ``error`` set means the request is already answered (and the
+    connection must close); otherwise ``route``/``context``/``kind``
+    say what :func:`respond` will call.  ``kind`` is ``"unary"`` (JSON
+    body via ``handle_wire``), ``"raw"`` (``?format=`` bytes) or
+    ``"stream"`` (NDJSON lines).
+    """
+
+    route: Route | None = None
+    context: RequestContext | None = None
+    kind: str = "unary"
+    body_bytes: int = 0  # what the driver must read before read_body()
+    payload: dict | None = None
+    error: ApiError | None = None
+
+
+class LineStream:
+    """The lines of a streaming response, safe to abandon.
+
+    Drivers iterate it and call :meth:`close` on every exit that did not
+    write the whole stream.  Closing fires the generator's
+    ``GeneratorExit`` path — which records the failed export and
+    releases anything pinned for it — and never raises, so cleanup can
+    not mask the transport error that caused it; after a completed
+    stream it is a no-op.
+    """
+
+    __slots__ = ("_lines", "_next")
+
+    def __init__(self, lines) -> None:
+        self._lines = lines
+        self._next = iter(lines).__next__
+
+    def __iter__(self) -> "LineStream":
+        return self
+
+    def __next__(self) -> bytes:
+        return self._next()
+
+    def close(self) -> None:
+        close_quietly(self._lines)
+
+
+@dataclass
+class Response:
+    """Everything a driver writes for one request.
+
+    Exactly one of ``body`` (a fixed-length response) and ``lines`` (a
+    chunked stream, one chunk per line) is set.  ``close`` is final: the
+    driver advertises ``Connection: close`` and closes after writing.
+    """
+
+    status: int
+    content_type: str
+    body: bytes | None = None
+    lines: LineStream | None = None
+    headers: dict[str, str] = field(default_factory=dict)
+    close: bool = False
+
+
+# --------------------------------------------------------------------------
+# step 1: the head
+# --------------------------------------------------------------------------
+def _resolve(path: str, verb: str) -> Route:
+    """Resolve a URL path + verb against the declarative route registry."""
+    if verb not in _VERBS:
+        raise ApiError(
+            "METHOD_NOT_ALLOWED",
+            f"method {verb} is not supported; use GET or POST",
+            details={"allowed": list(_VERBS)},
+        )
+    if not path.startswith(PREFIX):
+        raise ApiError(
+            "UNKNOWN_ENDPOINT",
+            f"no route {path!r}; endpoints live under {PREFIX}",
+            details={"endpoints": [PREFIX + e for e in all_endpoints()]},
+        )
+    route = ROUTE_BY_NAME.get(path[len(PREFIX):].strip("/"))
+    if route is None:
+        raise ApiError(
+            "UNKNOWN_ENDPOINT",
+            f"no endpoint {path!r}",
+            details={"endpoints": [PREFIX + e for e in all_endpoints()]},
+        )
+    if verb != route.method:
+        raise ApiError(
+            "METHOD_NOT_ALLOWED",
+            f"{path} expects {route.method}, got {verb}",
+            details={"allowed": [route.method]},
+        )
+    return route
+
+
+def _context(headers: Mapping[str, str], peer: str, declared: int) -> RequestContext:
+    """Describe one request for admission control (before any body read).
+
+    ``client`` is the peer address — transport-assigned, so an anonymous
+    caller cannot mint fresh rate buckets per request; an ``X-Client-Id``
+    header rides as ``declared_client``, which the gate honors only once
+    auth vouched for the caller.  ``body_bytes`` is the *declared*
+    length — what the cap must judge, since rejecting after reading
+    defends nothing.
+    """
+    auth = headers.get("authorization", "")
+    return RequestContext(
+        client=peer,
+        auth_token=auth[7:].strip() if auth.startswith("Bearer ") else None,
+        body_bytes=declared,
+        declared_client=headers.get("x-client-id") or None,
+    )
+
+
+def _raw_format(query_string: str) -> str | None:
+    """The ``?format=`` value when it requests raw bytes, else ``None``."""
+    if not query_string:
+        return None
+    value = parse_qs(query_string).get("format", ["json"])[-1]
+    return None if value == "json" else value
+
+
+def plan_request(
+    app: ApiApp, method: str, target: str, headers: Mapping[str, str], peer: str
+) -> Plan:
+    """Judge one request on its head alone; never raises.
+
+    Order: body framing (an unframeable request is trusted for nothing
+    else), route + verb, then the gate — whose ``admit`` also holds the
+    declared length to the body cap, for every verb.  The context comes
+    back marked ``admitted`` so the app layer's own ``gate.admit`` passes
+    it through without spending a second token.
+    """
+    url = urlparse(target)
+    route: Route | None = None
+    try:
+        try:
+            declared = declared_body_length(headers)
+        except ValueError as exc:
+            raise ApiError("MALFORMED_BODY", str(exc)) from None
+        route = _resolve(url.path, method)
+        context = _context(headers, peer, declared)
+        app.gate.admit(route.name, context)
+    except ApiError as err:
+        if err.code in _GATE_CODES:
+            # handle_wire never sees this request: keep the 401/429/413
+            # visible in /v1/health error rates
+            app.record_rejection(route.name if route is not None else "(unknown)")
+        return Plan(error=err)
+    if route.kind == "stream":
+        kind = "stream"
+    elif _raw_format(url.query) in route.raw_formats:
+        kind = "raw"
+    else:
+        kind = "unary"
+    return Plan(
+        route=route,
+        context=replace(context, admitted=True),
+        kind=kind,
+        body_bytes=declared,
+    )
+
+
+# --------------------------------------------------------------------------
+# step 2: the body
+# --------------------------------------------------------------------------
+def read_body(plan: Plan, raw: bytes) -> None:
+    """Turn the ``plan.body_bytes`` bytes the driver read into a payload.
+
+    A POST body must be one JSON object (absent means ``{}``).  A GET's
+    declared body was read only to keep the stream framed and is
+    ignored.  A short read means the client went away mid-body.
+    """
+    if plan.error is not None:
+        return
+    if len(raw) < plan.body_bytes:
+        plan.error = ApiError(
+            "MALFORMED_BODY",
+            f"connection closed mid-body ({len(raw)} of {plan.body_bytes} bytes)",
+        )
+    elif plan.route.method != "POST":
+        plan.payload = {}
+    else:
+        try:
+            payload = json.loads(raw or b"{}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            plan.error = ApiError(
+                "MALFORMED_BODY", f"request body is not valid JSON: {exc}"
+            )
+            return
+        if isinstance(payload, dict):
+            plan.payload = payload
+        else:
+            plan.error = ApiError(
+                "MALFORMED_BODY",
+                f"request body must be a JSON object, got {type(payload).__name__}",
+            )
+
+
+# --------------------------------------------------------------------------
+# step 3: the response
+# --------------------------------------------------------------------------
+def _json(status: int, body: dict, close: bool) -> Response:
+    return Response(
+        status,
+        JSON_TYPE,
+        body=json.dumps(body).encode("utf-8"),
+        headers=retry_after_headers(body),
+        close=close,
+    )
+
+
+def respond(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:
+    """Answer a planned request (this is where the application runs).
+
+    ``keep_alive`` is the client's wish, ``draining`` the server's state;
+    the response closes when either says so or the plan failed.  Raw and
+    stream requests that fail *before* their first byte still answer an
+    ordinary JSON error status; once a stream is handed back, failures
+    surface as the structured error trailer the app layer emits.
+    """
+    if plan.error is not None:
+        return _json(plan.error.http_status, error_payload(plan.error), True)
+    close = draining or not keep_alive
+    if plan.kind == "unary":
+        status, body = app.handle_wire(plan.route.name, plan.payload, context=plan.context)
+        return _json(status, body, close)
+    try:
+        if plan.kind == "raw":
+            rendered = app.render_heatmap_wire(plan.payload, context=plan.context)
+            return Response(200, PPM_TYPE, body=rendered.ppm, close=close)
+        lines = app.export(plan.payload, context=plan.context)
+    except Exception as exc:  # noqa: BLE001 — boundary
+        err = as_api_error(exc)
+        return _json(err.http_status, error_payload(err), close)
+    return Response(200, NDJSON_TYPE, lines=LineStream(lines), close=close)

@@ -19,9 +19,7 @@ Design rules (the compatibility policy, see ROADMAP):
   (property-tested in ``tests/test_api_protocol.py``).
 
 The response side also owns *pagination semantics*: ``total_pages`` is
-always reported and a ``page`` past the end raises ``PAGE_OUT_OF_RANGE``
-(the legacy ``SpellService.search_page`` empty-page behavior survives
-only behind its shim).
+always reported and a ``page`` past the end raises ``PAGE_OUT_OF_RANGE``.
 """
 
 from __future__ import annotations
@@ -756,7 +754,6 @@ class SearchResponse:
         request: SearchRequest,
         *,
         elapsed_seconds: float,
-        strict: bool = True,
         partial: bool = False,
         shards: dict | None = None,
     ) -> "SearchResponse":
@@ -764,17 +761,12 @@ class SearchResponse:
 
         This is where page semantics live for every transport: the
         pageable total is ``total_genes`` capped by the request's
-        ``top_k``; ``strict=True`` raises ``PAGE_OUT_OF_RANGE`` past the
-        end (``strict=False`` keeps the legacy empty-page behavior the
-        ``SpellService.search_page`` shim preserves).
+        ``top_k``, and a page past its end raises ``PAGE_OUT_OF_RANGE``.
         """
         pageable = result.total_genes
         if request.top_k is not None:
             pageable = min(pageable, request.top_k)
-        if strict:
-            total_pages = check_page(request.page, pageable, request.page_size)
-        else:
-            total_pages = page_count(pageable, request.page_size)
+        total_pages = check_page(request.page, pageable, request.page_size)
         start = request.page * request.page_size
         stop = min(start + request.page_size, pageable)
         gene_rows = tuple(

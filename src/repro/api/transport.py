@@ -1,15 +1,19 @@
-"""Transport-level observability and the shared graceful-drain contract.
+"""What the socket drivers share below the request pipeline.
 
 Both serving facades — the threaded :mod:`repro.api.http` and the
-asyncio :mod:`repro.api.aio` tier — front the same
-:class:`~repro.api.app.ApiApp`, and operating them side by side needs
-the same two things from each:
+asyncio :mod:`repro.api.aio` tier — are socket drivers under one
+:mod:`repro.api.pipeline`, and operating them side by side needs the
+same three things from each:
 
+* **Body framing** (:func:`declared_body_length`): how many body bytes
+  a request head declares — the one rule the stdlib-parsed threaded
+  driver and the hand-rolled :mod:`repro.api.aio.http11` parser must
+  never disagree on.
 * **Counters** (:class:`TransportStats`): open/total connections,
   keep-alive reuse, observed pipeline depth, in-flight requests, and
   how many requests were finished *during* a drain.  A facade registers
-  its snapshot as a serving probe on the service
-  (``service.register_serving_probe("transport", stats.snapshot)``), so
+  its snapshot on the backend
+  (``service.register_transport_stats(label, stats.snapshot)``), so
   ``/v1/health``'s append-only ``serving.transport`` field reports the
   live transport no matter which facade answered the probe.
 * **The drain contract** (:meth:`TransportStats.begin_drain` +
@@ -29,20 +33,47 @@ from __future__ import annotations
 
 import threading
 import time
+from typing import Mapping
 
 __all__ = [
     "DEFAULT_DRAIN_SECONDS",
     "TransportStats",
     "close_quietly",
+    "declared_body_length",
     "retry_after_headers",
 ]
+
+
+def declared_body_length(headers: Mapping[str, str]) -> int:
+    """Body bytes a request head declares (``headers`` keys lower-cased).
+
+    Raises :class:`ValueError` for a body that cannot be framed:
+
+    * ``Transfer-Encoding`` — the v1 surface has no streaming
+      *requests*, and a chunked body would make the declared-length body
+      cap meaningless;
+    * a ``Content-Length`` that is not RFC 9110's ``1*DIGIT`` — Python's
+      ``int()`` also accepts ``'+5'``, ``' 5'`` and ``'1_0'``, and a
+      parser more lenient than the proxy in front of it is the
+      request-smuggling precondition.
+    """
+    if "transfer-encoding" in headers:
+        raise ValueError(
+            "chunked request bodies are not supported; send Content-Length"
+        )
+    raw = headers.get("content-length")
+    if raw is None:
+        return 0
+    if not raw or not all(c in "0123456789" for c in raw):
+        raise ValueError(f"bad Content-Length {raw!r}")
+    return int(raw)
 
 
 def close_quietly(lines) -> None:
     """Close a streaming line generator, swallowing cleanup failures.
 
-    Both facades call this on every abnormal stream exit: closing fires
-    the generator's ``GeneratorExit`` path (which records the failed
+    The pipeline's line streams close through this on every abnormal
+    stream exit: closing fires the generator's ``GeneratorExit`` path (which records the failed
     export).  The cleanup itself must never mask the original transport
     error — a generator already finished, already executing on another
     thread (``ValueError``), or misbehaving during close is not worth
@@ -60,9 +91,8 @@ def close_quietly(lines) -> None:
 def retry_after_headers(body: dict) -> dict:
     """The ``Retry-After`` header a ``RATE_LIMITED`` error body implies.
 
-    Both facades derive the header from the error payload through this
-    one function, so the 429 surface cannot drift between transports:
-    whole seconds, rounded up, from the precise ``retry_after_ms`` the
+    Derived from the error payload, so the header always agrees with the
+    body: whole seconds, rounded up, from the precise ``retry_after_ms`` the
     body carries for clients that parse JSON.
     """
     error = body.get("error") if isinstance(body, dict) else None

@@ -4,7 +4,9 @@ The router rebuilds the same synthetic compendium as its shards (same
 ``--seed``) to obtain the *catalog* — names, gene lists, fingerprints —
 but never normalizes a matrix or builds an index; all scoring happens on
 the shards.  The full HTTP surface (auth, rate limits, body caps,
-streaming export) is the unmodified :mod:`repro.api.http` facade.
+streaming export) is the unmodified :mod:`repro.api.http` facade, and
+the shared flags, the compendium recipe, the gate and the
+signal → drain → close lifecycle are :mod:`repro.api.cli`'s.
 
 ::
 
@@ -15,10 +17,11 @@ streaming export) is the unmodified :mod:`repro.api.http` facade.
 from __future__ import annotations
 
 import argparse
-import json
 
+from repro.api import cli
 from repro.api.app import ApiApp
-from repro.api.limits import DEFAULT_MAX_BODY_BYTES, RequestGate
+from repro.api.http import serve
+from repro.api.limits import RequestGate
 from repro.cluster_serving.hedging import HedgePolicy
 from repro.cluster_serving.router import RouterService
 from repro.rpc.membership import Membership
@@ -33,9 +36,7 @@ def main(argv: list[str] | None = None) -> int:
             "to a fleet of shard nodes (see repro.cluster_serving.shard)."
         ),
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8080,
-                        help="HTTP listening port (0 = ephemeral)")
+    cli.add_flags(parser, "listen", "synth", "backend", "gate")
     parser.add_argument("--shard-addresses", required=True,
                         help="comma-separated host:port list, in shard-index "
                              "order (entry i is node shard-i)")
@@ -67,24 +68,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--breaker-reset", type=float, default=3.0,
                         help="seconds an open breaker waits before "
                              "admitting a half-open probe")
-    parser.add_argument("--n-workers", type=int, default=4)
-    parser.add_argument("--cache-size", type=int, default=256)
-    parser.add_argument("--synth-datasets", type=int, default=12)
-    parser.add_argument("--synth-genes", type=int, default=300)
-    parser.add_argument("--synth-conditions", type=int, default=14)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--auth-token-file", default=None,
-                        help="file holding the shared bearer token; when "
-                             "set, requests (except /v1/health) must send "
-                             "'Authorization: Bearer <token>' or get 401")
-    parser.add_argument("--rate-limit", type=float, default=0.0,
-                        help="per-client request budget in requests/second "
-                             "(token bucket; 0 disables)")
-    parser.add_argument("--rate-burst", type=int, default=None)
-    parser.add_argument("--max-body-bytes", type=int,
-                        default=DEFAULT_MAX_BODY_BYTES)
-    parser.add_argument("--verbose", action="store_true",
-                        help="log each request to stderr")
     args = parser.parse_args(argv)
 
     addresses: dict[str, tuple[str, int]] = {}
@@ -93,28 +76,13 @@ def main(argv: list[str] | None = None) -> int:
         if not host or not port.isdigit():
             parser.error(f"bad --shard-addresses entry {spec!r} (want host:port)")
         addresses[f"shard-{i}"] = (host, int(port))
-
-    auth_token = None
-    if args.auth_token_file is not None:
-        with open(args.auth_token_file, encoding="utf-8") as fh:
-            auth_token = fh.read().strip()
-        if not auth_token:
-            parser.error(f"auth token file {args.auth_token_file!r} is empty")
-
-    from repro.api.http import serve
-    from repro.synth import make_spell_compendium
-
-    compendium, truth = make_spell_compendium(
-        n_datasets=args.synth_datasets,
-        n_relevant=max(1, args.synth_datasets // 4),
-        n_genes=args.synth_genes,
-        n_conditions=args.synth_conditions,
-        module_size=max(6, args.synth_genes // 20),
-        query_size=4,
-        seed=args.seed,
-    )
     if args.retry_tries < 1:
         parser.error("--retry-tries must be >= 1")
+
+    options = cli.app_options(parser, args)
+    compendium, truth = cli.demo_compendium(
+        **cli.options_for(cli.demo_compendium, options)
+    )
     membership = Membership(
         addresses,
         timeout=args.rpc_timeout,
@@ -135,39 +103,21 @@ def main(argv: list[str] | None = None) -> int:
         replication=args.replication,
         n_workers=args.n_workers,
         cache_size=args.cache_size,
+        cache_min_cost=args.cache_min_cost,
         allow_partial=not args.no_partial,
         rpc_timeout=args.rpc_timeout,
         hedge=hedge,
     )
-    gate = RequestGate(
-        auth_token=auth_token,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        max_body_bytes=args.max_body_bytes,
-    )
+    gate = RequestGate(**cli.options_for(RequestGate.__init__, options))
     app = ApiApp(service, gate=gate)
     server = serve(app, host=args.host, port=args.port, quiet=not args.verbose)
-    host, port = server.server_address[:2]
     alive = service.shard_stats()["nodes"]
     n_alive = sum(1 for st in alive.values() if st["alive"])
-    example = json.dumps({"genes": list(truth.query_genes), "page_size": 10})
-    print(
-        f"routing v1 API on http://{host}:{port}/v1 over "
-        f"{n_alive}/{len(addresses)} live shard(s)",
-        flush=True,
+    cli.print_banner(
+        *server.server_address[:2], truth,
+        what=f"routing v1 API over {n_alive}/{len(addresses)} live shard(s)",
     )
-    print(f"  try: curl http://{host}:{port}/v1/health", flush=True)
-    print(
-        f"  try: curl -X POST http://{host}:{port}/v1/search -d '{example}'",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        service.close()
+    cli.serve_until_signalled(server, app, server.serve_forever)
     return 0
 
 

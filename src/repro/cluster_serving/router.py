@@ -1,9 +1,13 @@
 """Scatter-gather query router: the coordinator of the sharded tier.
 
-:class:`RouterService` duck-types :class:`~repro.spell.service.SpellService`
-— it plugs into the unmodified :class:`~repro.api.app.ApiApp` (and hence
-the HTTP facade, auth, rate limits, and body caps) as a drop-in engine.
-The difference is *where* scoring happens: the router holds only the
+:class:`RouterService` is the sharded
+:class:`~repro.spell.backend.SearchBackend`: the base class owns query
+validation, the result cache, ``respond`` / ``respond_batch`` /
+``iter_result`` and the serving stats, so :class:`~repro.api.app.ApiApp`
+(and hence every facade, auth, rate limits, and body caps) serves from a
+router exactly as it serves from a single node.  What lives here is
+*where a cache miss is scored* (:meth:`RouterService._compute`) and the
+state that takes: the router holds only the
 compendium catalog (names, gene lists, fingerprints — via
 :class:`~repro.spell.partials.GeneUniverse`) and never builds an index;
 each query fans out to the shard nodes owning the selected datasets,
@@ -44,32 +48,22 @@ import threading
 import time
 from typing import Sequence
 
-from repro.api.protocol import (
-    BatchSearchRequest,
-    BatchSearchResponse,
-    ExportRequest,
-    SearchRequest,
-    SearchResponse,
-)
 from repro.cluster_serving.hedging import HedgePolicy, LatencyTracker
 from repro.cluster_serving.ring import DEFAULT_VNODES, plan_assignment
 from repro.data.compendium import Compendium
-from repro.parallel.pmap import parallel_map
-from repro.parallel.workqueue import WorkStealingPool
 from repro.rpc.membership import Membership
-from repro.spell.cache import DEFAULT_CACHE_SIZE, QueryCache, rebind_result
+from repro.spell.backend import SearchBackend
+from repro.spell.cache import DEFAULT_CACHE_SIZE
 from repro.spell.engine import SpellResult
 from repro.spell.partials import DatasetPartial, GeneUniverse
-from repro.spell.service import SpellService
 from repro.util.deadline import Deadline, DeadlineExceeded
 from repro.util.errors import RpcError, SearchError
-from repro.util.timing import Stopwatch
 
 __all__ = ["RouterService"]
 
 
-class RouterService:
-    """SpellService-compatible engine that scores on remote shards.
+class RouterService(SearchBackend):
+    """The :class:`~repro.spell.backend.SearchBackend` that scores on remote shards.
 
     ``replication`` must match what the shards were loaded with (both
     sides compute the same consistent-hash plan); it is clamped to the
@@ -93,28 +87,22 @@ class RouterService:
     ) -> None:
         if len(compendium) == 0:
             raise SearchError("router needs a non-empty compendium catalog")
-        self.compendium = compendium
-        self.n_workers = max(1, int(n_workers))
+        super().__init__(
+            compendium,
+            n_workers=n_workers,
+            cache_size=cache_size,
+            cache_min_cost=cache_min_cost,
+        )
         self.allow_partial = bool(allow_partial)
         self._membership = membership
         self._replication = max(1, min(int(replication), len(membership.node_ids)))
         self._vnodes = int(vnodes)
         self._rpc_timeout = rpc_timeout
-        #: label -> zero-arg callable; serving facades report through here
-        self._transport_probes: dict = {}
         self._hedge = HedgePolicy() if hedge is None else hedge
         self._latency = LatencyTracker()
         self._hedges_fired = 0
         self._hedge_wins = 0
         self._deadline_exceeded = 0
-        self._cache = (
-            QueryCache(cache_size, min_cost=cache_min_cost) if cache_size > 0 else None
-        )
-        # requests answered and their summed seconds: a pair, not a
-        # per-request list, so a long-lived server's memory stays flat
-        self._served = 0
-        self._served_seconds = 0.0
-        self._lock = threading.Lock()  # guards latency counters + catalog rebuilds
         self._catalog_version: int | None = None
         self._rebuild_catalog()
         # seed liveness + per-shard info so routing can prefer known-alive
@@ -371,182 +359,27 @@ class RouterService:
         return merged, report
 
     # ----------------------------------------------------------------- search
-    def _search_report(
+    def _compute(
         self,
-        query: Sequence[str],
-        *,
-        use_cache: bool = True,
-        top_k: int | None = None,
-        datasets: Sequence[str] | None = None,
-        require_complete: bool = False,
-        deadline: Deadline | None = None,
+        query: list[str],
+        top_k: int | None,
+        datasets: tuple[str, ...] | None,
+        deadline: Deadline,
+        require_complete: bool,
     ) -> tuple[SpellResult, dict]:
-        """Cache-aware search returning ``(result, partiality report)``.
-
-        Cache keys, admission, and rebind semantics are exactly
-        :meth:`SpellService.search`'s (shared ``_cache_extra``), so the
-        router's cache behaves indistinguishably — except that partial
-        results are *never* admitted: a later identical query must retry
-        the missing shards, not replay the gap.
-        """
-        query = [str(g) for g in query]
-        if not query:
-            raise SearchError("query must contain at least one gene")
-        if len(set(query)) != len(query):
-            raise SearchError("query contains duplicate genes")
-        if datasets is not None:
-            datasets = tuple(str(d) for d in datasets)
-        budget = Deadline.never() if deadline is None else deadline
-
+        """One scatter-gather over the current catalog, bounded by ``deadline``."""
         self._sync_catalog()
-        version = self.compendium.version
-        extra = SpellService._cache_extra(top_k, datasets)
-        complete_report = {"partial": False, "shards": {}}
-        with Stopwatch() as sw:
-            cached = (
-                self._cache.lookup(version, query, extra=extra)
-                if (self._cache is not None and use_cache)
-                else None
+        try:
+            return self._gather(
+                query, top_k, datasets,
+                require_complete=require_complete, deadline=deadline,
             )
-            if cached is not None:
-                result, report = rebind_result(cached, query), complete_report
-            else:
-                try:
-                    result, report = self._gather(
-                        query, top_k, datasets,
-                        require_complete=require_complete, deadline=budget,
-                    )
-                except DeadlineExceeded:
-                    with self._lock:
-                        self._deadline_exceeded += 1
-                    raise
-                if self._cache is not None and use_cache and not report["partial"]:
-                    self._cache.store(
-                        version, query, result, extra=extra, cost=result.total_genes
-                    )
-        with self._lock:
-            self._served += 1
-            self._served_seconds += sw.elapsed
-        return result, report
-
-    def search(
-        self,
-        query: Sequence[str],
-        *,
-        use_cache: bool = True,
-        top_k: int | None = None,
-        datasets: Sequence[str] | None = None,
-    ) -> SpellResult:
-        """Raw sharded search; same contract as :meth:`SpellService.search`."""
-        result, _report = self._search_report(
-            query, use_cache=use_cache, top_k=top_k, datasets=datasets
-        )
-        return result
-
-    # -------------------------------------------------- protocol entry points
-    def respond(
-        self,
-        request: SearchRequest,
-        *,
-        strict_page: bool = True,
-        deadline: Deadline | None = None,
-    ) -> SearchResponse:
-        """Answer one protocol request; partiality rides the v1 fields.
-
-        ``deadline`` is the budget started at admission (the API layer
-        passes it); if absent, one is derived from the request's own
-        ``deadline_ms`` so direct callers get the same contract.
-        """
-        budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
-        caching = self._cache is not None and request.use_cache
-        top_k = request.top_k
-        if top_k is None and not caching:
-            top_k = (request.page + 1) * request.page_size
-        with Stopwatch() as sw:
-            result, report = self._search_report(
-                request.genes,
-                use_cache=request.use_cache,
-                top_k=top_k,
-                datasets=request.datasets,
-                deadline=budget,
-            )
-        return SearchResponse.from_result(
-            result,
-            request,
-            elapsed_seconds=sw.elapsed,
-            strict=strict_page,
-            partial=report["partial"],
-            shards=report["shards"],
-        )
-
-    def respond_batch(
-        self,
-        request: BatchSearchRequest,
-        *,
-        strict_page: bool = True,
-        deadline: Deadline | None = None,
-    ) -> BatchSearchResponse:
-        """Answer a batch concurrently; each member fans out independently.
-
-        All-or-nothing like the single-node service: a failing member
-        fails the batch with its error (a *partial* member does not fail
-        — it is a success carrying ``partial=True``).  The batch-level
-        ``deadline_ms`` bounds every member; a member's own
-        ``deadline_ms`` can only tighten it further.
-        """
-        budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
-        hits0 = self._cache.hits if self._cache is not None else 0
-        misses0 = self._cache.misses if self._cache is not None else 0
-        searches = list(request.searches)
-
-        def one(req: SearchRequest) -> SearchResponse:
-            return self.respond(req, strict_page=strict_page, deadline=budget)
-
-        with Stopwatch() as sw:
-            if request.scheduler == "steal" and self.n_workers > 1:
-                results = WorkStealingPool(self.n_workers).map(one, searches)
-            else:
-                results = parallel_map(one, searches, n_workers=self.n_workers)
-        return BatchSearchResponse(
-            results=tuple(results),
-            total_seconds=sw.elapsed,
-            n_workers=self.n_workers,
-            cache_hits=(self._cache.hits - hits0) if self._cache is not None else 0,
-            cache_misses=(self._cache.misses - misses0)
-            if self._cache is not None else 0,
-        )
-
-    def iter_result(self, request: ExportRequest, *, deadline: Deadline | None = None):
-        """Deep-export cursor; **requires** a complete ranking.
-
-        An export must never silently omit an unreachable shard's genes
-        (the trailer checksums the stream as the full ranking), so shard
-        loss here raises ``SHARD_UNAVAILABLE`` instead of degrading.
-        """
-        budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
-        with Stopwatch() as sw:
-            result, _report = self._search_report(
-                request.genes,
-                use_cache=request.use_cache,
-                top_k=request.top_k,
-                datasets=request.datasets,
-                require_complete=True,
-                deadline=budget,
-            )
-        return SpellService._iter_chunks(result, request, sw.elapsed)
+        except DeadlineExceeded:
+            with self._lock:
+                self._deadline_exceeded += 1
+            raise
 
     # ------------------------------------------------------------------ stats
-    @property
-    def query_count(self) -> int:
-        with self._lock:
-            return self._served
-
-    def mean_latency(self) -> float:
-        with self._lock:
-            if not self._served:
-                raise SearchError("no queries executed yet")
-            return self._served_seconds / self._served
-
     def index_bytes(self) -> int:
         """Summed shard index footprint (from the latest heartbeat info)."""
         return sum(
@@ -554,37 +387,14 @@ class RouterService:
             for nid in self._membership.node_ids
         )
 
-    def cache_stats(self) -> dict[str, int]:
-        if self._cache is None:
-            return {
-                "entries": 0, "max_entries": 0, "hits": 0, "misses": 0,
-                "evictions": 0,
-            }
-        return self._cache.stats()
-
-    def register_transport_stats(self, label: str, probe) -> None:
-        """Attach a transport's counter snapshot to ``serving_stats``
-        (same contract as :meth:`repro.spell.service.SpellService.register_transport_stats`)."""
-        self._transport_probes[str(label)] = probe
-
-    def unregister_transport_stats(self, label: str) -> None:
-        self._transport_probes.pop(str(label), None)
-
-    def serving_stats(self) -> dict:
-        stats: dict = {
-            "n_workers": self.n_workers,
-            "n_procs": 1,
+    def _topology_stats(self) -> dict:
+        return {
             "router": {
                 "n_shards": len(self._membership.node_ids),
                 "replication": self._replication,
                 "datasets": len(self.compendium),
-            },
-        }
-        if self._transport_probes:
-            stats["transport"] = {
-                label: probe() for label, probe in sorted(self._transport_probes.items())
             }
-        return stats
+        }
 
     def shard_stats(self) -> dict:
         """Per-shard routing state for ``/v1/health`` (``shards`` field).
@@ -642,9 +452,3 @@ class RouterService:
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
         self._membership.close()
-
-    def __enter__(self) -> "RouterService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

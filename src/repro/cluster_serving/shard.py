@@ -183,6 +183,8 @@ class ShardNode:
 # CLI: python -m repro.cluster_serving.shard
 # --------------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
+    from repro.api.cli import add_flags, demo_compendium
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster_serving.shard",
         description=(
@@ -213,24 +215,16 @@ def main(argv: list[str] | None = None) -> int:
             "garbage; rates in [0,1])"
         ),
     )
-    parser.add_argument("--synth-datasets", type=int, default=12)
-    parser.add_argument("--synth-genes", type=int, default=300)
-    parser.add_argument("--synth-conditions", type=int, default=14)
-    parser.add_argument("--seed", type=int, default=42)
+    add_flags(parser, "synth")
     args = parser.parse_args(argv)
 
     if not 0 <= args.shard_index < args.shards:
         parser.error(f"--shard-index must be in [0, {args.shards})")
 
-    from repro.synth import make_spell_compendium
-
-    compendium, _truth = make_spell_compendium(
-        n_datasets=args.synth_datasets,
-        n_relevant=max(1, args.synth_datasets // 4),
-        n_genes=args.synth_genes,
-        n_conditions=args.synth_conditions,
-        module_size=max(6, args.synth_genes // 20),
-        query_size=4,
+    compendium, _truth = demo_compendium(
+        synth_datasets=args.synth_datasets,
+        synth_genes=args.synth_genes,
+        synth_conditions=args.synth_conditions,
         seed=args.seed,
     )
     node_ids = [f"shard-{i}" for i in range(args.shards)]

@@ -25,7 +25,8 @@ from repro.spell.arena import ScoreScratch, ScratchPool, ShardArena
 from repro.spell.index import BatchQuery, SpellIndex
 from repro.spell.procpool import IndexWorkerPool, WorkerPoolError
 from repro.spell.store import IndexStore, SyncReport
-from repro.spell.service import SpellService, SearchPage, BatchSearchResult
+from repro.spell.backend import SearchBackend
+from repro.spell.service import SpellService
 from repro.spell.baseline import TextSearchBaseline
 from repro.spell.coexpression import coexpression_graph, consensus_graph, extract_modules
 
@@ -46,9 +47,8 @@ __all__ = [
     "WorkerPoolError",
     "IndexStore",
     "SyncReport",
+    "SearchBackend",
     "SpellService",
-    "SearchPage",
-    "BatchSearchResult",
     "QueryCache",
     "canonical_query",
     "query_key",

@@ -1,0 +1,103 @@
+"""The serving CLIs share one builder (:mod:`repro.api.cli`): its flag
+table is what the operations guide documents, and its lifecycle helper
+is what makes every entry point — the router included — drain on SIGTERM.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+import urllib.request
+from pathlib import Path
+
+import pytest
+
+from repro.api import cli
+from repro.synth import systematic_names
+
+REPO = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
+SYNTH = ["--synth-datasets", "4", "--synth-genes", "80", "--synth-conditions", "8"]
+
+
+def test_operations_guide_carries_the_flag_table():
+    guide = (REPO / "docs" / "operations.md").read_text(encoding="utf-8")
+    assert cli.flag_table() in guide, (
+        "docs/operations.md is stale: paste the output of "
+        "`python -c 'from repro.api import cli; print(cli.flag_table())'`"
+    )
+
+
+def test_build_app_refuses_unknown_options():
+    with pytest.raises(TypeError, match="no_such_option"):
+        cli.build_app(no_such_option=1)
+
+
+def _spawn(module: str, *args: str) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", module, *args],
+        env=ENV, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+
+
+def _port_from_banner(proc: subprocess.Popen, pattern: str) -> int:
+    """Block until the process prints its listening port."""
+    for line in proc.stdout:
+        match = re.search(pattern, line)
+        if match:
+            return int(match.group(1))
+    raise AssertionError(f"process exited ({proc.wait()}) before announcing a port")
+
+
+def test_router_cli_drains_in_flight_response_on_sigterm():
+    """SIGTERM while a routed request is being answered: the client
+    still gets the full response, then the router exits cleanly."""
+    shard = _spawn(
+        "repro.cluster_serving.shard", "--port", "0", "--shards", "1",
+        "--shard-index", "0", *SYNTH,
+        # every partials call is held 1.5 s: a reliably slow request
+        "--fault-plan", "seed=1,stall=1.0,stall_seconds=1.5,methods=partials",
+    )
+    router = None
+    try:
+        shard_port = _port_from_banner(shard, r"on 127\.0\.0\.1:(\d+)")
+        router = _spawn(
+            "repro.cluster_serving", "--port", "0", "--no-hedge", *SYNTH,
+            "--shard-addresses", f"127.0.0.1:{shard_port}",
+        )
+        port = _port_from_banner(router, r"on http://127\.0\.0\.1:(\d+)/v1/")
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/search",
+            data=json.dumps({"genes": systematic_names(3), "page_size": 5}).encode(),
+        )
+        outcome: dict = {}
+
+        def issue() -> None:
+            try:
+                with urllib.request.urlopen(request, timeout=30) as resp:
+                    outcome["status"] = resp.status
+                    outcome["body"] = json.loads(resp.read())
+            except Exception as exc:  # noqa: BLE001 — reported by the assert
+                outcome["error"] = exc
+
+        client = threading.Thread(target=issue)
+        client.start()
+        time.sleep(0.5)  # the request is now parked on the stalled shard
+        router.send_signal(signal.SIGTERM)
+        client.join(timeout=30)
+        assert not client.is_alive()
+        assert outcome.get("status") == 200, outcome
+        assert outcome["body"]["gene_rows"], outcome
+        assert router.wait(timeout=30) == 0
+    finally:
+        for proc in (router, shard):
+            if proc is not None:
+                proc.kill()
+                proc.wait(timeout=10)
+                proc.stdout.close()

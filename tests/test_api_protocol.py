@@ -10,7 +10,6 @@ exceptions), and pagination semantics (``total_pages``,
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +34,6 @@ from repro.api.protocol import (
     page_count,
 )
 from repro.spell import SpellService
-from repro.spell.service import BatchSearchResult
 from repro.util.errors import RenderError, SearchError, StoreError, ValidationError
 
 # ---------------------------------------------------------------- strategies
@@ -419,47 +417,9 @@ class TestPaging:
                 SearchRequest(genes=truth.query_genes, top_k=7, page_size=5, page=2)
             )
 
-    def test_legacy_search_page_still_returns_empty(self, spell_setup):
-        compendium, truth = spell_setup
-        service = SpellService(compendium)
-        with pytest.warns(DeprecationWarning, match="search_page is deprecated"):
-            page = service.search_page(list(truth.query_genes), page=10_000)
-        assert page.gene_rows == ()
-        assert page.total_genes > 0
-
-    def test_shim_matches_protocol_rows(self, spell_setup):
-        compendium, truth = spell_setup
-        service = SpellService(compendium)
-        with pytest.warns(DeprecationWarning, match="search_page is deprecated"):
-            legacy = service.search_page(list(truth.query_genes), page=1, page_size=7)
-        response = service.respond(
-            SearchRequest(genes=truth.query_genes, page=1, page_size=7)
-        )
-        assert legacy.gene_rows == response.gene_rows
-        assert legacy.dataset_rows == response.dataset_rows
-
-    def test_legacy_search_many_warns(self, spell_setup):
-        compendium, truth = spell_setup
-        service = SpellService(compendium)
-        with pytest.warns(DeprecationWarning, match="search_many is deprecated"):
-            batch = service.search_many([list(truth.query_genes)])
-        assert len(batch.pages) == 1
-
 
 # --------------------------------------------------- service-level additions
 class TestServiceProtocolPath:
-    def test_queries_per_second_clamps(self):
-        empty = BatchSearchResult(
-            pages=(), total_seconds=0.0, n_workers=1, cache_hits=0, cache_misses=0
-        )
-        assert empty.queries_per_second == 0.0
-        zero_duration = BatchSearchResult(
-            pages=(object(),), total_seconds=0.0, n_workers=1,
-            cache_hits=0, cache_misses=0,
-        )
-        assert zero_duration.queries_per_second == 0.0
-        assert not np.isinf(zero_duration.queries_per_second)
-
     def test_batch_response_qps_clamps(self):
         empty = BatchSearchResponse(
             results=(), total_seconds=0.0, n_workers=1, cache_hits=0, cache_misses=0

@@ -92,17 +92,6 @@ class TestAssortedEdgeCases:
         matrix = parse_pcl(text)
         assert matrix.n_genes == len(app.compendium.gene_universe())
 
-    def test_spell_page_past_end_is_empty(self, reporting_setup):
-        # the deprecated shim keeps its historical empty-page contract
-        app, truth, _ = reporting_setup
-        service = SpellAdapter(app).service
-        with pytest.warns(DeprecationWarning, match="search_page is deprecated"):
-            page = service.search_page(
-                list(truth.esr_induced[:4]), page=10_000, page_size=50
-            )
-        assert page.gene_rows == ()
-        assert page.total_genes > 0
-
     def test_golem_map_zero_radius(self, reporting_setup):
         app, truth, golem = reporting_setup
         focus = golem.ontology.term_ids()[0]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.errors import ApiError
 from repro.api.protocol import SearchRequest
 from repro.data import Compendium, Dataset, ExpressionMatrix
 from repro.spell import (
@@ -208,15 +209,12 @@ class TestService:
         assert set(result.top_datasets(3)) == set(truth.relevant_datasets)
 
     def test_page_validation(self, spell_setup_module):
-        # the deprecated shim keeps its historical SearchError contract
-        comp, truth = spell_setup_module
-        service = SpellService(comp)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SearchError):
-                service.search_page(list(truth.query_genes), page=-1)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SearchError):
-                service.search_page(list(truth.query_genes), page_size=0)
+        # bad paging never reaches the service: the request type refuses it
+        _comp, truth = spell_setup_module
+        for bad in ({"page": -1}, {"page_size": 0}):
+            with pytest.raises(ApiError) as exc:
+                SearchRequest(genes=tuple(truth.query_genes), **bad)
+            assert exc.value.code == "INVALID_REQUEST"
 
 
 class TestBaseline:

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api.errors import ApiError
 from repro.api.protocol import BatchSearchRequest, SearchRequest
 from repro.data import Compendium, Dataset, ExpressionMatrix
 from repro.spell import (
@@ -247,19 +248,18 @@ class TestSearchMany:
         assert again.cache_hits == len(queries)
 
     def test_empty_batch_rejected(self, small_setup):
-        # the deprecated shim keeps its historical SearchError contract
-        comp, _ = small_setup
-        with pytest.warns(DeprecationWarning, match="search_many is deprecated"):
-            with pytest.raises(SearchError):
-                SpellService(comp).search_many([])
+        with pytest.raises(ApiError) as exc:
+            BatchSearchRequest(searches=())
+        assert exc.value.code == "INVALID_REQUEST"
 
     def test_unknown_scheduler_rejected(self, small_setup):
-        comp, truth = small_setup
-        with pytest.warns(DeprecationWarning, match="search_many is deprecated"):
-            with pytest.raises(SearchError):
-                SpellService(comp).search_many(
-                    [list(truth.query_genes)], scheduler="magic"
-                )
+        _comp, truth = small_setup
+        with pytest.raises(ApiError) as exc:
+            BatchSearchRequest(
+                searches=(SearchRequest(genes=tuple(truth.query_genes)),),
+                scheduler="magic",
+            )
+        assert exc.value.code == "INVALID_REQUEST"
 
 
 # ------------------------------------------------------- incremental index
