@@ -13,15 +13,20 @@ reader, which stops ``sock_recv``, which is TCP backpressure.
 the reader plans each request on its head
 (:func:`~repro.api.pipeline.plan_request` — admission control runs
 there, before the body is read) and buffers the declared body; the
-responder runs :func:`~repro.api.pipeline.respond` — every call into
-the analysis core, which may wait on the index worker pool's pipes or
-the sharded router's sockets — on a bounded thread-pool executor, so
-hundreds of connections stay responsive while a handful of requests
-compute; the loop itself only ever moves ready bytes.  **What it does
-not decide** is anything about the request: routing, the gate, body
-rules, error bodies, headers and the close decision are
-:mod:`repro.api.pipeline`'s, the same code the threaded driver
-(:mod:`repro.api.http`) runs.
+responder runs the pipeline's :func:`~repro.api.pipeline.ready` phase
+**on the loop** — everything that cannot wait, which for a result-cache
+hit is the whole answer, written without leaving the loop thread — and
+only when that returns ``None`` submits
+:func:`~repro.api.pipeline.compute` — the kernel, the index worker
+pool's pipes, the sharded router's sockets, tenant loads, ingest,
+export chunks, renders — to a bounded thread-pool executor
+(``aio-dispatch`` threads).  So the loop answers what is already in
+memory at loop speed, hundreds of connections stay responsive while a
+handful of requests compute, and nothing that can wait runs on the
+loop.  **What it does not decide** is anything about the request:
+routing, the gate, body rules, error bodies, headers and the close
+decision are :mod:`repro.api.pipeline`'s, the same code the threaded
+driver (:mod:`repro.api.http`) runs as one ``respond`` call.
 
 Graceful drain (the contract in :mod:`repro.api.transport`):
 ``shutdown()`` stops accepting, lets every parsed-and-admitted request
@@ -43,7 +48,7 @@ from functools import partial
 
 from repro.api.app import ApiApp
 from repro.api.errors import ApiError
-from repro.api.pipeline import Plan, Response, plan_request, read_body, respond
+from repro.api.pipeline import Plan, compute, plan_request, read_body, ready
 from repro.api.transport import DEFAULT_DRAIN_SECONDS, TransportStats
 from repro.api.aio.http11 import (
     CHUNKED_EOF,
@@ -347,8 +352,12 @@ class AioApiServer:
 
         Returns whether the item made it onto the queue.  A plain
         ``await queue.put`` on a full queue never wakes once the
-        responder (the only consumer) has returned.
+        responder (the only consumer) has returned — so only a full
+        window pays for the race; with room the put cannot wait.
         """
+        if not queue.full():
+            queue.put_nowait(item)
+            return True
         put = asyncio.ensure_future(queue.put(item))
         try:
             await asyncio.wait({put, responder}, return_when=asyncio.FIRST_COMPLETED)
@@ -363,12 +372,13 @@ class AioApiServer:
     # -------------------------------------------------------------- responder
     async def _respond_loop(self, sock, queue, state: _ConnState) -> None:
         """Serve queued requests strictly in order; stop on close."""
+        unyielded = 0  # responses written back to back without suspending
         while True:
             item = await queue.get()
             if item is _DONE:
                 return
             try:
-                close = await self._write_response(sock, item)
+                close, inline = await self._write_response(sock, item)
             except (ConnectionError, OSError, BrokenPipeError):
                 state.pending -= 1
                 self.stats.request_finished()
@@ -381,26 +391,35 @@ class AioApiServer:
                 except OSError:
                     pass
                 return
+            # an inline answer to a pipelined request may never suspend
+            # (queue non-empty, socket writable): give the loop a turn
+            # once per window so one client cannot monopolise it
+            unyielded = unyielded + 1 if inline else 0
+            if unyielded >= self.pipeline_depth:
+                unyielded = 0
+                await asyncio.sleep(0)
 
-    async def _write_response(self, sock, item: _Item) -> bool:
-        """Write one response; returns whether the connection must close."""
+    async def _write_response(self, sock, item: _Item) -> tuple[bool, bool]:
+        """Write one response; returns ``(connection must close, answered
+        inline)``."""
         loop = asyncio.get_running_loop()
-        answer = partial(
-            respond, self.app, item.plan,
-            keep_alive=item.keep_alive, draining=self._draining,
-        )
-        # an already-failed plan never reaches the application, so it is
-        # answered on the loop; everything else may block
-        if item.plan.error is not None:
-            response: Response = answer()
+        phase = dict(keep_alive=item.keep_alive, draining=self._draining)
+        # what cannot wait is answered right here, on the loop; only what
+        # may wait costs a thread hop
+        response = ready(self.app, item.plan, **phase)
+        inline = response is not None
+        if inline:
+            self.stats.answered_inline()
         else:
-            response = await loop.run_in_executor(self._executor, answer)
+            response = await loop.run_in_executor(
+                self._executor, partial(compute, self.app, item.plan, **phase)
+            )
         if response.lines is None:
             await loop.sock_sendall(sock, encode_response(
                 response.status, response.body, response.content_type,
                 extra_headers=response.headers, close=response.close,
             ))
-            return response.close
+            return response.close, inline
         # each next() on the line stream is blocking work (slicing +
         # JSON + checksum), so it too runs on the executor
         lines = response.lines
@@ -421,7 +440,7 @@ class AioApiServer:
             # connection-slot accounting
             await loop.run_in_executor(self._executor, lines.close)
             raise
-        return response.close
+        return response.close, False
 
     # -------------------------------------------------------------- plumbing
     def _log(self, message: str) -> None:

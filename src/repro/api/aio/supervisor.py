@@ -8,7 +8,7 @@ every core answering.  The topology here is the classic
 ``(host, port)`` — the kernel load-balances accepted connections across
 the listening sockets, so there is no user-space proxy hop and no
 shared accept lock.  Processes (not threads) also sidestep the GIL for
-the JSON/dict-heavy request handling the executor threads do.
+the JSON/dict-heavy request handling each loop and its executor do.
 
 Port reservation: with ``port=0`` the parent must learn a concrete port
 *before* any child exists, yet must not serve.  It binds — without

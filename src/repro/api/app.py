@@ -46,7 +46,13 @@ from repro.api.protocol import (
     SearchRequest,
     SearchResponse,
 )
-from repro.api.routes import ROUTES, all_endpoints, stream_endpoints, unary_endpoints
+from repro.api.routes import (
+    ROUTE_BY_NAME,
+    ROUTES,
+    all_endpoints,
+    stream_endpoints,
+    unary_endpoints,
+)
 from repro.cluster.hierarchical import hierarchical_cluster
 from repro.data.loader import parse_dataset
 from repro.spell.backend import SearchBackend
@@ -152,9 +158,15 @@ class ApiApp:
         self._universe: dict[str, tuple[int, frozenset[str]]] = {}
 
     # ---------------------------------------------------------- tenant routing
-    def _resolve(self, compendium: str | None):
-        """``(tenant, service)`` for one request's ``compendium`` field."""
+    def _resolve(self, compendium: str | None, *, wait: bool = True):
+        """``(tenant, service)`` for one request's ``compendium`` field.
+
+        With ``wait=False`` a tenant that would have to be loaded (or a
+        catalog busy loading another) is ``None`` instead.
+        """
         if self.catalog is not None:
+            if not wait:
+                return self.catalog.resident(compendium)
             return self.catalog.resolve(compendium)
         if compendium is None or compendium == DEFAULT_TENANT:
             return DEFAULT_TENANT, self.service
@@ -185,61 +197,115 @@ class ApiApp:
         Never raises: every failure — gate rejection, unknown endpoint,
         malformed payload, downstream error — comes back as a structured
         error payload with its mapped status code.
+
+        A request is answered by the first of two phases that can:
+        :meth:`ready_wire` (never waits) or :meth:`compute_wire` (may).
+        A transport that must not block calls the first where it stands
+        and the second from a worker thread; the answer is the same.
         """
-        route = ENDPOINTS.get(endpoint)
-        stats_key = endpoint if route is not None else "(unknown)"
+        request, answer = self.ready_wire(endpoint, payload, context=context)
+        return answer or self.compute_wire(endpoint, request)
+
+    def ready_wire(
+        self, endpoint: str, payload, *, context: RequestContext | None = None
+    ) -> tuple[object, tuple[int, dict] | None]:
+        """Everything about one request that cannot wait.
+
+        Gate, route, parse, the tenant charge — and, where the route has
+        a ``ready`` half, an answer from what is already in memory.
+        Returns ``(parsed request, answer)``; ``answer`` is ``None`` when
+        only :meth:`compute_wire` can tell, and is final (an error body)
+        when any of those steps refused the request.
+        """
         try:
-            self.gate.admit(endpoint, context)
-        except ApiError as err:
-            # rejected before any handler ran: count it here so a flood
-            # of 401/429/413s is visible in /v1/health error rates
-            self._stats.record(stats_key, 0.0, error=True)
-            return err.http_status, error_payload(err)
-        if route is None:
-            err = ApiError(
-                "UNKNOWN_ENDPOINT",
-                f"no endpoint {endpoint!r}",
-                details={"endpoints": all_endpoints()},
-            )
-            # one fixed sentinel key, not the caller-supplied string: a
-            # client spraying bogus names must not grow the stats map
-            # (and the /v1/health payload) without bound
-            self._stats.record("(unknown)", 0.0, error=True)
-            return err.http_status, error_payload(err)
-        request_cls, method = route
+            request = self._parse(endpoint, payload, context)
+            ready = ROUTE_BY_NAME[endpoint].ready
+            response = getattr(self, ready)(request) if ready else None
+        except Exception as exc:  # noqa: BLE001 — the boundary swallows all
+            err = as_api_error(exc)
+            return None, (err.http_status, error_payload(err))
+        return request, None if response is None else (200, response.to_wire())
+
+    def compute_wire(self, endpoint: str, request) -> tuple[int, dict]:
+        """Run the handler for a request :meth:`ready_wire` parsed but
+        could not answer — the kernel, a pool, a shard, a disk may be
+        waited for in here."""
+        handler = getattr(self, ENDPOINTS[endpoint][1])
         try:
-            if request_cls is None:
-                response = getattr(self, method)()
-            else:
-                try:
-                    request = request_cls.from_wire(payload if payload is not None else {})
-                    # the tenant rides in the body, so its rate budget
-                    # can only be charged here, post-parse — admission
-                    # (auth, per-peer, per-token) already ran pre-body
-                    tenant = self._tenant_of(request)
-                    if tenant is not None:
-                        self.gate.charge_tenant(tenant, context)
-                except Exception:
-                    # handler never ran, so _timed() never counted this
-                    # request — record the parse failure here or /v1/health
-                    # under-reports error rates during a malformed flood
-                    self._stats.record(endpoint, 0.0, error=True)
-                    raise
-                response = getattr(self, method)(request)
+            response = handler() if request is None else handler(request)
         except Exception as exc:  # noqa: BLE001 — the boundary swallows all
             err = as_api_error(exc)
             return err.http_status, error_payload(err)
         return 200, response.to_wire()
 
+    def _parse(self, endpoint: str, payload, context: RequestContext | None):
+        """Gate, route and parse one wire request into its protocol type
+        (``None`` for a body-less route).
+
+        A refusal is counted here — the handler never runs, so
+        ``_timed()`` never sees it, and a flood of 401/429/413s or
+        malformed bodies must stay visible in ``/v1/health`` error
+        rates.  An unknown name is counted under one fixed sentinel key:
+        a client spraying bogus names must not grow the stats map (and
+        the health payload) without bound.
+        """
+        route = ENDPOINTS.get(endpoint)
+        try:
+            self.gate.admit(endpoint, context)
+            if route is None:
+                raise ApiError(
+                    "UNKNOWN_ENDPOINT",
+                    f"no endpoint {endpoint!r}",
+                    details={"endpoints": all_endpoints()},
+                )
+            request_cls = route[0]
+            if request_cls is None:
+                return None
+            request = request_cls.from_wire(payload if payload is not None else {})
+            # the tenant rides in the body, so its rate budget can only
+            # be charged here, post-parse — admission (auth, per-peer,
+            # per-token) already ran pre-body
+            tenant = self._tenant_of(request)
+            if tenant is not None:
+                self.gate.charge_tenant(tenant, context)
+            return request
+        except Exception:
+            self._stats.record(endpoint if route is not None else "(unknown)", 0.0, error=True)
+            raise
+
     # -------------------------------------------------------------- endpoints
     def search(self, request: SearchRequest) -> SearchResponse:
-        with self._timed("search"):
+        return self._search(request, wait=True)
+
+    def search_cached(self, request: SearchRequest) -> SearchResponse | None:
+        """The half of :meth:`search` that never waits.
+
+        Same checks, same errors, same bytes — but only for a resident
+        tenant whose result cache already holds the answer; otherwise
+        ``None``, with nothing counted (``search`` then counts it once).
+        """
+        return self._search(request, wait=False)
+
+    def _search(self, request: SearchRequest, *, wait: bool) -> SearchResponse | None:
+        sw = Stopwatch()
+        sw.start()
+        response = None
+        try:
             # the budget starts at admission, so validation time counts
             # against the client's deadline_ms too
             budget = Deadline.after_ms(request.deadline_ms)
-            tenant, service = self._resolve(request.compendium)
-            self._check(request, service, tenant)
-            return service.respond(request, deadline=budget)
+            resolved = self._resolve(request.compendium, wait=wait)
+            if resolved is not None:
+                tenant, service = resolved
+                self._check(request, service, tenant)
+                respond = service.respond if wait else service.respond_cached
+                response = respond(request, deadline=budget)
+        except BaseException:
+            self._stats.record("search", sw.stop(), error=True)
+            raise
+        if response is not None:
+            self._stats.record("search", sw.stop(), error=False)
+        return response
 
     def search_batch(self, request: BatchSearchRequest) -> BatchSearchResponse:
         with self._timed("search/batch"):
@@ -402,16 +468,7 @@ class ApiApp:
         failures count toward the endpoint's error stats exactly as in
         ``handle_wire``.
         """
-        try:
-            self.gate.admit("render/heatmap", context)
-            request = RenderRequest.from_wire(payload if payload is not None else {})
-            tenant = self._tenant_of(request)
-            if tenant is not None:
-                self.gate.charge_tenant(tenant, context)
-        except Exception:
-            self._stats.record("render/heatmap", 0.0, error=True)
-            raise
-        return self.render_heatmap(request)
+        return self.render_heatmap(self._parse("render/heatmap", payload, context))
 
     # ------------------------------------------------------ streaming export
     def export(self, payload, *, context: RequestContext | None = None):

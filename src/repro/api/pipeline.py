@@ -15,8 +15,23 @@ three steps — and each step is decided here, once:
    :class:`Response` value: status, content type, extra headers, the
    body bytes *or* a line stream, and whether the connection must close.
 
+Step 3 is two phases, and ``respond`` is literally ``ready(...) or
+compute(...)``.  :func:`ready` is everything that **cannot wait** — a
+failed plan, parsing and validating the request, the tenant charge,
+resolving an already-resident tenant, the unknown-gene/dataset and
+deadline checks, the result-cache probe and, on a hit, building and
+encoding the page — and returns ``None`` when only the second phase can
+tell.  :func:`compute` is everything that **may wait**: the scoring
+kernel, the process pool's pipes, the router's sockets, a lazy tenant
+load, ingest and its fsync, exports, renders.  A driver with a thread
+per request calls ``respond``; a driver with an event loop calls
+``ready`` on the loop and ``compute`` from a worker thread, so what is
+already in memory is answered without a thread hop and nothing that can
+wait ever runs on the loop.  Either way the same code answers, and the
+bytes are the same whichever phase did.
+
 A driver (:mod:`repro.api.http`, :mod:`repro.api.aio.server`) only moves
-bytes: it parses a head, calls the three functions, and writes the
+bytes: it parses a head, calls these functions, and writes the
 :class:`Response`.  Nothing here touches a socket, a thread or an event
 loop, so the whole request contract is unit-testable as a table
 (``tests/test_api_conformance.py``) and cannot differ between facades.
@@ -45,7 +60,16 @@ from repro.api.transport import (
     retry_after_headers,
 )
 
-__all__ = ["PREFIX", "Plan", "Response", "plan_request", "read_body", "respond"]
+__all__ = [
+    "PREFIX",
+    "Plan",
+    "Response",
+    "compute",
+    "plan_request",
+    "read_body",
+    "ready",
+    "respond",
+]
 
 PREFIX = "/v1/"
 
@@ -67,8 +91,10 @@ class Plan:
     ``error`` set means the request is already answered (and the
     connection must close); otherwise ``route``/``context``/``kind``
     say what :func:`respond` will call.  ``kind`` is ``"unary"`` (JSON
-    body via ``handle_wire``), ``"raw"`` (``?format=`` bytes) or
-    ``"stream"`` (NDJSON lines).
+    body via ``handle_wire``'s two phases), ``"raw"`` (``?format=``
+    bytes) or ``"stream"`` (NDJSON lines).  ``request`` is the parsed
+    (and tenant-charged) protocol request :func:`ready` leaves for
+    :func:`compute`, so a cache miss is parsed and charged once.
     """
 
     route: Route | None = None
@@ -76,6 +102,7 @@ class Plan:
     kind: str = "unary"
     body_bytes: int = 0  # what the driver must read before read_body()
     payload: dict | None = None
+    request: object = None
     error: ApiError | None = None
 
 
@@ -273,21 +300,37 @@ def _json(status: int, body: dict, close: bool) -> Response:
     )
 
 
-def respond(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:
-    """Answer a planned request (this is where the application runs).
+def ready(
+    app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool
+) -> Response | None:
+    """Answer a planned request if that takes no waiting, else ``None``.
 
-    ``keep_alive`` is the client's wish, ``draining`` the server's state;
-    the response closes when either says so or the plan failed.  Raw and
-    stream requests that fail *before* their first byte still answer an
-    ordinary JSON error status; once a stream is handed back, failures
-    surface as the structured error trailer the app layer emits.
+    Safe to call from a thread that must not block (an event loop): it
+    reaches no kernel, pool, socket or disk.  It is also the only phase
+    that parses the body and charges the tenant — ``plan.request``
+    carries the result to :func:`compute`.
     """
     if plan.error is not None:
         return _json(plan.error.http_status, error_payload(plan.error), True)
+    if plan.kind != "unary":
+        return None
+    plan.request, answer = app.ready_wire(
+        plan.route.name, plan.payload, context=plan.context
+    )
+    return None if answer is None else _json(*answer, draining or not keep_alive)
+
+
+def compute(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:
+    """Answer a planned request :func:`ready` returned ``None`` for.
+
+    This is where the application may wait.  Raw and stream requests
+    that fail *before* their first byte still answer an ordinary JSON
+    error status; once a stream is handed back, failures surface as the
+    structured error trailer the app layer emits.
+    """
     close = draining or not keep_alive
     if plan.kind == "unary":
-        status, body = app.handle_wire(plan.route.name, plan.payload, context=plan.context)
-        return _json(status, body, close)
+        return _json(*app.compute_wire(plan.route.name, plan.request), close)
     try:
         if plan.kind == "raw":
             rendered = app.render_heatmap_wire(plan.payload, context=plan.context)
@@ -297,3 +340,14 @@ def respond(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Res
         err = as_api_error(exc)
         return _json(err.http_status, error_payload(err), close)
     return Response(200, NDJSON_TYPE, lines=LineStream(lines), close=close)
+
+
+def respond(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:
+    """Answer a planned request (this is where the application runs).
+
+    ``keep_alive`` is the client's wish, ``draining`` the server's state;
+    the response closes when either says so or the plan failed.
+    """
+    return ready(app, plan, keep_alive=keep_alive, draining=draining) or compute(
+        app, plan, keep_alive=keep_alive, draining=draining
+    )

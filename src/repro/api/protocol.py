@@ -769,10 +769,13 @@ class SearchResponse:
         total_pages = check_page(request.page, pageable, request.page_size)
         start = request.page * request.page_size
         stop = min(start + request.page_size, pageable)
-        gene_rows = tuple(
-            (start + i + 1, g.gene_id, g.score)
-            for i, g in enumerate(result.genes[start:stop])
-        )
+        if isinstance(result.genes, tuple):  # legacy tuple-of-GeneScore results
+            gene_rows = tuple(
+                (start + i + 1, g.gene_id, g.score)
+                for i, g in enumerate(result.genes[start:stop])
+            )
+        else:  # a GeneTable pages straight off its arrays, like the export cursor
+            gene_rows = tuple(result.genes.rows(start, stop))
         dataset_rows = tuple(
             (i + 1, d.name, d.weight)
             for i, d in enumerate(result.datasets[: request.top_datasets])

@@ -57,7 +57,9 @@ class Route:
     ``handler``).  ``response_cls`` may be a tuple for streams (the line
     types, in order of appearance).  ``raw_formats`` lists ``?format=``
     values that switch the response to raw bytes instead of the JSON
-    envelope.
+    envelope.  ``ready`` names the handler's never-waiting half when it
+    has one: an ``ApiApp`` method that answers from what is already in
+    memory or returns ``None`` (see ``ApiApp.ready_wire``).
     """
 
     name: str
@@ -68,6 +70,7 @@ class Route:
     kind: str = "unary"
     summary: str = ""
     raw_formats: tuple[str, ...] = ()
+    ready: str | None = None
 
     @property
     def path(self) -> str:
@@ -80,6 +83,7 @@ ROUTES: tuple[Route, ...] = (
         method="POST",
         request_cls=SearchRequest,
         handler="search",
+        ready="search_cached",
         response_cls=SearchResponse,
         summary="One SPELL query: ranked genes + contributing datasets, paginated.",
     ),

@@ -10,9 +10,10 @@ same three things from each:
   driver and the hand-rolled :mod:`repro.api.aio.http11` parser must
   never disagree on.
 * **Counters** (:class:`TransportStats`): open/total connections,
-  keep-alive reuse, observed pipeline depth, in-flight requests, and
-  how many requests were finished *during* a drain.  A facade registers
-  its snapshot on the backend
+  keep-alive reuse, observed pipeline depth, in-flight requests, how
+  many requests were finished *during* a drain, and how many an
+  event-loop facade answered inline (without its executor).  A facade
+  registers its snapshot on the backend
   (``service.register_transport_stats(label, stats.snapshot)``), so
   ``/v1/health``'s append-only ``serving.transport`` field reports the
   live transport no matter which facade answered the probe.
@@ -138,6 +139,7 @@ class TransportStats:
         self.in_flight = 0
         self.requests_total = 0
         self.drained_requests = 0
+        self.inline_responses = 0
         self.draining = False
 
     # ------------------------------------------------------------ lifecycle
@@ -158,6 +160,12 @@ class TransportStats:
                 self.keepalive_reuses += 1
             if depth > self.pipelined_max_depth:
                 self.pipelined_max_depth = int(depth)
+
+    def answered_inline(self) -> None:
+        """An event-loop facade answered a request where it stood — no
+        executor submission (a thread-per-request facade never calls it)."""
+        with self._lock:
+            self.inline_responses += 1
 
     def request_finished(self) -> None:
         with self._idle:
@@ -204,4 +212,5 @@ class TransportStats:
                 "requests_total": self.requests_total,
                 "drained_requests": self.drained_requests,
                 "draining": self.draining,
+                "inline_responses": self.inline_responses,
             }

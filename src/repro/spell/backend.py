@@ -11,7 +11,10 @@ never admitted — a later identical query must retry the missing shards,
 not replay the gap), served-count/latency counters, the protocol entry
 points :meth:`~SearchBackend.respond` / :meth:`~SearchBackend.respond_batch`
 / :meth:`~SearchBackend.iter_result`, and the stats ``/v1/health``
-reports.  A subclass supplies :meth:`~SearchBackend._compute` plus
+reports.  The step is also the only place a search can *wait* (kernel,
+pool pipes, shard sockets), so everything before it is callable on its
+own — :meth:`~SearchBackend.respond_cached` — from a thread that must
+not block.  A subclass supplies :meth:`~SearchBackend._compute` plus
 whatever is genuinely its own.
 """
 
@@ -68,7 +71,10 @@ class SearchBackend:
         # per-request list, so a long-lived server's memory stays flat
         self._served = 0
         self._served_seconds = 0.0
-        self._lock = threading.Lock()  # guards the counters + subclass maintenance
+        # their own lock, never the maintenance one: a cache hit answered
+        # on an event loop must not queue behind an index splice
+        self._served_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards subclass maintenance + its counters
         #: label -> zero-arg callable; serving facades report through here
         self._transport_probes: dict = {}
 
@@ -102,7 +108,7 @@ class SearchBackend:
         return extra
 
     def _record_served(self, seconds: float) -> None:
-        with self._lock:
+        with self._served_lock:
             self._served += 1
             self._served_seconds += seconds
 
@@ -115,11 +121,18 @@ class SearchBackend:
         datasets: Sequence[str] | None = None,
         require_complete: bool = False,
         deadline: Deadline | None = None,
-    ) -> tuple[SpellResult, dict]:
+        cached_only: bool = False,
+    ) -> tuple[SpellResult, dict] | None:
         """Cache-aware search returning ``(result, partiality report)``.
 
         ``top_k`` and ``datasets`` are part of the cache key, so
         truncated or filtered answers never masquerade as full ones.
+
+        ``cached_only`` is the hit half on its own: a resident answer is
+        served and counted exactly as above, anything else returns
+        ``None`` having touched nothing — no miss, no LRU reorder, no
+        served count — so the full call that follows is the one that
+        counts.  That half never waits: it does not reach ``_compute``.
         """
         query = [str(g) for g in query]
         if not query:
@@ -133,9 +146,14 @@ class SearchBackend:
         extra = self._cache_extra(top_k, datasets)
         caching = self._cache is not None and use_cache
         with Stopwatch() as sw:
-            cached = self._cache.lookup(version, query, extra=extra) if caching else None
+            cached = None
+            if caching:
+                find = self._cache.probe if cached_only else self._cache.lookup
+                cached = find(version, query, extra=extra)
             if cached is not None:
                 result, report = rebind_result(cached, query), COMPLETE
+            elif cached_only:
+                return None
             else:
                 result, report = self._compute(
                     query, top_k, datasets,
@@ -187,19 +205,36 @@ class SearchBackend:
         fails fast rather than committing to the work; partiality rides
         the append-only ``partial``/``shards`` fields.
         """
+        return self._respond(request, deadline, cached_only=False)
+
+    def respond_cached(
+        self, request: SearchRequest, *, deadline: Deadline | None = None
+    ) -> SearchResponse | None:
+        """:meth:`respond` when the answer is already in the result cache,
+        else ``None`` with no counter moved — the half of ``respond``
+        that never waits (same checks, same errors, same bytes)."""
+        return self._respond(request, deadline, cached_only=True)
+
+    def _respond(
+        self, request: SearchRequest, deadline: Deadline | None, *, cached_only: bool
+    ) -> SearchResponse | None:
         budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
         budget.check("search admission")
         top_k = request.top_k
         if top_k is None and not (self._cache is not None and request.use_cache):
             top_k = (request.page + 1) * request.page_size
         with Stopwatch() as sw:
-            result, report = self._search_report(
+            answer = self._search_report(
                 request.genes,
                 use_cache=request.use_cache,
                 top_k=top_k,
                 datasets=request.datasets,
                 deadline=budget,
+                cached_only=cached_only,
             )
+        if answer is None:
+            return None
+        result, report = answer
         return SearchResponse.from_result(
             result,
             request,
@@ -330,11 +365,11 @@ class SearchBackend:
     # ------------------------------------------------------------------ stats
     @property
     def query_count(self) -> int:
-        with self._lock:
+        with self._served_lock:
             return self._served
 
     def mean_latency(self) -> float:
-        with self._lock:
+        with self._served_lock:
             if not self._served:
                 raise SearchError("no queries executed yet")
             return self._served_seconds / self._served

@@ -105,6 +105,16 @@ class QueryCache:
     def lookup(self, version: int, query: Sequence[str], *, extra: tuple = ()):
         return self._lru.get(query_key(version, query, extra=extra))
 
+    def probe(self, version: int, query: Sequence[str], *, extra: tuple = ()):
+        """:meth:`lookup` that leaves no trace of a miss.
+
+        A hit is served (and counted) exactly as by :meth:`lookup`; a
+        miss touches neither ``hits``/``misses``/``evictions`` nor the
+        LRU order, so the :meth:`lookup` a caller makes next — once it
+        is somewhere it may wait for the answer — is the one that counts.
+        """
+        return self._lru.probe(query_key(version, query, extra=extra))
+
     def store(
         self,
         version: int,

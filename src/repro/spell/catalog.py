@@ -141,6 +141,29 @@ class CompendiumCatalog:
             self._resident.move_to_end(tenant)
             return tenant, service
 
+    def resident(self, name: str | None) -> tuple[str, SpellService] | None:
+        """:meth:`resolve` for a caller that must not wait: the tenant
+        only if it is resident *and* the catalog is not busy, else
+        ``None``.
+
+        Never loads, never touches the filesystem, and never queues
+        behind the catalog lock (a load or an ingest's fsync may be
+        running under it) — ``None`` means "ask :meth:`resolve` from
+        somewhere that may block".  A hit marks the tenant
+        most-recently-used like any other resolution.
+        """
+        tenant = DEFAULT_TENANT if name is None else str(name)
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            service = self._resident.get(tenant)
+            if service is None:
+                return None
+            self._resident.move_to_end(tenant)
+            return tenant, service
+        finally:
+            self._lock.release()
+
     def _tenant_dir(self, tenant: str) -> Path:
         if not _TENANT_RE.fullmatch(tenant):
             raise ApiError(

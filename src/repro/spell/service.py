@@ -50,7 +50,6 @@ from repro.spell.procpool import (
 from repro.spell.store import IndexStore, StorageStats
 from repro.util.deadline import Deadline
 from repro.util.errors import StoreError
-from repro.util.lru import LruCache
 from repro.util.timing import Stopwatch
 
 __all__ = ["SpellService"]
@@ -123,12 +122,13 @@ class SpellService(SearchBackend):
         #: storage-tier counters for /v1/health — one object for the
         #: service's lifetime, threaded through every IndexStore call
         self.storage = StorageStats()
-        #: per-dataset usage signal for cold-tier demotion: an LruCache
-        #: whose per-entry hit counts rank how recently/often each
-        #: dataset contributed positive weight to an answer
-        self._dataset_hits: LruCache[str, bool] = LruCache(
-            max(64, 4 * max(1, len(compendium)))
-        )
+        #: usage signal for cold-tier demotion, kept O(1) per answer: a
+        #: tally per distinct ``result.datasets`` tuple (cache hits share
+        #: the cached tuple; holding it keeps its ``id`` unique), folded
+        #: into answers-contributed-to per dataset when somebody asks
+        self._use_tallies: dict[int, list] = {}  # id -> [datasets tuple, answers]
+        self._dataset_heat: dict[str, int] = {}
+        self._use_lock = threading.Lock()
         self._engine = SpellEngine(compendium, n_workers=n_workers)
         self._index = self._open_index() if self.use_index else None
         self._indexed_version = compendium.version
@@ -251,10 +251,10 @@ class SpellService(SearchBackend):
     def demote_cold(self, *, min_hits: int = 1, keep: int = 1) -> tuple[str, ...]:
         """Compress rarely-used datasets' shards into the store's cold tier.
 
-        Victims are datasets whose per-entry hit count in the
-        ``_dataset_hits`` LRU (see :meth:`_note_dataset_use`) is below
-        ``min_hits`` — i.e. they have not contributed positive weight to
-        recent answers.  At least ``keep`` datasets always stay resident.
+        Victims are datasets whose heat (see :meth:`_note_dataset_use`)
+        is below ``min_hits`` — i.e. they have not contributed positive
+        weight to that many answers.  At least ``keep`` datasets always
+        stay resident.
         On-disk only: the in-RAM index keeps serving its current arrays
         (mmaps of an unlinked file stay valid); the next cold start pays
         decompression for exactly the datasets nobody was using.
@@ -263,9 +263,8 @@ class SpellService(SearchBackend):
         if self._store_dir is None or self._index is None:
             return ()
         names = [ds.name for ds in self.compendium]
-        victims = [
-            name for name in names if self._dataset_hits.entry_hits(name) < min_hits
-        ]
+        heat = self._heat()
+        victims = [name for name in names if heat.get(name, 0) < min_hits]
         if keep > 0 and len(victims) > max(0, len(names) - keep):
             victims = victims[: max(0, len(names) - keep)]
         if not victims:
@@ -316,27 +315,52 @@ class SpellService(SearchBackend):
         engine = self._index if self._index is not None else self._engine
         return engine.search(query, top_k=top_k, datasets=datasets), COMPLETE
 
-    def _search_report(self, query: Sequence[str], **options) -> tuple[SpellResult, dict]:
-        result, report = super()._search_report(query, **options)
-        self._note_dataset_use(result)
-        return result, report
+    def _search_report(self, query: Sequence[str], **options):
+        answer = super()._search_report(query, **options)
+        if answer is not None:
+            self._note_dataset_use(answer[0])
+        return answer
+
+    #: Distinct results tallied before they are folded into per-dataset
+    #: heat — bounds the tally map (and the tuples it pins) under
+    #: all-distinct traffic, where every answer brings a new tuple.
+    _FOLD_AT = 64
 
     def _note_dataset_use(self, result: SpellResult) -> None:
-        """Record which datasets contributed to an answer.
+        """Record that ``result``'s datasets contributed to one more answer.
 
-        Feeds :meth:`demote_cold`: every positively-weighted dataset of
-        the result (they are ranked descending, so the scan stops at the
-        first non-contributor) gets a hit in the ``_dataset_hits`` LRU —
-        per-entry hit counts then rank the hot set, and datasets that
-        never score are the cold-tier candidates.
+        Feeds :meth:`demote_cold`.  One dict bump under one lock per
+        answer, however many datasets contributed; *which* of them did
+        is worked out by :meth:`_fold`, off the answer path.
         """
-        lru = self._dataset_hits
-        for ds in result.datasets:
-            if ds.weight <= 0.0:
-                break
-            if ds.name not in lru:
-                lru.put(ds.name, True)
-            lru.get(ds.name)
+        datasets = result.datasets
+        with self._use_lock:
+            tally = self._use_tallies.get(id(datasets))
+            if tally is not None:
+                tally[1] += 1
+                return
+            self._use_tallies[id(datasets)] = [datasets, 1]
+            if len(self._use_tallies) > self._FOLD_AT:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Spend the tallies: every positively-weighted dataset of a
+        tallied result (ranked descending, so the scan stops at the
+        first non-contributor) gains that result's answer count (caller
+        holds ``_use_lock``)."""
+        heat = self._dataset_heat
+        for datasets, answers in self._use_tallies.values():
+            for ds in datasets:
+                if ds.weight <= 0.0:
+                    break
+                heat[ds.name] = heat.get(ds.name, 0) + answers
+        self._use_tallies.clear()
+
+    def _heat(self) -> dict[str, int]:
+        """Answers each dataset has contributed positive weight to."""
+        with self._use_lock:
+            self._fold()
+            return dict(self._dataset_heat)
 
     def _run_batch(
         self, searches: list[SearchRequest], scheduler: str, budget: Deadline
@@ -521,7 +545,7 @@ class SpellService(SearchBackend):
         """
         stats = self.storage.snapshot()
         stats["persistent"] = self._store_dir is not None
-        stats["hot_datasets"] = [
-            name for name, _ in self._dataset_hits.hottest(5)
-        ]
+        # ties break on the name so equally-hot datasets do not flap
+        heat = self._heat()
+        stats["hot_datasets"] = sorted(heat, key=lambda name: (-heat[name], repr(name)))[:5]
         return stats

@@ -44,17 +44,36 @@ class LruCache(Generic[K, V]):
         with self._lock:
             return key in self._data
 
-    def get(self, key: K, default: V | None = None) -> V | None:
-        """Look up ``key``, marking it most-recently-used on a hit."""
-        with self._lock:
-            value = self._data.get(key, _MISSING)
-            if value is _MISSING:
-                self.misses += 1
-                return default
+    def _hit(self, key: K):
+        """``key``'s value, counted as a hit and marked most-recently-used,
+        or ``_MISSING`` with nothing touched (caller holds the lock)."""
+        value = self._data.get(key, _MISSING)
+        if value is not _MISSING:
             self._data.move_to_end(key)
             self.hits += 1
             self._entry_hits[key] = self._entry_hits.get(key, 0) + 1
+        return value
+
+    def get(self, key: K, default: V | None = None) -> V | None:
+        """Look up ``key``, marking it most-recently-used on a hit."""
+        with self._lock:
+            value = self._hit(key)
+            if value is _MISSING:
+                self.misses += 1
+                return default
             return value
+
+    def probe(self, key: K) -> V | None:
+        """:meth:`get`, except that a miss is not counted.
+
+        For a caller whose miss is followed by a counting :meth:`get` of
+        the same key (a ready-phase probe ahead of the full lookup): a
+        hit is a hit either way, a miss leaves every counter and the
+        recency order exactly as they were.
+        """
+        with self._lock:
+            value = self._hit(key)
+            return None if value is _MISSING else value
 
     def put(self, key: K, value: V) -> None:
         """Insert/refresh ``key``, evicting the oldest entry on overflow.

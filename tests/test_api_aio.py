@@ -27,6 +27,7 @@ from repro.api.aio.server import serve as aio_bind
 from repro.api.aio.server import serve_background as aio_serve
 from repro.api.http import serve_background as threaded_serve
 from repro.api.limits import RequestGate
+from repro.api.protocol import SearchRequest
 from repro.spell import SpellService
 from repro.synth import make_spell_compendium
 
@@ -509,6 +510,411 @@ class TestKeepAliveAndCounters:
             data = sock.makefile("rb").read()  # EOF proves the close
         assert data.split(b"\r\n")[0] == b"HTTP/1.1 200 OK"
         assert b"Connection: close" in data.partition(b"\r\n\r\n")[0]
+
+
+class _CountingExecutor:
+    """Executor shim: counts submissions on their way to the server's
+    real ``aio-dispatch`` pool."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.submissions = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submissions += 1
+        return self.inner.submit(fn, *args, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        return self.inner.shutdown(*args, **kwargs)
+
+
+def counted(server) -> _CountingExecutor:
+    """Wrap a running server's executor in the counting shim."""
+    shim = _CountingExecutor(server._executor)
+    server._executor = shim
+    return shim
+
+
+def distinct_queries(compendium, n: int, size: int = 3) -> list[list[str]]:
+    genes = compendium.gene_universe()
+    return [genes[i * size:(i + 1) * size] for i in range(n)]
+
+
+@pytest.fixture()
+def fresh(setup):
+    """A private service + app behind both facades, executor counted."""
+    compendium, _ = setup
+    with SpellService(compendium, n_workers=1) as svc:
+        app = ApiApp(svc)
+        aio_server, aio_thread = aio_serve(app, transport_label="aio-fresh")
+        thr_server, thr_thread = threaded_serve(app, transport_label="http-fresh")
+        try:
+            yield {
+                "service": svc,
+                "app": app,
+                "server": aio_server,
+                "loop_thread": aio_thread,
+                "aio": aio_server.server_address[:2],
+                "thr": thr_server.server_address[:2],
+                "executor": counted(aio_server),
+            }
+        finally:
+            aio_server.close(timeout=5)
+            thr_server.close(timeout=5)
+            aio_thread.join(timeout=10)
+            thr_thread.join(timeout=10)
+
+
+class TestInlineWarmPath:
+    """A cache hit never leaves the event loop; anything that can wait
+    never runs on it.  The gate is a count of executor submissions, not
+    a timing."""
+
+    N = 6
+
+    def test_cold_requests_submit_once_each_and_warm_ones_never(self, setup, fresh):
+        compendium, _ = setup
+        payloads = [
+            {"genes": q, "page_size": 10} for q in distinct_queries(compendium, self.N)
+        ]
+        cold = [request_raw(fresh["aio"], "POST", "/v1/search", p) for p in payloads]
+        assert [status for status, _, _ in cold] == [200] * self.N
+        assert fresh["executor"].submissions == self.N
+        assert fresh["server"].stats.snapshot()["inline_responses"] == 0
+
+        warm = [request_raw(fresh["aio"], "POST", "/v1/search", p) for p in payloads]
+        assert fresh["executor"].submissions == self.N  # not one more
+        assert fresh["server"].stats.snapshot()["inline_responses"] == self.N
+        for (_, miss, _), (status, hit, _) in zip(cold, warm):
+            assert status == 200
+            assert scrub(json.loads(hit)) == scrub(json.loads(miss))
+
+        # the counter is on the wire, and stays 0 for the threaded facade
+        _, health, _ = request_raw(fresh["thr"], "GET", "/v1/health")
+        transport = json.loads(health)["serving"]["transport"]
+        assert transport["aio-fresh"]["inline_responses"] == self.N
+        assert transport["http-fresh"]["inline_responses"] == 0
+
+    def test_errors_known_without_waiting_are_inline_with_the_same_bytes(
+        self, setup, fresh
+    ):
+        _, truth = setup
+        query = list(truth.query_genes)
+        assert request_raw(fresh["aio"], "POST", "/v1/search", {"genes": query})[0] == 200
+        before = fresh["executor"].submissions
+        rows = [
+            ("GET", "/v1/no-such-endpoint", None),  # a failed plan
+            ("POST", "/v1/search", {"genes": query, "page": 10_000}),  # cached result
+            ("POST", "/v1/search", {"genes": ["NO-SUCH-GENE"]}),
+            ("POST", "/v1/search", {"genes": query, "datasets": ["no-such-dataset"]}),
+            ("POST", "/v1/search", {"genes": []}),  # fails from_wire
+        ]
+        codes = []
+        for method, path, payload in rows:
+            a_status, a_body, _ = request_raw(fresh["aio"], method, path, payload)
+            t_status, t_body, _ = request_raw(fresh["thr"], method, path, payload)
+            assert (a_status, a_body) == (t_status, t_body), (path, payload)
+            codes.append(json.loads(a_body)["error"]["code"])
+            if payload is not None and payload["genes"]:
+                # the compute phase alone says the same thing: the bytes
+                # do not depend on which phase answered
+                computed = fresh["app"].compute_wire(
+                    "search", SearchRequest.from_wire(payload)
+                )
+                assert (computed[0], json.dumps(computed[1]).encode()) == (a_status, a_body)
+        assert codes == [
+            "UNKNOWN_ENDPOINT", "PAGE_OUT_OF_RANGE", "UNKNOWN_GENE",
+            "UNKNOWN_DATASET", "INVALID_QUERY",
+        ]
+        assert fresh["executor"].submissions == before
+
+    def test_what_may_wait_goes_to_the_executor(self, setup, fresh):
+        """use_cache=false, batches, cluster, render, export, datasets and
+        health have no ready half: each is one submission (an export,
+        one per line too) however warm the cache is."""
+        _, truth = setup
+        query = list(truth.query_genes)
+        assert request_raw(fresh["aio"], "POST", "/v1/search", {"genes": query})[0] == 200
+        for method, path, payload in [
+            ("POST", "/v1/search", {"genes": query, "use_cache": False}),
+            ("POST", "/v1/search/batch", {"searches": [{"genes": query}]}),
+            ("POST", "/v1/cluster", {"search": {"genes": query}, "top_genes": 8}),
+            ("POST", "/v1/render/heatmap", {"search": {"genes": query}, "top_genes": 8}),
+            ("POST", "/v1/render/heatmap?format=ppm",
+             {"search": {"genes": query}, "top_genes": 8}),
+            ("GET", "/v1/datasets", None),
+            ("GET", "/v1/health", None),
+        ]:
+            before = fresh["executor"].submissions
+            assert request_raw(fresh["aio"], method, path, payload)[0] == 200
+            assert fresh["executor"].submissions == before + 1, path
+        before = fresh["executor"].submissions
+        status, _, _ = request_raw(
+            fresh["aio"], "POST", "/v1/search/export", {"genes": query}
+        )
+        assert status == 200
+        assert fresh["executor"].submissions > before + 1
+
+    def test_pipelined_hits_are_all_answered_in_order(self, setup):
+        """A client pipelining far past the window gets every answer, in
+        order, inline — the responder's once-per-window yield included."""
+        compendium, truth = setup
+        with SpellService(compendium, n_workers=1) as svc:
+            server, thread = aio_serve(ApiApp(svc), pipeline_depth=2)
+            try:
+                addr = server.server_address[:2]
+                pages = 9
+                bodies = [
+                    json.dumps(
+                        {"genes": list(truth.query_genes), "page": i, "page_size": 3}
+                    ).encode()
+                    for i in range(pages)
+                ]
+                assert request_raw(
+                    addr, "POST", "/v1/search", {"genes": list(truth.query_genes)}
+                )[0] == 200
+                executor = counted(server)
+                with socket.create_connection(addr, timeout=10) as sock:
+                    sock.sendall(b"".join(
+                        b"POST /v1/search HTTP/1.1\r\nHost: x\r\n"
+                        + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+                        for body in bodies
+                    ))
+                    reader = sock.makefile("rb")
+                    read_one = TestPipelining()._read_one_response
+                    answers = [read_one(reader) for _ in range(pages)]
+                assert [a[0] for a in answers] == [200] * pages
+                assert [json.loads(a[2])["page"] for a in answers] == list(range(pages))
+                assert executor.submissions == 0
+                assert server.stats.snapshot()["inline_responses"] == pages
+            finally:
+                server.close(timeout=5)
+                thread.join(timeout=10)
+
+
+class _StallableService(SpellService):
+    """``_compute`` parks on an event; records who ran which half."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.release = threading.Event()
+        self.release.set()
+        self.parked = threading.Event()
+        self.compute_threads: list[threading.Thread] = []
+        self.cached_threads: list[threading.Thread] = []
+
+    def _compute(self, *args):
+        self.compute_threads.append(threading.current_thread())
+        self.parked.set()
+        assert self.release.wait(20)
+        return super()._compute(*args)
+
+    def respond_cached(self, *args, **kwargs):
+        self.cached_threads.append(threading.current_thread())
+        return super().respond_cached(*args, **kwargs)
+
+
+class TestLoopLiveness:
+    def test_hits_complete_while_a_cold_request_is_parked_in_the_backend(self, setup):
+        compendium, truth = setup
+        warm_q, cold_q = distinct_queries(compendium, 2)
+        with _StallableService(compendium, n_workers=1) as svc:
+            server, loop_thread = aio_serve(ApiApp(svc))
+            try:
+                addr = server.server_address[:2]
+                warm = {"genes": warm_q, "page_size": 5}
+                assert request_raw(addr, "POST", "/v1/search", warm)[0] == 200
+                svc.compute_threads.clear()
+                svc.release.clear()
+                svc.parked.clear()
+
+                parked = []
+                client = threading.Thread(target=lambda: parked.append(
+                    request_raw(addr, "POST", "/v1/search", {"genes": cold_q})
+                ))
+                client.start()
+                assert svc.parked.wait(10)  # the cold request is inside _compute
+
+                # ... and the loop is still answering hits on another connection
+                conn = http.client.HTTPConnection(*addr, timeout=10)
+                try:
+                    for _ in range(5):
+                        conn.request("POST", "/v1/search", body=json.dumps(warm))
+                        resp = conn.getresponse()
+                        assert resp.status == 200
+                        assert json.loads(resp.read())["query"] == warm_q
+                finally:
+                    conn.close()
+                assert not parked and client.is_alive()  # still stalled
+
+                # the stalled request waits on an executor thread, never the loop
+                (stalled,) = svc.compute_threads
+                assert stalled.name.startswith("aio-dispatch")
+                assert stalled is not loop_thread
+                # while every probe — hit or miss — ran on the loop itself
+                assert svc.cached_threads and all(
+                    t is loop_thread for t in svc.cached_threads
+                )
+
+                svc.release.set()
+                client.join(timeout=20)
+                assert not client.is_alive()
+                assert parked[0][0] == 200
+            finally:
+                svc.release.set()
+                server.close(timeout=5)
+                loop_thread.join(timeout=10)
+
+
+def _health(addr) -> dict:
+    return json.loads(request_raw(addr, "GET", "/v1/health")[1])
+
+
+class TestAccountingOncePerRequest:
+    """Two phases, one count: every per-request counter moves exactly
+    once whichever phase answered, and exactly as on the threaded facade."""
+
+    def test_health_deltas_equal_requests_and_match_the_threaded_facade(self, setup):
+        compendium, _ = setup
+        queries = distinct_queries(compendium, 4)
+        # 4 misses, then 8 hits (each query twice more, one on a later page)
+        mix = (
+            [{"genes": q, "page_size": 4} for q in queries]
+            + [{"genes": q, "page_size": 4} for q in queries]
+            + [{"genes": q, "page": 1, "page_size": 4} for q in queries]
+        )
+        deltas = {}
+        for name, facade in (("aio", aio_serve), ("thr", threaded_serve)):
+            with SpellService(compendium, n_workers=1) as svc:
+                gate = RequestGate(tenant_rate_limit=0.001, tenant_rate_burst=len(mix))
+                server, thread = facade(ApiApp(svc, gate=gate))
+                try:
+                    addr = server.server_address[:2]
+                    before = _health(addr)
+                    statuses = [
+                        request_raw(addr, "POST", "/v1/search", p)[0] for p in mix
+                    ]
+                    # the tenant bucket held exactly len(mix) tokens: all
+                    # pass (no double charge) and the next one is refused
+                    assert statuses == [200] * len(mix), name
+                    extra = request_raw(addr, "POST", "/v1/search", mix[0])
+                    assert extra[0] == 429, name
+                    after = _health(addr)
+                finally:
+                    server.close(timeout=5)
+                    thread.join(timeout=10)
+            deltas[name] = {
+                "search.count": after["endpoints"]["search"]["count"]
+                - before["endpoints"].get("search", {"count": 0})["count"],
+                "search.errors": after["endpoints"]["search"]["errors"],
+                "cache.hits": after["cache"]["hits"] - before["cache"]["hits"],
+                "cache.misses": after["cache"]["misses"] - before["cache"]["misses"],
+                "served": after["query_count"] - before["query_count"],
+                "tenant_limited": after["limits"]["tenant_limited"],
+            }
+        assert deltas["aio"] == {
+            "search.count": len(mix) + 1,  # the 429 is counted too, as an error
+            "search.errors": 1,
+            "cache.hits": 8,
+            "cache.misses": 4,
+            "served": len(mix),
+            "tenant_limited": 1,
+        }
+        assert deltas["aio"] == deltas["thr"]
+        assert deltas["aio"]["cache.hits"] + deltas["aio"]["cache.misses"] == len(mix)
+
+
+class TestCatalogBehindTheLoop:
+    def test_resident_hit_is_inline_and_a_tenant_load_never_runs_on_the_loop(
+        self, setup, tmp_path
+    ):
+        from repro.data.pcl import write_pcl
+        from repro.spell.catalog import CompendiumCatalog
+
+        compendium, truth = setup
+        dataset = compendium[compendium.names[0]]
+        path = tmp_path / "submission.pcl"
+        write_pcl(dataset.matrix, path)
+        seeded = CompendiumCatalog(tmp_path / "catalog")
+        seeded.ingest("acme", dataset.name, "pcl", path.read_text(encoding="utf-8"))
+        seeded.close()
+
+        loaders = []
+
+        class Catalog(CompendiumCatalog):
+            def _load(self, tenant):
+                loaders.append(threading.current_thread())
+                return super()._load(tenant)
+
+        query = list(dataset.gene_ids[:3])
+        with SpellService(compendium, n_workers=1) as default:
+            catalog = Catalog(tmp_path / "catalog", default_service=default)
+            server, loop_thread = aio_serve(ApiApp(default, catalog=catalog))
+            try:
+                addr = server.server_address[:2]
+                executor = counted(server)
+                acme = {"genes": query, "compendium": "acme", "page_size": 5}
+                # non-resident: the lazy load happens on the executor
+                first = request_raw(addr, "POST", "/v1/search", acme)
+                assert first[0] == 200 and executor.submissions == 1
+                (loader,) = loaders
+                assert loader.name.startswith("aio-dispatch")
+                assert loader is not loop_thread
+                # resident now, and cached: inline
+                again = request_raw(addr, "POST", "/v1/search", acme)
+                assert executor.submissions == 1
+                assert scrub(json.loads(again[1])) == scrub(json.loads(first[1]))
+                # the pinned default tenant: miss on the executor, hit inline
+                plain = {"genes": list(truth.query_genes), "page_size": 5}
+                assert request_raw(addr, "POST", "/v1/search", plain)[0] == 200
+                assert request_raw(addr, "POST", "/v1/search", plain)[0] == 200
+                assert executor.submissions == 2
+                # an unknown tenant costs a directory probe: not on the loop
+                status, body, _ = request_raw(
+                    addr, "POST", "/v1/search", {"genes": query, "compendium": "nope"}
+                )
+                assert status == 404 and executor.submissions == 3
+                assert json.loads(body)["error"]["code"] == "UNKNOWN_COMPENDIUM"
+                assert len(loaders) == 1
+            finally:
+                server.close(timeout=5)
+                loop_thread.join(timeout=10)
+                catalog.close()
+
+
+class TestRouterBehindTheLoop:
+    def test_complete_answers_are_inline_and_partial_ones_never_cached(self, setup):
+        from repro.cluster_serving import build_local_topology
+
+        compendium, truth = setup
+        full_q, partial_q = distinct_queries(compendium, 2)
+        with build_local_topology(compendium, n_shards=2, replication=1) as topo:
+            server, thread = aio_serve(ApiApp(topo.router))
+            try:
+                addr = server.server_address[:2]
+                executor = counted(server)
+                full = {"genes": full_q, "page_size": 8}
+                first = request_raw(addr, "POST", "/v1/search", full)
+                assert first[0] == 200 and json.loads(first[1])["partial"] is False
+                assert executor.submissions == 1
+                again = request_raw(addr, "POST", "/v1/search", full)
+                assert executor.submissions == 1  # the router's cache hit: inline
+                assert scrub(json.loads(again[1])) == scrub(json.loads(first[1]))
+
+                topo.kill("shard-1")
+                # the cached complete answer needs no shard at all
+                assert request_raw(addr, "POST", "/v1/search", full)[0] == 200
+                assert executor.submissions == 1
+                # a partial answer is never admitted to the cache, so its
+                # repeat must scatter again — from the executor
+                partial = {"genes": partial_q, "page_size": 8}
+                for submissions in (2, 3):
+                    status, body, _ = request_raw(addr, "POST", "/v1/search", partial)
+                    assert status == 200 and json.loads(body)["partial"] is True
+                    assert executor.submissions == submissions
+            finally:
+                server.close(timeout=5)
+                thread.join(timeout=10)
 
 
 class _SlowSearch:

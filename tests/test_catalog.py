@@ -121,6 +121,48 @@ class TestResidency:
         finally:
             catalog.close()
 
+    def test_resident_never_loads_and_never_waits(self, setup, tmp_path):
+        """``resident()`` is ``resolve()`` for a caller that must not
+        block: no load, no filesystem, no queueing behind the lock."""
+        import threading
+
+        compendium, _ = setup
+        catalog = CompendiumCatalog(tmp_path, max_resident=2)
+        try:
+            ingest_all(catalog, tmp_path, "alpha", list(compendium)[:1])
+            ingest_all(catalog, tmp_path, "beta", list(compendium)[1:2])
+            ingest_all(catalog, tmp_path, "gamma", list(compendium)[2:3])  # evicts alpha
+            assert catalog.resident("alpha") is None  # on disk, not in RAM
+            assert catalog.stats()["alpha"]["loads"] == 1  # and it stayed that way
+            assert catalog.resident("nope") is None
+            tenant, service = catalog.resident("beta")
+            assert (tenant, service) == catalog.resolve("beta")
+            # a hit counts as a use: gamma is now the LRU victim, not beta
+            catalog.resolve("alpha")
+            assert catalog.resident("beta") is not None
+            assert catalog.resident("gamma") is None
+
+            # busy (a load or an ingest holds the lock): "ask again from
+            # somewhere that may block", immediately
+            holding, done = threading.Event(), threading.Event()
+
+            def hold():
+                with catalog._lock:
+                    holding.set()
+                    done.wait(10)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            assert holding.wait(10)
+            try:
+                assert catalog.resident("beta") is None
+            finally:
+                done.set()
+                holder.join(timeout=10)
+            assert catalog.resident("beta") is not None
+        finally:
+            catalog.close()
+
     def test_reload_after_eviction_serves_identical_rankings(
         self, setup, tmp_path
     ):

@@ -106,6 +106,19 @@ class TestQueryKeys:
         assert cache.lookup(8, ["a", "b"]) is None  # version invalidates
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_a_probe_that_misses_leaves_no_trace(self):
+        cache = QueryCache(2)
+        cache.store(1, ["a"], "A")
+        cache.store(1, ["b"], "B")
+        assert cache.probe(1, ["zzz"]) is None
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
+        assert cache.probe(1, ["a"]) == "A"  # a hit is a hit: counted, made recent
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert cache.entry_hits(1, ["a"]) == 1
+        cache.store(1, ["c"], "C")  # so b, not a, is the LRU victim
+        assert cache.lookup(1, ["b"]) is None and cache.lookup(1, ["a"]) == "A"
+        assert (cache.hits, cache.misses, cache.evictions) == (2, 1, 1)
+
 
 # ------------------------------------------------------------ version token
 class TestCompendiumVersion:
@@ -201,6 +214,120 @@ class TestServiceCache:
 
 
 # ---------------------------------------------------------- batched queries
+class TestRespondCached:
+    """``respond_cached`` is ``respond`` for an answer already in the
+    cache, and a no-op returning ``None`` otherwise."""
+
+    def test_miss_returns_none_and_moves_no_counter(self, small_setup):
+        comp, truth = small_setup
+        service = SpellService(comp)
+        request = SearchRequest(genes=tuple(truth.query_genes), page_size=7)
+        before = (service.cache_stats(), service.query_count, service.storage_stats())
+        assert service.respond_cached(request) is None
+        assert (service.cache_stats(), service.query_count, service.storage_stats()) == before
+        uncached = SearchRequest(genes=tuple(truth.query_genes), use_cache=False)
+        assert SpellService(comp, cache_size=0).respond_cached(request) is None
+        service.respond(request)
+        assert service.respond_cached(uncached) is None  # the client opted out
+
+    def test_hit_is_the_answer_respond_gives_counted_once(self, small_setup):
+        comp, truth = small_setup
+        service = SpellService(comp)
+        request = SearchRequest(genes=tuple(truth.query_genes), page=1, page_size=7)
+        computed = service.respond(request)
+        hit = service.respond_cached(request)
+        again = service.respond(request)
+        for response in (hit, again):
+            assert response.gene_rows == computed.gene_rows
+            assert response.dataset_rows == computed.dataset_rows
+            assert (response.total_pages, response.partial) == (computed.total_pages, False)
+        stats = service.cache_stats()
+        assert (stats["hits"], stats["misses"], service.query_count) == (2, 1, 3)
+
+    def test_same_errors_as_respond(self, small_setup):
+        comp, truth = small_setup
+        service = SpellService(comp)
+        service.respond(SearchRequest(genes=tuple(truth.query_genes)))
+        past_the_end = SearchRequest(genes=tuple(truth.query_genes), page=10_000)
+        for answer in (service.respond, service.respond_cached):
+            with pytest.raises(ApiError) as err:
+                answer(past_the_end)
+            assert err.value.code == "PAGE_OUT_OF_RANGE"
+
+    def test_pages_off_the_arrays_match_the_per_row_path(self, small_setup):
+        """``from_result`` slices a GeneTable with ``rows()``; the rows are
+        bit-identical to materialising a GeneScore per row."""
+        from dataclasses import replace
+
+        from repro.api.protocol import SearchResponse
+
+        comp, truth = small_setup
+        result = SpellService(comp).search(list(truth.query_genes))
+        legacy = replace(result, genes=tuple(result.genes))
+        for page, page_size in [(0, 7), (3, 7), (0, 1000)]:
+            request = SearchRequest(
+                genes=tuple(truth.query_genes), page=page, page_size=page_size
+            )
+            fast = SearchResponse.from_result(result, request, elapsed_seconds=0.0)
+            slow = SearchResponse.from_result(legacy, request, elapsed_seconds=0.0)
+            assert fast == slow
+            assert [type(v) for row in fast.gene_rows for v in row] == [
+                type(v) for row in slow.gene_rows for v in row
+            ]
+
+
+class TestDatasetHeat:
+    def test_heat_counts_answers_each_dataset_contributed_to(self, small_setup):
+        comp, _ = small_setup
+        service = SpellService(comp)
+        genes = comp.gene_universe()
+        # more distinct results than one fold holds, some of them repeated
+        queries = [genes[i:i + 3] for i in range(service._FOLD_AT + 10)]
+        expected: dict[str, int] = {}
+        for i, query in enumerate(queries):
+            for _ in range(1 + i % 3):  # repeats are cache hits
+                result = service.search(query)
+                for ds in result.datasets:
+                    if ds.weight > 0.0:
+                        expected[ds.name] = expected.get(ds.name, 0) + 1
+        assert service._heat() == expected
+        assert len(service._use_tallies) == 0
+        hot = service.storage_stats()["hot_datasets"]
+        assert hot == sorted(expected, key=lambda n: (-expected[n], repr(n)))[:5]
+
+
+    def test_concurrent_answers_lose_no_count(self, small_setup):
+        import sys
+
+        comp, truth = small_setup
+        service = SpellService(comp)
+        queries = [list(truth.query_genes), comp.gene_universe()[:3]]
+        contributing = [
+            sum(1 for ds in service.search(q).datasets if ds.weight > 0.0) for q in queries
+        ]
+        n_threads, rounds = 8, 200
+
+        def hammer():
+            for i in range(rounds):
+                service.search(queries[i % 2])
+                if i % 50 == 0:
+                    service.storage_stats()  # folds race the tallies
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        per_query = 1 + n_threads * rounds // 2
+        assert sum(service._heat().values()) == per_query * sum(contributing)
+
+
 class TestSearchMany:
     def _queries(self, comp, truth, n=6):
         universe = comp.gene_universe()
