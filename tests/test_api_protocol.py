@@ -27,6 +27,8 @@ from repro.api.protocol import (
     ExportRequest,
     ExportTrailer,
     HealthResponse,
+    IngestRequest,
+    IngestResponse,
     RenderRequest,
     RenderResponse,
     SearchRequest,
@@ -237,6 +239,225 @@ class TestWireRoundTrip:
             ),
             ExportTrailer,
         )
+
+
+# ------------------------------------------------------------- golden bytes
+# ``to_wire`` key order decides the JSON bytes, and with them the export
+# ``sha256`` checksum and every "bit-identical" oracle across versions.
+# The literals below were recorded from the hand-written ``to_wire``s
+# (commit 4738b2e); one fully-populated instance per message class.
+_SEARCH = SearchRequest(
+    genes=("YFG1", "YFG2"), top_k=50, page=2, page_size=10, top_datasets=3,
+    datasets=("ds0", "ds2"), use_cache=False, deadline_ms=250,
+    compendium="yeast.v2",
+)
+_SEARCH_WIRE = (
+    '{"api_version": "v1", "genes": ["YFG1", "YFG2"], "top_k": 50, "page": 2'
+    ', "page_size": 10, "top_datasets": 3, "datasets": ["ds0", "ds2"]'
+    ', "use_cache": false, "deadline_ms": 250, "compendium": "yeast.v2"}'
+)
+_RESPONSE = SearchResponse(
+    query=("YFG1", "YFG2"), query_used=("YFG1",), query_missing=("YFG2",),
+    page=2, page_size=10, total_genes=4321, total_pages=5,
+    gene_rows=((21, "YAL001C", 0.75), (22, "YAL002W", -0.125)),
+    dataset_rows=((1, "ds0", 0.5), (2, "ds2", 0.25)),
+    elapsed_seconds=0.015625, partial=True,
+    shards={"node-1": {"status": "down", "skipped": ["ds1"]}},
+)
+_RESPONSE_WIRE = (
+    '{"api_version": "v1", "query": ["YFG1", "YFG2"], "query_used": ["YFG1"]'
+    ', "query_missing": ["YFG2"], "page": 2, "page_size": 10'
+    ', "total_genes": 4321, "total_pages": 5'
+    ', "gene_rows": [[21, "YAL001C", 0.75], [22, "YAL002W", -0.125]]'
+    ', "dataset_rows": [[1, "ds0", 0.5], [2, "ds2", 0.25]]'
+    ', "elapsed_seconds": 0.015625, "partial": true'
+    ', "shards": {"node-1": {"status": "down", "skipped": ["ds1"]}}}'
+)
+_DS0 = DatasetInfo(
+    name="ds0", n_genes=100, n_conditions=8,
+    metadata={"kind": "background", "organism": "yeast"},
+    fingerprint="sha256:cc", tier="cold",
+)
+_DS0_WIRE = (
+    '{"name": "ds0", "n_genes": 100, "n_conditions": 8'
+    ', "metadata": {"kind": "background", "organism": "yeast"}'
+    ', "fingerprint": "sha256:cc", "tier": "cold"}'
+)
+
+GOLDEN = [
+    (_SEARCH, _SEARCH_WIRE),
+    (
+        BatchSearchRequest(
+            searches=(_SEARCH, SearchRequest(genes=("YFG3",), compendium="yeast.v2")),
+            scheduler="steal", deadline_ms=900, compendium="yeast.v2",
+        ),
+        '{"api_version": "v1", "searches": [' + _SEARCH_WIRE +
+        ', {"api_version": "v1", "genes": ["YFG3"], "top_k": null, "page": 0'
+        ', "page_size": 20, "top_datasets": 10, "datasets": null'
+        ', "use_cache": true, "deadline_ms": null, "compendium": "yeast.v2"}]'
+        ', "scheduler": "steal", "deadline_ms": 900, "compendium": "yeast.v2"}',
+    ),
+    (
+        DatasetListRequest(compendium="yeast.v2"),
+        '{"api_version": "v1", "compendium": "yeast.v2"}',
+    ),
+    (
+        ClusterRequest(search=_SEARCH, top_genes=12, dataset="ds0",
+                       metric="euclidean", linkage="ward"),
+        '{"api_version": "v1", "search": ' + _SEARCH_WIRE +
+        ', "top_genes": 12, "dataset": "ds0", "metric": "euclidean"'
+        ', "linkage": "ward"}',
+    ),
+    (
+        # an integer saturation is normalised to a float by the constructor
+        RenderRequest(search=_SEARCH, top_genes=12, dataset="ds0",
+                      colormap="grayscale", saturation=2, cell_width=4,
+                      cell_height=6, cluster=True),
+        '{"api_version": "v1", "search": ' + _SEARCH_WIRE +
+        ', "top_genes": 12, "dataset": "ds0", "colormap": "grayscale"'
+        ', "saturation": 2.0, "cell_width": 4, "cell_height": 6, "cluster": true}',
+    ),
+    (
+        ExportRequest(genes=("YFG1", "YFG2"), top_k=1000, chunk_size=250,
+                      top_datasets=3, datasets=("ds0", "ds2"), use_cache=False,
+                      deadline_ms=5000, resume_offset=500, compendium="yeast.v2"),
+        '{"api_version": "v1", "genes": ["YFG1", "YFG2"], "top_k": 1000'
+        ', "chunk_size": 250, "top_datasets": 3, "datasets": ["ds0", "ds2"]'
+        ', "use_cache": false, "deadline_ms": 5000, "resume_offset": 500'
+        ', "compendium": "yeast.v2"}',
+    ),
+    (
+        IngestRequest(name="GSE1234.pcl", format="pcl",
+                      content="YORF\tNAME\tGWEIGHT\tc0\nYAL001C\tx\t1\t0.5\n",
+                      compendium="yeast.v2"),
+        '{"api_version": "v1", "name": "GSE1234.pcl", "format": "pcl"'
+        ', "content": "YORF\\tNAME\\tGWEIGHT\\tc0\\nYAL001C\\tx\\t1\\t0.5\\n"'
+        ', "compendium": "yeast.v2"}',
+    ),
+    (
+        IngestResponse(compendium="yeast.v2", dataset="GSE1234.pcl", n_genes=1,
+                       n_conditions=1, fingerprint="sha256:aa",
+                       compendium_fingerprint="sha256:bb", datasets=5,
+                       elapsed_seconds=0.25),
+        '{"api_version": "v1", "compendium": "yeast.v2", "dataset": "GSE1234.pcl"'
+        ', "n_genes": 1, "n_conditions": 1, "fingerprint": "sha256:aa"'
+        ', "compendium_fingerprint": "sha256:bb", "datasets": 5'
+        ', "elapsed_seconds": 0.25}',
+    ),
+    (_RESPONSE, _RESPONSE_WIRE),  # partial=True, with shard detail
+    (
+        BatchSearchResponse(results=(_RESPONSE,), total_seconds=0.5, n_workers=2,
+                            cache_hits=1, cache_misses=3),
+        '{"api_version": "v1", "results": [' + _RESPONSE_WIRE +
+        '], "total_seconds": 0.5, "n_workers": 2, "cache_hits": 1'
+        ', "cache_misses": 3}',
+    ),
+    (_DS0, _DS0_WIRE),  # nested-only: no api_version
+    (
+        DatasetListResponse(datasets=(_DS0, DatasetInfo("ds1", 7, 3))),
+        '{"api_version": "v1", "datasets": [' + _DS0_WIRE +
+        ', {"name": "ds1", "n_genes": 7, "n_conditions": 3, "metadata": {}'
+        ', "fingerprint": "", "tier": "resident"}]}',
+    ),
+    (
+        ClusterResponse(genes=("G2", "G1", "G3"), dataset="ds0",
+                        metric="correlation", linkage="average",
+                        merges=((0, 1, 0.25, 2), (3, 2, 0.5, 3)),
+                        elapsed_seconds=0.0625),
+        '{"api_version": "v1", "genes": ["G2", "G1", "G3"], "dataset": "ds0"'
+        ', "metric": "correlation", "linkage": "average"'
+        ', "merges": [[0, 1, 0.25, 2], [3, 2, 0.5, 3]], "elapsed_seconds": 0.0625}',
+    ),
+    (
+        RenderResponse(width=16, height=8, dataset="ds0", colormap="red-green",
+                       genes=("G1", "G2"),
+                       ppm=b"P6\n2 1\n255\n\x00\x01\x02\xff\xfe\xfd",
+                       elapsed_seconds=0.125),
+        '{"api_version": "v1", "width": 16, "height": 8, "dataset": "ds0"'
+        ', "colormap": "red-green", "genes": ["G1", "G2"]'
+        ', "ppm_base64": "UDYKMiAxCjI1NQoAAQL//v0=", "elapsed_seconds": 0.125}',
+    ),
+    (
+        ExportChunk(offset=500, gene_rows=((501, "YAL001C", 0.75),
+                                           (502, "YAL002W", -0.125))),
+        '{"api_version": "v1", "kind": "chunk", "offset": 500'
+        ', "gene_rows": [[501, "YAL001C", 0.75], [502, "YAL002W", -0.125]]}',
+    ),
+    (
+        ExportTrailer(status="ok", total_genes=4321, total_rows=1000, n_chunks=4,
+                      checksum="sha256:dd", query=("YFG1", "YFG2"),
+                      query_used=("YFG1",), query_missing=("YFG2",),
+                      dataset_rows=((1, "ds0", 0.5),), elapsed_seconds=0.5,
+                      resume_offset=500),
+        '{"api_version": "v1", "kind": "trailer", "status": "ok"'
+        ', "total_genes": 4321, "total_rows": 1000, "n_chunks": 4'
+        ', "checksum": "sha256:dd", "query": ["YFG1", "YFG2"]'
+        ', "query_used": ["YFG1"], "query_missing": ["YFG2"]'
+        ', "dataset_rows": [[1, "ds0", 0.5]], "elapsed_seconds": 0.5'
+        ', "error": null, "resume_offset": 500}',
+    ),
+    (
+        ExportTrailer(status="error", total_genes=4321, total_rows=250,
+                      n_chunks=1, checksum="sha256:ee", query=("YFG1",),
+                      query_used=("YFG1",), elapsed_seconds=0.25,
+                      error={"code": "DEADLINE_EXCEEDED", "message": "budget spent",
+                             "details": {"deadline_ms": 5000}}),
+        '{"api_version": "v1", "kind": "trailer", "status": "error"'
+        ', "total_genes": 4321, "total_rows": 250, "n_chunks": 1'
+        ', "checksum": "sha256:ee", "query": ["YFG1"], "query_used": ["YFG1"]'
+        ', "query_missing": [], "dataset_rows": [], "elapsed_seconds": 0.25'
+        ', "error": {"code": "DEADLINE_EXCEEDED", "message": "budget spent"'
+        ', "details": {"deadline_ms": 5000}}, "resume_offset": 0}',
+    ),
+    (
+        HealthResponse(
+            status="ok", uptime_seconds=12.5, datasets=5, genes=4321,
+            index_bytes=1048576, query_count=42,
+            cache={"hits": 30, "misses": 12, "evictions": 0},
+            endpoints={"search": {"count": 42, "errors": 1, "total_seconds": 0.5,
+                                  "mean_seconds": 0.0119}},
+            serving={"n_workers": 2, "n_procs": 1},
+            limits={"rate_limited": 3, "auth_required": True},
+            shards={"node-1": {"alive": True}},
+            storage={"resident": 4, "cold": 1},
+            tenants={"yeast.v2": {"resident": True, "ingests": 1}},
+        ),
+        '{"api_version": "v1", "status": "ok", "uptime_seconds": 12.5'
+        ', "datasets": 5, "genes": 4321, "index_bytes": 1048576, "query_count": 42'
+        ', "cache": {"hits": 30, "misses": 12, "evictions": 0}'
+        ', "endpoints": {"search": {"count": 42, "errors": 1, "total_seconds": 0.5'
+        ', "mean_seconds": 0.0119}}, "serving": {"n_workers": 2, "n_procs": 1}'
+        ', "limits": {"rate_limited": 3, "auth_required": true}'
+        ', "shards": {"node-1": {"alive": true}}, "storage": {"resident": 4'
+        ', "cold": 1}, "tenants": {"yeast.v2": {"resident": true, "ingests": 1}}}',
+    ),
+]
+
+
+def _golden_id(pair) -> str:
+    message = pair[0]
+    name = type(message).__name__
+    return f"{name}-{message.status}" if isinstance(message, ExportTrailer) else name
+
+
+class TestGoldenWireBytes:
+    def test_every_message_class_is_pinned(self):
+        import repro.api.protocol as protocol
+
+        classes = {
+            getattr(protocol, name) for name in protocol.__all__
+            if isinstance(getattr(protocol, name), type)
+        }
+        assert {type(message) for message, _ in GOLDEN} == classes
+        assert len(classes) == 17
+
+    @pytest.mark.parametrize("message,wire", GOLDEN, ids=map(_golden_id, GOLDEN))
+    def test_to_wire_bytes(self, message, wire):
+        assert json.dumps(message.to_wire()) == wire
+
+    @pytest.mark.parametrize("message,wire", GOLDEN, ids=map(_golden_id, GOLDEN))
+    def test_from_wire_reads_them_back(self, message, wire):
+        assert type(message).from_wire(json.loads(wire)) == message
 
 
 # ---------------------------------------------------------------- validation
