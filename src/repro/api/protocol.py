@@ -2,24 +2,74 @@
 
 This module is the public contract the paper's web interface (Figure 4)
 implies: one typed request/response schema that any transport — the
-stdlib HTTP facade in :mod:`repro.api.http`, an in-process caller, a
-test harness — speaks unchanged.  Every message type is a frozen
-dataclass with strict validation plus ``to_wire()`` / ``from_wire()``
-JSON round-tripping under an explicit ``api_version`` (currently
-``"v1"``).
+HTTP facades, an in-process caller, a test harness — speaks unchanged,
+under an explicit ``api_version`` (currently ``"v1"``).
+
+**One field table.**  A message class is a frozen dataclass whose
+fields *are* the schema: each is stated once — annotation, default,
+wire metadata — and ``__post_init__``, ``to_wire()`` and ``from_wire()``
+are derived from those statements by :class:`_Message`, through a
+per-class :class:`_Codec` compiled once at import (nothing is looked up
+per request).  ``api/docs.py`` renders ``docs/api.md`` from the same
+``dataclasses.fields()``.  A field's metadata (built by :func:`_wire`)
+has up to six keys, all optional:
+
+``check``
+    ``(value, name) -> value``, run by the constructor: validates and
+    may normalise (``genes`` becomes a tuple, ``saturation`` a float).
+    Requests carry checks, so in-process callers are validated exactly
+    like wire callers.  Responses do not — a server-built response pays
+    no per-field check (``SearchResponse.from_result`` is a hot path) —
+    bar the few exceptions stated on the classes.
+``decode``
+    ``(value, name) -> value``, run by ``from_wire`` ahead of the
+    constructor: JSON shape to Python shape (list to tuple, object to
+    nested message, base64 to bytes) and, for responses, coercion.
+``encode``
+    ``value -> JSON value``, run by ``to_wire``; omitted when the value
+    is JSON already.
+``key``
+    the wire key when it is not the field name (``ppm`` travels as
+    ``ppm_base64``).
+``absent``
+    for a field without a dataclass default: the wire value decoded
+    when the key is missing (an older server's response keeps parsing).
+    Without it such a field is required on the wire; a field *with* a
+    dataclass default keeps that default.
+``missing``
+    error code when a required key is absent: ``INVALID_REQUEST``
+    unless stated (a query without ``genes`` is ``INVALID_QUERY``).
+
+Fields several messages share (``genes``, ``top_k``, ``datasets``,
+``deadline_ms``, ``compendium``, the ``(rank, id, score)`` rows, ...)
+have one definition (``_GENES``, ``_TOP_K``, ...) used by every class
+that carries them.  **Adding a v1 field is one line** — the field, with
+a default, at the end of its class — plus ``python -m repro.api.docs``.
+Per-class irregularities are class attributes, also data: ``KIND``,
+``NESTED``, ``NONE_IS_EMPTY`` (see :class:`_Message`).
+
+What stays hand-written is only what is not per-field: the three
+cross-field rules, each an ``__post_init__`` that runs the derived
+checks first (a batch may not straddle tenants; ``resume_offset`` must
+be a chunk boundary; a trailer's ``error`` accompanies ``status
+"error"`` only), and the pagination semantics the response side owns
+(``SearchResponse.from_result``, :func:`page_count`,
+:func:`check_page`: ``total_pages`` is always reported and a ``page``
+past the end raises ``PAGE_OUT_OF_RANGE``).
 
 Design rules (the compatibility policy, see ROADMAP):
 
-* ``from_wire`` rejects unknown fields and non-``v1`` versions with
-  structured :class:`~repro.api.errors.ApiError`\\ s — never a bare
-  ``KeyError``/``TypeError`` leaking across the boundary.
+* ``from_wire`` rejects unknown fields and non-``v1`` versions, and
+  answers *any* JSON value under any key with a message or a structured
+  :class:`~repro.api.errors.ApiError` — never a bare
+  ``KeyError``/``TypeError`` leaking across the boundary (the
+  hostile-type matrix in ``tests/test_api_protocol.py``).
 * Within ``v1``, fields are append-only and every new field has a
-  default, so yesterday's client payloads keep parsing.
+  default, so yesterday's client payloads keep parsing.  Key order is
+  field order, and the JSON bytes are pinned by a golden test: the
+  export checksum and every bit-identical oracle depend on them.
 * ``to_wire(x).from_wire`` is the identity for every message type
   (property-tested in ``tests/test_api_protocol.py``).
-
-The response side also owns *pagination semantics*: ``total_pages`` is
-always reported and a ``page`` past the end raises ``PAGE_OUT_OF_RANGE``.
 """
 
 from __future__ import annotations
@@ -27,7 +77,7 @@ from __future__ import annotations
 import base64
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping
 
 from repro.api.errors import API_VERSION, ApiError
@@ -63,133 +113,351 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# wire-level helpers
+# coercers: ``(value, name) -> value`` or a structured ApiError
 # --------------------------------------------------------------------------
 def _invalid(message: str, **details) -> ApiError:
     return ApiError("INVALID_REQUEST", message, details=details or None)
 
 
-def _check_payload(payload, allowed: frozenset[str], kind: str) -> dict:
-    """Version + unknown-field gate every ``from_wire`` runs first."""
-    if not isinstance(payload, Mapping):
-        raise ApiError(
-            "MALFORMED_BODY", f"{kind} payload must be a JSON object, got {type(payload).__name__}"
-        )
-    version = payload.get("api_version", API_VERSION)
-    if version != API_VERSION:
-        raise ApiError(
-            "UNSUPPORTED_VERSION",
-            f"this server speaks api_version {API_VERSION!r}, got {version!r}",
-            details={"supported": [API_VERSION]},
-        )
-    unknown = sorted(set(payload) - allowed - {"api_version"})
-    if unknown:
-        raise _invalid(f"unknown {kind} field(s): {', '.join(unknown)}", unknown_fields=unknown)
-    return dict(payload)
+def _optional(fn):
+    """``None`` (JSON ``null``) passes through; anything else goes to ``fn``."""
+    return lambda value, *name: None if value is None else fn(value, *name)
+
+
+def _typed(kind: type, what: str):
+    def coerce(value, name: str):
+        if not isinstance(value, kind):
+            raise _invalid(f"{name} must be {what}, got {type(value).__name__}")
+        return value
+
+    return coerce
+
+
+_bool = _typed(bool, "a boolean")
+_string = _typed(str, "a string")
+
+
+def _int(minimum: int):
+    def coerce(value, name: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _invalid(f"{name} must be an integer, got {type(value).__name__}")
+        if value < minimum:
+            raise _invalid(f"{name} must be >= {minimum}, got {value}")
+        return value
+
+    return coerce
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _invalid(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # a JSON integer past the float range
+        raise _invalid(f"{name} is out of range: {exc}") from exc
+
+
+def _positive(value, name: str) -> float:
+    number = _number(value, name)
+    if number <= 0:
+        raise _invalid(f"{name} must be positive, got {number}")
+    return number
+
+
+def _content(value, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise _invalid(f"{name} must be a non-empty string")
+    return value
+
+
+def _text(value, name: str) -> str:
+    """Response-side strings are coerced, not refused."""
+    return str(value)
 
 
 def _str_tuple(value, name: str) -> tuple[str, ...]:
     if isinstance(value, str) or not isinstance(value, (list, tuple)):
         raise _invalid(f"{name} must be a list of strings")
-    out = []
     for item in value:
         if not isinstance(item, str):
             raise _invalid(f"{name} must contain only strings, got {type(item).__name__}")
-        out.append(item)
-    return tuple(out)
+    return tuple(value)
 
 
-def _int_field(value, name: str, *, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _invalid(f"{name} must be an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        raise _invalid(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
+def _choice(choices, *, listed: bool = True):
+    """The one "one of" check.  A non-string is refused *before* the
+    membership test, so an unhashable JSON value (``[]``, ``{}``) is a
+    structured 400, never a ``TypeError`` out of ``in``.  ``listed``
+    puts the sorted choices in the error's ``details``."""
+
+    def check(value, name: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            options = sorted(choices)
+            details = {"choices": options} if listed else {}
+            raise _invalid(f"{name} must be one of {options}, got {value!r}", **details)
+        return value
+
+    return check
 
 
-def _bool_field(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise _invalid(f"{name} must be a boolean, got {type(value).__name__}")
-    return value
+def _name_grammar(what: str, max_chars: int):
+    """Tenant and dataset names double as directory / file names, so the
+    grammar is filesystem-safe by construction: leading alphanumeric,
+    then ``[A-Za-z0-9._-]`` — no separators, no traversal, no hidden
+    files — and a hostile name can never reach the filesystem layer."""
+    grammar = re.compile(rf"[A-Za-z0-9][A-Za-z0-9._-]{{0,{max_chars - 1}}}")
+
+    def check(value, name: str) -> str:
+        if not isinstance(value, str) or not grammar.fullmatch(value):
+            raise _invalid(
+                f"{name} {value!r} is not a valid {what} name (want leading "
+                f"alphanumeric, then [A-Za-z0-9._-], max {max_chars} chars)"
+            )
+        return value
+
+    return check
 
 
-def _number_field(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _invalid(f"{name} must be a number, got {type(value).__name__}")
-    return float(value)
+def _unique_strings(code: str, what: str):
+    """A non-empty, duplicate-free tuple of strings; ``code`` on refusal."""
+
+    def check(value, name: str) -> tuple[str, ...]:
+        items = tuple(str(item) for item in value)
+        if not items:
+            raise ApiError(code, f"{what} must contain at least one entry")
+        if len(set(items)) != len(items):
+            raise ApiError(code, f"{what} contains duplicates")
+        return items
+
+    return check
 
 
-def _allowed_fields(cls) -> frozenset[str]:
-    return frozenset(f.name for f in fields(cls))
+def _object(value, name: str) -> dict:
+    if not isinstance(value, Mapping):
+        raise _invalid(f"{name} must be an object, got {type(value).__name__}")
+    return dict(value)
 
 
-def _query_genes(value) -> tuple[str, ...]:
-    """Shared gene-list validation for every query-shaped request
-    (search, export) — one definition, so paged and streaming paths can
-    never drift on what counts as a valid query."""
-    genes = tuple(str(g) for g in value)
-    if not genes:
-        raise ApiError("INVALID_QUERY", "query must contain at least one gene")
-    if len(set(genes)) != len(genes):
-        raise ApiError("INVALID_QUERY", "query contains duplicate genes")
-    return genes
+def _objects(value, name: str) -> dict:
+    """An object of objects (``/v1/health``'s per-endpoint, per-tenant maps)."""
+    return {str(k): _object(v, f"{name}[{k!r}]") for k, v in _object(value, name).items()}
 
 
-def _optional_top_k(value) -> int | None:
-    return None if value is None else _int_field(value, "top_k", minimum=1)
+def _rows(*converters):
+    """The one decoder for a list of fixed-width rows, e.g. ``(rank, id, score)``."""
+
+    def decode(value, name: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _invalid(f"{name} must be a list of rows, got {type(value).__name__}")
+        rows = []
+        for row in value:
+            if not isinstance(row, (list, tuple)) or len(row) != len(converters):
+                raise _invalid(f"{name} rows must have {len(converters)} columns")
+            try:
+                rows.append(tuple(conv(item) for conv, item in zip(converters, row)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise _invalid(f"bad {name} row: {exc}") from exc
+        return tuple(rows)
+
+    return decode
 
 
-def _optional_deadline_ms(value) -> int | None:
-    """Shared ``deadline_ms`` validation (None = no budget).
-
-    The server turns this into a monotonic budget at admission; every
-    downstream wait (shard RPC, worker pool) is clamped to it and a
-    spent budget is a structured ``DEADLINE_EXCEEDED``, never an
-    open-ended block.
-    """
-    return None if value is None else _int_field(value, "deadline_ms", minimum=1)
+def _base64(value, name: str) -> bytes:
+    try:
+        return base64.b64decode(value, validate=True)
+    except (ValueError, TypeError) as exc:
+        raise _invalid(f"{name} is not valid base64: {exc}") from exc
 
 
-#: Tenant (compendium) names double as store-directory names, so the
-#: grammar is filesystem-safe by construction: leading alphanumeric,
-#: then up to 63 more of ``[A-Za-z0-9._-]`` — no separators, no
-#: traversal, no hidden files.
-_COMPENDIUM_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+def _members(cls):
+    """Constructor check for a non-empty tuple of nested messages."""
 
-#: Ingested dataset names become source-file basenames under the
-#: tenant's directory; same grammar, slightly longer budget.
-_DATASET_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
+    def check(value, name: str) -> tuple:
+        members = tuple(value)
+        if not members or not all(isinstance(member, cls) for member in members):
+            raise _invalid(f"{name} must be a non-empty list of {cls.__name__}s")
+        return members
 
-
-def _optional_compendium(value) -> str | None:
-    """Shared ``compendium`` validation (None = the default tenant).
-
-    Every tenant-scoped request runs this one definition, so what
-    counts as a routable tenant name can never drift between endpoints
-    — and a hostile name can never reach the filesystem layer.
-    """
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise _invalid(f"compendium must be a string or null, got {type(value).__name__}")
-    if not _COMPENDIUM_RE.fullmatch(value):
-        raise _invalid(
-            f"compendium {value!r} is not a valid tenant name (want "
-            "leading alphanumeric, then [A-Za-z0-9._-], max 64 chars)"
-        )
-    return value
+    return check
 
 
-def _datasets_filter(value) -> tuple[str, ...] | None:
-    """Shared ``datasets`` filter validation (None = whole compendium)."""
-    if value is None:
-        return None
-    datasets = tuple(str(d) for d in value)
-    if not datasets:
-        raise _invalid("datasets filter must name at least one dataset")
-    if len(set(datasets)) != len(datasets):
-        raise _invalid("datasets filter contains duplicates")
-    return datasets
+def _nested_list(cls):
+    def decode(value, name: str) -> tuple:
+        if not isinstance(value, list):
+            raise _invalid(f"{name} must be a list of objects")
+        return tuple(cls.from_wire(item) for item in value)
+
+    return decode
+
+
+def _row_lists(rows) -> list:
+    return [list(row) for row in rows]
+
+
+def _wire_list(messages) -> list:
+    return [message.to_wire() for message in messages]
+
+
+# --------------------------------------------------------------------------
+# the field table: dataclass field metadata -> one codec per message class
+# --------------------------------------------------------------------------
+_WIRE_KEYS = frozenset({"check", "decode", "encode", "key", "absent", "missing"})
+_REQUIRED = object()  # the wire must carry the key
+_DEFAULTED = object()  # the wire may omit the key: the dataclass default stands
+
+
+def _wire(**spec) -> dict:
+    """Wire metadata for ``dataclasses.field(metadata=...)`` (keys: module docstring)."""
+    unknown = spec.keys() - _WIRE_KEYS
+    if unknown:
+        raise TypeError(f"unknown wire metadata key(s): {sorted(unknown)}")
+    return spec
+
+
+class _Codec:
+    """One message class's field table, compiled once at import."""
+
+    __slots__ = ("kind", "header", "allowed", "checks", "decoders", "encoders")
+
+    def __init__(self, cls) -> None:
+        #: "SearchRequest" -> "search request", for error messages only
+        self.kind = re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+        header = [] if cls.NESTED else [("api_version", API_VERSION)]
+        if cls.KIND is not None:
+            header.append(("kind", cls.KIND))
+        self.header = tuple(header)
+        checks, decoders, encoders = [], [], []
+        for f in fields(cls):
+            meta = f.metadata
+            key = meta.get("key", f.name)
+            if "check" in meta:
+                checks.append((f.name, meta["check"]))
+            if f.default is MISSING and f.default_factory is MISSING:
+                absent = meta.get("absent", _REQUIRED)
+            else:
+                absent = _DEFAULTED
+            decoders.append(
+                (f.name, key, absent, meta.get("decode"), meta.get("missing", "INVALID_REQUEST"))
+            )
+            encoders.append((key, f.name, meta.get("encode")))
+        self.checks = tuple(checks)
+        self.decoders = tuple(decoders)
+        self.encoders = tuple(encoders)
+        self.allowed = frozenset(dict(header)) | {key for key, _, _ in encoders}
+
+
+class _Message:
+    """Base of all 17 v1 messages: ``__post_init__``, ``to_wire`` and
+    ``from_wire`` derived from the class's field table.  The class
+    attributes are the per-class irregularities, stated as data."""
+
+    KIND = None  # literal ``kind`` emitted second and checked on parse (stream lines)
+    NESTED = False  # no ``api_version``; unknown keys tolerated; never a whole body
+    NONE_IS_EMPTY = False  # a body-less request: ``from_wire(None)`` parses as ``{}``
+
+    def __post_init__(self) -> None:
+        for name, check in self._codec.checks:
+            value = getattr(self, name)
+            checked = check(value, name)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
+
+    @classmethod
+    def _admit(cls, payload) -> Mapping:
+        """Object / version / unknown-field / ``kind`` gate ``from_wire`` runs first."""
+        codec = cls._codec
+        if payload is None and cls.NONE_IS_EMPTY:
+            return {}
+        if not isinstance(payload, Mapping):
+            if cls.NESTED:
+                raise _invalid(f"{codec.kind} must be an object")
+            raise ApiError(
+                "MALFORMED_BODY",
+                f"{codec.kind} payload must be a JSON object, got {type(payload).__name__}",
+            )
+        if cls.NESTED:  # its parent was gated
+            return payload
+        version = payload.get("api_version", API_VERSION)
+        if version != API_VERSION:
+            raise ApiError(
+                "UNSUPPORTED_VERSION",
+                f"this server speaks api_version {API_VERSION!r}, got {version!r}",
+                details={"supported": [API_VERSION]},
+            )
+        if not payload.keys() <= codec.allowed:
+            unknown = sorted(payload.keys() - codec.allowed)
+            raise _invalid(
+                f"unknown {codec.kind} field(s): {', '.join(unknown)}", unknown_fields=unknown
+            )
+        # NDJSON stream lines are self-describing via ``kind``; a trailer
+        # parsed as a chunk (or vice versa) is a structured error, never
+        # a silently misread line
+        if payload.get("kind", cls.KIND) != cls.KIND:
+            raise _invalid(f"{codec.kind} has kind {payload['kind']!r}, expected {cls.KIND!r}")
+        return payload
+
+    def to_wire(self) -> dict:
+        codec = self._codec
+        out = dict(codec.header)
+        for key, name, encode in codec.encoders:
+            value = getattr(self, name)
+            out[key] = value if encode is None else encode(value)
+        return out
+
+    @classmethod
+    def from_wire(cls, payload):
+        codec = cls._codec
+        data = cls._admit(payload)
+        kwargs = {}
+        for name, key, absent, decode, missing in codec.decoders:
+            value = data.get(key, absent)
+            if value is _DEFAULTED:
+                continue
+            if value is _REQUIRED:
+                raise ApiError(missing, f"{codec.kind} needs a {key!r} field")
+            kwargs[name] = value if decode is None else decode(value, name)
+        return cls(**kwargs)
+
+
+# -- fields shared by several requests: validated in the constructor, so
+# -- in-process callers are checked exactly like wire callers
+#: one definition for every query-shaped request (search, export), so
+#: paged and streaming paths can never drift on what a valid query is
+_GENES = _wire(
+    check=_unique_strings("INVALID_QUERY", "query"),
+    decode=_str_tuple,
+    encode=list,
+    missing="INVALID_QUERY",
+)
+_TOP_K = _wire(check=_optional(_int(1)))
+#: None = the whole compendium
+_DATASETS = _wire(
+    check=_optional(_unique_strings("INVALID_REQUEST", "datasets filter")),
+    decode=_optional(_str_tuple),
+    encode=_optional(list),
+)
+#: None = no budget.  The server turns this into a monotonic budget at
+#: admission; every downstream wait (shard RPC, worker pool) is clamped
+#: to it and a spent budget is a structured ``DEADLINE_EXCEEDED``
+_DEADLINE_MS = _wire(check=_optional(_int(1)))
+#: None = the default tenant
+_COMPENDIUM = _wire(check=_optional(_name_grammar("tenant", 64)))
+_AT_LEAST_0 = _wire(check=_int(0))
+_AT_LEAST_1 = _wire(check=_int(1))
+_FLAG = _wire(check=_bool)
+_DATASET_NAME = _wire(check=_optional(_string))
+
+# -- fields shared by several responses: coerced by ``from_wire`` only —
+# -- a server-built response pays no per-field constructor check
+_COUNT = _wire(decode=_int(0), absent=0)
+_TEXT = _wire(decode=_text, absent="")
+_SECONDS = _wire(decode=_number, absent=0.0)
+_STRINGS = _wire(decode=_str_tuple, encode=list, absent=())
+_RANKED_ROWS = _wire(decode=_rows(int, str, float), encode=_row_lists, absent=())
+_OBJECT = _wire(decode=_object, encode=dict, absent={})
+_OBJECTS = _wire(
+    decode=_objects, encode=lambda value: {k: dict(v) for k, v in value.items()}, absent={}
+)
 
 
 def page_count(total: int, page_size: int) -> int:
@@ -214,7 +482,7 @@ def check_page(page: int, total: int, page_size: int) -> int:
 # requests
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
-class SearchRequest:
+class SearchRequest(_Message):
     """One SPELL query: genes in, ranked genes + datasets out.
 
     ``datasets`` restricts the search to the named datasets (only they
@@ -230,66 +498,27 @@ class SearchRequest:
     unchanged.
     """
 
-    genes: tuple[str, ...]
-    top_k: int | None = None
-    page: int = 0
-    page_size: int = 20
-    top_datasets: int = 10
-    datasets: tuple[str, ...] | None = None
-    use_cache: bool = True
-    deadline_ms: int | None = None
-    compendium: str | None = None
+    genes: tuple[str, ...] = field(metadata=_GENES)
+    top_k: int | None = field(default=None, metadata=_TOP_K)
+    page: int = field(default=0, metadata=_AT_LEAST_0)
+    page_size: int = field(default=20, metadata=_AT_LEAST_1)
+    top_datasets: int = field(default=10, metadata=_AT_LEAST_0)
+    datasets: tuple[str, ...] | None = field(default=None, metadata=_DATASETS)
+    use_cache: bool = field(default=True, metadata=_FLAG)
+    deadline_ms: int | None = field(default=None, metadata=_DEADLINE_MS)
+    compendium: str | None = field(default=None, metadata=_COMPENDIUM)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "genes", _query_genes(self.genes))
-        object.__setattr__(self, "top_k", _optional_top_k(self.top_k))
-        _int_field(self.page, "page", minimum=0)
-        _int_field(self.page_size, "page_size", minimum=1)
-        _int_field(self.top_datasets, "top_datasets", minimum=0)
-        object.__setattr__(self, "datasets", _datasets_filter(self.datasets))
-        _bool_field(self.use_cache, "use_cache")
-        object.__setattr__(
-            self, "deadline_ms", _optional_deadline_ms(self.deadline_ms)
-        )
-        object.__setattr__(
-            self, "compendium", _optional_compendium(self.compendium)
-        )
 
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "genes": list(self.genes),
-            "top_k": self.top_k,
-            "page": self.page,
-            "page_size": self.page_size,
-            "top_datasets": self.top_datasets,
-            "datasets": None if self.datasets is None else list(self.datasets),
-            "use_cache": self.use_cache,
-            "deadline_ms": self.deadline_ms,
-            "compendium": self.compendium,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "SearchRequest":
-        data = _check_payload(payload, _allowed_fields(cls), "search request")
-        if "genes" not in data:
-            raise ApiError("INVALID_QUERY", "search request needs a 'genes' list")
-        datasets = data.get("datasets")
-        return cls(
-            genes=_str_tuple(data["genes"], "genes"),
-            top_k=None if data.get("top_k") is None else data["top_k"],
-            page=data.get("page", 0),
-            page_size=data.get("page_size", 20),
-            top_datasets=data.get("top_datasets", 10),
-            datasets=None if datasets is None else _str_tuple(datasets, "datasets"),
-            use_cache=data.get("use_cache", True),
-            deadline_ms=data.get("deadline_ms"),
-            compendium=data.get("compendium"),
-        )
+#: the nested search every derived-view request (cluster, render) carries
+_SEARCH = _wire(
+    check=_typed(SearchRequest, "a search request"),
+    decode=lambda value, name: SearchRequest.from_wire(value),
+    encode=SearchRequest.to_wire,
+)
 
 
 @dataclass(frozen=True)
-class BatchSearchRequest:
+class BatchSearchRequest(_Message):
     """A batch of searches answered concurrently over the shared index.
 
     All-or-nothing: if any member request fails (bad page, unknown
@@ -305,26 +534,21 @@ class BatchSearchRequest:
     ambiguous.
     """
 
-    searches: tuple[SearchRequest, ...]
-    scheduler: str = "map"
-    deadline_ms: int | None = None
-    compendium: str | None = None
+    searches: tuple[SearchRequest, ...] = field(
+        metadata=_wire(
+            check=_members(SearchRequest),
+            decode=_nested_list(SearchRequest),
+            encode=_wire_list,
+        )
+    )
+    scheduler: str = field(
+        default="map", metadata=_wire(check=_choice(("map", "steal"), listed=False))
+    )
+    deadline_ms: int | None = field(default=None, metadata=_DEADLINE_MS)
+    compendium: str | None = field(default=None, metadata=_COMPENDIUM)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "searches", tuple(self.searches))
-        if not self.searches:
-            raise _invalid("batch must contain at least one search")
-        for req in self.searches:
-            if not isinstance(req, SearchRequest):
-                raise _invalid("batch members must be search requests")
-        if self.scheduler not in ("map", "steal"):
-            raise _invalid(f"scheduler must be 'map' or 'steal', got {self.scheduler!r}")
-        object.__setattr__(
-            self, "deadline_ms", _optional_deadline_ms(self.deadline_ms)
-        )
-        object.__setattr__(
-            self, "compendium", _optional_compendium(self.compendium)
-        )
+        super().__post_init__()
         for req in self.searches:
             if req.compendium is not None and req.compendium != self.compendium:
                 raise _invalid(
@@ -332,31 +556,9 @@ class BatchSearchRequest:
                     f"the batch ({req.compendium!r} vs {self.compendium!r})"
                 )
 
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "searches": [req.to_wire() for req in self.searches],
-            "scheduler": self.scheduler,
-            "deadline_ms": self.deadline_ms,
-            "compendium": self.compendium,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "BatchSearchRequest":
-        data = _check_payload(payload, _allowed_fields(cls), "batch request")
-        raw = data.get("searches")
-        if not isinstance(raw, list):
-            raise _invalid("batch request needs a 'searches' list")
-        return cls(
-            searches=tuple(SearchRequest.from_wire(item) for item in raw),
-            scheduler=data.get("scheduler", "map"),
-            deadline_ms=data.get("deadline_ms"),
-            compendium=data.get("compendium"),
-        )
-
 
 @dataclass(frozen=True)
-class DatasetListRequest:
+class DatasetListRequest(_Message):
     """List the datasets currently served (name, shape, metadata).
 
     ``compendium`` (append-only v1 addition) lists a named tenant's
@@ -364,28 +566,13 @@ class DatasetListRequest:
     before.
     """
 
-    compendium: str | None = None
+    compendium: str | None = field(default=None, metadata=_COMPENDIUM)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "compendium", _optional_compendium(self.compendium)
-        )
-
-    def to_wire(self) -> dict:
-        return {"api_version": API_VERSION, "compendium": self.compendium}
-
-    @classmethod
-    def from_wire(cls, payload) -> "DatasetListRequest":
-        data = _check_payload(
-            payload if payload is not None else {},
-            _allowed_fields(cls),
-            "dataset-list request",
-        )
-        return cls(compendium=data.get("compendium"))
+    NONE_IS_EMPTY = True  # GET /v1/datasets has no body
 
 
 @dataclass(frozen=True)
-class ClusterRequest:
+class ClusterRequest(_Message):
     """Hierarchically cluster a search result's top genes.
 
     The expression values come from ``dataset`` when named, else from the
@@ -393,53 +580,15 @@ class ClusterRequest:
     genes enter the clustering.
     """
 
-    search: SearchRequest
-    top_genes: int = 30
-    dataset: str | None = None
-    metric: str = "correlation"
-    linkage: str = "average"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.search, SearchRequest):
-            raise _invalid("cluster request needs a nested search request")
-        _int_field(self.top_genes, "top_genes", minimum=2)
-        if self.dataset is not None and not isinstance(self.dataset, str):
-            raise _invalid("dataset must be a string or null")
-        if self.metric not in METRICS:
-            raise _invalid(
-                f"unknown metric {self.metric!r}", choices=sorted(METRICS)
-            )
-        if self.linkage not in LINKAGES:
-            raise _invalid(
-                f"unknown linkage {self.linkage!r}", choices=sorted(LINKAGES)
-            )
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "search": self.search.to_wire(),
-            "top_genes": self.top_genes,
-            "dataset": self.dataset,
-            "metric": self.metric,
-            "linkage": self.linkage,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "ClusterRequest":
-        data = _check_payload(payload, _allowed_fields(cls), "cluster request")
-        if "search" not in data:
-            raise _invalid("cluster request needs a 'search' object")
-        return cls(
-            search=SearchRequest.from_wire(data["search"]),
-            top_genes=data.get("top_genes", 30),
-            dataset=data.get("dataset"),
-            metric=data.get("metric", "correlation"),
-            linkage=data.get("linkage", "average"),
-        )
+    search: SearchRequest = field(metadata=_SEARCH)
+    top_genes: int = field(default=30, metadata=_wire(check=_int(2)))
+    dataset: str | None = field(default=None, metadata=_DATASET_NAME)
+    metric: str = field(default="correlation", metadata=_wire(check=_choice(METRICS)))
+    linkage: str = field(default="average", metadata=_wire(check=_choice(LINKAGES)))
 
 
 @dataclass(frozen=True)
-class RenderRequest:
+class RenderRequest(_Message):
     """Render a search result's top genes as a heatmap (binary PPM).
 
     ``cluster=True`` reorders the rows by the dendrogram leaf order
@@ -447,66 +596,18 @@ class RenderRequest:
     rows follow the search ranking.
     """
 
-    search: SearchRequest
-    top_genes: int = 30
-    dataset: str | None = None
-    colormap: str = "red-green"
-    saturation: float | None = None
-    cell_width: int = 8
-    cell_height: int = 8
-    cluster: bool = False
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.search, SearchRequest):
-            raise _invalid("render request needs a nested search request")
-        _int_field(self.top_genes, "top_genes", minimum=1)
-        if self.dataset is not None and not isinstance(self.dataset, str):
-            raise _invalid("dataset must be a string or null")
-        if self.colormap not in COLORMAPS:
-            raise _invalid(
-                f"unknown colormap {self.colormap!r}", choices=sorted(COLORMAPS)
-            )
-        if self.saturation is not None:
-            saturation = _number_field(self.saturation, "saturation")
-            if saturation <= 0:
-                raise _invalid(f"saturation must be positive, got {saturation}")
-            object.__setattr__(self, "saturation", saturation)
-        _int_field(self.cell_width, "cell_width", minimum=1)
-        _int_field(self.cell_height, "cell_height", minimum=1)
-        _bool_field(self.cluster, "cluster")
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "search": self.search.to_wire(),
-            "top_genes": self.top_genes,
-            "dataset": self.dataset,
-            "colormap": self.colormap,
-            "saturation": self.saturation,
-            "cell_width": self.cell_width,
-            "cell_height": self.cell_height,
-            "cluster": self.cluster,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "RenderRequest":
-        data = _check_payload(payload, _allowed_fields(cls), "render request")
-        if "search" not in data:
-            raise _invalid("render request needs a 'search' object")
-        return cls(
-            search=SearchRequest.from_wire(data["search"]),
-            top_genes=data.get("top_genes", 30),
-            dataset=data.get("dataset"),
-            colormap=data.get("colormap", "red-green"),
-            saturation=data.get("saturation"),
-            cell_width=data.get("cell_width", 8),
-            cell_height=data.get("cell_height", 8),
-            cluster=data.get("cluster", False),
-        )
+    search: SearchRequest = field(metadata=_SEARCH)
+    top_genes: int = field(default=30, metadata=_AT_LEAST_1)
+    dataset: str | None = field(default=None, metadata=_DATASET_NAME)
+    colormap: str = field(default="red-green", metadata=_wire(check=_choice(COLORMAPS)))
+    saturation: float | None = field(default=None, metadata=_wire(check=_optional(_positive)))
+    cell_width: int = field(default=8, metadata=_AT_LEAST_1)
+    cell_height: int = field(default=8, metadata=_AT_LEAST_1)
+    cluster: bool = field(default=False, metadata=_FLAG)
 
 
 @dataclass(frozen=True)
-class ExportRequest:
+class ExportRequest(_Message):
     """Stream a search's *entire* gene ranking as fixed-size chunks.
 
     The deep-export counterpart of :class:`SearchRequest`: instead of a
@@ -529,75 +630,30 @@ class ExportRequest:
     tenant's compendium; ``None`` exports from the default one.
     """
 
-    genes: tuple[str, ...]
-    top_k: int | None = None
-    chunk_size: int = 500
-    top_datasets: int = 10
-    datasets: tuple[str, ...] | None = None
-    use_cache: bool = True
-    deadline_ms: int | None = None
-    resume_offset: int = 0
-    compendium: str | None = None
+    # the same field definitions as SearchRequest: the export of a query
+    # and the pages of that query must agree on what a valid query even is
+    genes: tuple[str, ...] = field(metadata=_GENES)
+    top_k: int | None = field(default=None, metadata=_TOP_K)
+    chunk_size: int = field(default=500, metadata=_AT_LEAST_1)
+    top_datasets: int = field(default=10, metadata=_AT_LEAST_0)
+    datasets: tuple[str, ...] | None = field(default=None, metadata=_DATASETS)
+    use_cache: bool = field(default=True, metadata=_FLAG)
+    deadline_ms: int | None = field(default=None, metadata=_DEADLINE_MS)
+    resume_offset: int = field(default=0, metadata=_AT_LEAST_0)
+    compendium: str | None = field(default=None, metadata=_COMPENDIUM)
 
     def __post_init__(self) -> None:
-        # identical field discipline to SearchRequest (shared helpers):
-        # the export of a query and the pages of that query must agree
-        # on what a valid query even is
-        object.__setattr__(self, "genes", _query_genes(self.genes))
-        object.__setattr__(self, "top_k", _optional_top_k(self.top_k))
-        _int_field(self.chunk_size, "chunk_size", minimum=1)
-        _int_field(self.top_datasets, "top_datasets", minimum=0)
-        object.__setattr__(self, "datasets", _datasets_filter(self.datasets))
-        _bool_field(self.use_cache, "use_cache")
-        object.__setattr__(
-            self, "deadline_ms", _optional_deadline_ms(self.deadline_ms)
-        )
-        _int_field(self.resume_offset, "resume_offset", minimum=0)
+        super().__post_init__()
         if self.resume_offset % self.chunk_size != 0:
             raise _invalid(
                 f"resume_offset {self.resume_offset} is not a chunk boundary "
                 f"(chunk_size {self.chunk_size}) — resume from the offset "
                 "after the last fully-received chunk"
             )
-        object.__setattr__(
-            self, "compendium", _optional_compendium(self.compendium)
-        )
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "genes": list(self.genes),
-            "top_k": self.top_k,
-            "chunk_size": self.chunk_size,
-            "top_datasets": self.top_datasets,
-            "datasets": None if self.datasets is None else list(self.datasets),
-            "use_cache": self.use_cache,
-            "deadline_ms": self.deadline_ms,
-            "resume_offset": self.resume_offset,
-            "compendium": self.compendium,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "ExportRequest":
-        data = _check_payload(payload, _allowed_fields(cls), "export request")
-        if "genes" not in data:
-            raise ApiError("INVALID_QUERY", "export request needs a 'genes' list")
-        datasets = data.get("datasets")
-        return cls(
-            genes=_str_tuple(data["genes"], "genes"),
-            top_k=None if data.get("top_k") is None else data["top_k"],
-            chunk_size=data.get("chunk_size", 500),
-            top_datasets=data.get("top_datasets", 10),
-            datasets=None if datasets is None else _str_tuple(datasets, "datasets"),
-            use_cache=data.get("use_cache", True),
-            deadline_ms=data.get("deadline_ms"),
-            resume_offset=data.get("resume_offset", 0),
-            compendium=data.get("compendium"),
-        )
 
 
 @dataclass(frozen=True)
-class IngestRequest:
+class IngestRequest(_Message):
     """Add one SOFT/PCL dataset to a tenant's live compendium.
 
     ``content`` is the complete source text (a GEO series-matrix SOFT
@@ -614,65 +670,18 @@ class IngestRequest:
     compendium fingerprint — never a mix.
     """
 
-    name: str
-    format: str
-    content: str
-    compendium: str | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not _DATASET_NAME_RE.fullmatch(self.name):
-            raise _invalid(
-                f"name {self.name!r} is not a valid dataset name (want "
-                "leading alphanumeric, then [A-Za-z0-9._-], max 128 chars)"
-            )
-        if self.format not in ("soft", "pcl"):
-            raise _invalid(
-                f"format must be 'soft' or 'pcl', got {self.format!r}",
-                choices=["pcl", "soft"],
-            )
-        if not isinstance(self.content, str) or not self.content:
-            raise _invalid("content must be a non-empty string")
-        object.__setattr__(
-            self, "compendium", _optional_compendium(self.compendium)
-        )
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "name": self.name,
-            "format": self.format,
-            "content": self.content,
-            "compendium": self.compendium,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "IngestRequest":
-        data = _check_payload(payload, _allowed_fields(cls), "ingest request")
-        for required in ("name", "format", "content"):
-            if required not in data:
-                raise _invalid(f"ingest request needs a {required!r} field")
-        return cls(
-            name=data["name"],
-            format=str(data["format"]),
-            content=data["content"],
-            compendium=data.get("compendium"),
-        )
+    #: becomes a source-file basename under the tenant's directory
+    name: str = field(metadata=_wire(check=_name_grammar("dataset", 128)))
+    format: str = field(metadata=_wire(check=_choice(("soft", "pcl"))))
+    content: str = field(metadata=_wire(check=_content))
+    compendium: str | None = field(default=None, metadata=_COMPENDIUM)
 
 
 # --------------------------------------------------------------------------
 # responses
 # --------------------------------------------------------------------------
-def _row_tuple(value, name: str, converters) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != len(converters):
-        raise _invalid(f"{name} rows must have {len(converters)} columns")
-    try:
-        return tuple(conv(item) for conv, item in zip(converters, value))
-    except (TypeError, ValueError) as exc:
-        raise _invalid(f"bad {name} row: {exc}") from exc
-
-
 @dataclass(frozen=True)
-class SearchResponse:
+class SearchResponse(_Message):
     """One page of ranked output (the Figure 4 web table, as data).
 
     ``gene_rows`` are ``(rank, gene_id, score)`` with 1-based global
@@ -689,63 +698,19 @@ class SearchResponse:
     ``shards``, so old clients see byte-compatible payloads.
     """
 
-    query: tuple[str, ...]
-    query_used: tuple[str, ...]
-    query_missing: tuple[str, ...]
-    page: int
-    page_size: int
-    total_genes: int
-    total_pages: int
-    gene_rows: tuple[tuple[int, str, float], ...]
-    dataset_rows: tuple[tuple[int, str, float], ...]
-    elapsed_seconds: float
-    partial: bool = False
-    shards: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _bool_field(self.partial, "partial")
-        if not isinstance(self.shards, Mapping):
-            raise _invalid(f"shards must be an object, got {type(self.shards).__name__}")
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "query": list(self.query),
-            "query_used": list(self.query_used),
-            "query_missing": list(self.query_missing),
-            "page": self.page,
-            "page_size": self.page_size,
-            "total_genes": self.total_genes,
-            "total_pages": self.total_pages,
-            "gene_rows": [list(row) for row in self.gene_rows],
-            "dataset_rows": [list(row) for row in self.dataset_rows],
-            "elapsed_seconds": self.elapsed_seconds,
-            "partial": self.partial,
-            "shards": dict(self.shards),
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "SearchResponse":
-        data = _check_payload(payload, _allowed_fields(cls), "search response")
-        gene_conv = (int, str, float)
-        return cls(
-            query=_str_tuple(data.get("query", []), "query"),
-            query_used=_str_tuple(data.get("query_used", []), "query_used"),
-            query_missing=_str_tuple(data.get("query_missing", []), "query_missing"),
-            page=_int_field(data.get("page", 0), "page", minimum=0),
-            page_size=_int_field(data.get("page_size", 1), "page_size", minimum=1),
-            total_genes=_int_field(data.get("total_genes", 0), "total_genes", minimum=0),
-            total_pages=_int_field(data.get("total_pages", 1), "total_pages", minimum=0),
-            gene_rows=tuple(
-                _row_tuple(row, "gene", gene_conv) for row in data.get("gene_rows", [])
-            ),
-            dataset_rows=tuple(
-                _row_tuple(row, "dataset", gene_conv) for row in data.get("dataset_rows", [])
-            ),
-            elapsed_seconds=_number_field(data.get("elapsed_seconds", 0.0), "elapsed_seconds"),
-            partial=data.get("partial", False),
-            shards=data.get("shards", {}),
-        )
+    query: tuple[str, ...] = field(metadata=_STRINGS)
+    query_used: tuple[str, ...] = field(metadata=_STRINGS)
+    query_missing: tuple[str, ...] = field(metadata=_STRINGS)
+    page: int = field(metadata=_COUNT)
+    page_size: int = field(metadata=_wire(decode=_int(1), absent=1))
+    total_genes: int = field(metadata=_COUNT)
+    total_pages: int = field(metadata=_wire(decode=_int(0), absent=1))
+    gene_rows: tuple[tuple[int, str, float], ...] = field(metadata=_RANKED_ROWS)
+    dataset_rows: tuple[tuple[int, str, float], ...] = field(metadata=_RANKED_ROWS)
+    elapsed_seconds: float = field(metadata=_SECONDS)
+    # the only two constructor checks: ``from_result`` is the hot path
+    partial: bool = field(default=False, metadata=_FLAG)
+    shards: dict = field(default_factory=dict, metadata=_wire(check=_object, encode=dict))
 
     @classmethod
     def from_result(
@@ -792,19 +757,21 @@ class SearchResponse:
             dataset_rows=dataset_rows,
             elapsed_seconds=float(elapsed_seconds),
             partial=partial,
-            shards=dict(shards or {}),
+            shards=shards or {},  # the constructor check copies it
         )
 
 
 @dataclass(frozen=True)
-class BatchSearchResponse:
+class BatchSearchResponse(_Message):
     """Per-query pages plus aggregate timing for one batch."""
 
-    results: tuple[SearchResponse, ...]
-    total_seconds: float
-    n_workers: int
-    cache_hits: int
-    cache_misses: int
+    results: tuple[SearchResponse, ...] = field(
+        metadata=_wire(decode=_nested_list(SearchResponse), encode=_wire_list)
+    )
+    total_seconds: float = field(metadata=_SECONDS)
+    n_workers: int = field(metadata=_wire(decode=_int(1), absent=1))
+    cache_hits: int = field(metadata=_COUNT)
+    cache_misses: int = field(metadata=_COUNT)
 
     @property
     def queries_per_second(self) -> float:
@@ -819,42 +786,9 @@ class BatchSearchResponse:
             return 0.0
         return len(self.results) / self.total_seconds
 
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "results": [r.to_wire() for r in self.results],
-            "total_seconds": self.total_seconds,
-            "n_workers": self.n_workers,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "BatchSearchResponse":
-        data = _check_payload(payload, _allowed_fields(cls), "batch response")
-        raw = data.get("results")
-        if not isinstance(raw, list):
-            raise _invalid("batch response needs a 'results' list")
-        return cls(
-            results=tuple(SearchResponse.from_wire(item) for item in raw),
-            total_seconds=_number_field(data.get("total_seconds", 0.0), "total_seconds"),
-            n_workers=_int_field(data.get("n_workers", 1), "n_workers", minimum=1),
-            cache_hits=_int_field(data.get("cache_hits", 0), "cache_hits", minimum=0),
-            cache_misses=_int_field(data.get("cache_misses", 0), "cache_misses", minimum=0),
-        )
-
-
-def _check_kind(data: dict, expected: str, kind: str) -> None:
-    """NDJSON stream lines are self-describing via ``kind``; a mismatch
-    (a trailer parsed as a chunk, or vice versa) is a structured error,
-    never a silently misread line."""
-    found = data.pop("kind", expected)
-    if found != expected:
-        raise _invalid(f"{kind} has kind {found!r}, expected {expected!r}")
-
 
 @dataclass(frozen=True)
-class ExportChunk:
+class ExportChunk(_Message):
     """One NDJSON line of a streaming export: a slice of the ranking.
 
     Self-describing: every chunk carries ``api_version``, its ``kind``
@@ -865,39 +799,14 @@ class ExportChunk:
     them.
     """
 
-    offset: int
-    gene_rows: tuple[tuple[int, str, float], ...]
+    offset: int = field(metadata=_wire(check=_int(0), absent=0))
+    gene_rows: tuple[tuple[int, str, float], ...] = field(metadata=_RANKED_ROWS)
 
     KIND = "chunk"
 
-    def __post_init__(self) -> None:
-        _int_field(self.offset, "offset", minimum=0)
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "kind": self.KIND,
-            "offset": self.offset,
-            "gene_rows": [list(row) for row in self.gene_rows],
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "ExportChunk":
-        data = _check_payload(
-            payload, _allowed_fields(cls) | {"kind"}, "export chunk"
-        )
-        _check_kind(data, cls.KIND, "export chunk")
-        gene_conv = (int, str, float)
-        return cls(
-            offset=_int_field(data.get("offset", 0), "offset", minimum=0),
-            gene_rows=tuple(
-                _row_tuple(row, "gene", gene_conv) for row in data.get("gene_rows", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ExportTrailer:
+class ExportTrailer(_Message):
     """The final NDJSON line of a streaming export: totals + integrity.
 
     ``status`` is ``"ok"`` or ``"error"``; a mid-stream failure streams
@@ -919,84 +828,31 @@ class ExportTrailer:
     splices streams at chunk boundaries.
     """
 
-    status: str
-    total_genes: int = 0
-    total_rows: int = 0
-    n_chunks: int = 0
-    checksum: str = ""
-    query: tuple[str, ...] = ()
-    query_used: tuple[str, ...] = ()
-    query_missing: tuple[str, ...] = ()
-    dataset_rows: tuple[tuple[int, str, float], ...] = ()
-    elapsed_seconds: float = 0.0
-    error: dict | None = None
-    resume_offset: int = 0
+    status: str = field(metadata=_wire(check=_choice(("ok", "error"), listed=False)))
+    total_genes: int = field(default=0, metadata=_AT_LEAST_0)
+    total_rows: int = field(default=0, metadata=_AT_LEAST_0)
+    n_chunks: int = field(default=0, metadata=_AT_LEAST_0)
+    checksum: str = field(default="", metadata=_TEXT)
+    query: tuple[str, ...] = field(default=(), metadata=_STRINGS)
+    query_used: tuple[str, ...] = field(default=(), metadata=_STRINGS)
+    query_missing: tuple[str, ...] = field(default=(), metadata=_STRINGS)
+    dataset_rows: tuple[tuple[int, str, float], ...] = field(default=(), metadata=_RANKED_ROWS)
+    elapsed_seconds: float = field(default=0.0, metadata=_SECONDS)
+    error: dict | None = field(
+        default=None, metadata=_wire(decode=_optional(_object), encode=_optional(dict))
+    )
+    resume_offset: int = field(default=0, metadata=_AT_LEAST_0)
 
     KIND = "trailer"
 
     def __post_init__(self) -> None:
-        if self.status not in ("ok", "error"):
-            raise _invalid(f"trailer status must be 'ok' or 'error', got {self.status!r}")
+        super().__post_init__()
         if (self.error is not None) != (self.status == "error"):
             raise _invalid("trailer error object must accompany status 'error' only")
-        _int_field(self.total_genes, "total_genes", minimum=0)
-        _int_field(self.total_rows, "total_rows", minimum=0)
-        _int_field(self.n_chunks, "n_chunks", minimum=0)
-        _int_field(self.resume_offset, "resume_offset", minimum=0)
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "kind": self.KIND,
-            "status": self.status,
-            "total_genes": self.total_genes,
-            "total_rows": self.total_rows,
-            "n_chunks": self.n_chunks,
-            "checksum": self.checksum,
-            "query": list(self.query),
-            "query_used": list(self.query_used),
-            "query_missing": list(self.query_missing),
-            "dataset_rows": [list(row) for row in self.dataset_rows],
-            "elapsed_seconds": self.elapsed_seconds,
-            "error": None if self.error is None else dict(self.error),
-            "resume_offset": self.resume_offset,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "ExportTrailer":
-        data = _check_payload(
-            payload, _allowed_fields(cls) | {"kind"}, "export trailer"
-        )
-        _check_kind(data, cls.KIND, "export trailer")
-        error = data.get("error")
-        if error is not None and not isinstance(error, Mapping):
-            raise _invalid("trailer error must be an object or null")
-        gene_conv = (int, str, float)
-        return cls(
-            status=str(data.get("status", "")),
-            total_genes=_int_field(data.get("total_genes", 0), "total_genes", minimum=0),
-            total_rows=_int_field(data.get("total_rows", 0), "total_rows", minimum=0),
-            n_chunks=_int_field(data.get("n_chunks", 0), "n_chunks", minimum=0),
-            checksum=str(data.get("checksum", "")),
-            query=_str_tuple(data.get("query", []), "query"),
-            query_used=_str_tuple(data.get("query_used", []), "query_used"),
-            query_missing=_str_tuple(data.get("query_missing", []), "query_missing"),
-            dataset_rows=tuple(
-                _row_tuple(row, "dataset", gene_conv)
-                for row in data.get("dataset_rows", [])
-            ),
-            elapsed_seconds=_number_field(
-                data.get("elapsed_seconds", 0.0), "elapsed_seconds"
-            ),
-            error=None if error is None else dict(error),
-            resume_offset=_int_field(
-                data.get("resume_offset", 0), "resume_offset", minimum=0
-            ),
-        )
 
 
 @dataclass(frozen=True)
-class DatasetInfo:
+class DatasetInfo(_Message):
     """Shape + metadata for one served dataset.
 
     ``fingerprint`` / ``tier`` are append-only v1 additions:
@@ -1007,61 +863,25 @@ class DatasetInfo:
     in-memory-only serving reports ``"resident"``).
     """
 
-    name: str
-    n_genes: int
-    n_conditions: int
-    metadata: dict = field(default_factory=dict)
-    fingerprint: str = ""
-    tier: str = "resident"
+    name: str = field(metadata=_TEXT)
+    n_genes: int = field(metadata=_COUNT)
+    n_conditions: int = field(metadata=_COUNT)
+    metadata: dict = field(default_factory=dict, metadata=_OBJECT)
+    fingerprint: str = field(default="", metadata=_TEXT)
+    tier: str = field(default="resident", metadata=_TEXT)
 
-    def to_wire(self) -> dict:
-        return {
-            "name": self.name,
-            "n_genes": self.n_genes,
-            "n_conditions": self.n_conditions,
-            "metadata": dict(self.metadata),
-            "fingerprint": self.fingerprint,
-            "tier": self.tier,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "DatasetInfo":
-        if not isinstance(payload, Mapping):
-            raise _invalid("dataset info must be an object")
-        meta = payload.get("metadata", {})
-        if not isinstance(meta, Mapping):
-            raise _invalid("dataset metadata must be an object")
-        return cls(
-            name=str(payload.get("name", "")),
-            n_genes=_int_field(payload.get("n_genes", 0), "n_genes", minimum=0),
-            n_conditions=_int_field(payload.get("n_conditions", 0), "n_conditions", minimum=0),
-            metadata=dict(meta),
-            fingerprint=str(payload.get("fingerprint", "")),
-            tier=str(payload.get("tier", "resident")),
-        )
+    NESTED = True  # only ever a member of a DatasetListResponse
 
 
 @dataclass(frozen=True)
-class DatasetListResponse:
-    datasets: tuple[DatasetInfo, ...]
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "datasets": [d.to_wire() for d in self.datasets],
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "DatasetListResponse":
-        data = _check_payload(payload, _allowed_fields(cls), "dataset-list response")
-        raw = data.get("datasets")
-        if not isinstance(raw, list):
-            raise _invalid("dataset-list response needs a 'datasets' list")
-        return cls(datasets=tuple(DatasetInfo.from_wire(item) for item in raw))
+class DatasetListResponse(_Message):
+    datasets: tuple[DatasetInfo, ...] = field(
+        metadata=_wire(decode=_nested_list(DatasetInfo), encode=_wire_list)
+    )
 
 
 @dataclass(frozen=True)
-class IngestResponse:
+class IngestResponse(_Message):
     """Acknowledgement of one published ingest.
 
     ``fingerprint`` is the ingested dataset's durable content hash;
@@ -1071,49 +891,18 @@ class IngestResponse:
     ``datasets`` counts the tenant's datasets after the ingest.
     """
 
-    compendium: str
-    dataset: str
-    n_genes: int
-    n_conditions: int
-    fingerprint: str
-    compendium_fingerprint: str
-    datasets: int
-    elapsed_seconds: float
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "compendium": self.compendium,
-            "dataset": self.dataset,
-            "n_genes": self.n_genes,
-            "n_conditions": self.n_conditions,
-            "fingerprint": self.fingerprint,
-            "compendium_fingerprint": self.compendium_fingerprint,
-            "datasets": self.datasets,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "IngestResponse":
-        data = _check_payload(payload, _allowed_fields(cls), "ingest response")
-        return cls(
-            compendium=str(data.get("compendium", "")),
-            dataset=str(data.get("dataset", "")),
-            n_genes=_int_field(data.get("n_genes", 0), "n_genes", minimum=0),
-            n_conditions=_int_field(
-                data.get("n_conditions", 0), "n_conditions", minimum=0
-            ),
-            fingerprint=str(data.get("fingerprint", "")),
-            compendium_fingerprint=str(data.get("compendium_fingerprint", "")),
-            datasets=_int_field(data.get("datasets", 0), "datasets", minimum=0),
-            elapsed_seconds=_number_field(
-                data.get("elapsed_seconds", 0.0), "elapsed_seconds"
-            ),
-        )
+    compendium: str = field(metadata=_TEXT)
+    dataset: str = field(metadata=_TEXT)
+    n_genes: int = field(metadata=_COUNT)
+    n_conditions: int = field(metadata=_COUNT)
+    fingerprint: str = field(metadata=_TEXT)
+    compendium_fingerprint: str = field(metadata=_TEXT)
+    datasets: int = field(metadata=_COUNT)
+    elapsed_seconds: float = field(metadata=_SECONDS)
 
 
 @dataclass(frozen=True)
-class ClusterResponse:
+class ClusterResponse(_Message):
     """Dendrogram over the clustered genes.
 
     ``genes`` lists the clustered gene ids in left-to-right leaf order;
@@ -1122,85 +911,38 @@ class ClusterResponse:
     expression submatrix was clustered in).
     """
 
-    genes: tuple[str, ...]
-    dataset: str
-    metric: str
-    linkage: str
-    merges: tuple[tuple[int, int, float, int], ...]
-    elapsed_seconds: float
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "genes": list(self.genes),
-            "dataset": self.dataset,
-            "metric": self.metric,
-            "linkage": self.linkage,
-            "merges": [list(m) for m in self.merges],
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "ClusterResponse":
-        data = _check_payload(payload, _allowed_fields(cls), "cluster response")
-        merge_conv = (int, int, float, int)
-        return cls(
-            genes=_str_tuple(data.get("genes", []), "genes"),
-            dataset=str(data.get("dataset", "")),
-            metric=str(data.get("metric", "")),
-            linkage=str(data.get("linkage", "")),
-            merges=tuple(
-                _row_tuple(row, "merge", merge_conv) for row in data.get("merges", [])
-            ),
-            elapsed_seconds=_number_field(data.get("elapsed_seconds", 0.0), "elapsed_seconds"),
-        )
+    genes: tuple[str, ...] = field(metadata=_STRINGS)
+    dataset: str = field(metadata=_TEXT)
+    metric: str = field(metadata=_TEXT)
+    linkage: str = field(metadata=_TEXT)
+    merges: tuple[tuple[int, int, float, int], ...] = field(
+        metadata=_wire(decode=_rows(int, int, float, int), encode=_row_lists, absent=())
+    )
+    elapsed_seconds: float = field(metadata=_SECONDS)
 
 
 @dataclass(frozen=True)
-class RenderResponse:
+class RenderResponse(_Message):
     """A rendered heatmap: binary PPM bytes plus its row/column labels."""
 
-    width: int
-    height: int
-    dataset: str
-    colormap: str
-    genes: tuple[str, ...]  # heatmap rows, top to bottom
-    ppm: bytes
-    elapsed_seconds: float
-
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "width": self.width,
-            "height": self.height,
-            "dataset": self.dataset,
-            "colormap": self.colormap,
-            "genes": list(self.genes),
-            "ppm_base64": base64.b64encode(self.ppm).decode("ascii"),
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_wire(cls, payload) -> "RenderResponse":
-        allowed = (_allowed_fields(cls) - {"ppm"}) | {"ppm_base64"}
-        data = _check_payload(payload, allowed, "render response")
-        try:
-            ppm = base64.b64decode(data.get("ppm_base64", ""), validate=True)
-        except (ValueError, TypeError) as exc:
-            raise _invalid(f"ppm_base64 is not valid base64: {exc}") from exc
-        return cls(
-            width=_int_field(data.get("width", 0), "width", minimum=0),
-            height=_int_field(data.get("height", 0), "height", minimum=0),
-            dataset=str(data.get("dataset", "")),
-            colormap=str(data.get("colormap", "")),
-            genes=_str_tuple(data.get("genes", []), "genes"),
-            ppm=ppm,
-            elapsed_seconds=_number_field(data.get("elapsed_seconds", 0.0), "elapsed_seconds"),
+    width: int = field(metadata=_COUNT)
+    height: int = field(metadata=_COUNT)
+    dataset: str = field(metadata=_TEXT)
+    colormap: str = field(metadata=_TEXT)
+    genes: tuple[str, ...] = field(metadata=_STRINGS)  # heatmap rows, top to bottom
+    ppm: bytes = field(
+        metadata=_wire(
+            key="ppm_base64",
+            decode=_base64,
+            encode=lambda ppm: base64.b64encode(ppm).decode("ascii"),
+            absent="",
         )
+    )
+    elapsed_seconds: float = field(metadata=_SECONDS)
 
 
 @dataclass(frozen=True)
-class HealthResponse:
+class HealthResponse(_Message):
     """Liveness plus the per-endpoint serving counters ``ApiApp`` keeps.
 
     ``cache`` carries the result cache's full counter set (hits, misses,
@@ -1211,72 +953,27 @@ class HealthResponse:
     objects on the wire so new counters stay append-only.
     """
 
-    status: str
-    uptime_seconds: float
-    datasets: int
-    genes: int
-    index_bytes: int
-    query_count: int
-    cache: dict
-    endpoints: dict  # endpoint -> {count, errors, total_seconds, mean_seconds}
-    serving: dict = field(default_factory=dict)  # appended in-version: default keeps v1 parsing
-    limits: dict = field(default_factory=dict)  # gate config + rejection counters
-    shards: dict = field(default_factory=dict)  # sharded serving: per-node liveness + routing
-    storage: dict = field(default_factory=dict)  # store tiers: resident/cold/promotions/quarantined
-    tenants: dict = field(default_factory=dict)  # multi-tenant catalog: per-tenant rollup
+    status: str = field(metadata=_TEXT)
+    uptime_seconds: float = field(metadata=_SECONDS)
+    datasets: int = field(metadata=_COUNT)
+    genes: int = field(metadata=_COUNT)
+    index_bytes: int = field(metadata=_COUNT)
+    query_count: int = field(metadata=_COUNT)
+    cache: dict = field(metadata=_OBJECT)
+    #: endpoint -> {count, errors, total_seconds, mean_seconds}
+    endpoints: dict = field(metadata=_OBJECTS)
+    # appended in-version: the defaults keep older v1 payloads parsing
+    serving: dict = field(default_factory=dict, metadata=_OBJECT)
+    #: gate config + rejection counters
+    limits: dict = field(default_factory=dict, metadata=_OBJECT)
+    #: sharded serving: per-node liveness + routing
+    shards: dict = field(default_factory=dict, metadata=_OBJECT)
+    #: store tiers: resident/cold/promotions/quarantined
+    storage: dict = field(default_factory=dict, metadata=_OBJECT)
+    #: multi-tenant catalog: per-tenant rollup
+    tenants: dict = field(default_factory=dict, metadata=_OBJECTS)
 
-    def to_wire(self) -> dict:
-        return {
-            "api_version": API_VERSION,
-            "status": self.status,
-            "uptime_seconds": self.uptime_seconds,
-            "datasets": self.datasets,
-            "genes": self.genes,
-            "index_bytes": self.index_bytes,
-            "query_count": self.query_count,
-            "cache": dict(self.cache),
-            "endpoints": {k: dict(v) for k, v in self.endpoints.items()},
-            "serving": dict(self.serving),
-            "limits": dict(self.limits),
-            "shards": dict(self.shards),
-            "storage": dict(self.storage),
-            "tenants": {k: dict(v) for k, v in self.tenants.items()},
-        }
 
-    @classmethod
-    def from_wire(cls, payload) -> "HealthResponse":
-        data = _check_payload(payload, _allowed_fields(cls), "health response")
-        cache = data.get("cache", {})
-        endpoints = data.get("endpoints", {})
-        serving = data.get("serving", {})
-        limits = data.get("limits", {})
-        shards = data.get("shards", {})
-        storage = data.get("storage", {})
-        tenants = data.get("tenants", {})
-        if not isinstance(cache, Mapping) or not isinstance(endpoints, Mapping):
-            raise _invalid("health cache/endpoints must be objects")
-        if not isinstance(serving, Mapping):
-            raise _invalid("health serving must be an object")
-        if not isinstance(limits, Mapping):
-            raise _invalid("health limits must be an object")
-        if not isinstance(shards, Mapping):
-            raise _invalid("health shards must be an object")
-        if not isinstance(storage, Mapping):
-            raise _invalid("health storage must be an object")
-        if not isinstance(tenants, Mapping):
-            raise _invalid("health tenants must be an object")
-        return cls(
-            status=str(data.get("status", "")),
-            uptime_seconds=_number_field(data.get("uptime_seconds", 0.0), "uptime_seconds"),
-            datasets=_int_field(data.get("datasets", 0), "datasets", minimum=0),
-            genes=_int_field(data.get("genes", 0), "genes", minimum=0),
-            index_bytes=_int_field(data.get("index_bytes", 0), "index_bytes", minimum=0),
-            query_count=_int_field(data.get("query_count", 0), "query_count", minimum=0),
-            cache=dict(cache),
-            endpoints={str(k): dict(v) for k, v in endpoints.items()},
-            serving=dict(serving),
-            limits=dict(limits),
-            shards=dict(shards),
-            storage=dict(storage),
-            tenants={str(k): dict(v) for k, v in tenants.items()},
-        )
+# every message class's codec, compiled here, once, at import
+for _cls in _Message.__subclasses__():
+    _cls._codec = _Codec(_cls)

@@ -65,8 +65,8 @@ class SpellService(SearchBackend):
 
     ``store_dir`` enables the persistent index: when the directory
     already holds shards for exactly this compendium (matched by content
-    fingerprint and dtype) they are reopened via mmap (``store_mmap``)
-    instead of rebuilt; otherwise the service builds once and saves.
+    fingerprint and dtype) they are reopened via mmap instead of
+    rebuilt; otherwise the service builds once and saves.
     ``dtype`` selects the shard precision — ``float32`` halves index
     memory and speeds the matmuls at the cost of last-digit score drift
     (see the ablation bench for rank agreement).
@@ -94,7 +94,6 @@ class SpellService(SearchBackend):
         cache_min_cost: int = 0,
         dtype=np.float64,
         store_dir: str | Path | None = None,
-        store_mmap: bool = True,
         store_verify: str | None = None,
         pool_timeout: float = REPLY_TIMEOUT_SECONDS,
     ) -> None:
@@ -115,9 +114,9 @@ class SpellService(SearchBackend):
             # multi-core serving without naming one gets a private store
             self._store_dir = Path(tempfile.mkdtemp(prefix="spell-procpool-"))
             self._owns_store_dir = True
-        self._store_mmap = bool(store_mmap)
-        #: integrity policy for store loads: None = eager for in-RAM,
-        #: lazy for mmap (the IndexStore default); "eager"/"lazy" forces
+        #: integrity policy for store loads, which are always mmap here:
+        #: None = lazy (the IndexStore default for mmap); "eager"/"lazy"
+        #: forces
         self._store_verify = store_verify
         #: storage-tier counters for /v1/health — one object for the
         #: service's lifetime, threaded through every IndexStore call
@@ -153,7 +152,7 @@ class SpellService(SearchBackend):
             try:
                 stale = IndexStore.load(
                     self._store_dir,
-                    mmap=self._store_mmap,
+                    mmap=True,
                     bind=self.compendium,
                     verify=self._store_verify,
                     stats=self.storage,

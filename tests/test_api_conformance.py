@@ -99,6 +99,12 @@ def cases(query: list[str]) -> list[Case]:
     export_h, export_b = _json_post({"genes": query, "chunk_size": 30})
     smuggled = FOLLOW_UP
     repeat_h, repeat_b = _json_post({"genes": query, "page": 1, "page_size": 6})
+
+    def bad_colormap(value, suffix: str = "") -> Case:
+        headers, body = _json_post({"search": {"genes": query}, "colormap": value})
+        return Case(f"colormap {value!r}{suffix}", "POST", "/v1/render/heatmap" + suffix,
+                    headers, body, status=400, code="INVALID_REQUEST", reads=len(body))
+
     return [
         Case("health", "GET", "/v1/health", volatile=True),
         Case("search", "POST", "/v1/search", search_h, search_b, reads=len(search_b)),
@@ -141,6 +147,11 @@ def cases(query: list[str]) -> list[Case]:
              "/v1/search?format=ppm", search_h, search_b, reads=len(search_b)),
         Case("?format=json", "POST", "/v1/render/heatmap?format=json",
              render_h, render_b, reads=len(render_b)),
+        # --- a "one of" field is type-checked before the membership test:
+        # an unhashable JSON value is a 400, never a 500 out of ``in``
+        bad_colormap([]),
+        bad_colormap({}),
+        bad_colormap([], "?format=ppm"),
         Case("X-Client-Id ignored when unauthenticated", "GET", "/v1/datasets",
              (("X-Client-Id", "tenant-b"),), profile="rate", status=429,
              code="RATE_LIMITED", close=True, rejected="datasets", volatile=True,

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.api.protocol as protocol
 from repro.api.errors import API_VERSION, ERROR_STATUS, ApiError, as_api_error, error_payload
 from repro.api.protocol import (
     BatchSearchRequest,
@@ -440,16 +441,16 @@ def _golden_id(pair) -> str:
     return f"{name}-{message.status}" if isinstance(message, ExportTrailer) else name
 
 
+MESSAGE_CLASSES = {
+    getattr(protocol, name) for name in protocol.__all__
+    if isinstance(getattr(protocol, name), type)
+}
+
+
 class TestGoldenWireBytes:
     def test_every_message_class_is_pinned(self):
-        import repro.api.protocol as protocol
-
-        classes = {
-            getattr(protocol, name) for name in protocol.__all__
-            if isinstance(getattr(protocol, name), type)
-        }
-        assert {type(message) for message, _ in GOLDEN} == classes
-        assert len(classes) == 17
+        assert {type(message) for message, _ in GOLDEN} == MESSAGE_CLASSES
+        assert len(MESSAGE_CLASSES) == 17
 
     @pytest.mark.parametrize("message,wire", GOLDEN, ids=map(_golden_id, GOLDEN))
     def test_to_wire_bytes(self, message, wire):
@@ -458,6 +459,45 @@ class TestGoldenWireBytes:
     @pytest.mark.parametrize("message,wire", GOLDEN, ids=map(_golden_id, GOLDEN))
     def test_from_wire_reads_them_back(self, message, wire):
         assert type(message).from_wire(json.loads(wire)) == message
+
+
+# ------------------------------------------------------------ hostile types
+#: wrong JSON values tried under every wire key of every message class
+HOSTILE_VALUES = [
+    None, True, -1, 1.5, "", [], [1], {}, {"a": 1}, [[]],
+    json.loads("1e400"),  # what a JSON parser makes of it: inf
+    10**30,
+    10**400,  # a JSON integer past the float range
+]
+HOSTILE_PAYLOADS = [None, True, 1, "x", [], [{}]]
+
+
+class TestHostileTypes:
+    """``from_wire`` answers any JSON value with a message or an
+    ``ApiError`` — never a bare ``TypeError``/``KeyError``/``OverflowError``."""
+
+    @pytest.mark.parametrize("message,wire", GOLDEN, ids=map(_golden_id, GOLDEN))
+    def test_from_wire_never_leaks_a_bare_exception(self, message, wire):
+        cls, good = type(message), json.loads(wire)
+        attempts = [(None, payload) for payload in HOSTILE_PAYLOADS]
+        attempts += [
+            (key, {**good, key: value})
+            for key in [*good, "api_version", "kind"] for value in HOSTILE_VALUES
+        ]
+        for key, payload in attempts:
+            try:
+                cls.from_wire(payload)
+            except ApiError:
+                pass
+            except Exception as exc:  # the leak this test exists to catch
+                pytest.fail(f"{cls.__name__}.from_wire leaked {exc!r} for {key}={payload!r}")
+
+    def test_the_triple_is_derived_never_hand_written(self):
+        """Structure lock: a message class states fields, not code."""
+        cross_field = {BatchSearchRequest, ExportRequest, ExportTrailer}
+        for cls in MESSAGE_CLASSES:
+            assert not {"to_wire", "from_wire"} & vars(cls).keys(), cls
+            assert ("__post_init__" in vars(cls)) == (cls in cross_field), cls
 
 
 # ---------------------------------------------------------------- validation
