@@ -427,7 +427,7 @@ def test_http_batch_multiproc_consistent_and_reported(
 
     store = tmp_path_factory.mktemp("spell-http-proc-store")
     facades = {
-        "1 process, 2 threads": boot(n_workers=2),
+        "1 process (in-process kernel)": boot(),
         "2 processes (mmap store)": boot(n_procs=2, store_dir=store),
     }
     rows = []
@@ -470,7 +470,7 @@ def test_http_batch_multiproc_consistent_and_reported(
         {
             "http_batch": {
                 "cores": cores,
-                "single_proc_qps": qps["1 process, 2 threads"],
+                "single_proc_qps": qps["1 process (in-process kernel)"],
                 "multi_proc_qps": qps["2 processes (mmap store)"],
             }
         },

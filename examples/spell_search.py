@@ -143,8 +143,8 @@ def main() -> None:
     ]
     cold = call(base, "/v1/search/batch", {"searches": searches})
     warm = call(base, "/v1/search/batch", {"searches": searches})
-    print(f"\n/v1/search/batch: {len(searches)} queries, "
-          f"{cold['n_workers']} workers sharing one index")
+    print(f"\n/v1/search/batch: {len(searches)} queries over one shared index "
+          f"(misses scored at width {cold['n_workers']})")
     print(format_table(
         ["pass", "wall time", "cache hits"],
         [

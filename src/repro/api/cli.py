@@ -67,7 +67,10 @@ FLAGS: dict[str, tuple[tuple[str, dict], ...]] = {
     ),
     "backend": (
         ("--n-workers", {"type": int, "default": 4,
-                         "help": "threads a batch fans out across"}),
+                         "help": "single node: threads normalising shards at index "
+                                 "build (no query fans out across threads; --n-procs "
+                                 "is what spreads a batch over cores). Router: batch "
+                                 "members gathered from the shards at once"}),
         ("--cache-size", {"type": int, "default": 256,
                           "help": "result-cache entries (0 disables)"}),
         ("--cache-min-cost", {"type": int, "default": 0,
@@ -87,8 +90,10 @@ FLAGS: dict[str, tuple[tuple[str, dict], ...]] = {
         ("--dtype", {"choices": ("float64", "float32"), "default": "float64",
                      "help": "index shard precision"}),
         ("--n-procs", {"type": int, "default": 1,
-                       "help": ">= 2 serves /v1/search/batch from a process "
-                               "pool sharing the mmap index store"}),
+                       "help": ">= 2 scatters a /v1/search/batch's cache misses "
+                               "across a process pool sharing the mmap index "
+                               "store (spawned by the first such batch, ~1 s; a "
+                               "single search or export stays in-process)"}),
         ("--pool-timeout", {"type": float, "default": 120.0,
                             "help": "seconds to wait on one pool worker's reply "
                                     "before declaring the pool broken (request "

@@ -519,13 +519,25 @@ _SEARCH = _wire(
 
 @dataclass(frozen=True)
 class BatchSearchRequest(_Message):
-    """A batch of searches answered concurrently over the shared index.
+    """A batch of searches answered as one unit over the shared index.
+
+    The members' cache hits are answered at once and the misses are
+    scored together: in-process on a single node, scattered over the
+    worker processes under ``n_procs >= 2``, several in flight at a
+    time behind a router.  ``scheduler`` is parsed and validated
+    (``"map"`` or ``"steal"``, v1 is append-only) and selects nothing:
+    how a batch runs is the server's to decide, not the client's.
 
     All-or-nothing: if any member request fails (bad page, unknown
     genes), the whole batch fails with that request's error.
 
     ``deadline_ms`` bounds the *whole batch*; a member search's own
-    ``deadline_ms`` can only tighten it further.
+    ``deadline_ms`` can only tighten it further — for the batch, not
+    just for that member: the misses are scored together under the
+    tightest budget any of them carries.  On a single node an expired
+    budget fails the batch (``DEADLINE_EXCEEDED``); behind a router it
+    can leave every unfinished member ``partial``, the short-deadline
+    member's siblings included.
 
     ``compendium`` (append-only v1 addition) scopes the whole batch to
     one tenant.  A member search may repeat the same tenant (or omit
@@ -734,13 +746,8 @@ class SearchResponse(_Message):
         total_pages = check_page(request.page, pageable, request.page_size)
         start = request.page * request.page_size
         stop = min(start + request.page_size, pageable)
-        if isinstance(result.genes, tuple):  # legacy tuple-of-GeneScore results
-            gene_rows = tuple(
-                (start + i + 1, g.gene_id, g.score)
-                for i, g in enumerate(result.genes[start:stop])
-            )
-        else:  # a GeneTable pages straight off its arrays, like the export cursor
-            gene_rows = tuple(result.genes.rows(start, stop))
+        # a GeneTable pages straight off its arrays, like the export cursor
+        gene_rows = tuple(result.genes.rows(start, stop))
         dataset_rows = tuple(
             (i + 1, d.name, d.weight)
             for i, d in enumerate(result.datasets[: request.top_datasets])
@@ -763,7 +770,13 @@ class SearchResponse(_Message):
 
 @dataclass(frozen=True)
 class BatchSearchResponse(_Message):
-    """Per-query pages plus aggregate timing for one batch."""
+    """Per-query pages plus aggregate timing for one batch.
+
+    ``n_workers`` is the width the batch's cache misses actually ran at:
+    1 in-process, ``n_procs`` on the process pool, the number of members
+    in flight at once behind a router.  ``cache_hits``/``cache_misses``
+    count this batch's own members.
+    """
 
     results: tuple[SearchResponse, ...] = field(
         metadata=_wire(decode=_nested_list(SearchResponse), encode=_wire_list)

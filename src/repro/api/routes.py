@@ -93,7 +93,7 @@ ROUTES: tuple[Route, ...] = (
         request_cls=BatchSearchRequest,
         handler="search_batch",
         response_cls=BatchSearchResponse,
-        summary="Many queries answered concurrently over the shared index.",
+        summary="Many queries answered as one unit over the shared index.",
     ),
     Route(
         name="search/export",

@@ -7,9 +7,10 @@ consistent hashing on their content fingerprints
 (:mod:`~repro.cluster_serving.shard`), and a coordinator fans every
 query out and merges the per-dataset partials bit-identically to a
 single-node index (:mod:`~repro.cluster_serving.router`).  The router
-duck-types :class:`~repro.spell.service.SpellService`, so the whole v1
-API surface — auth, rate limits, body caps, streaming export — serves a
-sharded backend unchanged.
+is a :class:`~repro.spell.backend.SearchBackend` like the single-node
+service (same cache, counters and protocol entry points; its own way of
+scoring misses), so the whole v1 API surface — auth, rate limits, body
+caps, streaming export — serves a sharded backend unchanged.
 
 Run a demo topology (shared ``--seed`` keeps placement in agreement)::
 

@@ -6,8 +6,8 @@ validation, the result cache, ``respond`` / ``respond_batch`` /
 ``iter_result`` and the serving stats, so :class:`~repro.api.app.ApiApp`
 (and hence every facade, auth, rate limits, and body caps) serves from a
 router exactly as it serves from a single node.  What lives here is
-*where a cache miss is scored* (:meth:`RouterService._compute`) and the
-state that takes: the router holds only the
+*where cache misses are scored* (:meth:`RouterService._compute_many`) and
+the state that takes: the router holds only the
 compendium catalog (names, gene lists, fingerprints — via
 :class:`~repro.spell.partials.GeneUniverse`) and never builds an index;
 each query fans out to the shard nodes owning the selected datasets,
@@ -51,10 +51,12 @@ from typing import Sequence
 from repro.cluster_serving.hedging import HedgePolicy, LatencyTracker
 from repro.cluster_serving.ring import DEFAULT_VNODES, plan_assignment
 from repro.data.compendium import Compendium
+from repro.parallel.pmap import parallel_map
 from repro.rpc.membership import Membership
 from repro.spell.backend import SearchBackend
 from repro.spell.cache import DEFAULT_CACHE_SIZE
 from repro.spell.engine import SpellResult
+from repro.spell.index import BatchQuery
 from repro.spell.partials import DatasetPartial, GeneUniverse
 from repro.util.deadline import Deadline, DeadlineExceeded
 from repro.util.errors import RpcError, SearchError
@@ -359,25 +361,36 @@ class RouterService(SearchBackend):
         return merged, report
 
     # ----------------------------------------------------------------- search
-    def _compute(
+    def _compute_many(
         self,
-        query: list[str],
-        top_k: int | None,
-        datasets: tuple[str, ...] | None,
+        misses: list[BatchQuery],
         deadline: Deadline,
         require_complete: bool,
-    ) -> tuple[SpellResult, dict]:
-        """One scatter-gather over the current catalog, bounded by ``deadline``."""
+    ) -> tuple[list[tuple[SpellResult, dict]], int]:
+        """One scatter-gather per miss over the current catalog, up to
+        ``n_workers`` of them in flight at once, all bounded by
+        ``deadline``.
+
+        The one thread fan-out in serving, and here because of what a
+        router *is*: a gather spends its time waiting on shard sockets,
+        so members overlap — where a node that scores in-process would
+        only convoy on the GIL.
+        """
         self._sync_catalog()
-        try:
-            return self._gather(
-                query, top_k, datasets,
-                require_complete=require_complete, deadline=deadline,
-            )
-        except DeadlineExceeded:
-            with self._lock:
-                self._deadline_exceeded += 1
-            raise
+
+        def gather(miss: BatchQuery) -> tuple[SpellResult, dict]:
+            try:
+                return self._gather(
+                    list(miss.genes), miss.top_k, miss.datasets,
+                    require_complete=require_complete, deadline=deadline,
+                )
+            except DeadlineExceeded:
+                with self._lock:
+                    self._deadline_exceeded += 1
+                raise
+
+        width = min(self.n_workers, len(misses))
+        return parallel_map(gather, misses, n_workers=width), width
 
     # ------------------------------------------------------------------ stats
     def index_bytes(self) -> int:

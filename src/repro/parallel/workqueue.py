@@ -54,16 +54,6 @@ class WorkStealingPool:
             raise ValidationError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        """Map ``fn`` over ``items`` with stealing; results in input order.
-
-        The batched-query service path uses this: queries are irregular
-        (cache hits return in microseconds, cold searches in
-        milliseconds), exactly the imbalance stealing absorbs.
-        """
-        results, _ = self.run([(fn, (item,)) for item in items])
-        return results
-
     def run(
         self,
         tasks: Sequence[tuple[Callable[..., Any], tuple]],

@@ -4,23 +4,26 @@ A backend answers SPELL queries over one compendium.  Two exist — the
 single-node :class:`~repro.spell.service.SpellService` (index, store,
 process pool) and the sharded
 :class:`~repro.cluster_serving.router.RouterService` (ring, scatter-
-gather, hedging) — and they differ in exactly one step: *how a cache
-miss is computed*.  Everything around that step is decided here, once:
-query validation, the result-cache probe and store (a partial answer is
-never admitted — a later identical query must retry the missing shards,
-not replay the gap), served-count/latency counters, the protocol entry
-points :meth:`~SearchBackend.respond` / :meth:`~SearchBackend.respond_batch`
-/ :meth:`~SearchBackend.iter_result`, and the stats ``/v1/health``
-reports.  The step is also the only place a search can *wait* (kernel,
-pool pipes, shard sockets), so everything before it is callable on its
-own — :meth:`~SearchBackend.respond_cached` — from a thread that must
-not block.  A subclass supplies :meth:`~SearchBackend._compute` plus
-whatever is genuinely its own.
+gather, hedging) — and they differ in exactly one step: *how cache
+misses are computed*.  Everything around that step is decided here,
+once, in :meth:`~SearchBackend._answer`: query validation, the
+result-cache probe and store (a partial answer is never admitted — a
+later identical query must retry the missing shards, not replay the
+gap) and the served-count/latency counters.  A batch is that function
+over its members — hits answered inline, the misses handed to the step
+together — and :meth:`~SearchBackend.respond`,
+:meth:`~SearchBackend.search` and :meth:`~SearchBackend.iter_result` are
+the batch of one.  The step is also the only place a search can *wait*
+(kernel, pool pipes, shard sockets), so everything before it is callable
+on its own — :meth:`~SearchBackend.respond_cached` — from a thread that
+must not block.  A subclass supplies
+:meth:`~SearchBackend._compute_many` plus whatever is genuinely its own.
 """
 
 from __future__ import annotations
 
 import threading
+from time import perf_counter
 from typing import Sequence
 
 from repro.api.protocol import (
@@ -33,10 +36,9 @@ from repro.api.protocol import (
     SearchResponse,
 )
 from repro.data.compendium import Compendium
-from repro.parallel.pmap import parallel_map
-from repro.parallel.workqueue import WorkStealingPool
 from repro.spell.cache import QueryCache, rebind_result
-from repro.spell.engine import GeneTable, SpellResult
+from repro.spell.engine import SpellResult
+from repro.spell.index import BatchQuery
 from repro.util.deadline import Deadline
 from repro.util.errors import SearchError
 from repro.util.timing import Stopwatch
@@ -79,27 +81,32 @@ class SearchBackend:
         self._transport_probes: dict = {}
 
     # ------------------------------------------------------------ the one step
-    def _compute(
+    def _compute_many(
         self,
-        query: list[str],
-        top_k: int | None,
-        datasets: tuple[str, ...] | None,
+        misses: list[BatchQuery],
         deadline: Deadline,
         require_complete: bool,
-    ) -> tuple[SpellResult, dict]:
-        """Answer one validated, cache-missing query.
+    ) -> tuple[list[tuple[SpellResult, dict]], int]:
+        """Answer validated, cache-missing queries — however many there are.
 
-        Returns ``(result, report)`` where ``report`` is :data:`COMPLETE`
-        or a ``{"partial": True, "shards": {...}}`` verdict.  With
+        Returns ``(answers, width)``: one ``(result, report)`` per miss,
+        in order, where ``report`` is :data:`COMPLETE` or a ``{"partial":
+        True, "shards": {...}}`` verdict, and the width the misses
+        actually ran at (1 = one after another in this thread).  With
         ``require_complete`` a backend that cannot cover every selected
-        dataset must raise instead of degrading.
+        dataset must raise instead of degrading.  All-or-nothing: a
+        failing member raises its own error, answering none.
         """
         raise NotImplementedError
+
+    def _note_dataset_use(self, result: SpellResult) -> None:
+        """``result`` was served once more (a backend that owns storage
+        tiers keeps its demotion signal here)."""
 
     # ----------------------------------------------------------------- search
     @staticmethod
     def _cache_extra(top_k: int | None, datasets: Sequence[str] | None) -> tuple:
-        """The non-gene part of a result's cache key (shared by every path)."""
+        """The non-gene part of a result's cache key."""
         extra: tuple = ()
         if top_k is not None:
             extra += ("top_k", int(top_k))
@@ -107,65 +114,94 @@ class SearchBackend:
             extra += ("datasets", tuple(sorted(set(datasets))))
         return extra
 
-    def _record_served(self, seconds: float) -> None:
+    def _record_served(self, answers: int, seconds: float) -> None:
         with self._served_lock:
-            self._served += 1
+            self._served += answers
             self._served_seconds += seconds
 
-    def _search_report(
+    def _answer(
         self,
-        query: Sequence[str],
+        members: Sequence[tuple],
+        deadline: Deadline,
         *,
-        use_cache: bool = True,
-        top_k: int | None = None,
-        datasets: Sequence[str] | None = None,
         require_complete: bool = False,
-        deadline: Deadline | None = None,
         cached_only: bool = False,
-    ) -> tuple[SpellResult, dict] | None:
-        """Cache-aware search returning ``(result, partiality report)``.
+    ) -> tuple[list[tuple[SpellResult, dict, float]], tuple[int, int, int]] | None:
+        """Probe, score the misses, store: the path every search takes.
 
-        ``top_k`` and ``datasets`` are part of the cache key, so
-        truncated or filtered answers never masquerade as full ones.
+        Each member is ``(genes, top_k, datasets, use_cache, rows)``;
+        ``top_k`` and ``datasets`` are part of the cache key, so truncated
+        or filtered answers never masquerade as full ones, and ``rows``
+        is how deep the caller will read (``None`` = all of it): an
+        answer that is not going to be cached is ranked no deeper.
 
-        ``cached_only`` is the hit half on its own: a resident answer is
-        served and counted exactly as above, anything else returns
-        ``None`` having touched nothing — no miss, no LRU reorder, no
-        served count — so the full call that follows is the one that
-        counts.  That half never waits: it does not reach ``_compute``.
+        Every member is validated and looked up first — one
+        ``compendium.version`` read keys them all — and only the misses
+        reach :meth:`_compute_many`, together; what comes back is stored
+        unless partial, then every member is counted served, once.
+        Returns ``(answers, (hits, misses, width))``: per member
+        ``(result, report, seconds)`` in input order, then how many of
+        *these* members the cache answered, how many it was asked for in
+        vain (a ``use_cache=False`` member is neither), and the width
+        :meth:`_compute_many` reported.
+
+        ``cached_only`` is the hit half on its own: resident answers are
+        served and counted exactly as above, but a miss returns ``None``
+        having touched nothing — no miss, no LRU reorder, no served
+        count — so the full call that follows is the one that counts.
+        That half never waits: it does not reach ``_compute_many``.
+        (Exact for one member, which is every caller today: members
+        that hit *before* the miss have had their hit counted.)
         """
-        query = [str(g) for g in query]
-        if not query:
-            raise SearchError("query must contain at least one gene")
-        if len(set(query)) != len(query):
-            raise SearchError("query contains duplicate genes")
-        if datasets is not None:
-            datasets = tuple(str(d) for d in datasets)
-
+        started = perf_counter()
         version = self.compendium.version
-        extra = self._cache_extra(top_k, datasets)
-        caching = self._cache is not None and use_cache
-        with Stopwatch() as sw:
-            cached = None
-            if caching:
-                find = self._cache.probe if cached_only else self._cache.lookup
+        find = None
+        if self._cache is not None:
+            find = self._cache.probe if cached_only else self._cache.lookup
+        answers: list = []
+        pending: list[tuple[int, BatchQuery, tuple | None]] = []
+        looked_up = 0
+        for genes, top_k, datasets, use_cache, rows in members:
+            t0 = perf_counter()
+            query = tuple(map(str, genes))
+            if not query:
+                raise SearchError("query must contain at least one gene")
+            if len(set(query)) != len(query):
+                raise SearchError("query contains duplicate genes")
+            if datasets is not None:
+                datasets = tuple(map(str, datasets))
+            extra = cached = None
+            if use_cache and find is not None:
+                looked_up += 1
+                extra = self._cache_extra(top_k, datasets)
                 cached = find(version, query, extra=extra)
+            elif top_k is None:
+                top_k = rows
             if cached is not None:
-                result, report = rebind_result(cached, query), COMPLETE
+                answers.append((rebind_result(cached, query), COMPLETE, perf_counter() - t0))
             elif cached_only:
                 return None
             else:
-                result, report = self._compute(
-                    query, top_k, datasets,
-                    Deadline.never() if deadline is None else deadline,
-                    require_complete,
-                )
-                if caching and not report["partial"]:
+                pending.append((len(answers), BatchQuery(query, top_k, datasets), extra))
+                answers.append(None)
+        width = 1
+        if pending:
+            t0 = perf_counter()
+            computed, width = self._compute_many(
+                [spec for _, spec, _ in pending], deadline, require_complete
+            )
+            each = (perf_counter() - t0) / len(pending)
+            for (position, spec, extra), (result, report) in zip(pending, computed):
+                if extra is not None and not report["partial"]:
                     self._cache.store(
-                        version, query, result, extra=extra, cost=result.total_genes
+                        version, spec.genes, result, extra=extra, cost=result.total_genes
                     )
-        self._record_served(sw.elapsed)
-        return result, report
+                answers[position] = (result, report, each)
+        for result, _, _ in answers:
+            self._note_dataset_use(result)
+        self._record_served(len(answers), perf_counter() - started)
+        hits = len(answers) - len(pending)
+        return answers, (hits, looked_up - hits, width)
 
     def search(
         self,
@@ -181,11 +217,49 @@ class SearchBackend:
         to the head of the full ranking); ``datasets`` restricts the
         search to the named datasets.
         """
-        return self._search_report(
-            query, use_cache=use_cache, top_k=top_k, datasets=datasets
-        )[0]
+        member = (query, top_k, datasets, use_cache, None)
+        answers, _ = self._answer((member,), Deadline.never())
+        return answers[0][0]
 
     # -------------------------------------------------- protocol entry points
+    def _respond(
+        self,
+        requests: Sequence[SearchRequest],
+        deadline: Deadline | None,
+        what: str,
+        *,
+        cached_only: bool = False,
+    ) -> tuple[list[SearchResponse], tuple[int, int, int]] | None:
+        """:meth:`_answer` for protocol requests: ``(pages, (hits, misses,
+        width))``.  ``deadline`` bounds them all; a member's own
+        ``deadline_ms`` can only tighten it."""
+        members = []
+        for request in requests:
+            if request.deadline_ms is not None:
+                deadline = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
+            members.append((
+                request.genes, request.top_k, request.datasets, request.use_cache,
+                (request.page + 1) * request.page_size,
+            ))
+        if deadline is None:
+            deadline = Deadline.never()
+        deadline.check(what)
+        answered = self._answer(members, deadline, cached_only=cached_only)
+        if answered is None:
+            return None
+        answers, tally = answered
+        pages = [
+            SearchResponse.from_result(
+                result,
+                request,
+                elapsed_seconds=seconds,
+                partial=report["partial"],
+                shards=report["shards"],
+            )
+            for request, (result, report, seconds) in zip(requests, answers)
+        ]
+        return pages, tally
+
     def respond(
         self, request: SearchRequest, *, deadline: Deadline | None = None
     ) -> SearchResponse:
@@ -205,7 +279,7 @@ class SearchBackend:
         fails fast rather than committing to the work; partiality rides
         the append-only ``partial``/``shards`` fields.
         """
-        return self._respond(request, deadline, cached_only=False)
+        return self._respond((request,), deadline, "search admission")[0][0]
 
     def respond_cached(
         self, request: SearchRequest, *, deadline: Deadline | None = None
@@ -213,78 +287,37 @@ class SearchBackend:
         """:meth:`respond` when the answer is already in the result cache,
         else ``None`` with no counter moved — the half of ``respond``
         that never waits (same checks, same errors, same bytes)."""
-        return self._respond(request, deadline, cached_only=True)
-
-    def _respond(
-        self, request: SearchRequest, deadline: Deadline | None, *, cached_only: bool
-    ) -> SearchResponse | None:
-        budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
-        budget.check("search admission")
-        top_k = request.top_k
-        if top_k is None and not (self._cache is not None and request.use_cache):
-            top_k = (request.page + 1) * request.page_size
-        with Stopwatch() as sw:
-            answer = self._search_report(
-                request.genes,
-                use_cache=request.use_cache,
-                top_k=top_k,
-                datasets=request.datasets,
-                deadline=budget,
-                cached_only=cached_only,
-            )
-        if answer is None:
-            return None
-        result, report = answer
-        return SearchResponse.from_result(
-            result,
-            request,
-            elapsed_seconds=sw.elapsed,
-            partial=report["partial"],
-            shards=report["shards"],
+        answered = self._respond(
+            (request,), deadline, "search admission", cached_only=True
         )
+        return None if answered is None else answered[0][0]
 
     def respond_batch(
         self, request: BatchSearchRequest, *, deadline: Deadline | None = None
     ) -> BatchSearchResponse:
-        """Answer a protocol batch concurrently; results in input order.
+        """Answer a protocol batch; results in input order.
 
+        The members' cache hits are answered inline and the misses are
+        scored together, however this backend scores misses.
         All-or-nothing: a failing member request fails the batch with
         its error (a *partial* member is a success carrying
         ``partial=True``).  The deadline budget bounds the whole batch;
         a member's own ``deadline_ms`` can only tighten it.
+        ``cache_hits``/``cache_misses`` count this batch's own members,
+        whatever else the cache answered meanwhile.
         """
         budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
-        budget.check("batch admission")
-        cache = self._cache
-        hits0, misses0 = (cache.hits, cache.misses) if cache is not None else (0, 0)
         with Stopwatch() as sw:
-            results, n_workers = self._run_batch(
-                list(request.searches), request.scheduler, budget
+            pages, (hits, misses, width) = self._respond(
+                request.searches, budget, "batch admission"
             )
         return BatchSearchResponse(
-            results=tuple(results),
+            results=tuple(pages),
             total_seconds=sw.elapsed,
-            n_workers=n_workers,
-            cache_hits=cache.hits - hits0 if cache is not None else 0,
-            cache_misses=cache.misses - misses0 if cache is not None else 0,
+            n_workers=width,
+            cache_hits=hits,
+            cache_misses=misses,
         )
-
-    def _run_batch(
-        self, searches: list[SearchRequest], scheduler: str, budget: Deadline
-    ) -> tuple[list[SearchResponse], int]:
-        """Fan the members across threads; returns ``(responses, workers)``.
-
-        ``scheduler="map"`` uses the order-preserving thread pool;
-        ``"steal"`` routes through :class:`WorkStealingPool`, which
-        absorbs the imbalance between cache hits and cold searches.
-        """
-
-        def one(req: SearchRequest) -> SearchResponse:
-            return self.respond(req, deadline=budget)
-
-        if scheduler == "steal" and self.n_workers > 1:
-            return WorkStealingPool(self.n_workers).map(one, searches), self.n_workers
-        return parallel_map(one, searches, n_workers=self.n_workers), self.n_workers
 
     def iter_result(self, request: ExportRequest, *, deadline: Deadline | None = None):
         """Cursor over one query's *full* ranking in fixed-size slices.
@@ -310,16 +343,10 @@ class SearchBackend:
         """
         budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
         budget.check("export admission")
-        with Stopwatch() as sw:
-            result, _report = self._search_report(
-                request.genes,
-                use_cache=request.use_cache,
-                top_k=request.top_k,
-                datasets=request.datasets,
-                require_complete=True,
-                deadline=budget,
-            )
-        return self._iter_chunks(result, request, sw.elapsed)
+        member = (request.genes, request.top_k, request.datasets, request.use_cache, None)
+        answers, _ = self._answer((member,), budget, require_complete=True)
+        result, _report, seconds = answers[0]
+        return self._iter_chunks(result, request, seconds)
 
     @staticmethod
     def _iter_chunks(result: SpellResult, request: ExportRequest, elapsed: float):
@@ -336,14 +363,7 @@ class SearchBackend:
         offset = min(request.resume_offset, exportable)
         while offset < exportable:
             stop = min(offset + request.chunk_size, exportable)
-            if isinstance(table, GeneTable):
-                rows = table.rows(offset, stop)
-            else:  # legacy tuple-of-GeneScore results
-                rows = [
-                    (offset + i + 1, g.gene_id, g.score)
-                    for i, g in enumerate(table[offset:stop])
-                ]
-            yield ExportChunk(offset=offset, gene_rows=tuple(rows))
+            yield ExportChunk(offset=offset, gene_rows=tuple(table.rows(offset, stop)))
             offset = stop
         yield ExportTrailer(
             status="ok",

@@ -207,7 +207,7 @@ class SpellResult:
     query_used: tuple[str, ...]  # query genes found in >= 1 dataset
     query_missing: tuple[str, ...]
     datasets: tuple[DatasetScore, ...]  # sorted by weight, descending
-    genes: "GeneTable | tuple[GeneScore, ...]"  # by score desc; query excluded
+    genes: GeneTable  # by score desc; query excluded
 
     def top_genes(self, n: int) -> list[str]:
         return [g.gene_id for g in self.genes[:n]]
@@ -216,9 +216,7 @@ class SpellResult:
         return [d.name for d in self.datasets[:n]]
 
     def gene_ranking(self) -> list[str]:
-        if isinstance(self.genes, GeneTable):
-            return self.genes.ranking()
-        return [g.gene_id for g in self.genes]
+        return self.genes.ranking()
 
     def dataset_ranking(self) -> list[str]:
         return [d.name for d in self.datasets]
@@ -226,9 +224,7 @@ class SpellResult:
     @property
     def total_genes(self) -> int:
         """Candidate genes in the full ranking (>= ``len(genes)`` for top-k)."""
-        if isinstance(self.genes, GeneTable):
-            return self.genes.total
-        return len(self.genes)
+        return self.genes.total
 
 
 class SpellEngine:
@@ -364,19 +360,13 @@ class SpellEngine:
             result = self.search(current)
         # re-attribute to the original query for reporting
         genes = result.genes
-        if isinstance(genes, GeneTable):
-            keep = ~np.isin(genes.ids, np.asarray([str(g) for g in query]))
-            genes = GeneTable(
-                genes.ids[keep], genes.scores[keep], genes.n_datasets[keep]
-            )
-        else:
-            genes = tuple(g for g in genes if g.gene_id not in set(query))
+        keep = ~np.isin(genes.ids, np.asarray([str(g) for g in query]))
         return SpellResult(
             query=tuple(str(g) for g in query),
             query_used=result.query_used,
             query_missing=result.query_missing,
             datasets=result.datasets,
-            genes=genes,
+            genes=GeneTable(genes.ids[keep], genes.scores[keep], genes.n_datasets[keep]),
         )
 
     # -------------------------------------------------------------- internals

@@ -1,24 +1,23 @@
 """Multi-process batch serving over the memory-mapped index store.
 
-Thread-level batching (``SpellService.respond_batch``) only overlaps the
-BLAS matmuls — on small shards the Python side of a query (validation,
-pagination, result assembly) holds the GIL and pins a whole batch to one
-core.  This module gives the batch path real multi-core scaling without
-copying the index into every process: worker processes **reopen the
-persistent** :class:`~repro.spell.store.IndexStore` **with**
-``mmap=True``, so every worker's shard views are windows onto the same
-OS page cache — the index's bytes exist once in physical memory no
-matter how many workers serve it (the store is the enabler; nothing is
-pickled between processes except queries and ranked results).
+Threads cannot spread a batch over cores: a query is a few hundred small
+NumPy calls, so its Python side holds the GIL and a thread fan-out only
+convoys on it (measured slower than the serial loop).  This module gives
+cache misses real multi-core scaling without copying the index into
+every process: worker processes **reopen the persistent**
+:class:`~repro.spell.store.IndexStore` **memory-mapped**, so every
+worker's shard views are windows onto the same OS page cache — the
+index's bytes exist once in physical memory no matter how many workers
+serve it (the store is the enabler; nothing is pickled between processes
+except queries and ranked results).
 
 Consistency is guarded by the store's durable version tokens: every
 batch carries the dispatching service's ordered ``(dataset name,
 content fingerprint)`` list, and a worker whose reopened index does not
 match **resyncs** (reloads the store, which the parent synced before
 dispatch) before serving; if it still disagrees it refuses the batch
-(:class:`WorkerPoolError`) and the parent falls back to the in-process
-threaded path.  A stale worker index is therefore never silently
-served.
+(:class:`WorkerPoolError`) and the parent falls back to the same kernel
+in-process.  A stale worker index is therefore never silently served.
 
 Workers are spawned (not forked — the parent may be running server
 threads) lazily on first use and reused across batches; each holds one
@@ -53,7 +52,7 @@ class WorkerPoolError(ReproError):
     """The pool cannot (or must not) serve this batch; caller falls back."""
 
 
-def _worker_main(conn, store_dir: str, mmap: bool) -> None:
+def _worker_main(conn, store_dir: str) -> None:
     """One worker: reopen the store, answer batch slices until EOF.
 
     The index is loaded lazily (the parent may sync the store after
@@ -80,7 +79,7 @@ def _worker_main(conn, store_dir: str, mmap: bool) -> None:
                 # crash debris is the owning service's job, and a worker
                 # must never race the parent's in-flight (unpublished)
                 # shard writes by deleting them as orphans
-                index = IndexStore.load(store_dir, mmap=mmap, sweep=False)
+                index = IndexStore.load(store_dir, mmap=True, sweep=False)
             if index.fingerprints() != expected:
                 conn.send(("stale", repr(store_dir)))
                 index = None  # force a fresh look next batch
@@ -110,7 +109,6 @@ class IndexWorkerPool:
         store_dir: str | Path,
         *,
         n_procs: int,
-        mmap: bool = True,
         reply_timeout: float = REPLY_TIMEOUT_SECONDS,
     ) -> None:
         if n_procs < 1:
@@ -134,7 +132,7 @@ class IndexWorkerPool:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, self.store_dir, mmap),
+                    args=(child_conn, self.store_dir),
                     daemon=True,
                 )
                 proc.start()

@@ -36,10 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.api.protocol import SearchRequest, SearchResponse
 from repro.data.compendium import Compendium
 from repro.spell.backend import COMPLETE, SearchBackend
-from repro.spell.cache import DEFAULT_CACHE_SIZE, rebind_result
+from repro.spell.cache import DEFAULT_CACHE_SIZE
 from repro.spell.engine import SpellEngine, SpellResult
 from repro.spell.index import BatchQuery, SpellIndex
 from repro.spell.procpool import (
@@ -50,7 +49,6 @@ from repro.spell.procpool import (
 from repro.spell.store import IndexStore, StorageStats
 from repro.util.deadline import Deadline
 from repro.util.errors import StoreError
-from repro.util.timing import Stopwatch
 
 __all__ = ["SpellService"]
 
@@ -71,16 +69,20 @@ class SpellService(SearchBackend):
     memory and speeds the matmuls at the cost of last-digit score drift
     (see the ablation bench for rank agreement).
 
-    ``n_procs >= 2`` turns on multi-core *batch* serving: worker
-    processes each reopen the persistent store via mmap (sharing shard
-    pages through the OS page cache — the index is never pickled) and
-    :meth:`respond_batch` scatters cache-missing batch members across
-    them.  A service without ``store_dir`` gets a private temporary
-    store (removed by :meth:`close`).  Per-batch version tokens keep
-    workers honest: a stale worker resyncs or refuses, and any pool
-    failure falls back to the in-process threaded path — answers first,
-    parallelism second.  ``cache_min_cost`` sets the result cache's
-    admission threshold (see :class:`~repro.spell.cache.QueryCache`).
+    ``n_procs >= 2`` turns on multi-core serving: worker processes each
+    reopen the persistent store via mmap (sharing shard pages through
+    the OS page cache — the index is never pickled) and a batch's cache
+    misses are scattered across them instead of scored under this
+    process's GIL (a lone miss — a single search, an export — has
+    nothing to scatter and stays in-process).  A service without
+    ``store_dir`` gets a private temporary store (removed by
+    :meth:`close`).  Per-dispatch version tokens keep workers honest: a
+    stale worker resyncs or refuses, and any pool failure falls back to
+    the same kernel in-process — answers first, parallelism second.
+    ``n_workers`` threads normalise shards at index build (and score
+    datasets under ``use_index=False``); no query fans out across
+    threads.  ``cache_min_cost`` sets the result cache's admission
+    threshold (see :class:`~repro.spell.cache.QueryCache`).
     """
 
     def __init__(
@@ -297,28 +299,51 @@ class SpellService(SearchBackend):
             )
 
     # ----------------------------------------------------------------- search
-    def _compute(
+    def _compute_many(
         self,
-        query: list[str],
-        top_k: int | None,
-        datasets: tuple[str, ...] | None,
+        misses: list[BatchQuery],
         deadline: Deadline,
         require_complete: bool,
-    ) -> tuple[SpellResult, dict]:
-        """Score one cache-missing query on the index (always complete).
+    ) -> tuple[list[tuple[SpellResult, dict]], int]:
+        """Score the misses (always complete): several on the worker pool
+        when one is usable, else through the same batched kernel
+        in-process.
 
-        ``deadline`` is not consulted: the in-process scoring kernel is
-        uninterruptible, and the budget was checked at admission.
+        On the pool the misses are scattered across the workers (each
+        mmap-shares the persistent store and scores its slice with
+        ``search_batch``); ``deadline`` clamps every gather wait, and a
+        spent budget surfaces as ``DeadlineExceeded`` — never as an
+        in-process fallback that would blow the same budget again.  If
+        the pool cannot serve (spawn failure, dead worker, persistent
+        staleness) the *same* misses are answered in-process: answers
+        first, parallelism second.  A lone miss — every single search,
+        every export — has nothing to scatter and stays in-process: it
+        would occupy one worker behind the pool's pipe lock and pickle
+        its whole ranking back.  In-process ``deadline`` is not
+        consulted — the kernel is uninterruptible, and the budget was
+        checked at admission.  Member-request errors (unknown gene, bad
+        filter) propagate as themselves either way.
         """
-        self._sync_index()
-        engine = self._index if self._index is not None else self._engine
-        return engine.search(query, top_k=top_k, datasets=datasets), COMPLETE
-
-    def _search_report(self, query: Sequence[str], **options):
-        answer = super()._search_report(query, **options)
-        if answer is not None:
-            self._note_dataset_use(answer[0])
-        return answer
+        self._sync_index()  # once up front, not per member or per worker
+        index = self._index
+        if index is None:  # use_index=False: the exact engine, query by query
+            return [
+                (self._engine.search(m.genes, top_k=m.top_k, datasets=m.datasets), COMPLETE)
+                for m in misses
+            ], 1
+        if len(misses) > 1 and self._procs_usable():
+            try:
+                results, _busy = self._ensure_procpool().run_batch(
+                    index.fingerprints(), misses, deadline=deadline
+                )
+                if len(results) != len(misses):  # defensive; a pool bug
+                    raise WorkerPoolError(
+                        f"pool returned {len(results)} results for {len(misses)} queries"
+                    )
+                return [(result, COMPLETE) for result in results], self.n_procs
+            except WorkerPoolError:
+                pass  # fall through: the same misses, the same kernel, in-process
+        return [(result, COMPLETE) for result in index.search_batch(misses)], 1
 
     #: Distinct results tallied before they are folded into per-dataset
     #: heat — bounds the tally map (and the tuples it pins) under
@@ -361,36 +386,19 @@ class SpellService(SearchBackend):
             self._fold()
             return dict(self._dataset_heat)
 
-    def _run_batch(
-        self, searches: list[SearchRequest], scheduler: str, budget: Deadline
-    ) -> tuple[list[SearchResponse], int]:
-        """The base thread fan-out, or — with ``n_procs >= 2`` — the pool.
-
-        On the process-pool path the batch's cache misses are scattered
-        across the workers (each mmap-shares the persistent store and
-        scores its slice with ``search_batch``); the budget clamps every
-        gather wait, and a spent budget surfaces as ``DeadlineExceeded``
-        — never as an in-process fallback that would blow the same
-        budget again.
-        """
-        self._sync_index()  # once up front, not per worker
-        if self._procs_usable():
-            return self._respond_batch_procs(searches, budget), self.n_procs
-        return super()._run_batch(searches, scheduler, budget)
-
-    # ----------------------------------------------- multi-process batch path
+    # ----------------------------------------------------- multi-process path
     #: A broken pool is respawned this many times before the service gives
     #: up on multi-process serving (a persistently failing environment
     #: must not pay spawn cost on every batch forever).
     MAX_POOL_RESPAWNS = 3
 
     def _procs_usable(self) -> bool:
-        """Can (and should) this batch take the multi-process path?
+        """Can (and should) these misses take the multi-process path?
 
         A *broken* pool does not disqualify — ``_ensure_procpool``
         respawns it (transient worker deaths heal); only
         ``_pool_disabled`` (respawn budget exhausted, or spawning
-        impossible here) routes batches to the thread path for good.
+        impossible here) keeps scoring in-process for good.
         """
         return (
             self.n_procs > 1
@@ -418,93 +426,12 @@ class SpellService(SearchBackend):
                     self._procpool = IndexWorkerPool(
                         self._store_dir,
                         n_procs=self.n_procs,
-                        mmap=True,
                         reply_timeout=self.pool_timeout,
                     )
                 except WorkerPoolError:
                     self._pool_disabled = True  # spawn is impossible here
                     raise
             return self._procpool
-
-    def _respond_batch_procs(
-        self,
-        searches: list[SearchRequest],
-        budget: Deadline,
-    ) -> list[SearchResponse]:
-        """Scatter the batch's cache misses across the worker processes.
-
-        Cache hits are answered inline (the workers never see them);
-        misses are dispatched as :class:`BatchQuery` specs carrying the
-        same effective ``top_k`` the in-process path would use, and the
-        full results coming back populate the cache exactly as a local
-        search would — so the proc path and the thread path are
-        indistinguishable to a later query.  If the pool cannot serve
-        (spawn failure, dead worker, persistent staleness), the *same*
-        pending specs are answered in-process by ``search_batch`` —
-        the inline cache hits are never recomputed and every counter
-        (hits, misses, query count) moves exactly once per member.
-        Member-request errors (bad page, unknown gene) propagate as
-        themselves, failing the batch all-or-nothing.
-        """
-        version = self.compendium.version
-        responses: dict[int, SearchResponse] = {}
-        pending: list[int] = []
-        specs: list[BatchQuery] = []
-        plans: list[tuple[bool, int | None, tuple]] = []  # (caching, top_k, extra)
-        for idx, req in enumerate(searches):
-            caching = self._cache is not None and req.use_cache
-            top_k = req.top_k
-            if top_k is None and not caching:
-                top_k = (req.page + 1) * req.page_size
-            extra = self._cache_extra(top_k, req.datasets)
-            if caching:
-                with Stopwatch() as sw:
-                    cached = self._cache.lookup(version, list(req.genes), extra=extra)
-                if cached is not None:
-                    result = rebind_result(cached, list(req.genes))
-                    self._note_dataset_use(result)
-                    self._record_served(sw.elapsed)
-                    responses[idx] = SearchResponse.from_result(
-                        result, req, elapsed_seconds=sw.elapsed
-                    )
-                    continue
-            pending.append(idx)
-            specs.append(
-                BatchQuery(genes=req.genes, top_k=top_k, datasets=req.datasets)
-            )
-            plans.append((caching, top_k, extra))
-
-        if specs:
-            try:
-                pool = self._ensure_procpool()
-                results, busy = pool.run_batch(
-                    self._index.fingerprints(), specs, deadline=budget
-                )
-                if len(results) != len(specs):  # defensive; a pool bug
-                    raise WorkerPoolError(
-                        f"pool returned {len(results)} results for "
-                        f"{len(specs)} queries"
-                    )
-            except WorkerPoolError:
-                # answers first: the misses run through the same batched
-                # kernel in-process (never re-touching the inline hits)
-                with Stopwatch() as sw:
-                    results = self._index.search_batch(specs)
-                busy = sw.elapsed
-            per_query = busy / len(results) if results else 0.0
-            for idx, (caching, top_k, extra), result in zip(pending, plans, results):
-                req = searches[idx]
-                if caching:
-                    self._cache.store(
-                        version, list(req.genes), result,
-                        extra=extra, cost=result.total_genes,
-                    )
-                self._note_dataset_use(result)
-                self._record_served(per_query)
-                responses[idx] = SearchResponse.from_result(
-                    result, req, elapsed_seconds=per_query
-                )
-        return [responses[i] for i in range(len(searches))]
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -693,7 +693,7 @@ class TestInlineWarmPath:
 
 
 class _StallableService(SpellService):
-    """``_compute`` parks on an event; records who ran which half."""
+    """``_compute_many`` parks on an event; records who ran which half."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -703,11 +703,11 @@ class _StallableService(SpellService):
         self.compute_threads: list[threading.Thread] = []
         self.cached_threads: list[threading.Thread] = []
 
-    def _compute(self, *args):
+    def _compute_many(self, *args):
         self.compute_threads.append(threading.current_thread())
         self.parked.set()
         assert self.release.wait(20)
-        return super()._compute(*args)
+        return super()._compute_many(*args)
 
     def respond_cached(self, *args, **kwargs):
         self.cached_threads.append(threading.current_thread())
@@ -733,7 +733,7 @@ class TestLoopLiveness:
                     request_raw(addr, "POST", "/v1/search", {"genes": cold_q})
                 ))
                 client.start()
-                assert svc.parked.wait(10)  # the cold request is inside _compute
+                assert svc.parked.wait(10)  # the cold request is inside _compute_many
 
                 # ... and the loop is still answering hits on another connection
                 conn = http.client.HTTPConnection(*addr, timeout=10)

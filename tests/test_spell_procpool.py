@@ -414,8 +414,9 @@ class TestProcessPool:
             count0 = service.query_count
             hits0 = service.cache_stats()["hits"]
             misses0 = service.cache_stats()["misses"]
-            # exhaust the respawn budget, then break the pool
-            service.respond_batch(_batch_request([hot], use_cache=False))
+            # exhaust the respawn budget, then break the pool (two members:
+            # a lone miss is scored in-process and would not spawn it)
+            service.respond_batch(_batch_request([hot, queries[1]], use_cache=False))
             service._procpool.close()
             service._pool_respawns = service.MAX_POOL_RESPAWNS
             request = _batch_request(queries, page_size=10)
@@ -424,7 +425,7 @@ class TestProcessPool:
             stats = service.cache_stats()
             assert stats["hits"] - hits0 == 1  # the primed member, once
             assert stats["misses"] - misses0 == len(queries) - 1  # probes, once
-            assert service.query_count - count0 == len(queries) + 1
+            assert service.query_count - count0 == len(queries) + 2
             oracle = SpellService(comp, n_workers=1, cache_size=0)
             expect = oracle.respond_batch(request)
             for a, b in zip(got.results, expect.results):
