@@ -6,10 +6,11 @@ Four contracts the production service must honour, each measured here:
 1. **Result cache** — a warm-cache query (LRU hit on the canonicalized
    query) must be at least an order of magnitude faster than the cold
    indexed path.
-2. **Batched kernel** — ``SpellIndex.search_batch`` runs its members
-   through the same dataset-vectorised kernel as ``search`` on one
-   pooled scratch; it must never lose to B separate ``search`` calls
-   and must stay bit-identical to them.
+2. **Batched kernel** — ``SpellIndex.search_batch`` sends its members
+   through the kernel ``search`` ends in, stacked in blocks (one gather,
+   one stacked Gram, one wide matmul per dataset per block); it must
+   cost at most 0.75x of B separate ``search`` calls and must stay
+   bit-identical to them.
 3. **Multi-process serving** — ``SpellService(n_procs>=2)`` scatters a
    batch's misses across worker processes sharing the mmap store; on a
    >= 2 core host it must beat the in-process path (the same kernel,
@@ -107,8 +108,9 @@ def _batch_request(queries):
 
 
 def test_batched_kernel_beats_per_query_passes(workload):
-    """search_batch must not lose to B per-query ``search`` calls, and
-    every ranking stays bit-identical to SpellIndex.search."""
+    """search_batch must cost at most three quarters of B per-query
+    ``search`` calls, and every ranking stays bit-identical to
+    SpellIndex.search."""
     comp, _, queries = workload
     index = SpellIndex.build(comp)
     for q in queries[:3]:  # warm the BLAS/scratch paths out of the timing
@@ -140,13 +142,15 @@ def test_batched_kernel_beats_per_query_passes(workload):
         [
             ["per-query search x32", f"{t_single * 1e3:.1f} ms",
              f"{len(queries) / t_single:.0f}"],
-            ["search_batch (one scratch, same kernel)", f"{t_batch * 1e3:.1f} ms",
+            ["search_batch (stacked blocks, same kernel)", f"{t_batch * 1e3:.1f} ms",
              f"{len(queries) / t_batch:.0f}"],
         ],
         notes=(
-            f"{len(queries)} queries over the FIG4 compendium; both paths "
-            f"run the one dataset-vectorised kernel, the batch on a single "
-            f"pooled scratch; {speedup:.2f}x, rankings bit-identical (asserted)."
+            f"{len(queries)} queries over the FIG4 compendium; both paths end "
+            f"in the one kernel — per query as a block of one, the batch as "
+            f"blocks of stacked members (one gather, one stacked Gram and one "
+            f"wide matmul per dataset per block); {speedup:.2f}x, rankings "
+            f"bit-identical (asserted)."
         ),
     )
     update_json_report(
@@ -160,11 +164,11 @@ def test_batched_kernel_beats_per_query_passes(workload):
             }
         },
     )
-    # the batched kernel must never *lose* to per-query dispatch by more
-    # than timing noise; the speedup itself is reported, not gated (BLAS
-    # thread counts vary wildly across CI hosts)
-    assert t_batch <= 1.2 * t_single, (
-        f"batched kernel slower than per-query: {t_batch:.4f}s vs {t_single:.4f}s"
+    # a batch must be cheaper than its members: what stacking saves is
+    # NumPy dispatch, which no host's BLAS changes (measured 0.56-0.65x on
+    # this shape; both sides are a min of three, so the ratio is stable)
+    assert t_batch <= 0.75 * t_single, (
+        f"batched kernel not ahead of per-query: {t_batch:.4f}s vs {t_single:.4f}s"
     )
 
 

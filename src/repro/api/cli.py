@@ -93,7 +93,10 @@ FLAGS: dict[str, tuple[tuple[str, dict], ...]] = {
                        "help": ">= 2 scatters a /v1/search/batch's cache misses "
                                "across a process pool sharing the mmap index "
                                "store (spawned by the first such batch, ~1 s; a "
-                               "single search or export stays in-process)"}),
+                               "single search or export stays in-process). Each "
+                               "worker scores its slice in stacked blocks, so "
+                               "size batches for >= 8 misses per worker (see "
+                               "Sizing batches)"}),
         ("--pool-timeout", {"type": float, "default": 120.0,
                             "help": "seconds to wait on one pool worker's reply "
                                     "before declaring the pool broken (request "

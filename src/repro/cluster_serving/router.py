@@ -219,6 +219,7 @@ class RouterService(SearchBackend):
         if not query_used:
             raise SearchError(f"no query gene exists in any dataset: {query}")
 
+        expected = self._fingerprints  # the catalog this gather merges over
         contributions: dict[str, DatasetPartial] = {}
         node_report: dict[str, dict] = {}
         failures: dict[str, list[str]] = {name: [] for name in selected}
@@ -305,9 +306,18 @@ class RouterService(SearchBackend):
                         failures[name].append(f"{nid}: {error}")
                 continue
             self._latency.add(elapsed)
+            refused = dict(reply["refused"])
             for name, wire in reply["partials"].items():
                 if name in done:
                     continue  # a faster replica already answered
+                if wire["fingerprint"] != expected.get(name):
+                    # scored, but not over the content the catalog names:
+                    # the refusal the shard should have made
+                    refused[name] = (
+                        f"stale content: shard scored {str(wire['fingerprint'])[:12]}, "
+                        f"router expects {str(expected.get(name))[:12]}"
+                    )
+                    continue
                 contributions[name] = DatasetPartial(
                     name=wire["name"],
                     fingerprint=wire["fingerprint"],
@@ -320,7 +330,7 @@ class RouterService(SearchBackend):
                 if is_hedge:
                     with self._lock:
                         self._hedge_wins += 1
-            for name, reason in reply["refused"].items():
+            for name, reason in refused.items():
                 report["refused"][name] = reason
                 if name not in done:
                     failures[name].append(f"{nid}: {reason}")

@@ -14,19 +14,24 @@ the :class:`repro.spell.index.SpellIndex` scoring kernel:
   original shard (same values, same BLAS reduction order), which the
   oracle tests assert.
 
-* **Per-query scratch** — the scoring kernel writes every dataset's
-  ``Q @ Q.T`` Gram into one pair buffer and every positive-weight
-  dataset's ``Xn @ Q.T`` block into one flat buffer (``Σ genes × q``
-  elements: around a megabyte, i.e. a fresh ``mmap`` and a page fault
-  per 4 KiB if allocated per query).  :class:`ScoreScratch` owns both;
-  a :class:`ScratchPool` free-list recycles them across queries *and
+* **Kernel scratch** — the scoring kernel writes a block's stacked
+  ``Q @ Q.T`` Grams into one pair buffer and, per dataset, the
+  ``Xn @ Q_all.T`` product of the members it weighs positively into one
+  flat buffer (``Σ genes × columns`` elements: around a megabyte for a
+  lone query, i.e. a fresh ``mmap`` and a page fault per 4 KiB if
+  allocated each time).  :class:`ScoreScratch` owns both; a
+  :class:`ScratchPool` free-list recycles them across queries *and
   threads* (a thread-per-request server like ``ThreadingHTTPServer``
   never reuses a thread, so thread-local storage would defeat the pool
   on the primary serving path).  The buffers are handed out
   uninitialised — the kernel overwrites every element it reads — and
-  grow only when a query needs more than any before it.  The three
+  grow only when a block needs more than any before it.  A batch goes
+  through the kernel in blocks of at most
+  :data:`repro.spell.index.BLOCK_COLUMNS` query-gene columns, so what a
+  scratch can grow to is set by the index and that constant, not by how
+  many members a batch has (the wire protocol caps no batch).  The
   universe-sized accumulators are *not* pooled: they are ``np.bincount``
-  outputs, fresh per query, which is also why a result can never alias
+  outputs, fresh per member, which is also why a result can never alias
   scratch.
 
 **Fusion discipline**: only shards that are plain in-RAM arrays
@@ -127,16 +132,25 @@ class ShardArena:
 
 
 class ScoreScratch:
-    """The two per-query work buffers of the scoring kernel, reusable.
+    """The two work buffers of the scoring kernel, reusable.
 
-    ``grams(n, dtype)`` is the pair buffer the per-dataset ``Q @ Q.T``
-    Grams are written into; ``flat(n, dtype)`` is the one flat buffer
-    every positive-weight ``Xn @ Q.T`` matmul of a query writes its
-    ``(genes, q)`` block into (``Σ genes × q`` elements — the only
-    allocation of a query that is large enough to be served by a fresh
-    ``mmap`` and faulted in page by page).  Both hand back the first
-    ``n`` elements **uninitialised** — the kernel overwrites all of them
-    — and re-allocate only to grow or when the shard dtype changes.
+    Sized **per block** — the stacked members one
+    :meth:`~repro.spell.index.SpellIndex._score` call scores, never the
+    batch they came from.  ``grams(n, dtype)`` is the pair buffer: every
+    selected dataset's stacked ``Q @ Q.T`` lands in it, ``datasets ×
+    members × p²`` elements, written **per dataset** and read back once
+    **per block** for the Fisher-z/weight step.  ``flat(n, dtype)`` is
+    the score buffer: **per dataset**, the one ``Xn @ Q_all.T`` of the
+    members weighed positively there writes its ``(genes, columns)``
+    product into the next window, and the clip and the column mean run
+    over all of it once **per block** (``Σ genes × columns`` elements —
+    the only allocation of the kernel large enough to be served by a
+    fresh ``mmap`` and faulted in page by page).  Nothing in here is
+    **per member**: a member's score vector is sliced from a fresh array
+    of means, its accumulators are fresh ``bincount`` outputs.  Both
+    calls hand back the first ``n`` elements **uninitialised** — the
+    kernel overwrites all of them — and re-allocate only to grow or when
+    the shard dtype changes.
     """
 
     __slots__ = ("_grams", "_flat")
@@ -157,6 +171,11 @@ class ScoreScratch:
 
     def flat(self, n: int, dtype) -> np.ndarray:
         return self._window("_flat", n, dtype)
+
+    def nbytes(self) -> int:
+        """Bytes currently held (observability: set by the widest block
+        scored so far, never by how many blocks a batch had)."""
+        return int(self._grams.nbytes + self._flat.nbytes)
 
 
 class ScratchPool:

@@ -145,24 +145,19 @@ class SearchBackend:
         vain (a ``use_cache=False`` member is neither), and the width
         :meth:`_compute_many` reported.
 
-        ``cached_only`` is the hit half on its own: resident answers are
-        served and counted exactly as above, but a miss returns ``None``
-        having touched nothing — no miss, no LRU reorder, no served
-        count — so the full call that follows is the one that counts.
-        That half never waits: it does not reach ``_compute_many``.
-        (Exact for one member, which is every caller today: members
-        that hit *before* the miss have had their hit counted.)
+        ``cached_only`` is the hit half on its own: when every member is
+        resident they are served and counted exactly as above, but if any
+        is not the answer is ``None`` having touched nothing — no hit, no
+        miss, no LRU reorder, no served count — so the full call that
+        follows is the one that counts.  One hold of the cache's lock
+        decides it, for one member or many.  That half never waits: it
+        does not reach ``_compute_many``.
         """
         started = perf_counter()
         version = self.compendium.version
-        find = None
-        if self._cache is not None:
-            find = self._cache.probe if cached_only else self._cache.lookup
-        answers: list = []
-        pending: list[tuple[int, BatchQuery, tuple | None]] = []
+        keyed: list[tuple] = []  # (query, top_k, datasets, cache-key extra | None)
         looked_up = 0
         for genes, top_k, datasets, use_cache, rows in members:
-            t0 = perf_counter()
             query = tuple(map(str, genes))
             if not query:
                 raise SearchError("query must contain at least one gene")
@@ -170,19 +165,35 @@ class SearchBackend:
                 raise SearchError("query contains duplicate genes")
             if datasets is not None:
                 datasets = tuple(map(str, datasets))
-            extra = cached = None
-            if use_cache and find is not None:
+            extra = None
+            if use_cache and self._cache is not None:
                 looked_up += 1
                 extra = self._cache_extra(top_k, datasets)
-                cached = find(version, query, extra=extra)
             elif top_k is None:
                 top_k = rows
+            keyed.append((query, top_k, datasets, extra))
+        resident = None
+        if cached_only:
+            if looked_up == len(keyed):
+                resident = self._cache.probe_all(
+                    version, [(query, extra) for query, _, _, extra in keyed]
+                )
+            if resident is None:
+                return None
+        answers: list = []
+        pending: list[tuple[int, BatchQuery, tuple | None]] = []
+        for position, (query, top_k, datasets, extra) in enumerate(keyed):
+            t0 = perf_counter()
+            if resident is not None:
+                cached = resident[position]
+            elif extra is not None:
+                cached = self._cache.lookup(version, query, extra=extra)
+            else:
+                cached = None
             if cached is not None:
                 answers.append((rebind_result(cached, query), COMPLETE, perf_counter() - t0))
-            elif cached_only:
-                return None
             else:
-                pending.append((len(answers), BatchQuery(query, top_k, datasets), extra))
+                pending.append((position, BatchQuery(query, top_k, datasets), extra))
                 answers.append(None)
         width = 1
         if pending:

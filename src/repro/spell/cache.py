@@ -105,15 +105,18 @@ class QueryCache:
     def lookup(self, version: int, query: Sequence[str], *, extra: tuple = ()):
         return self._lru.get(query_key(version, query, extra=extra))
 
-    def probe(self, version: int, query: Sequence[str], *, extra: tuple = ()):
-        """:meth:`lookup` that leaves no trace of a miss.
+    def probe_all(self, version: int, members: Sequence[tuple[Sequence[str], tuple]]):
+        """:meth:`lookup` of every ``(query, extra)`` member, all or nothing.
 
-        A hit is served (and counted) exactly as by :meth:`lookup`; a
-        miss touches neither ``hits``/``misses``/``evictions`` nor the
-        LRU order, so the :meth:`lookup` a caller makes next — once it
-        is somewhere it may wait for the answer — is the one that counts.
+        When every member is resident they are all served (and counted)
+        exactly as by :meth:`lookup`; when any is missing the answer is
+        ``None`` and nothing — ``hits``/``misses``/``evictions``, the LRU
+        order — has moved, so the :meth:`lookup` a caller makes next, once
+        it is somewhere it may wait for the answers, is the one that counts.
         """
-        return self._lru.probe(query_key(version, query, extra=extra))
+        return self._lru.probe_all(
+            [query_key(version, query, extra=extra) for query, extra in members]
+        )
 
     def store(
         self,

@@ -22,26 +22,51 @@ one code path over ``ShardArena.views``.
 
 One kernel, :meth:`SpellIndex._score`, is the only place shard values
 are multiplied; ``search``, ``search_batch`` and ``search_partials`` all
-end in it.  What it does **per dataset** is the BLAS calls and nothing
-else: gather the query rows ``Q``, ``Q @ Q.T`` into the pooled pair
-buffer, and — for positive-weight datasets — ``Xn @ Q.T`` into the
-pooled flat buffer.  Everything else runs **once per query** across all
-selected datasets: one gather from the stacked slot->row table says
-where every query gene sits in every shard; the ``i < j`` Gram entries
-are Fisher-z'd, averaged and squared into weights as one
-``(datasets, pairs)`` array; the flat buffer is clipped and
-row-averaged in one go; and the three universe accumulators come from
-three ``np.bincount`` calls (:func:`repro.spell.partials.rank_scores`).
-A query costs a few hundred NumPy calls instead of a few thousand,
-which matters twice on a serving thread: each call is dispatch overhead
-larger than the arithmetic it wraps, and each is a GIL hand-off point
-for the next handler thread to convoy on.
+end in it.  It scores a *block*: members of a batch that select the same
+shards and hold the same number of query genes in each, stacked
+(``search`` and ``search_partials`` are the block of one).  The work
+splits three ways.
 
-Three reductions fix the float order, and each is the one a textbook
-per-dataset loop performs (the executable spec in
-``tests/test_spell_kernel.py`` holds the kernel to that loop bit for
-bit): the pair mean is a C-contiguous axis-1 ``mean`` — per row the
-very sum ``np.mean`` takes over that dataset's 1-D pair vector; the
+**Per dataset** — the BLAS calls and nothing else, once for the whole
+block: one gather of every member's query rows ``Q``, one stacked
+``Q @ Q.T`` into the pooled pair buffer, and — for the members whose
+weight there is positive — one ``Xn @ Q_all.T`` into the pooled flat
+buffer, ``Q_all`` being their query rows end to end.  A block of eight
+four-gene queries is one ``(genes, 20) @ (20, 32)`` product per dataset
+where eight lone queries are eight ``(genes, 20) @ (20, 4)``: the same
+flops through an eighth of the dispatches, at nearly twice the BLAS
+efficiency.
+
+**Per block** — everything between the BLAS calls, across all selected
+datasets at once: the ``i < j`` Gram entries are Fisher-z'd, averaged
+and squared into weights as one ``(datasets * members, pairs)`` array;
+the flat buffer is clipped and row-averaged in one go.  None of it sits
+in the dataset loop, which is what keeps the block of one as cheap as a
+kernel written for one query.
+
+**Per member** — what has no shared structure: one gather from the
+stacked slot->row table says where every query gene sits in every shard
+(:meth:`SpellIndex._resolve`), and the rank tail
+(:func:`repro.spell.partials.rank_scores`: three ``np.bincount``
+accumulators, the sort) runs on the member's own score vector, sliced
+out of the block's.  That tail is now the largest stage of a batch.
+
+Dispatch matters twice on a serving thread: each NumPy call is overhead
+larger than the arithmetic it wraps, and each is a GIL hand-off point
+for the next handler thread to convoy on.  A lone query costs a few
+hundred calls, a stacked member a few dozen.
+
+Stacking changes no bit.  A stacked Gram is the same small ``syrk`` per
+member, and every element of ``Xn @ Q_all.T`` is the same dot product
+over the same conditions as in ``Xn @ Q.T`` — BLAS blocks over rows and
+columns, never differently along the reduction for a wider right-hand
+side (asserted, not assumed: ``tests/test_spell_kernel.py`` holds every
+member of batches of 1 to 70 to :meth:`search` and to the textbook loop,
+with BLAS threading on and off).  Three reductions fix the float order,
+and each is the one a textbook per-dataset loop performs (the executable
+spec in that file holds the kernel to the loop bit for bit): the pair
+mean is a C-contiguous axis-1 ``mean`` — per row the very sum
+``np.mean`` takes over one member's 1-D pair vector in one dataset; the
 score mean adds a gene's ``q`` correlations left to right and divides
 once — what ``mean(axis=1)`` does below 8 query genes, and the
 canonical order from 8 up, where numpy would sum in 8 lanes (the spec
@@ -50,14 +75,17 @@ contributions front to back, so each gene's slot receives its datasets'
 terms in compendium order starting from ``0.0``, exactly like a
 per-dataset ``totals[slots] += weight * scores``.
 
-:meth:`search_batch` resolves (and so validates) every member, then
-scores them in turn through that kernel on one pooled scratch —
-:meth:`search` *is* a batch of one — so batch rankings are
-bit-identical to per-query rankings by construction, not by parallel
-maintenance of two loops.  The pooled scratch owns the pair buffer and
-the flat matmul buffer, so no query allocates its ``Σ genes × q``
-workspace; results never alias it (the accumulators are fresh
-``bincount`` outputs).
+:meth:`search_batch` resolves (and so validates) every member, groups
+them into blocks (:meth:`SpellIndex._blocks`) and sends each block
+through the kernel on one pooled scratch; ragged compendia and
+per-member ``datasets`` filters make blocks narrower, never a second
+code path, and :meth:`search` *is* a batch of one — so batch rankings
+are bit-identical to per-query rankings by construction, not by
+parallel maintenance of two loops.  A block holds at most
+``BLOCK_COLUMNS`` query-gene columns, so the pooled scratch — the pair
+buffer and the flat matmul buffer, ``Σ genes × columns`` elements — is
+sized by the index and the block, never by how long a batch is; results
+never alias it (the accumulators are fresh ``bincount`` outputs).
 
 Because each dataset's shard is independent, the index supports both a
 parallel sharded :meth:`build` (normalization fanned over
@@ -81,7 +109,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby
-from typing import Sequence
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,6 +127,17 @@ __all__ = ["SpellIndex", "BatchQuery"]
 
 #: Shard dtypes the index (and its on-disk store) supports.
 SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+#: Query-gene columns one kernel block may hold: a batch's members go
+#: through :meth:`SpellIndex._score` this many columns at a time, so the
+#: kernel's workspace is bounded by the index, not by the batch length.
+#: Wide enough that dispatch is amortised (per-member cost is flat from
+#: eight four-gene members up) and, on the FIG4 shape, narrow enough that
+#: a block's ``(600, 20) @ (20, columns)`` stays single-threaded in
+#: OpenBLAS: from ~44 columns it takes a second thread, and on two cores
+#: the hand-off makes a 30 us product (and whatever runs next to the
+#: spinning thread) three to four times slower.
+BLOCK_COLUMNS = 32
 
 
 @lru_cache(maxsize=64)
@@ -121,6 +161,19 @@ class BatchQuery:
     genes: tuple[str, ...]
     top_k: int | None = None
     datasets: tuple[str, ...] | None = None
+
+
+class _Resolved(NamedTuple):
+    """One validated search request, down to what the kernel consumes
+    (:meth:`SpellIndex._resolve`)."""
+
+    query: list[str]
+    query_used: tuple[str, ...]
+    query_missing: tuple[str, ...]
+    q_slots: np.ndarray  # universe slots of ``query_used``
+    selected: list[int]  # shard indices the ``datasets`` filter admits
+    local: np.ndarray  # (selected shards, used genes) shard rows, -1 = absent
+    n_present: list[int]  # query genes each selected shard holds
 
 
 @dataclass
@@ -406,115 +459,130 @@ class SpellIndex:
             local = local[selected]
         return selected, slots, local
 
-    def _resolve(self, query, datasets: Sequence[str] | None):
-        """Validate one search request down to what the kernel consumes:
-        ``(query, query_used, query_missing, q_slots, selected, local)``,
+    def _resolve(self, query, datasets: Sequence[str] | None) -> _Resolved:
+        """Validate one search request down to what the kernel consumes,
         with membership judged against the selected shards only (a gene
         whose every dataset was removed or filtered out is missing)."""
         query = self._validate_query(query)
         selected, slots, local = self._locate(query, datasets)
-        alive = (local >= 0).any(axis=0)
+        present = local >= 0
+        alive = present.any(axis=0)
         query_used = tuple(g for g, a in zip(query, alive) if a)
         if not query_used:
             raise SearchError(f"no query gene exists in any dataset: {query}")
         query_missing = tuple(g for g, a in zip(query, alive) if not a)
-        return query, query_used, query_missing, slots[alive], selected, local[:, alive]
+        return _Resolved(
+            query, query_used, query_missing, slots[alive],
+            selected, local[:, alive], present.sum(axis=1).tolist(),
+        )
 
     # ----------------------------------------------------------------- kernel
     def _score(
-        self, selected: list[int], local: np.ndarray, scratch: ScoreScratch
-    ) -> tuple[list[int], list[float], np.ndarray]:
+        self,
+        selected: list[int],
+        local: np.ndarray,
+        n_present: list[int],
+        scratch: ScoreScratch,
+    ) -> tuple[list[list[float]], list[np.ndarray]]:
         """The scoring kernel: the only code that multiplies shard values.
 
-        ``local`` is :meth:`_locate`'s row table for the selected shards.
-        Returns, parallel to ``selected``, the number of query genes
-        present in and the coherence weight of each shard, plus the
-        float64 score vectors of the positive-weight shards concatenated
-        in ``selected`` order — exactly what :func:`rank_scores` (or a
-        partials reply) consumes.  Per shard the Python work is a row
-        gather and ``Q @ Q.T`` in the weight pass and ``Xn @ Q.T`` in the
-        score pass; everything else runs once per query.
+        ``local`` stacks the :meth:`_locate` row tables of a *block* of
+        members, shard-major: ``local[s, m, k]`` is the row of member
+        ``m``'s k-th query gene in the s-th selected shard.  Every member
+        holds ``n_present[s]`` of its query genes in that shard (what
+        :meth:`_blocks` groups by), so per shard their rows stack.
+        Returns, per member, the coherence weight of every shard
+        (parallel to ``selected``) and the float64 score vectors of that
+        member's positive-weight shards concatenated in ``selected``
+        order — exactly what :func:`rank_scores` (or a partials reply)
+        consumes.  Per shard the Python work is one row gather and one
+        stacked ``Q @ Q.T`` in the weight pass and one ``Xn @ Q_all.T``
+        in the score pass; everything else runs once per block.
         """
         views = self._arena.views
-        present = local >= 0
-        n_present = present.sum(axis=1)
-        weights = [0.0] * len(selected)
-        q_rows: list = [None] * len(selected)  # each shard's Q, kept for the score pass
+        n_shards, n_members, q = local.shape
+        weights = [[0.0] * n_shards for _ in range(n_members)]
+        q_rows: list = [None] * n_shards  # each shard's stacked Q, kept for the score pass
 
-        # weight pass: shards with the same number of query genes present
-        # (all of them, bar ragged compendia) share one (shards, p, p) Gram
-        # buffer whose i<j pairs are Fisher-z'd and averaged in one go.
-        # The reduce is a C-contiguous axis-1 mean, i.e. per row the same
-        # pairwise sum np.mean takes over that shard's 1-D pair vector.
-        for p in np.unique(n_present[n_present >= MIN_QUERY_PRESENT]).tolist():
-            members = np.flatnonzero(n_present == p).tolist()
-            grams = scratch.grams(len(members) * p * p, self.dtype).reshape(-1, p, p)
-            for gram, s in zip(grams, members):
-                rows = local[s] if p == local.shape[1] else local[s][present[s]]
-                q_rows[s] = Q = views[selected[s]][rows]  # (p, cond) unit rows
-                np.matmul(Q, Q.T, out=gram)
-            pairs = np.take(grams.reshape(-1, p * p), _pair_index(p), axis=1)
-            mean_r = np.tanh(fisher_z(pairs).mean(axis=1))
-            for s, r in zip(members, mean_r.tolist()):
-                weights[s] = max(0.0, r) ** 2
+        # weight pass: shards holding the same number of query genes (all
+        # of them, bar ragged compendia) share one (shards, members, p, p)
+        # Gram buffer whose i<j pairs are Fisher-z'd and averaged in one
+        # go.  The reduce is a C-contiguous axis-1 mean, i.e. per row the
+        # same pairwise sum np.mean takes over one member's 1-D pair
+        # vector in one shard.
+        for p in sorted({n for n in n_present if n >= MIN_QUERY_PRESENT}):
+            shards = [s for s, n in enumerate(n_present) if n == p]
+            grams = scratch.grams(len(shards) * n_members * p * p, self.dtype)
+            grams = grams.reshape(-1, n_members, p, p)
+            for gram, s in zip(grams, shards):
+                rows = local[s]
+                if p < q:
+                    rows = rows[rows >= 0].reshape(n_members, p)
+                q_rows[s] = Q = views[selected[s]][rows]  # (members, p, cond) unit rows
+                np.matmul(Q, Q.swapaxes(1, 2), out=gram)
+            pairs = grams.reshape(-1, p * p).take(_pair_index(p), axis=1)
+            mean_r = np.tanh(fisher_z(pairs).mean(axis=1)).reshape(-1, n_members)
+            for member_weights, column in zip(weights, mean_r.T.tolist()):
+                for s, r in zip(shards, column):
+                    member_weights[s] = max(0.0, r) ** 2
 
-        # score pass: every positive-weight shard's all-gene correlations
-        # land as a (genes, p) block in one pooled flat buffer, which is
-        # clipped once and row-averaged once per run of equal p (one run,
-        # bar ragged compendia).  The average adds the p columns left to
+        # score pass: per shard, the all-gene correlations of every member
+        # it weighs positively land as one (genes, members * p) block in
+        # the pooled flat buffer, which is clipped once and row-averaged
+        # once per run of equal p (one run, bar ragged compendia) as
+        # (genes * members, p).  The average adds the p columns left to
         # right and divides once: below 8 columns that is bit for bit
         # numpy's own mean(axis=1) (whose pairwise sum is a plain loop
         # there) at a fifth of its cost; from 8 query genes up numpy would
         # sum in 8 lanes, so this fixed order is the canonical one.
-        scoring = [(views[i], Q) for i, Q, w in zip(selected, q_rows, weights) if w > 0.0]
-        flat = scratch.flat(sum(v.shape[0] * Q.shape[0] for v, Q in scoring), self.dtype)
+        everyone = list(range(n_members))
+        scoring = []  # (view, stacked Q of the members it weighs positively, those members)
+        for i, Q, shard_weights in zip(selected, q_rows, zip(*weights)):
+            n_weighed = n_members - shard_weights.count(0.0)
+            if n_weighed:
+                members = everyone
+                if n_weighed < n_members:
+                    members = [m for m, w in enumerate(shard_weights) if w > 0.0]
+                    Q = Q[members]
+                scoring.append((views[i], Q, members))
+        flat = scratch.flat(
+            sum(v.shape[0] * Q.shape[0] * Q.shape[1] for v, Q, _ in scoring), self.dtype
+        )
         pos = 0
-        for view, Q in scoring:
-            block = flat[pos : pos + view.shape[0] * Q.shape[0]].reshape(-1, Q.shape[0])
-            np.matmul(view, Q.T, out=block)
+        for view, Q, _ in scoring:
+            columns = Q.shape[0] * Q.shape[1]
+            block = flat[pos : pos + view.shape[0] * columns].reshape(-1, columns)
+            np.matmul(view, Q.reshape(columns, -1).T, out=block)
             pos += block.size
         np.clip(flat, -1.0, 1.0, out=flat)
-        scores = np.empty(sum(v.shape[0] for v, _ in scoring))
+        means = np.empty(sum(v.shape[0] * Q.shape[0] for v, Q, _ in scoring))
         pos = row = 0
-        for p, run in groupby(scoring, key=lambda vq: vq[1].shape[0]):
-            n_rows = sum(v.shape[0] for v, _ in run)
+        for p, run in groupby(scoring, key=lambda vqm: vqm[1].shape[1]):
+            n_rows = sum(v.shape[0] * Q.shape[0] for v, Q, _ in run)
             block = flat[pos : pos + n_rows * p].reshape(n_rows, p)
-            mean = scores[row : row + n_rows]
+            mean = means[row : row + n_rows]
             np.add(block[:, 0], block[:, 1], out=mean, dtype=np.float64)
             for j in range(2, p):
                 np.add(mean, block[:, j], out=mean)
             mean /= p
             pos += block.size
             row += n_rows
-        return n_present.tolist(), weights, scores
 
-    def _answer(
-        self,
-        resolved,
-        scratch: ScoreScratch,
-        *,
-        exclude_query_from_genes: bool,
-        top_k: int | None,
-    ) -> SpellResult:
-        """Score one :meth:`_resolve`d request and rank it."""
-        query, query_used, query_missing, q_slots, selected, local = resolved
-        n_present, weights, scores = self._score(selected, local, scratch)
-        return rank_scores(
-            self._slot_ids(),
-            [self._global_rows[i] for i, w in zip(selected, weights) if w > 0.0],
-            [w for w in weights if w > 0.0],
-            scores,
-            q_slots,
-            [
-                DatasetScore(self._entries[i].name, w, n)
-                for i, w, n in zip(selected, weights, n_present)
-            ],
-            query=query,
-            query_used=query_used,
-            query_missing=query_missing,
-            exclude_query_from_genes=exclude_query_from_genes,
-            top_k=top_k,
-        )
+        # a shard's means sit gene-major, (genes, members), so a run of
+        # shards weighing the same members is one strided window each; a
+        # member with one window (every member of a block of one) takes
+        # it as it is, the others join theirs
+        windows: list[list[np.ndarray]] = [[] for _ in everyone]
+        pos = 0
+        for members, run in groupby(scoring, key=itemgetter(2)):
+            end = pos + sum(view.shape[0] for view, _, _ in run) * len(members)
+            for j, m in enumerate(members):
+                windows[m].append(means[pos + j : end : len(members)])
+            pos = end
+        return weights, [
+            own[0] if len(own) == 1 else np.concatenate(own or [means[:0]])
+            for own in windows
+        ]
 
     # ----------------------------------------------------------------- search
     def search(
@@ -540,20 +608,44 @@ class SpellIndex:
             exclude_query_from_genes=exclude_query_from_genes,
         )[0]
 
+    @staticmethod
+    def _blocks(resolved: list[_Resolved]) -> list[list[int]]:
+        """Batch positions grouped into kernel blocks.
+
+        Members stack when they select the same shards and hold the same
+        number of query genes in each of them — all members of one query
+        size, on a compendium whose datasets share their genes; a ragged
+        compendium or per-member ``datasets`` filters make the groups
+        narrower, down to one member, never different.  A group is cut
+        into runs of at most ``BLOCK_COLUMNS`` query-gene columns, which
+        is what bounds the kernel's workspace whatever the batch length.
+        """
+        groups: dict[tuple, list[int]] = {}
+        for position, member in enumerate(resolved):
+            key = (member.local.shape[1], tuple(member.selected), tuple(member.n_present))
+            groups.setdefault(key, []).append(position)
+        blocks = []
+        for (q, _, _), positions in groups.items():
+            width = max(1, BLOCK_COLUMNS // q)
+            blocks += [positions[i : i + width] for i in range(0, len(positions), width)]
+        return blocks
+
     def search_batch(
         self,
         queries: Sequence[Sequence[str] | BatchQuery],
         *,
         exclude_query_from_genes: bool = True,
     ) -> list[SpellResult]:
-        """Answer a batch: every member resolved first, then scored in turn.
+        """Answer a batch: every member resolved first, then scored in blocks.
 
         Each member may be a plain gene sequence or a :class:`BatchQuery`
         carrying its own ``top_k`` / ``datasets`` filter.  All-or-nothing:
-        any invalid member raises, answering none of them.  Members run
-        through the same kernel as :meth:`search` (which *is* a batch of
-        one) on one pooled scratch, so results are bit-identical to
-        per-member :meth:`search` by construction.
+        any invalid member raises, answering none of them.  Members that
+        stack (:meth:`_blocks`) go through the kernel together — one pass
+        over the shards per block, on one pooled scratch — and are then
+        ranked one by one.  :meth:`search` *is* a batch of one through the
+        same kernel, and every member's result is bit-identical to its
+        :meth:`search`, whatever it was stacked with.
         """
         if not self._entries:
             raise SearchError("index is empty")
@@ -562,22 +654,38 @@ class SpellIndex:
             for q in queries
         ]
         resolved = [self._resolve(spec.genes, spec.datasets) for spec in specs]
+        results: list = [None] * len(specs)
         # try/finally: a failure mid-scoring (e.g. a bad top_k surfacing
         # in the ranking tail) must not strand the scratch and silently
         # regrow the pool query after failed query
         scratch = self._scratch.acquire()
         try:
-            return [
-                self._answer(
-                    member,
-                    scratch,
-                    exclude_query_from_genes=exclude_query_from_genes,
-                    top_k=spec.top_k,
-                )
-                for spec, member in zip(specs, resolved)
-            ]
+            for block in self._blocks(resolved):
+                first = resolved[block[0]]
+                selected, n_present = first.selected, first.n_present
+                local = np.array([resolved[m].local for m in block]).transpose(1, 0, 2)
+                weights, scores = self._score(selected, local, n_present, scratch)
+                for m, member_weights, member_scores in zip(block, weights, scores):
+                    member = resolved[m]
+                    results[m] = rank_scores(
+                        self._slot_ids(),
+                        [self._global_rows[i] for i, w in zip(selected, member_weights) if w > 0.0],
+                        [w for w in member_weights if w > 0.0],
+                        member_scores,
+                        member.q_slots,
+                        [
+                            DatasetScore(self._entries[i].name, w, n)
+                            for i, w, n in zip(selected, member_weights, n_present)
+                        ],
+                        query=member.query,
+                        query_used=member.query_used,
+                        query_missing=member.query_missing,
+                        exclude_query_from_genes=exclude_query_from_genes,
+                        top_k=specs[m].top_k,
+                    )
         finally:
             self._scratch.release(scratch)
+        return results
 
     # --------------------------------------------------------------- partials
     def search_partials(
@@ -604,9 +712,12 @@ class SpellIndex:
         if not self._entries:
             raise SearchError("index is empty")
         selected, _, local = self._locate(self._validate_query(query), datasets)
+        n_present = (local >= 0).sum(axis=1).tolist()
         scratch = self._scratch.acquire()
         try:
-            n_present, weights, scores = self._score(selected, local, scratch)
+            (weights,), (scores,) = self._score(
+                selected, local[:, np.newaxis], n_present, scratch
+            )
         finally:
             self._scratch.release(scratch)
         partials = []

@@ -58,8 +58,11 @@ def _worker_main(conn, store_dir: str) -> None:
     The index is loaded lazily (the parent may sync the store after
     spawning) and reloaded whenever the parent's expected fingerprints
     disagree with the loaded shards — the resync-never-serve-stale
-    contract.  Every reply is a tagged tuple; exceptions travel back to
-    the parent as values, never kill the worker.
+    contract.  Every reply is a tuple tagged with the sequence number of
+    the scatter it answers; exceptions travel back to the parent as
+    values, never kill the worker.  A closed pipe — the parent shut the
+    pool down, or died — ends the worker quietly, whichever side of a
+    batch it is on.
     """
     index: SpellIndex | None = None
     while True:
@@ -69,7 +72,7 @@ def _worker_main(conn, store_dir: str) -> None:
             break
         if message is None:
             break
-        expected, specs = message
+        seq, expected, specs = message
         try:
             resynced = False
             if index is None or index.fingerprints() != expected:
@@ -81,14 +84,18 @@ def _worker_main(conn, store_dir: str) -> None:
                 # shard writes by deleting them as orphans
                 index = IndexStore.load(store_dir, mmap=True, sweep=False)
             if index.fingerprints() != expected:
-                conn.send(("stale", repr(store_dir)))
+                reply = ("stale", repr(store_dir))
                 index = None  # force a fresh look next batch
-                continue
-            start = perf_counter()
-            results = index.search_batch(specs)
-            conn.send(("ok", results, perf_counter() - start, resynced))
+            else:
+                start = perf_counter()
+                results = index.search_batch(specs)
+                reply = ("ok", results, perf_counter() - start, resynced)
         except Exception as exc:  # noqa: BLE001 — exceptions are data here
-            conn.send(("error", exc))
+            reply = ("error", exc)
+        try:
+            conn.send((seq, *reply))
+        except OSError:  # BrokenPipeError included
+            break
     conn.close()
 
 
@@ -101,7 +108,10 @@ class IndexWorkerPool:
     re-raises in the parent (after every reply is drained, so the pipes
     never desync).  A dead, wedged, or persistently-stale worker raises
     :class:`WorkerPoolError` and marks the pool ``broken`` — the owner
-    is expected to fall back to in-process serving.
+    is expected to fall back to in-process serving.  A request deadline
+    that runs out mid-gather does neither: every scatter carries a
+    sequence number its replies echo, the pool remembers which workers
+    still owe one, and the next scatter reads those off first.
     """
 
     def __init__(
@@ -125,6 +135,9 @@ class IndexWorkerPool:
         self.dispatching = 0  # callers inside scatter-gather (0 or 1)
         self._gauge_lock = threading.Lock()
         self._lock = threading.Lock()  # pipes are not thread-safe
+        self._scatters = 0  # sequence number of the latest scatter
+        #: per worker, the scatter it has been sent and not yet answered
+        self._owed: list[int | None] = [None] * self.n_procs
         ctx = mp.get_context("spawn")
         self._workers: list[tuple[mp.process.BaseProcess, object]] = []
         try:
@@ -157,9 +170,11 @@ class IndexWorkerPool:
         compute time (for utilization accounting — wall time is the
         caller's to measure).  ``deadline`` clamps every gather wait; a
         spent budget raises :class:`~repro.util.errors.DeadlineExceeded`
-        (the pool is marked broken — replies were abandoned mid-gather,
-        so the pipes can no longer be trusted) and the caller must *not*
-        fall back to in-process work, which would blow the same budget.
+        and the caller must *not* fall back to in-process work, which
+        would blow the same budget.  That is the client's deadline, not a
+        pool fault: the pool stays usable, and the replies the gather
+        walked away from are read and dropped before their workers are
+        sent anything else.
         """
         if self.broken:
             raise WorkerPoolError("worker pool is broken")
@@ -189,47 +204,64 @@ class IndexWorkerPool:
                 with self._gauge_lock:
                     self.dispatch_waiters -= 1
 
+    def _reply(self, j: int, deadline: Deadline | None) -> list:
+        """Worker ``j``'s reply to the scatter it was last sent.
+
+        Waits ``reply_timeout`` at most, less when ``deadline`` is
+        tighter.  A spent ``deadline`` raises ``DeadlineExceeded`` and
+        leaves the reply owed — the client's budget ran out, not the
+        worker; anything else that keeps the reply from arriving, or a
+        reply tagged for another scatter, breaks the pool.
+        """
+        conn = self._workers[j][1]
+        wait = (
+            self.reply_timeout
+            if deadline is None
+            else deadline.clamp(self.reply_timeout)
+        )
+        try:
+            if not conn.poll(wait):
+                if deadline is not None:
+                    deadline.check("worker pool gather")
+                raise TimeoutError(f"no reply within {self.reply_timeout:.0f}s")
+            seq, *reply = conn.recv()
+        except (EOFError, OSError, TimeoutError) as exc:
+            self.broken = True
+            raise WorkerPoolError(f"index worker died: {exc}") from exc
+        if seq != self._owed[j]:
+            self.broken = True
+            raise WorkerPoolError(
+                f"index worker answered scatter {seq}, not {self._owed[j]}"
+            )
+        self._owed[j] = None
+        return reply
+
     def _scatter_gather(self, expected, specs, deadline) -> tuple[list, float]:
         n = min(self.n_procs, len(specs))
         bounds = [(len(specs) * j) // n for j in range(n + 1)]
-        jobs = []  # (worker, chunk slice)
-        try:
-            for j in range(n):
-                chunk = specs[bounds[j] : bounds[j + 1]]
-                _, conn = self._workers[j]
-                conn.send((expected, chunk))
-                jobs.append(conn)
-        except (OSError, ValueError) as exc:
-            self.broken = True
-            raise WorkerPoolError(f"worker pipe failed mid-scatter: {exc}") from exc
+        self._scatters += 1
+        for j in range(n):
+            if self._owed[j] is not None:
+                # a gather walked away from this worker when its client's
+                # deadline ran out.  That reply is read (and dropped)
+                # before the worker is sent more: it may be blocked
+                # writing it, and would never get to read a large scatter
+                self._reply(j, deadline)
+            try:
+                self._workers[j][1].send(
+                    (self._scatters, expected, specs[bounds[j] : bounds[j + 1]])
+                )
+            except (OSError, ValueError) as exc:
+                self.broken = True
+                raise WorkerPoolError(f"worker pipe failed mid-scatter: {exc}") from exc
+            self._owed[j] = self._scatters
 
         results: list = []
         busy = 0.0
         failure: BaseException | None = None
         stale = False
-        for conn in jobs:  # drain every reply before raising anything
-            wait = (
-                self.reply_timeout
-                if deadline is None
-                else deadline.clamp(self.reply_timeout)
-            )
-            try:
-                if not conn.poll(wait):
-                    if deadline is not None and deadline.expired:
-                        # the budget ran out, not the worker: abandoning
-                        # undrained replies desyncs the pipes, so the
-                        # pool is done — but this is the *client's*
-                        # deadline, not a pool fault, and must surface
-                        # as such (no in-process fallback)
-                        self.broken = True
-                        deadline.check("worker pool gather")
-                    raise TimeoutError(
-                        f"no reply within {self.reply_timeout:.0f}s"
-                    )
-                reply = conn.recv()
-            except (EOFError, OSError, TimeoutError) as exc:
-                self.broken = True
-                raise WorkerPoolError(f"index worker died: {exc}") from exc
+        for j in range(n):  # drain every reply before raising anything
+            reply = self._reply(j, deadline)
             if reply[0] == "ok":
                 _, chunk_results, seconds, resynced = reply
                 results.extend(chunk_results)

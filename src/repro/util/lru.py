@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Generic, Hashable, TypeVar
+from typing import Generic, Hashable, Sequence, TypeVar
 
 from repro.util.errors import ValidationError
 
@@ -63,17 +63,22 @@ class LruCache(Generic[K, V]):
                 return default
             return value
 
-    def probe(self, key: K) -> V | None:
-        """:meth:`get`, except that a miss is not counted.
+    def probe_all(self, keys: Sequence[K]) -> list[V] | None:
+        """Every key's value, or ``None`` unless all of them are resident.
 
         For a caller whose miss is followed by a counting :meth:`get` of
-        the same key (a ready-phase probe ahead of the full lookup): a
-        hit is a hit either way, a miss leaves every counter and the
-        recency order exactly as they were.
+        the same keys (a ready-phase probe ahead of the full lookup):
+        when every key is resident each is a hit like any other — counted,
+        made most-recently-used, in the order given — and when any is
+        missing every counter and the recency order stay exactly as they
+        were.  One lock hold decides it, so the verdict is exact however
+        many keys there are.
         """
         with self._lock:
-            value = self._hit(key)
-            return None if value is _MISSING else value
+            for key in keys:
+                if key not in self._data:
+                    return None
+            return [self._hit(key) for key in keys]
 
     def put(self, key: K, value: V) -> None:
         """Insert/refresh ``key``, evicting the oldest entry on overflow.

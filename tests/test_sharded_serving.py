@@ -372,6 +372,41 @@ class TestStalenessRefusal:
             reasons = " ".join(response.shards["failures"][victim_name])
             assert "stale content" in reasons
 
+    @staticmethod
+    def _doctor(node, victim_name):
+        """Make ``node`` answer for ``victim_name`` as if it had scored
+        other content than it was asked for (and not noticed)."""
+        partials = node._server._handlers["partials"]
+
+        def doctored(payload):
+            reply = partials(payload)
+            if victim_name in reply["partials"]:
+                reply["partials"][victim_name]["fingerprint"] = "e" * 40
+            return reply
+
+        node._server._handlers["partials"] = doctored
+
+    def test_router_verifies_what_a_shard_says_it_scored(self, setup, oracle):
+        """The coordinator checks each partial's fingerprint against its
+        catalog before merging: a mismatch is a refusal — failover to the
+        replica, or a flagged partial naming the shard's claim."""
+        comp, truth = setup
+        query = list(truth.query_genes)
+        victim_name = comp[0].name
+        with fresh_topology(comp, replication=2) as topology:
+            self._doctor(topology.shard(topology.router._plan[victim_name][0]), victim_name)
+            assert_bit_identical(topology.router.search(query), oracle.search(query))
+        with fresh_topology(comp, replication=1) as topology:
+            owner = topology.router._plan[victim_name][0]
+            self._doctor(topology.shard(owner), victim_name)
+            response = topology.router.respond(SearchRequest(genes=tuple(query)))
+            assert response.partial is True
+            assert response.shards["missing_datasets"] == [victim_name]
+            (reason,) = response.shards["failures"][victim_name]
+            assert "shard scored eeeeeeeeeeee" in reason
+            assert victim_name in response.shards["nodes"][owner]["refused"]
+            assert victim_name not in response.shards["nodes"][owner]["served"]
+
     def test_duplicate_ownership_never_double_counts(self, setup, topo, oracle):
         """replication=2 puts every dataset on two shards; the router asks
         exactly one owner per dataset, so nothing is counted twice."""

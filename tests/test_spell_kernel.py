@@ -245,3 +245,167 @@ class TestRaggedOracle:
             assert rows_of(merged_over_split(live, dtype, query, names)) == expected
             assert single.query_missing == member.query_missing
             assert set(single.query_missing) == set(query) - set(reachable)
+
+
+# ------------------------------------------------------------- batched kernel
+def assert_matches_textbook(got, expected, query_size):
+    """Bitwise below 8 query genes; from 8 up the per-dataset score mean is
+    the kernel's own order (see ``TestExecutableSpec``), so weights stay
+    bitwise and each gene's score moves by at most ``q * eps``."""
+    (genes, datasets), (ref_genes, ref_datasets) = got, expected
+    assert datasets == ref_datasets
+    if query_size < 8:
+        assert genes == ref_genes
+        return
+    reference = {g: (float.fromhex(s), n) for g, s, n in ref_genes}
+    assert len(genes) == len(reference)
+    for g, s, n in genes:
+        ref_score, ref_n = reference[g]
+        assert n == ref_n
+        assert abs(float.fromhex(s) - ref_score) <= query_size * np.finfo(np.float64).eps
+
+
+def merged_from_partials(index, universe, spec):
+    """``search_partials`` of one index, merged the coordinator's way."""
+    names = index.dataset_names if spec.datasets is None else list(spec.datasets)
+    selected = [n for n in index.dataset_names if n in names]
+    contributions = {
+        part.name: part
+        for part in index.search_partials(list(spec.genes), datasets=spec.datasets)
+    }
+    query_used, query_missing, q_slots = universe.resolve_query(
+        list(spec.genes), selected, filtered=spec.datasets is not None
+    )
+    return universe.merge(
+        list(spec.genes), query_used, query_missing, q_slots, selected,
+        contributions, top_k=spec.top_k,
+    )
+
+
+class TestBatchedKernel:
+    """A batch goes through the kernel in blocks of stacked members; every
+    member is held to the same spec as a lone ``search``."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_datasets=st.integers(3, 7),
+        length=st.sampled_from([1, 2, 3, 8, 17, 33, 70]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        ragged=st.booleans(),
+        mmap=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_member_equals_search_and_the_textbook_loop_bitwise(
+        self, seed, n_datasets, length, dtype, ragged, mmap, tmp_path_factory
+    ):
+        rng = np.random.default_rng(seed)
+        datasets = ragged_datasets(rng, n_datasets)
+        if not ragged:
+            # every dataset holds every gene (its own condition count), so
+            # members of one query size stack whatever their genes
+            datasets = [
+                Dataset(
+                    name=ds.name,
+                    matrix=ExpressionMatrix(
+                        rng.normal(size=(30, ds.matrix.n_conditions)),
+                        [f"G{i:02d}" for i in range(30)],
+                        list(ds.matrix.condition_names),
+                    ),
+                )
+                for ds in datasets
+            ]
+        index = SpellIndex.build(Compendium(datasets), dtype=dtype)
+        if mmap:
+            from repro.spell import IndexStore
+
+            store = tmp_path_factory.mktemp("kernel-store")
+            IndexStore.save(index, store)
+            index = IndexStore.load(store, mmap=True)
+            assert not index._arena.fused
+        universe = GeneUniverse([(ds.name, ds.gene_ids) for ds in datasets])
+        names = [ds.name for ds in datasets]
+        filters = [None, None] + [
+            tuple(rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False))
+            for _ in range(2)
+        ]
+
+        # fewer distinct members than batch slots: repeats ride in every
+        # long batch, and what each must equal is worked out once
+        specs = []
+        for _ in range(min(length, 12)):
+            chosen = filters[int(rng.integers(len(filters)))]
+            reachable = sorted(
+                {g for ds in datasets if chosen is None or ds.name in chosen for g in ds.gene_ids}
+            )
+            size = int(rng.integers(2, 10))  # 2..9: both sides of the 8-lane rule
+            genes = [str(rng.choice(reachable))]
+            pool = [f"G{i:02d}" for i in range(30) if f"G{i:02d}" != genes[0]]
+            genes += rng.choice(pool, size=size - 1, replace=False).tolist()
+            rng.shuffle(genes)
+            top_k = [None, None, 5, 1000][int(rng.integers(4))]
+            specs.append(BatchQuery(tuple(genes), top_k, chosen))
+        expected = {}
+        for spec in specs:
+            single = index.search(list(spec.genes), top_k=spec.top_k, datasets=spec.datasets)
+            genes, dataset_rows = textbook_search(shards_of(index, spec.datasets), spec.genes)
+            assert_matches_textbook(
+                rows_of(single), (genes[: spec.top_k], dataset_rows), len(spec.genes)
+            )
+            assert rows_of(merged_from_partials(index, universe, spec)) == rows_of(single)
+            expected[spec] = single
+
+        members = [specs[i] for i in rng.integers(len(specs), size=length)]
+        for spec, member in zip(members, index.search_batch(members)):
+            single = expected[spec]
+            assert rows_of(member) == rows_of(single)
+            assert member.total_genes == single.total_genes
+            assert (member.query, member.query_used, member.query_missing) == (
+                single.query, single.query_used, single.query_missing
+            )
+
+    def test_members_stack_on_counts_not_on_which_genes(self):
+        """Two queries holding the same *number* of genes in every dataset
+        share a block even when the genes present differ — the gather
+        squeezes each member's absent genes out on its own."""
+        genes = [f"G{i}" for i in range(8)]
+
+        def dataset(name, held, seed):
+            values = np.random.default_rng(seed).normal(size=(len(held), 6))
+            return Dataset(name=name, matrix=ExpressionMatrix(values, held, list("abcdef")))
+
+        index = SpellIndex.build(Compendium([
+            dataset("full", genes, 1),
+            dataset("evens", genes[0::2] + ["G7"], 2),
+            dataset("odds", genes[1::2] + ["G0"], 3),
+        ]))
+        members = [("G0", "G1", "G2"), ("G3", "G2", "G7"), ("G0", "G2", "G4")]
+        seen = []
+        score = index._score
+        index._score = lambda selected, local, *rest: (
+            seen.append(local.shape) or score(selected, local, *rest)
+        )
+        batch = index.search_batch(members)
+        # the first two hold (3, 2, 2) genes in (full, evens, odds), the
+        # third (3, 3, 1): one block of two members, one of one
+        assert seen == [(3, 2, 3), (3, 1, 3)]
+        del index._score
+        for query, member in zip(members, batch):
+            assert rows_of(member) == rows_of(index.search(list(query)))
+            assert rows_of(member) == textbook_search(shards_of(index), query)
+
+    def test_workspace_is_set_by_the_block_not_by_the_batch(self, fig4):
+        from repro.spell.index import BLOCK_COLUMNS
+
+        comp, truth = fig4
+        query = tuple(truth.module_genes[:4])
+
+        def workspace(index, n_members):
+            index.search_batch([query] * n_members)
+            scratch = index._scratch.acquire()
+            index._scratch.release(scratch)
+            return scratch.nbytes()
+
+        index = SpellIndex.build(comp)
+        one_block = workspace(index, BLOCK_COLUMNS // len(query))
+        assert workspace(index, 500) == one_block
+        assert 0 < workspace(SpellIndex.build(comp), 1) < one_block

@@ -6,10 +6,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api.app import ApiApp
 from repro.api.errors import ApiError
 from repro.api.protocol import BatchSearchRequest, SearchRequest
 from repro.data import Compendium, Dataset, ExpressionMatrix
 from repro.spell import (
+    BatchQuery,
     QueryCache,
     SpellIndex,
     SpellService,
@@ -18,6 +20,7 @@ from repro.spell import (
 )
 from repro.synth import make_spell_compendium
 from repro.util import LruCache
+from repro.util.deadline import Deadline, DeadlineExceeded
 from repro.util.errors import SearchError, ValidationError
 
 
@@ -110,9 +113,9 @@ class TestQueryKeys:
         cache = QueryCache(2)
         cache.store(1, ["a"], "A")
         cache.store(1, ["b"], "B")
-        assert cache.probe(1, ["zzz"]) is None
+        assert cache.probe_all(1, [(["zzz"], ())]) is None
         assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
-        assert cache.probe(1, ["a"]) == "A"  # a hit is a hit: counted, made recent
+        assert cache.probe_all(1, [(["a"], ())]) == ["A"]  # a hit is a hit: counted, made recent
         assert (cache.hits, cache.misses) == (1, 0)
         assert cache.entry_hits(1, ["a"]) == 1
         cache.store(1, ["c"], "C")  # so b, not a, is the LRU victim
@@ -253,6 +256,36 @@ class TestRespondCached:
             with pytest.raises(ApiError) as err:
                 answer(past_the_end)
             assert err.value.code == "PAGE_OUT_OF_RANGE"
+
+    def test_a_hit_then_a_miss_leaves_no_trace(self, small_setup):
+        """The hit half of a batch is all or nothing: members that hit
+        *before* the first miss are neither counted nor made recent, so
+        the full call that follows counts each member once and the LRU
+        evicts what it would have evicted."""
+        comp, truth = small_setup
+        universe = comp.gene_universe()
+        old, warm, cold, new = (
+            (universe[i], universe[i + 1]) for i in (0, 10, 20, 30)
+        )
+        service = SpellService(comp, cache_size=2)
+        service.search(old)
+        service.search(warm)  # LRU order: old, warm
+        before = (service.cache_stats(), service.query_count)
+        members = [(genes, None, None, True, None) for genes in (old, cold)]
+        assert service._answer(members, Deadline.never(), cached_only=True) is None
+        assert (service.cache_stats(), service.query_count) == before
+        service.search(new)  # evicts the LRU entry: still ``old``, never touched
+        stats = service.cache_stats()
+        service.search(warm)
+        assert service.cache_stats()["hits"] == stats["hits"] + 1
+        service.search(old)
+        assert service.cache_stats()["misses"] == stats["misses"] + 1
+
+        answered, (hits, misses, _) = service._answer(
+            [(genes, None, None, True, None) for genes in (old, warm)],
+            Deadline.never(), cached_only=True,
+        )
+        assert (hits, misses, len(answered)) == (2, 0, 2)
 
     def test_pages_off_the_arrays_match_the_per_row_path(self, small_setup):
         """``from_result`` slices a GeneTable with ``rows()``; the rows are
@@ -503,3 +536,52 @@ class TestIncrementalIndex:
         assert datasets[-1].name in after.dataset_ranking()
         fresh = SpellService(Compendium(datasets), cache_size=0).search(q)
         assert after.dataset_ranking() == fresh.dataset_ranking()
+
+
+# ------------------------------------------------------- deadlines vs the pool
+class TestDeadlineSparesThePool:
+    def test_expired_batches_never_cost_the_pool(self, small_setup):
+        """A client deadline that runs out mid-gather is the client's
+        problem: ``DeadlineExceeded`` (a 504, no in-process fallback), and
+        the pool — neither broken nor respawned — serves the next batch,
+        however many such clients came before."""
+        comp, truth = small_setup
+        universe = comp.gene_universe()
+        queries = [tuple(truth.query_genes)] + [
+            (universe[i], universe[i + k]) for k in (1, 2, 3) for i in range(40)
+        ]
+        wire = {"searches": [{"genes": list(q), "use_cache": False} for q in queries]}
+        service = SpellService(comp, n_procs=2)
+        try:
+            app = ApiApp(service)
+            status, body = app.handle_wire("search/batch", wire)  # pays the spawn
+            assert status == 200 and body["n_workers"] == 2
+            pool = service._procpool
+            fallbacks = []
+            in_process = service._index.search_batch
+            service._index.search_batch = lambda misses: (
+                fallbacks.append(len(misses)) or in_process(misses)
+            )
+            misses = [BatchQuery(q) for q in queries]
+            for _ in range(service.MAX_POOL_RESPAWNS + 2):
+                # a budget spent by the time the gather first looks: the
+                # scatter went out, no reply can be back yet
+                with pytest.raises(DeadlineExceeded):
+                    service._compute_many(misses, Deadline(0.0), False)
+            status, body = app.handle_wire("search/batch", {**wire, "deadline_ms": 1})
+            assert status == 504 and body["error"]["code"] == "DEADLINE_EXCEEDED"
+            assert fallbacks == []
+
+            status, body = app.handle_wire("search/batch", wire)
+            assert status == 200 and body["n_workers"] == 2
+            assert service._procpool is pool
+            assert service._pool_respawns == 0 and not service._pool_disabled
+            stats = service.serving_stats()["procpool"]
+            assert stats["broken"] is False and stats["batches"] == 2
+            oracle = ApiApp(SpellService(comp, cache_size=0))
+            _, expect = oracle.handle_wire("search/batch", wire)
+            for got, want in zip(body["results"], expect["results"]):
+                assert got["gene_rows"] == want["gene_rows"]
+                assert got["dataset_rows"] == want["dataset_rows"]
+        finally:
+            service.close()
