@@ -49,7 +49,7 @@ def test_fig4_index_build(benchmark, setup):
 def test_fig4_result_page_and_quality(setup):
     """The Figure 4 page content plus retrieval quality vs the baseline."""
     comp, truth, index = setup
-    service = SpellService(comp, use_index=True)
+    service = SpellService(comp)
     page = service.respond(
         SearchRequest(genes=tuple(truth.query_genes), page=0, page_size=10)
     )

@@ -121,13 +121,14 @@ def _prerefactor_search_genes(index: SpellIndex, query: list[str]):
     materialization — output must match bit-for-bit.
     """
     query_used = tuple(g for g in query if any(g in e.gene_pos for e in index._entries))
-    n_slots = len(index._slot_gene)
+    slot_gene, slot_rows = index.universe.slot_gene, index.universe.rows
+    n_slots = len(slot_gene)
     totals = np.zeros(n_slots)
     weight_mass = np.zeros(n_slots)
     counts = np.zeros(n_slots, dtype=np.intp)
     query_set = set(query_used)
 
-    for entry, slots in zip(index._entries, index._global_rows):
+    for entry, slots in zip(index._entries, slot_rows):
         present = [g for g in query_used if g in entry.gene_pos]
         if len(present) < MIN_QUERY_PRESENT:
             continue
@@ -150,7 +151,7 @@ def _prerefactor_search_genes(index: SpellIndex, query: list[str]):
     gene_scores = [
         GeneScore(gene_id=g, score=float(s), n_datasets=int(n))
         for g, s, n in zip(
-            (index._slot_gene[i] for i in scored), final, counts[scored]
+            (slot_gene[i] for i in scored), final, counts[scored]
         )
         if g not in query_set
     ]

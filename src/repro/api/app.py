@@ -11,8 +11,9 @@ test harness.  Responsibilities:
   and serializes entirely in wire (JSON-object) space, so transports
   never import protocol types.
 * **Error discipline** — every failure crossing the boundary becomes a
-  stable code (:mod:`repro.api.errors`); precise codes (``UNKNOWN_GENE``,
-  ``UNKNOWN_DATASET``) are raised here, before the generic buckets.
+  stable code (:mod:`repro.api.errors`).  The app does not judge a query
+  itself: an unknown gene or dataset is the verdict of the backend's gene
+  universe, raised typed and mapped to its code like any other error.
 * **Observability** — per-endpoint count/error/latency counters, served
   by the ``health`` endpoint.
 """
@@ -151,11 +152,6 @@ class ApiApp:
         self.catalog = catalog
         self._stats = _EndpointStats()
         self._started = time.monotonic()
-        self._universe_lock = threading.Lock()
-        #: tenant -> (compendium version, gene-id set): the per-tenant
-        #: universe caches invalidate independently, so one tenant's
-        #: ingest never recomputes another tenant's universe
-        self._universe: dict[str, tuple[int, frozenset[str]]] = {}
 
     # ---------------------------------------------------------- tenant routing
     def _resolve(self, compendium: str | None, *, wait: bool = True):
@@ -297,7 +293,6 @@ class ApiApp:
             resolved = self._resolve(request.compendium, wait=wait)
             if resolved is not None:
                 tenant, service = resolved
-                self._check(request, service, tenant)
                 respond = service.respond if wait else service.respond_cached
                 response = respond(request, deadline=budget)
         except BaseException:
@@ -311,8 +306,6 @@ class ApiApp:
         with self._timed("search/batch"):
             budget = Deadline.after_ms(request.deadline_ms)
             tenant, service = self._resolve(request.compendium)
-            for member in request.searches:
-                self._check(member, service, tenant)
             return service.respond_batch(request, deadline=budget)
 
     def datasets(self, request: DatasetListRequest) -> DatasetListResponse:
@@ -386,7 +379,7 @@ class ApiApp:
         with self._timed("cluster"):
             with Stopwatch() as sw:
                 tenant, service = self._resolve(request.search.compendium)
-                result = self._full_result(request.search, service, tenant)
+                result = self._full_result(request.search, service)
                 dataset, matrix = self._gene_submatrix(
                     result, request.dataset,
                     self._gene_limit(request.search, request.top_genes),
@@ -422,7 +415,7 @@ class ApiApp:
         with self._timed("render/heatmap"):
             with Stopwatch() as sw:
                 tenant, service = self._resolve(request.search.compendium)
-                result = self._full_result(request.search, service, tenant)
+                result = self._full_result(request.search, service)
                 dataset, matrix = self._gene_submatrix(
                     result, request.dataset,
                     self._gene_limit(request.search, request.top_genes),
@@ -493,7 +486,6 @@ class ApiApp:
             tenant, service = self._resolve(request.compendium)
             self.gate.charge_tenant(tenant, context)
             budget = Deadline.after_ms(request.deadline_ms)
-            self._check(request, service, tenant)
             cursor = service.iter_result(request, deadline=budget)
         except BaseException:
             self._stats.record(endpoint, sw.stop(), error=True)
@@ -560,7 +552,7 @@ class ApiApp:
                 status="ok",
                 uptime_seconds=time.monotonic() - self._started,
                 datasets=len(service.compendium),
-                genes=len(self._gene_universe()),
+                genes=service.gene_count(),
                 index_bytes=service.index_bytes(),
                 query_count=service.query_count,
                 cache=service.cache_stats(),
@@ -600,70 +592,9 @@ class ApiApp:
         else:
             self._stats.record(endpoint, sw.stop(), error=False)
 
-    def _gene_universe(
-        self, service: SearchBackend | None = None, tenant: str = DEFAULT_TENANT
-    ) -> frozenset[str]:
-        """Known gene ids, cached per tenant against its version token."""
-        service = self.service if service is None else service
-        version = service.compendium.version
-        with self._universe_lock:
-            cached = self._universe.get(tenant)
-            if cached is not None and cached[0] == version:
-                return cached[1]
-        universe = frozenset(service.compendium.gene_universe())
-        with self._universe_lock:
-            self._universe[tenant] = (version, universe)
-        return universe
-
-    def _check(
-        self,
-        request: SearchRequest,
-        service: SearchBackend | None = None,
-        tenant: str = DEFAULT_TENANT,
-    ) -> None:
-        """Raise precise codes for unknown genes / datasets before searching.
-
-        Gene existence is judged against the searched scope: the whole
-        compendium, or — under a ``datasets`` filter — just the filtered
-        datasets, so "no query gene exists" is always ``UNKNOWN_GENE``
-        regardless of whether a filter narrowed the search.
-        """
-        service = self.service if service is None else service
-        compendium = service.compendium
-        if request.datasets is not None:
-            known = set(compendium.names)
-            unknown = sorted(set(request.datasets) - known)
-            if unknown:
-                raise ApiError(
-                    "UNKNOWN_DATASET",
-                    f"unknown dataset(s) in filter: {', '.join(unknown)}",
-                    details={"unknown_datasets": unknown, "known_count": len(known)},
-                )
-            matrices = [compendium[name].matrix for name in request.datasets]
-            unknown_genes = [
-                g for g in request.genes if not any(g in m for m in matrices)
-            ]
-            scope = "the filtered datasets"
-        else:
-            universe = self._gene_universe(service, tenant)
-            unknown_genes = [g for g in request.genes if g not in universe]
-            scope = "the compendium"
-        if len(unknown_genes) == len(request.genes):
-            raise ApiError(
-                "UNKNOWN_GENE",
-                f"no query gene exists in {scope}: " + ", ".join(unknown_genes),
-                details={"unknown_genes": unknown_genes},
-            )
-
-    def _full_result(
-        self,
-        request: SearchRequest,
-        service: SearchBackend | None = None,
-        tenant: str = DEFAULT_TENANT,
-    ) -> SpellResult:
+    @staticmethod
+    def _full_result(request: SearchRequest, service: SearchBackend) -> SpellResult:
         """Full (un-truncated) search result for cluster/render endpoints."""
-        service = self.service if service is None else service
-        self._check(request, service, tenant)
         return service.search(
             request.genes, use_cache=request.use_cache, datasets=request.datasets
         )

@@ -31,6 +31,8 @@ from repro.util.errors import (
     SearchError,
     StoreCorruptError,
     StoreError,
+    UnknownDatasetError,
+    UnknownGeneError,
     ValidationError,
 )
 
@@ -77,7 +79,7 @@ ERROR_DESCRIPTIONS: dict[str, str] = {
     "INVALID_REQUEST": "Malformed field values or unknown fields in the payload.",
     "MALFORMED_BODY": "The request body is not a JSON object.",
     "UNSUPPORTED_VERSION": "The payload declares an api_version other than 'v1'.",
-    "INVALID_QUERY": "The gene query is empty, has duplicates, or matches nothing.",
+    "INVALID_QUERY": "The gene query is empty or has duplicates.",
     "PAGE_OUT_OF_RANGE": "The requested page is at or past total_pages.",
     "UNKNOWN_GENE": "No query gene exists in the searched scope.",
     "UNKNOWN_DATASET": "A dataset filter names a dataset the server does not hold.",
@@ -147,9 +149,10 @@ class ApiError(ReproError):
 def as_api_error(exc: BaseException) -> ApiError:
     """Classify any exception into the unified error model.
 
-    The mapping is by exception *type* — the API layer raises precise
-    :class:`ApiError` codes itself (``UNKNOWN_GENE``, ``UNKNOWN_DATASET``,
-    ``PAGE_OUT_OF_RANGE``) before the generic buckets here apply.
+    The mapping is by exception *type*, most precise first: the two
+    verdicts of :class:`~repro.spell.partials.GeneUniverse` carry the
+    offending names and become ``UNKNOWN_DATASET`` / ``UNKNOWN_GENE``
+    with them in ``details``; the generic buckets follow.
     """
     if isinstance(exc, ApiError):
         return exc
@@ -171,6 +174,14 @@ def as_api_error(exc: BaseException) -> ApiError:
         return ApiError("INDEX_STALE", str(exc))
     if isinstance(exc, RpcError):
         return ApiError("SHARD_UNAVAILABLE", str(exc))
+    if isinstance(exc, UnknownDatasetError):
+        return ApiError(
+            "UNKNOWN_DATASET",
+            str(exc),
+            details={"unknown_datasets": list(exc.datasets), "known_count": exc.known_count},
+        )
+    if isinstance(exc, UnknownGeneError):
+        return ApiError("UNKNOWN_GENE", str(exc), details={"unknown_genes": list(exc.genes)})
     if isinstance(exc, SearchError):
         return ApiError("INVALID_QUERY", str(exc))
     if isinstance(exc, (ValidationError, RenderError, DataFormatError)):

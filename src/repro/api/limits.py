@@ -297,25 +297,39 @@ class RequestGate:
             return str(context.declared_client)
         return str(context.client)
 
+    def _spend(
+        self, limiter: RateLimiter, key: str, counter: str, refusal: str, name: str, **scope
+    ) -> None:
+        """Spend one token from ``limiter`` under ``key``.
+
+        An empty bucket bumps ``counter`` and raises ``RATE_LIMITED``
+        with ``retry_after_ms``: ``refusal`` is the message, formatted
+        with ``name`` and the limiter's rate, and ``scope`` extends the
+        ``details``.
+        """
+        wait = limiter.check(key)
+        if wait > 0.0:
+            with self._lock:
+                setattr(self, counter, getattr(self, counter) + 1)
+            retry_after_ms = max(1, int(math.ceil(wait * 1000.0)))
+            raise ApiError(
+                "RATE_LIMITED",
+                f"{refusal.format(name, limiter.rate)}; retry in {retry_after_ms} ms",
+                details={
+                    "retry_after_ms": retry_after_ms,
+                    "rate_limit_per_second": limiter.rate,
+                    **scope,
+                },
+            )
+
     def _check_rate(self, context: RequestContext) -> None:
         if self._limiter is None:
             return
         key = self._rate_key(context)
-        wait = self._limiter.check(key)
-        if wait > 0.0:
-            with self._lock:
-                self.rate_limited += 1
-            retry_after_ms = max(1, int(math.ceil(wait * 1000.0)))
-            raise ApiError(
-                "RATE_LIMITED",
-                f"client {key!r} exceeded "
-                f"{self.rate_limit:g} requests/second; retry in "
-                f"{retry_after_ms} ms",
-                details={
-                    "retry_after_ms": retry_after_ms,
-                    "rate_limit_per_second": self.rate_limit,
-                },
-            )
+        self._spend(
+            self._limiter, key, "rate_limited",
+            "client {!r} exceeded {:g} requests/second", key,
+        )
 
     def _check_token_quota(self, principal: str | None) -> None:
         """Spend one token from the authenticated principal's quota.
@@ -327,23 +341,11 @@ class RequestGate:
         """
         if self._token_limiter is None or principal is None:
             return
-        wait = self._token_limiter.check(f"token:{principal}")
-        if wait > 0.0:
-            with self._lock:
-                self.token_limited += 1
-            retry_after_ms = max(1, int(math.ceil(wait * 1000.0)))
-            raise ApiError(
-                "RATE_LIMITED",
-                f"token {principal!r} exceeded its "
-                f"{self.token_rate_limit:g} requests/second quota; retry in "
-                f"{retry_after_ms} ms",
-                details={
-                    "retry_after_ms": retry_after_ms,
-                    "rate_limit_per_second": self.token_rate_limit,
-                    "scope": "token",
-                    "principal": principal,
-                },
-            )
+        self._spend(
+            self._token_limiter, f"token:{principal}", "token_limited",
+            "token {!r} exceeded its {:g} requests/second quota", principal,
+            scope="token", principal=principal,
+        )
 
     def charge_tenant(self, tenant: str, context: RequestContext | None) -> None:
         """Spend one token from a tenant compendium's rate budget.
@@ -356,23 +358,11 @@ class RequestGate:
         """
         if self._tenant_limiter is None or context is None:
             return
-        wait = self._tenant_limiter.check(f"tenant:{tenant}")
-        if wait > 0.0:
-            with self._lock:
-                self.tenant_limited += 1
-            retry_after_ms = max(1, int(math.ceil(wait * 1000.0)))
-            raise ApiError(
-                "RATE_LIMITED",
-                f"compendium {tenant!r} exceeded its "
-                f"{self.tenant_rate_limit:g} requests/second budget; retry in "
-                f"{retry_after_ms} ms",
-                details={
-                    "retry_after_ms": retry_after_ms,
-                    "rate_limit_per_second": self.tenant_rate_limit,
-                    "scope": "tenant",
-                    "compendium": tenant,
-                },
-            )
+        self._spend(
+            self._tenant_limiter, f"tenant:{tenant}", "tenant_limited",
+            "compendium {!r} exceeded its {:g} requests/second budget", tenant,
+            scope="tenant", compendium=tenant,
+        )
 
     def admit(self, endpoint: str, context: RequestContext | None) -> None:
         """Run every check for one request; raises on the first failure.

@@ -18,12 +18,14 @@ three steps — and each step is decided here, once:
 Step 3 is two phases, and ``respond`` is literally ``ready(...) or
 compute(...)``.  :func:`ready` is everything that **cannot wait** — a
 failed plan, parsing and validating the request, the tenant charge,
-resolving an already-resident tenant, the unknown-gene/dataset and
-deadline checks, the result-cache probe and, on a hit, building and
-encoding the page — and returns ``None`` when only the second phase can
-tell.  :func:`compute` is everything that **may wait**: the scoring
-kernel, the process pool's pipes, the router's sockets, a lazy tenant
-load, ingest and its fsync, exports, renders.  A driver with a thread
+resolving an already-resident tenant, the deadline check, the
+result-cache probe and, on a hit, building and encoding the page — and
+returns ``None`` when only the second phase can tell.  :func:`compute`
+is everything that **may wait**: the scoring kernel, the process pool's
+pipes, the router's sockets, a lazy tenant load, ingest and its fsync,
+exports, renders — and the unknown-gene/dataset verdicts, which belong
+to the backend's gene universe: an index that may need a splice before
+it can be asked.  A driver with a thread
 per request calls ``respond``; a driver with an event loop calls
 ``ready`` on the loop and ``compute`` from a worker thread, so what is
 already in memory is answered without a thread hop and nothing that can

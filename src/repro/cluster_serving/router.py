@@ -8,9 +8,11 @@ validation, the result cache, ``respond`` / ``respond_batch`` /
 router exactly as it serves from a single node.  What lives here is
 *where cache misses are scored* (:meth:`RouterService._compute_many`) and
 the state that takes: the router holds only the
-compendium catalog (names, gene lists, fingerprints — via
-:class:`~repro.spell.partials.GeneUniverse`) and never builds an index;
-each query fans out to the shard nodes owning the selected datasets,
+compendium catalog (names, gene lists, fingerprints) and never builds an
+index; each query is judged by the catalog's
+:class:`~repro.spell.partials.GeneUniverse` — the same ``resolve``, and
+the same typed refusals, as a single node's index — then fans out to the
+shard nodes owning the selected datasets,
 and the returned per-dataset partials are merged by replaying the exact
 single-node accumulation order.  Rankings are therefore **bit-identical**
 to a one-node :class:`~repro.spell.index.SpellIndex` over the same
@@ -132,21 +134,6 @@ class RouterService(SearchBackend):
             if self.compendium.version != self._catalog_version:
                 self._rebuild_catalog()
 
-    def _select(self, datasets: Sequence[str] | None) -> list[str]:
-        """Selected dataset names in compendium order (the merge walk order).
-
-        Mirrors ``SpellIndex._select`` — including its unknown-dataset
-        error — so filter validation is transport-independent.
-        """
-        names = self._universe.dataset_names
-        if datasets is None:
-            return list(names)
-        allowed = {str(d) for d in datasets}
-        unknown = sorted(allowed - set(names))
-        if unknown:
-            raise SearchError(f"unknown dataset(s) in filter: {unknown}")
-        return [n for n in names if n in allowed]
-
     # ----------------------------------------------------------- fan-out core
     def _owner_order(self, name: str) -> list[str]:
         """Replica preference for one dataset: ring order, alive-first.
@@ -212,12 +199,9 @@ class RouterService(SearchBackend):
         bounded by ``deadline``; expiry raises
         :class:`~repro.util.deadline.DeadlineExceeded`.
         """
-        selected = self._select(datasets)
-        query_used, query_missing, q_slots = self._universe.resolve_query(
-            query, selected, filtered=datasets is not None
-        )
-        if not query_used:
-            raise SearchError(f"no query gene exists in any dataset: {query}")
+        universe = self._universe
+        resolved = universe.resolve(query, datasets)
+        selected = [universe.dataset_names[i] for i in resolved.selected]
 
         expected = self._fingerprints  # the catalog this gather merges over
         contributions: dict[str, DatasetPartial] = {}
@@ -346,11 +330,11 @@ class RouterService(SearchBackend):
                 f"shard(s) unavailable for dataset(s) {skipped}: "
                 f"{dict((n, failures[n]) for n in skipped)}"
             )
-        merged = self._universe.merge(
+        merged = universe.merge(
             query,
-            query_used,
-            query_missing,
-            q_slots,
+            resolved.query_used,
+            resolved.query_missing,
+            resolved.q_slots,
             selected,
             contributions,
             top_k=top_k,
@@ -409,6 +393,10 @@ class RouterService(SearchBackend):
             int(self._membership.state(nid).info.get("index_bytes", 0))
             for nid in self._membership.node_ids
         )
+
+    def gene_count(self) -> int:
+        self._sync_catalog()
+        return self._universe.gene_count()
 
     def _topology_stats(self) -> dict:
         return {

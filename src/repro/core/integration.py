@@ -31,9 +31,9 @@ class SpellAdapter:
     highlighted within each dataset."
     """
 
-    def __init__(self, app: "ForestView", *, use_index: bool = True, n_workers: int = 1) -> None:
+    def __init__(self, app: "ForestView", *, n_workers: int = 1) -> None:
         self.app = app
-        self.service = SpellService(app.compendium, use_index=use_index, n_workers=n_workers)
+        self.service = SpellService(app.compendium, n_workers=n_workers)
         self.last_result: SpellResult | None = None
 
     def query_from_selection(self, *, top_n: int = 20, reorder: bool = True) -> SpellResult:

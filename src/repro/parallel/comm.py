@@ -16,21 +16,65 @@ The API mirrors mpi4py's lowercase object methods: ``send``, ``recv``,
 
 from __future__ import annotations
 
+import queue
 import threading
+import time
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.rpc.mailbox import ANY_SOURCE, ANY_TAG, Envelope, Mailbox
 from repro.util.errors import CommunicationError
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Communicator", "run_ranks"]
 
+ANY_SOURCE = -1
+ANY_TAG = -1
+
 _DEFAULT_TIMEOUT = 30.0  # seconds; deadlock insurance for tests
 
-# The (source, tag)-matched mailbox now lives in repro.rpc.mailbox so the
-# socket RPC tier and this in-process communicator share one matching
-# engine; the aliases keep this module's historical private names alive.
-_Envelope = Envelope
-_Mailbox = Mailbox
+
+@dataclass
+class _Envelope:
+    source: int
+    tag: int
+    payload: Any
+
+
+def _matches(env: _Envelope, source: int, tag: int) -> bool:
+    return (source == ANY_SOURCE or env.source == source) and (
+        tag == ANY_TAG or env.tag == tag
+    )
+
+
+class _Mailbox:
+    """One rank's incoming messages, matched by (source, tag).
+
+    A message that arrives before a matching ``take`` is posted waits in
+    ``pending``; ``take`` scans pending first, then blocks on the queue.
+    """
+
+    def __init__(self) -> None:
+        self.queue: "queue.Queue[_Envelope]" = queue.Queue()
+        self.pending: list[_Envelope] = []
+
+    def take(self, source: int, tag: int, timeout: float) -> _Envelope:
+        deadline = time.monotonic() + timeout
+        # scan buffered messages first
+        for i, env in enumerate(self.pending):
+            if _matches(env, source, tag):
+                return self.pending.pop(i)
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise CommunicationError(
+                    f"recv timed out waiting for source={source} tag={tag}"
+                )
+            try:
+                env = self.queue.get(timeout=remaining)
+            except queue.Empty:
+                continue
+            if _matches(env, source, tag):
+                return env
+            self.pending.append(env)
 
 
 class _World:
@@ -38,7 +82,7 @@ class _World:
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.mailboxes = [Mailbox() for _ in range(size)]
+        self.mailboxes = [_Mailbox() for _ in range(size)]
         self.barrier = threading.Barrier(size)
         self.abort = threading.Event()
 

@@ -8,9 +8,6 @@ liveness, and fan-out with per-node timeouts whose failures surface as
 *structured partial results*, never silent cuts.  This package provides
 that substrate:
 
-- :mod:`repro.rpc.mailbox` — (source, tag)-matched message buffering,
-  extracted from the in-process MPI-style communicator so both transports
-  share one matching engine.
 - :mod:`repro.rpc.framing` — length-prefixed frames with magic + size
   guards over any socket-like stream.
 - :mod:`repro.rpc.server` / :mod:`repro.rpc.client` — a threaded TCP
@@ -29,7 +26,6 @@ from repro.rpc.framing import (
     read_frame,
     write_frame,
 )
-from repro.rpc.mailbox import ANY_SOURCE, ANY_TAG, Envelope, Mailbox, matches
 from repro.rpc.membership import Membership, NodeState, ScatterResult
 from repro.rpc.policy import CircuitBreaker, RetryPolicy
 from repro.rpc.server import RpcHandlerError, RpcServer
@@ -37,17 +33,12 @@ from repro.util.deadline import Deadline, DeadlineExceeded
 from repro.util.errors import RpcError
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
-    "Envelope",
     "FAULT_KINDS",
     "FaultPlan",
     "FrameError",
-    "Mailbox",
-    "matches",
     "MAX_FRAME_BYTES",
     "Membership",
     "NodeState",

@@ -96,8 +96,8 @@ class ShardArena:
 
     @property
     def offsets(self) -> list[int]:
-        """Element offset of each view inside the flat buffer (-1 when the
-        view lives outside it: unfused arenas and late-appended shards).
+        """Element offset of each view inside the flat buffer (-1 for
+        every view of an unfused arena).
 
         Introspection only — the scoring loop addresses shards through
         ``views``; this exists so tests and debuggers can verify the
@@ -106,26 +106,7 @@ class ShardArena:
         if self._flat is None:
             return [-1] * len(self.views)
         start = self._flat.ctypes.data
-        end = start + self._flat.nbytes
-        itemsize = self._flat.itemsize
-        return [
-            (v.ctypes.data - start) // itemsize
-            if start <= v.ctypes.data < end
-            else -1
-            for v in self.views
-        ]
-
-    def append(self, shard: np.ndarray) -> None:
-        """Register one more shard (in-place index maintenance).
-
-        The flat buffer cannot be extended without copying every live
-        view, so late arrivals stay standalone arrays; a fresh index
-        (``SpellIndex.updated`` / ``build``) re-fuses everything.
-        """
-        self.views.append(shard)
-
-    def remove(self, i: int) -> None:
-        del self.views[i]
+        return [(v.ctypes.data - start) // self._flat.itemsize for v in self.views]
 
     def nbytes(self) -> int:
         return sum(int(v.nbytes) for v in self.views)

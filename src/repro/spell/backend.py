@@ -39,6 +39,7 @@ from repro.data.compendium import Compendium
 from repro.spell.cache import QueryCache, rebind_result
 from repro.spell.engine import SpellResult
 from repro.spell.index import BatchQuery
+from repro.spell.partials import checked_query
 from repro.util.deadline import Deadline
 from repro.util.errors import SearchError
 from repro.util.timing import Stopwatch
@@ -158,11 +159,7 @@ class SearchBackend:
         keyed: list[tuple] = []  # (query, top_k, datasets, cache-key extra | None)
         looked_up = 0
         for genes, top_k, datasets, use_cache, rows in members:
-            query = tuple(map(str, genes))
-            if not query:
-                raise SearchError("query must contain at least one gene")
-            if len(set(query)) != len(query):
-                raise SearchError("query contains duplicate genes")
+            query = checked_query(genes)
             if datasets is not None:
                 datasets = tuple(map(str, datasets))
             extra = None
@@ -442,6 +439,10 @@ class SearchBackend:
         return stats
 
     def index_bytes(self) -> int:
+        raise NotImplementedError
+
+    def gene_count(self) -> int:
+        """Genes in the universe this backend judges queries against."""
         raise NotImplementedError
 
     # ``/v1/health`` and ``/v1/datasets`` answer the v1 default (``{}``)

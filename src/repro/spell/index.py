@@ -46,7 +46,7 @@ kernel written for one query.
 
 **Per member** — what has no shared structure: one gather from the
 stacked slot->row table says where every query gene sits in every shard
-(:meth:`SpellIndex._resolve`), and the rank tail
+(:meth:`repro.spell.partials.GeneUniverse.resolve`), and the rank tail
 (:func:`repro.spell.partials.rank_scores`: three ``np.bincount``
 accumulators, the sort) runs on the member's own score vector, sliced
 out of the block's.  That tail is now the largest stage of a batch.
@@ -87,15 +87,19 @@ buffer and the flat matmul buffer, ``Σ genes × columns`` elements — is
 sized by the index and the block, never by how long a batch is; results
 never alias it (the accumulators are fresh ``bincount`` outputs).
 
-Because each dataset's shard is independent, the index supports both a
-parallel sharded :meth:`build` (normalization fanned over
-``parallel_map``) and *incremental* maintenance: :meth:`add_dataset` /
-:meth:`remove_dataset` splice one shard without touching the others, so
-growing the compendium no longer forces a full rebuild.  Shards carry
-their source dataset's content fingerprint, which is what the
-persistent store (:mod:`repro.spell.store`) uses to rewrite only stale
-shards and what :meth:`updated` falls back on to reuse shards across
-processes (where object identity is useless).
+An index is a value: :meth:`build`, :meth:`updated` and the store load
+are the only ways to get one, and nothing mutates it afterwards.  Each
+dataset's shard is independent, so :meth:`build` fans normalization over
+``parallel_map`` and :meth:`updated` — the maintenance path — returns a
+new index that shares every unchanged shard and normalizes only what the
+compendium gained, while threads still searching the old one stay
+consistent.  The gene universe under it
+(:class:`~repro.spell.partials.GeneUniverse`, which also judges every
+query) is derived afresh for each index, so it holds exactly the live
+genes.  Shards carry their source dataset's content fingerprint, which
+is what the persistent store (:mod:`repro.spell.store`) uses to rewrite
+only stale shards and what :meth:`updated` falls back on to reuse shards
+across processes (where object identity is useless).
 
 Shards may be held in ``float32`` (``build(..., dtype=np.float32)``):
 half the memory and faster matmuls, at the cost of last-digit score
@@ -110,7 +114,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,7 +123,13 @@ from repro.data.dataset import Dataset
 from repro.parallel.pmap import parallel_map
 from repro.spell.arena import ScoreScratch, ScratchPool, ShardArena
 from repro.spell.engine import DatasetScore, SpellResult, MIN_QUERY_PRESENT
-from repro.spell.partials import DatasetPartial, rank_scores
+from repro.spell.partials import (
+    DatasetPartial,
+    GeneUniverse,
+    Resolved,
+    checked_query,
+    rank_scores,
+)
 from repro.stats.correlation import fisher_z
 from repro.util.errors import SearchError, ValidationError
 
@@ -161,19 +171,6 @@ class BatchQuery:
     genes: tuple[str, ...]
     top_k: int | None = None
     datasets: tuple[str, ...] | None = None
-
-
-class _Resolved(NamedTuple):
-    """One validated search request, down to what the kernel consumes
-    (:meth:`SpellIndex._resolve`)."""
-
-    query: list[str]
-    query_used: tuple[str, ...]
-    query_missing: tuple[str, ...]
-    q_slots: np.ndarray  # universe slots of ``query_used``
-    selected: list[int]  # shard indices the ``datasets`` filter admits
-    local: np.ndarray  # (selected shards, used genes) shard rows, -1 = absent
-    n_present: list[int]  # query genes each selected shard holds
 
 
 @dataclass
@@ -230,15 +227,14 @@ def _index_dataset(ds: Dataset, dtype=np.float64) -> _DatasetIndex:
 
 
 class SpellIndex:
-    """Search index over a compendium snapshot, maintained shard-by-shard.
+    """Search index over a compendium snapshot: immutable, shard by shard.
 
     Build with :meth:`build` (optionally parallel across datasets);
     ``search`` answers queries without touching the raw datasets again.
-    The index does not *watch* the compendium — callers keep it current
-    through :meth:`add_dataset` / :meth:`remove_dataset` (in-place,
-    single-threaded use) or :meth:`updated` (copy-on-write: returns a new
-    index sharing unchanged shards, safe to swap in while other threads
-    keep searching the old one — the discipline ``SpellService`` uses).
+    The index does not *watch* the compendium — callers keep current
+    through :meth:`updated`, which returns a new index sharing unchanged
+    shards, safe to swap in while other threads keep searching the old
+    one (the discipline ``SpellService`` uses).
     """
 
     def __init__(self, entries: list[_DatasetIndex]) -> None:
@@ -248,42 +244,11 @@ class SpellIndex:
         self.dtype = np.dtype(self._entries[0].normalized.dtype)
         if self.dtype not in SUPPORTED_DTYPES:
             raise ValidationError(f"unsupported shard dtype {self.dtype}")
-        # Global gene universe: aggregation runs over dense arrays indexed
-        # by universe slot instead of per-gene dicts (the old inner loop
-        # was pure Python over every gene of every dataset and dominated
-        # query time).  The universe only grows — removed datasets leave
-        # their slots behind, which costs memory proportional to genes
-        # ever seen but keeps every other shard's mapping valid.  Slot
-        # tables and per-shard row maps are index-local so shards can be
-        # shared between indexes (copy-on-write updates).
-        self._gene_slot: dict[str, int] = {}
-        self._slot_gene: list[str] = []
-        self._slot_gene_arr: np.ndarray | None = None  # cache, rebuilt on growth
-        self._global_rows: list[np.ndarray] = []  # parallel to _entries
-        # dataset name -> position in _entries (the filter lookup)
-        self._position = {e.name: i for i, e in enumerate(self._entries)}
-        # Bulk slot assignment: one np.unique over every shard's gene list
-        # instead of a per-gene Python dict probe — the cold-start path
-        # (store load) spends its time here, and slot *numbering* is
-        # irrelevant to results (each gene aggregates in its own slot and
-        # the final ranking sorts by score/id).
-        id_arrays = [np.asarray(e.gene_ids, dtype=str) for e in self._entries]
-        uniq, inv = np.unique(np.concatenate(id_arrays), return_inverse=True)
-        self._slot_gene = uniq.tolist()
-        self._gene_slot = {g: i for i, g in enumerate(self._slot_gene)}
-        # Stacked inverse map, one row per shard: _row_table[i, slot] is
-        # the local row of that slot's gene in shard i, -1 = absent.  One
-        # column gather answers "where is each query gene, in every
-        # shard" for the whole query; a column of -1s is a gene whose
-        # only datasets were removed (slots are never retired).
-        self._row_table = np.full((len(self._entries), len(uniq)), -1, dtype=np.intp)
-        inv = np.asarray(inv, dtype=np.intp)
-        offset = 0
-        for i, arr in enumerate(id_arrays):
-            rows = inv[offset : offset + arr.shape[0]]
-            offset += arr.shape[0]
-            self._row_table[i, rows] = np.arange(rows.shape[0], dtype=np.intp)
-            self._global_rows.append(rows)
+        #: the gene universe of these shards and the judge of every query:
+        #: aggregation runs over dense arrays indexed by universe slot, and
+        #: the slot tables are index-local so shards can be shared between
+        #: indexes (copy-on-write updates)
+        self.universe = GeneUniverse([(e.name, e.gene_ids) for e in self._entries])
         # Fused arena: freshly-normalized shards' rows land in one
         # contiguous buffer and the entries are repointed
         # (value-preserving) at the views, so the per-shard allocations
@@ -299,34 +264,6 @@ class SpellIndex:
                 entry.normalized = view
         self._scratch = ScratchPool()
 
-    def _register(self, entry: _DatasetIndex) -> None:
-        rows = np.empty(len(entry.gene_ids), dtype=np.intp)
-        for i, g in enumerate(entry.gene_ids):
-            slot = self._gene_slot.get(g)
-            if slot is None:
-                slot = len(self._slot_gene)
-                self._gene_slot[g] = slot
-                self._slot_gene.append(g)
-            rows[i] = slot
-        # one more table row, widened to the grown universe (a copy of
-        # the table: in-place maintenance is the offline path)
-        n_shards, n_slots = self._row_table.shape
-        table = np.full((n_shards + 1, len(self._slot_gene)), -1, dtype=np.intp)
-        table[:n_shards, :n_slots] = self._row_table
-        table[n_shards, rows] = np.arange(rows.shape[0], dtype=np.intp)
-        self._row_table = table
-        self._global_rows.append(rows)
-        self._position[entry.name] = n_shards
-        self._arena.append(entry.normalized)
-
-    def _slot_ids(self) -> np.ndarray:
-        """Universe slot -> gene id, as an array (cached; universe only grows)."""
-        if self._slot_gene_arr is None or len(self._slot_gene_arr) != len(
-            self._slot_gene
-        ):
-            self._slot_gene_arr = np.asarray(self._slot_gene)
-        return self._slot_gene_arr
-
     @classmethod
     def build(
         cls, compendium: Compendium, *, n_workers: int = 1, dtype=np.float64
@@ -340,31 +277,6 @@ class SpellIndex:
         return cls(entries)
 
     # ------------------------------------------------------------ maintenance
-    def add_dataset(self, dataset: Dataset) -> None:
-        """Index one new dataset in place — no rebuild of existing shards.
-
-        In-place maintenance is not safe under concurrent ``search``
-        calls; concurrent callers use :meth:`updated` instead.  A late
-        shard stays outside the fused arena buffer (extending it would
-        copy every live view); a fresh build or ``updated()`` re-fuses.
-        """
-        if dataset.name in self._position:
-            raise ValidationError(f"dataset {dataset.name!r} already indexed")
-        entry = _index_dataset(dataset, dtype=self.dtype)
-        self._register(entry)
-        self._entries.append(entry)
-
-    def remove_dataset(self, name: str) -> None:
-        """Drop one dataset's shard; other shards are untouched."""
-        i = self._position.get(name)
-        if i is None:
-            raise ValidationError(f"dataset {name!r} not in index")
-        del self._entries[i]
-        del self._global_rows[i]
-        self._row_table = np.delete(self._row_table, i, axis=0)
-        self._arena.remove(i)
-        self._position = {e.name: k for k, e in enumerate(self._entries)}
-
     def updated(self, compendium: Compendium) -> "SpellIndex":
         """Copy-on-write sync: a new index matching ``compendium``.
 
@@ -417,65 +329,6 @@ class SpellIndex:
         """
         return [(e.name, e.fingerprint) for e in self._entries]
 
-    # -------------------------------------------------------- query resolution
-    def _select(self, datasets: Sequence[str] | None) -> list[int]:
-        """Shard indices a ``datasets`` filter admits (all, when ``None``)."""
-        if datasets is None:
-            return list(range(len(self._entries)))
-        allowed = {str(d) for d in datasets}
-        unknown = sorted(allowed - self._position.keys())
-        if unknown:
-            raise SearchError(f"unknown dataset(s) in filter: {unknown}")
-        return sorted(self._position[d] for d in allowed)
-
-    @staticmethod
-    def _validate_query(query) -> list[str]:
-        query = [str(g) for g in query]
-        if not query:
-            raise SearchError("query must contain at least one gene")
-        if len(set(query)) != len(query):
-            raise SearchError("query contains duplicate genes")
-        return query
-
-    def _locate(
-        self, query: list[str], datasets: Sequence[str] | None
-    ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """``(selected, slots, local)`` for a validated query.
-
-        ``slots[k]`` is the universe slot of ``query[k]`` (-1 = never
-        seen) and ``local[s, k]`` its row in the s-th selected shard
-        (-1 = absent there): the one stacked table gather that replaces
-        a bounds-checked probe per shard.
-        """
-        selected = self._select(datasets)
-        slots = np.fromiter(
-            (self._gene_slot.get(g, -1) for g in query),
-            dtype=np.intp,
-            count=len(query),
-        )
-        # an unknown gene's -1 reads some real column; mask it back out
-        local = np.where(slots >= 0, self._row_table[:, slots], -1)
-        if datasets is not None:
-            local = local[selected]
-        return selected, slots, local
-
-    def _resolve(self, query, datasets: Sequence[str] | None) -> _Resolved:
-        """Validate one search request down to what the kernel consumes,
-        with membership judged against the selected shards only (a gene
-        whose every dataset was removed or filtered out is missing)."""
-        query = self._validate_query(query)
-        selected, slots, local = self._locate(query, datasets)
-        present = local >= 0
-        alive = present.any(axis=0)
-        query_used = tuple(g for g, a in zip(query, alive) if a)
-        if not query_used:
-            raise SearchError(f"no query gene exists in any dataset: {query}")
-        query_missing = tuple(g for g, a in zip(query, alive) if not a)
-        return _Resolved(
-            query, query_used, query_missing, slots[alive],
-            selected, local[:, alive], present.sum(axis=1).tolist(),
-        )
-
     # ----------------------------------------------------------------- kernel
     def _score(
         self,
@@ -486,7 +339,7 @@ class SpellIndex:
     ) -> tuple[list[list[float]], list[np.ndarray]]:
         """The scoring kernel: the only code that multiplies shard values.
 
-        ``local`` stacks the :meth:`_locate` row tables of a *block* of
+        ``local`` stacks the ``GeneUniverse.locate`` row tables of a *block* of
         members, shard-major: ``local[s, m, k]`` is the row of member
         ``m``'s k-th query gene in the s-th selected shard.  Every member
         holds ``n_present[s]`` of its query genes in that shard (what
@@ -609,7 +462,7 @@ class SpellIndex:
         )[0]
 
     @staticmethod
-    def _blocks(resolved: list[_Resolved]) -> list[list[int]]:
+    def _blocks(resolved: list[Resolved]) -> list[list[int]]:
         """Batch positions grouped into kernel blocks.
 
         Members stack when they select the same shards and hold the same
@@ -647,13 +500,13 @@ class SpellIndex:
         same kernel, and every member's result is bit-identical to its
         :meth:`search`, whatever it was stacked with.
         """
-        if not self._entries:
-            raise SearchError("index is empty")
         specs = [
             q if isinstance(q, BatchQuery) else BatchQuery(genes=tuple(q))
             for q in queries
         ]
-        resolved = [self._resolve(spec.genes, spec.datasets) for spec in specs]
+        universe = self.universe
+        resolved = [universe.resolve(spec.genes, spec.datasets) for spec in specs]
+        slot_gene, rows = universe.slot_gene, universe.rows
         results: list = [None] * len(specs)
         # try/finally: a failure mid-scoring (e.g. a bad top_k surfacing
         # in the ranking tail) must not strand the scratch and silently
@@ -668,8 +521,8 @@ class SpellIndex:
                 for m, member_weights, member_scores in zip(block, weights, scores):
                     member = resolved[m]
                     results[m] = rank_scores(
-                        self._slot_ids(),
-                        [self._global_rows[i] for i, w in zip(selected, member_weights) if w > 0.0],
+                        slot_gene,
+                        [rows[i] for i, w in zip(selected, member_weights) if w > 0.0],
                         [w for w in member_weights if w > 0.0],
                         member_scores,
                         member.q_slots,
@@ -709,9 +562,7 @@ class SpellIndex:
         legal (the genes may live on other shards); it simply yields
         zero-weight partials.
         """
-        if not self._entries:
-            raise SearchError("index is empty")
-        selected, _, local = self._locate(self._validate_query(query), datasets)
+        selected, _, local = self.universe.locate(checked_query(query), datasets)
         n_present = (local >= 0).sum(axis=1).tolist()
         scratch = self._scratch.acquire()
         try:

@@ -16,25 +16,29 @@ per-dataset score vector itself is deterministic for given shard values
 (one matmul, one fixed-order mean), so *where* it is computed cannot
 change it.
 
-:class:`GeneUniverse` is the coordinator's metadata-only replica of the
-index's slot bookkeeping — gene universe, per-dataset row slots, query
-membership — built from dataset gene lists alone, no matrices.  The
-merge is a pure function of (universe, contributions), which is what
-makes determinism under shard reply reordering testable without any
-transport in the loop.
+:class:`GeneUniverse` is the judge of a query — the one place that
+decides which datasets a ``datasets`` filter admits and which query genes
+exist in them.  It is built from dataset gene lists alone, no matrices:
+the slot table (one ``np.unique``), each dataset's slot rows and the
+stacked slot -> row table.  :class:`~repro.spell.index.SpellIndex` holds
+one under its shards and the sharded router holds one over its catalog,
+so a query gets the same verdict — and the same typed error — wherever
+it is asked.  The merge is a pure function of (universe, contributions),
+which is what makes determinism under shard reply reordering testable
+without any transport in the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.spell.engine import DatasetScore, SpellResult, ranked_gene_table
-from repro.util.errors import SearchError
+from repro.util.errors import SearchError, UnknownDatasetError, UnknownGeneError
 
-__all__ = ["DatasetPartial", "GeneUniverse", "rank_scores"]
+__all__ = ["DatasetPartial", "GeneUniverse", "Resolved", "checked_query", "rank_scores"]
 
 
 @dataclass(frozen=True)
@@ -107,70 +111,144 @@ def rank_scores(
     )
 
 
-class GeneUniverse:
-    """Metadata-only replica of the index's gene-slot bookkeeping.
+def checked_query(genes: Iterable[str]) -> tuple[str, ...]:
+    """``genes`` as a tuple of strings; an empty or repeating query is
+    refused."""
+    query = tuple(map(str, genes))
+    if not query:
+        raise SearchError("query must contain at least one gene")
+    if len(set(query)) != len(query):
+        raise SearchError("query contains duplicate genes")
+    return query
 
-    Built from ordered ``(name, gene_ids)`` pairs — the same inputs
-    :class:`~repro.spell.index.SpellIndex` derives its universe from, so
-    slot numbering and membership semantics match the single-node index
-    exactly (``np.unique`` sorts, hence equal inputs give equal slots).
+
+class Resolved(NamedTuple):
+    """One judged search request (:meth:`GeneUniverse.resolve`), down to
+    what the scoring kernel and the merge consume."""
+
+    query: tuple[str, ...]
+    query_used: tuple[str, ...]
+    query_missing: tuple[str, ...]
+    q_slots: np.ndarray  # universe slots of ``query_used``
+    selected: list[int]  # dataset positions the ``datasets`` filter admits
+    local: np.ndarray  # (selected datasets, used genes) dataset rows, -1 = absent
+    n_present: list[int]  # query genes each selected dataset holds
+
+
+class GeneUniverse:
+    """The genes of an ordered set of datasets, and the judge of a query.
+
+    Built from ordered ``(name, gene_ids)`` pairs.  Slot numbering is
+    ``np.unique``'s (sorted), so equal inputs give equal slots on every
+    node; it is irrelevant to results — each gene aggregates in its own
+    slot and the final ranking sorts by score and id.  A universe is a
+    value: a changed compendium gets a new one, so every slot is a live
+    gene.
     """
 
     def __init__(self, datasets: Sequence[tuple[str, Sequence[str]]]) -> None:
         if not datasets:
             raise SearchError("gene universe needs at least one dataset")
         self.dataset_names: list[str] = [name for name, _ in datasets]
-        if len(set(self.dataset_names)) != len(self.dataset_names):
+        #: dataset name -> position in ``dataset_names`` (the filter lookup)
+        self._position: dict[str, int] = {n: i for i, n in enumerate(self.dataset_names)}
+        if len(self._position) != len(self.dataset_names):
             raise SearchError("duplicate dataset names in universe")
-        id_arrays = [np.asarray(list(ids), dtype=str) for _, ids in datasets]
+        # one np.unique over every dataset's gene list instead of a
+        # per-gene dict probe: the store's cold start spends its time here
+        id_arrays = [np.asarray(ids, dtype=str) for _, ids in datasets]
         uniq, inv = np.unique(np.concatenate(id_arrays), return_inverse=True)
-        self._slot_gene: np.ndarray = uniq
+        #: universe slot -> gene id
+        self.slot_gene: np.ndarray = uniq
         self._gene_slot: dict[str, int] = {g: i for i, g in enumerate(uniq.tolist())}
-        self._slot_live = np.zeros(uniq.shape[0], dtype=np.int64)
-        self.rows: dict[str, np.ndarray] = {}
+        #: each dataset's universe slots, in its own gene order
+        self.rows: list[np.ndarray] = []
+        # stacked inverse map, one row per dataset: _row_table[i, slot] is
+        # the row of that slot's gene in dataset i, -1 = absent.  One
+        # column gather answers "where is each query gene, in every
+        # dataset" for the whole query.
+        self._row_table = np.full((len(id_arrays), uniq.shape[0]), -1, dtype=np.intp)
         inv = np.asarray(inv, dtype=np.intp)
         offset = 0
-        for (name, _), arr in zip(datasets, id_arrays):
+        for i, arr in enumerate(id_arrays):
             rows = inv[offset : offset + arr.shape[0]]
             offset += arr.shape[0]
-            self.rows[name] = rows
-            self._slot_live[rows] += 1
-
-    @property
-    def n_slots(self) -> int:
-        return int(self._slot_gene.shape[0])
+            self._row_table[i, rows] = np.arange(rows.shape[0], dtype=np.intp)
+            self.rows.append(rows)
 
     def gene_count(self) -> int:
-        """Number of live genes (every slot is live in a static universe)."""
-        return int((self._slot_live > 0).sum())
+        return int(self.slot_gene.shape[0])
 
     # ------------------------------------------------------------- resolution
+    def select(self, datasets: Sequence[str] | None) -> list[int]:
+        """Dataset positions a ``datasets`` filter admits, in compendium
+        order (all of them, when ``None``)."""
+        if datasets is None:
+            return list(range(len(self.dataset_names)))
+        allowed = {str(d) for d in datasets}
+        unknown = sorted(allowed - self._position.keys())
+        if unknown:
+            raise UnknownDatasetError(
+                f"unknown dataset(s) in filter: {', '.join(unknown)}",
+                datasets=unknown,
+                known_count=len(self.dataset_names),
+            )
+        return sorted(self._position[d] for d in allowed)
+
+    def locate(
+        self, query: Sequence[str], datasets: Sequence[str] | None
+    ) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """``(selected, slots, local)`` for a :func:`checked_query`.
+
+        ``slots[k]`` is the universe slot of ``query[k]`` (-1 = no
+        dataset holds it) and ``local[s, k]`` its row in the s-th
+        selected dataset (-1 = absent there): one stacked table gather
+        instead of a bounds-checked probe per dataset.
+        """
+        selected = self.select(datasets)
+        slots = np.fromiter(
+            (self._gene_slot.get(g, -1) for g in query), dtype=np.intp, count=len(query)
+        )
+        # an unknown gene's -1 reads some real column; mask it back out
+        local = np.where(slots >= 0, self._row_table[:, slots], -1)
+        if datasets is not None:
+            local = local[selected]
+        return selected, slots, local
+
+    def resolve(self, query: Sequence[str], datasets: Sequence[str] | None) -> Resolved:
+        """Judge one search request: which datasets it searches, which of
+        its genes exist in them (a gene held only by datasets the filter
+        leaves out is missing), and where.  A filter naming an unknown
+        dataset, or a query none of whose genes exists in the searched
+        scope, is refused with its typed error."""
+        query = checked_query(query)
+        selected, slots, local = self.locate(query, datasets)
+        present = local >= 0
+        alive = present.any(axis=0)
+        query_used = tuple(g for g, a in zip(query, alive) if a)
+        if not query_used:
+            scope = "the compendium" if datasets is None else "the filtered datasets"
+            raise UnknownGeneError(
+                f"no query gene exists in {scope}: {', '.join(query)}", genes=query
+            )
+        return Resolved(
+            query,
+            query_used,
+            tuple(g for g, a in zip(query, alive) if not a),
+            slots[alive],
+            selected,
+            local[:, alive],
+            present.sum(axis=1).tolist(),
+        )
+
     def resolve_query(
         self, query: Sequence[str], selected: Sequence[str], *, filtered: bool
     ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-        """Mirror of ``SpellIndex._resolve`` over catalog metadata.
-
-        Returns ``(query_used, query_missing, q_slots)`` with membership
-        judged against the selected datasets when ``filtered`` (else the
-        whole universe), preserving query order.
-        """
-        slot_arr = np.fromiter(
-            (self._gene_slot.get(g, -1) for g in query),
-            dtype=np.intp,
-            count=len(query),
-        )
-        known = slot_arr >= 0
-        alive = np.zeros(len(query), dtype=bool)
-        if filtered:
-            mask = np.zeros(self.n_slots, dtype=bool)
-            for name in selected:
-                mask[self.rows[name]] = True
-            alive[known] = mask[slot_arr[known]]
-        else:
-            alive[known] = self._slot_live[slot_arr[known]] > 0
-        query_used = tuple(g for g, a in zip(query, alive) if a)
-        query_missing = tuple(g for g, a in zip(query, alive) if not a)
-        return query_used, query_missing, slot_arr[alive]
+        """``(query_used, query_missing, q_slots)`` of :meth:`resolve`, for
+        a coordinator that already holds the ``selected`` dataset names
+        (``filtered`` says whether they came from a ``datasets`` filter)."""
+        resolved = self.resolve(query, selected if filtered else None)
+        return resolved.query_used, resolved.query_missing, resolved.q_slots
 
     # ------------------------------------------------------------------ merge
     def merge(
@@ -213,7 +291,7 @@ class GeneUniverse:
             )
             if part.weight <= 0.0 or part.scores is None:
                 continue
-            slots = self.rows[name]
+            slots = self.rows[self._position[name]]
             if part.scores.shape[0] != slots.shape[0]:
                 raise SearchError(
                     f"partial for {name!r} has {part.scores.shape[0]} scores, "
@@ -223,7 +301,7 @@ class GeneUniverse:
             weights.append(part.weight)
             scores.append(part.scores)
         return rank_scores(
-            self._slot_gene,
+            self.slot_gene,
             rows,
             weights,
             np.concatenate(scores) if scores else np.empty(0, dtype=np.float64),

@@ -12,11 +12,11 @@ and the serving counters are :class:`~repro.spell.backend.SearchBackend`'s
 single node owns:
 
 * **The index** — a cache miss is answered from the precomputed
-  :class:`~repro.spell.index.SpellIndex` (or, with ``use_index=False``,
-  the exact engine).
+  :class:`~repro.spell.index.SpellIndex`, whose gene universe also
+  judges the query (unknown dataset, unknown gene).
 * **Incremental index maintenance** — when the compendium's version
-  token moves, the service diffs dataset names and splices shards via
-  ``SpellIndex.updated`` instead of rebuilding.
+  token moves, the service swaps in ``SpellIndex.updated``: a new
+  immutable index sharing every unchanged shard, never a rebuild.
 * **Persistent index** — ``store_dir=`` points the service at an
   :class:`~repro.spell.store.IndexStore` directory: a fresh process
   memory-maps the saved shards (zero-copy cold start) instead of
@@ -39,7 +39,7 @@ import numpy as np
 from repro.data.compendium import Compendium
 from repro.spell.backend import COMPLETE, SearchBackend
 from repro.spell.cache import DEFAULT_CACHE_SIZE
-from repro.spell.engine import SpellEngine, SpellResult
+from repro.spell.engine import SpellResult
 from repro.spell.index import BatchQuery, SpellIndex
 from repro.spell.procpool import (
     REPLY_TIMEOUT_SECONDS,
@@ -56,9 +56,9 @@ __all__ = ["SpellService"]
 class SpellService(SearchBackend):
     """Stateful query service over a (mutable) compendium.
 
-    ``use_index=True`` (default) answers from the precomputed index;
-    ``use_index=False`` recomputes correlations per query with the exact
-    engine — the cold path the ablation bench compares against.
+    Cache misses are answered from the precomputed index (the exact
+    :class:`~repro.spell.engine.SpellEngine` is the reference the tests
+    and the ablation bench compare it against, not a serving mode).
     ``cache_size=0`` disables result caching (every query recomputes).
 
     ``store_dir`` enables the persistent index: when the directory
@@ -79,17 +79,15 @@ class SpellService(SearchBackend):
     :meth:`close`).  Per-dispatch version tokens keep workers honest: a
     stale worker resyncs or refuses, and any pool failure falls back to
     the same kernel in-process — answers first, parallelism second.
-    ``n_workers`` threads normalise shards at index build (and score
-    datasets under ``use_index=False``); no query fans out across
-    threads.  ``cache_min_cost`` sets the result cache's admission
-    threshold (see :class:`~repro.spell.cache.QueryCache`).
+    ``n_workers`` threads normalise shards at index build; no query
+    fans out across threads.  ``cache_min_cost`` sets the result cache's
+    admission threshold (see :class:`~repro.spell.cache.QueryCache`).
     """
 
     def __init__(
         self,
         compendium: Compendium,
         *,
-        use_index: bool = True,
         n_workers: int = 1,
         n_procs: int = 1,
         cache_size: int = DEFAULT_CACHE_SIZE,
@@ -105,13 +103,12 @@ class SpellService(SearchBackend):
             cache_size=cache_size,
             cache_min_cost=cache_min_cost,
         )
-        self.use_index = bool(use_index)
         self.n_procs = max(1, int(n_procs))
         self.pool_timeout = float(pool_timeout)
         self.dtype = np.dtype(dtype)
         self._store_dir = Path(store_dir) if store_dir is not None else None
         self._owns_store_dir = False
-        if self.n_procs > 1 and self.use_index and self._store_dir is None:
+        if self.n_procs > 1 and self._store_dir is None:
             # process workers serve from the store; a caller who asked for
             # multi-core serving without naming one gets a private store
             self._store_dir = Path(tempfile.mkdtemp(prefix="spell-procpool-"))
@@ -130,8 +127,7 @@ class SpellService(SearchBackend):
         self._use_tallies: dict[int, list] = {}  # id -> [datasets tuple, answers]
         self._dataset_heat: dict[str, int] = {}
         self._use_lock = threading.Lock()
-        self._engine = SpellEngine(compendium, n_workers=n_workers)
-        self._index = self._open_index() if self.use_index else None
+        self._index = self._open_index()
         self._indexed_version = compendium.version
         self._procpool: IndexWorkerPool | None = None  # spawned lazily
         self._pool_respawns = 0
@@ -195,8 +191,6 @@ class SpellService(SearchBackend):
         swapped — in-flight searches on the old index stay consistent,
         and nothing is ever fully rebuilt.
         """
-        if self._index is None:
-            return
         with self._lock:
             if self.compendium.version == self._indexed_version:
                 return
@@ -261,7 +255,7 @@ class SpellService(SearchBackend):
         decompression for exactly the datasets nobody was using.
         Returns the demoted dataset names.
         """
-        if self._store_dir is None or self._index is None:
+        if self._store_dir is None:
             return ()
         names = [ds.name for ds in self.compendium]
         heat = self._heat()
@@ -326,11 +320,6 @@ class SpellService(SearchBackend):
         """
         self._sync_index()  # once up front, not per member or per worker
         index = self._index
-        if index is None:  # use_index=False: the exact engine, query by query
-            return [
-                (self._engine.search(m.genes, top_k=m.top_k, datasets=m.datasets), COMPLETE)
-                for m in misses
-            ], 1
         if len(misses) > 1 and self._procs_usable():
             try:
                 results, _busy = self._ensure_procpool().run_batch(
@@ -400,13 +389,7 @@ class SpellService(SearchBackend):
         ``_pool_disabled`` (respawn budget exhausted, or spawning
         impossible here) keeps scoring in-process for good.
         """
-        return (
-            self.n_procs > 1
-            and self.use_index
-            and self._index is not None
-            and self._store_dir is not None
-            and not self._pool_disabled
-        )
+        return self.n_procs > 1 and self._store_dir is not None and not self._pool_disabled
 
     def _ensure_procpool(self) -> IndexWorkerPool:
         """The live worker pool, respawning a broken one (bounded)."""
@@ -458,7 +441,11 @@ class SpellService(SearchBackend):
             return {"procpool": pool.stats() if pool is not None else None}
 
     def index_bytes(self) -> int:
-        return self._index.nbytes() if self._index is not None else 0
+        return self._index.nbytes()
+
+    def gene_count(self) -> int:
+        self._sync_index()
+        return self._index.universe.gene_count()
 
     def storage_stats(self) -> dict:
         """Storage-tier counters for ``/v1/health`` (append-only keys).

@@ -15,8 +15,7 @@ first query.  :class:`IndexStore` makes the index a durable artifact:
   begins in milliseconds regardless of compendium size.
 * :meth:`IndexStore.sync` diffs the live index against the manifest by
   fingerprint and rewrites only stale shards — the on-disk mirror of
-  ``SpellIndex.add_dataset`` / ``remove_dataset`` incremental
-  maintenance.
+  the copy-on-write ``SpellIndex.updated``.
 
 **Integrity is end to end.**  Every manifest record carries the sha256
 of the shard's exact ``.npy`` bytes; ``load`` verifies it (eagerly for

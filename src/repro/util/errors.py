@@ -47,6 +47,35 @@ class SearchError(ReproError):
     """A SPELL/annotation search could not be executed (e.g. empty query)."""
 
 
+class UnknownDatasetError(SearchError):
+    """A ``datasets`` filter names datasets the compendium does not hold.
+
+    ``datasets`` is the sorted offending names and ``known_count`` how
+    many datasets the compendium does hold; the API maps the error to
+    the stable ``UNKNOWN_DATASET`` code with both in ``details``.  The
+    message is the only positional argument, so the error survives the
+    default exception pickling a process-pool worker's reply goes through.
+    """
+
+    def __init__(
+        self, message: str, *, datasets: tuple[str, ...] = (), known_count: int = 0
+    ) -> None:
+        super().__init__(message)
+        self.datasets = tuple(datasets)
+        self.known_count = int(known_count)
+
+
+class UnknownGeneError(SearchError):
+    """No query gene exists in the searched scope (``UNKNOWN_GENE``).
+
+    ``genes`` is the query, in the order it was given.
+    """
+
+    def __init__(self, message: str, *, genes: tuple[str, ...] = ()) -> None:
+        super().__init__(message)
+        self.genes = tuple(genes)
+
+
 class StoreError(ReproError):
     """A persistent index store is missing, corrupt, or format-incompatible."""
 

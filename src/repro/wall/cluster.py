@@ -197,7 +197,6 @@ class DisplayWall:
                 for tile in node_tiles:
                     dispatch(node, tile)
 
-        tiles_by_id = {t.tile_id: t for t in tiles}
         while len(done) < len(tiles):
             src, msg = comm.recv_with_source(ANY_SOURCE, TAG_RESULT)
             node = src - 1
@@ -223,7 +222,6 @@ class DisplayWall:
             inflight[node] = [t for t in inflight[node] if t.tile_id != msg.tile_id]
             if self.schedule == "dynamic" and pending and node in alive:
                 dispatch(node, pending.pop(0))
-            _ = tiles_by_id  # (kept for symmetry; ids already map via `tiles`)
         for node in range(n_nodes):
             comm.send(Shutdown(), node + 1, TAG_TASK)
         return done, busy, tiles_per_node
@@ -235,13 +233,11 @@ class DisplayWall:
             # a dead node still reaches the barrier in _rank_main: the real
             # machine's swap hardware does not wait for a crashed PC, and the
             # in-process barrier must not deadlock.
-            # drain any task already sent to us so the mailbox does not leak
-            while True:
-                msg = comm.recv(0, TAG_TASK)
-                if isinstance(msg, Shutdown):
-                    return
-                # drop RenderTile silently: we are "dead"
-                return
+            # take the one message already on its way to us (a RenderTile,
+            # dropped silently: we are "dead" — or the Shutdown) so the
+            # mailbox does not leak
+            comm.recv(0, TAG_TASK)
+            return
         while True:
             msg = comm.recv(0, TAG_TASK)
             if isinstance(msg, Shutdown):

@@ -626,7 +626,9 @@ class TestInlineWarmPath:
             "UNKNOWN_ENDPOINT", "PAGE_OUT_OF_RANGE", "UNKNOWN_GENE",
             "UNKNOWN_DATASET", "INVALID_QUERY",
         ]
-        assert fresh["executor"].submissions == before
+        # the two universe verdicts are compute's: the index they are read
+        # from may need a splice first, and ready never waits
+        assert fresh["executor"].submissions == before + 2
 
     def test_what_may_wait_goes_to_the_executor(self, setup, fresh):
         """use_cache=false, batches, cluster, render, export, datasets and

@@ -26,6 +26,7 @@ import json
 import socket
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.api.aio.server import serve_background as aio_serve
@@ -33,6 +34,7 @@ from repro.api.app import ApiApp
 from repro.api.http import serve_background as threaded_serve
 from repro.api.limits import RequestGate
 from repro.api.pipeline import plan_request, read_body, respond
+from repro.data import Dataset, ExpressionMatrix
 from repro.spell import SpellService
 from repro.synth import make_spell_compendium
 
@@ -42,10 +44,18 @@ TOKEN = "s3cret"
 
 @pytest.fixture(scope="module")
 def setup():
-    return make_spell_compendium(
+    comp, truth = make_spell_compendium(
         n_datasets=4, n_relevant=1, n_genes=80, n_conditions=8,
         module_size=8, query_size=3, seed=5,
     )
+    # one gene that a ``datasets`` filter can leave out
+    genes = list(comp[0].gene_ids[:12]) + ["ONLY-IN-EXTRA"]
+    values = np.random.default_rng(5).normal(size=(len(genes), 8))
+    comp.add(Dataset(
+        name="dataset_extra",
+        matrix=ExpressionMatrix(values, genes, [f"c{i}" for i in range(8)]),
+    ))
+    return comp, truth
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +90,8 @@ class Case:
     warmup: tuple[tuple[tuple[str, str], ...], ...] = ()
     send_body: bool = True  # False: declare the body but never send it
     volatile: bool = False  # the body legitimately differs between runs
+    body_is: bytes | None = None  # the exact body, pinned
+    body_has: tuple[tuple[str, object], ...] = ()  # top-level JSON fields, pinned
 
     def wire(self, headers=None) -> bytes:
         lines = [f"{self.method} {self.target} HTTP/1.1", "Host: t"]
@@ -105,6 +117,10 @@ def cases(query: list[str]) -> list[Case]:
         return Case(f"colormap {value!r}{suffix}", "POST", "/v1/render/heatmap" + suffix,
                     headers, body, status=400, code="INVALID_REQUEST", reads=len(body))
 
+    def verdict(name: str, payload: dict, **expected) -> Case:
+        headers, body = _json_post(payload)
+        return Case(name, "POST", "/v1/search", headers, body, reads=len(body), **expected)
+
     return [
         Case("health", "GET", "/v1/health", volatile=True),
         Case("search", "POST", "/v1/search", search_h, search_b, reads=len(search_b)),
@@ -113,6 +129,38 @@ def cases(query: list[str]) -> list[Case]:
         Case("repeated search (answered from the result cache)", "POST",
              "/v1/search", repeat_h, repeat_b, reads=len(repeat_b),
              warmup=(repeat_h,)),
+        # --- a query is judged by the backend's gene universe, nowhere
+        # else; the bodies are the bytes ``ApiApp``'s own pre-check gave
+        # (recorded from the commit before it was deleted)
+        verdict(
+            "unknown gene", {"genes": ["NO-SUCH-GENE", "NOR-THIS-ONE"]},
+            status=404, code="UNKNOWN_GENE",
+            body_is=b'{"api_version": "v1", "error": {"code": "UNKNOWN_GENE", "message": '
+                    b'"no query gene exists in the compendium: NO-SUCH-GENE, NOR-THIS-ONE", '
+                    b'"details": {"unknown_genes": ["NO-SUCH-GENE", "NOR-THIS-ONE"]}}}',
+        ),
+        verdict(
+            "unknown dataset filter",
+            {"genes": query, "datasets": ["no-such-dataset", "dataset_01", "a-missing-one"]},
+            status=404, code="UNKNOWN_DATASET",
+            body_is=b'{"api_version": "v1", "error": {"code": "UNKNOWN_DATASET", "message": '
+                    b'"unknown dataset(s) in filter: a-missing-one, no-such-dataset", '
+                    b'"details": {"unknown_datasets": ["a-missing-one", "no-such-dataset"], '
+                    b'"known_count": 5}}}',
+        ),
+        verdict(
+            "genes that exist only outside the filter",
+            {"genes": ["ONLY-IN-EXTRA"], "datasets": ["dataset_00", "dataset_02"]},
+            status=404, code="UNKNOWN_GENE",
+            body_is=b'{"api_version": "v1", "error": {"code": "UNKNOWN_GENE", "message": '
+                    b'"no query gene exists in the filtered datasets: ONLY-IN-EXTRA", '
+                    b'"details": {"unknown_genes": ["ONLY-IN-EXTRA"]}}}',
+        ),
+        verdict(
+            "partially unknown query", {"genes": query + ["NO-SUCH-GENE"], "page_size": 3},
+            body_has=(("query", query + ["NO-SUCH-GENE"]), ("query_used", query),
+                      ("query_missing", ["NO-SUCH-GENE"])),
+        ),
         Case("unknown prefix", "GET", "/nope", status=404,
              code="UNKNOWN_ENDPOINT", close=True),
         Case("unknown endpoint", "GET", "/v1/nope", status=404,
@@ -219,6 +267,13 @@ def run_pipeline(app: ApiApp, case: Case, headers=None):
     return asked, response, body
 
 
+def assert_pinned(case: Case, body: bytes) -> None:
+    if case.body_is is not None:
+        assert body == case.body_is
+    for key, value in case.body_has:
+        assert json.loads(body)[key] == value, key
+
+
 def errors_counted(app: ApiApp, endpoint: str | None) -> int:
     return app.endpoint_stats().get(endpoint, {}).get("errors", 0)
 
@@ -236,6 +291,7 @@ def test_pipeline_table(setup, service, index):
     assert response.close is case.close
     if case.code is not None:
         assert json.loads(body)["error"]["code"] == case.code
+    assert_pinned(case, body)
     if case.rejected is not None:
         assert errors_counted(app, case.rejected) == before + 1
     if case.status == 429:
@@ -353,6 +409,7 @@ def test_both_facades_put_the_pipeline_on_the_wire(setup, service, index):
             assert comparable(expected.content_type, body) == want, facade
         if case.code is not None:
             assert json.loads(body)["error"]["code"] == case.code, facade
+        assert_pinned(case, body)
         assert (headers.get("connection") == "close") is case.close, facade
         if case.status == 429:
             retry_ms = json.loads(body)["error"]["details"]["retry_after_ms"]

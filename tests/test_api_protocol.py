@@ -36,7 +36,7 @@ from repro.api.protocol import (
     SearchResponse,
     page_count,
 )
-from repro.spell import SpellService
+from repro.spell import SpellEngine, SpellService
 from repro.util.errors import RenderError, SearchError, StoreError, ValidationError
 
 # ---------------------------------------------------------------- strategies
@@ -704,9 +704,10 @@ class TestServiceProtocolPath:
         compendium, truth = spell_setup
         subset = list(truth.relevant_datasets)
         sub = Compendium([compendium[name] for name in subset])
-        for use_index in (True, False):
-            filtered = SpellService(compendium, use_index=use_index, cache_size=0)
-            direct = SpellService(sub, use_index=use_index, cache_size=0)
+        for filtered, direct in (
+            (SpellService(compendium, cache_size=0), SpellService(sub, cache_size=0)),
+            (SpellEngine(compendium), SpellEngine(sub)),
+        ):
             a = filtered.search(list(truth.query_genes), datasets=subset)
             b = direct.search(list(truth.query_genes))
             assert a.dataset_ranking() == b.dataset_ranking()

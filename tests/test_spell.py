@@ -201,13 +201,6 @@ class TestService:
         assert service.query_count == 2
         assert service.mean_latency() > 0
 
-    def test_no_index_mode(self, spell_setup_module):
-        comp, truth = spell_setup_module
-        service = SpellService(comp, use_index=False)
-        assert service.index_bytes() == 0
-        result = service.search(list(truth.query_genes))
-        assert set(result.top_datasets(3)) == set(truth.relevant_datasets)
-
     def test_page_validation(self, spell_setup_module):
         # bad paging never reaches the service: the request type refuses it
         _comp, truth = spell_setup_module

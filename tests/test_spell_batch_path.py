@@ -11,17 +11,21 @@ answered member, an invalid member failing the batch as itself.
 from __future__ import annotations
 
 import ast
+import pickle
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.api.app import ApiApp
 from repro.api.cli import build_app
-from repro.api.errors import as_api_error
+from repro.api.errors import as_api_error, error_payload
 from repro.api.protocol import BatchSearchRequest, ExportRequest, SearchRequest
 from repro.cluster_serving import build_local_topology
+from repro.data import Compendium, ExpressionMatrix
+from repro.data.pcl import format_pcl
 from repro.spell import SearchBackend, SpellService, WorkerPoolError
 from repro.synth import make_spell_compendium
 
@@ -147,18 +151,44 @@ def test_batch_oracle(backend, setup, case):
     assert again.cache_hits == sum(1 for request in members if request.use_cache)
 
 
-@pytest.mark.parametrize("code", ["INVALID_QUERY", "PAGE_OUT_OF_RANGE"])
+@pytest.mark.parametrize("code", [
+    pytest.param("UNKNOWN_GENE", id="gene"),
+    pytest.param("UNKNOWN_DATASET", id="dataset"),
+    "PAGE_OUT_OF_RANGE",
+])
 def test_invalid_member_fails_the_whole_batch_as_itself(backend, setup, code):
+    """... with the code and ``details`` every other entry gives it: the
+    universe verdicts are typed where they are raised (behind the pool's
+    pipe too), not added by the API layer."""
     comp, truth = setup
     service, _ = backend
-    bad = {
-        "INVALID_QUERY": SearchRequest(genes=("no-such-gene", "nor-this-one")),
-        "PAGE_OUT_OF_RANGE": SearchRequest(genes=tuple(truth.query_genes), page=10_000),
+    bad, details = {
+        "UNKNOWN_GENE": (
+            SearchRequest(genes=("no-such-gene", "nor-this-one")),
+            {"unknown_genes": ["no-such-gene", "nor-this-one"]},
+        ),
+        "UNKNOWN_DATASET": (
+            SearchRequest(genes=tuple(truth.query_genes), datasets=("nope", comp.names[0], "nada")),
+            {"unknown_datasets": ["nada", "nope"], "known_count": len(comp)},
+        ),
+        "PAGE_OUT_OF_RANGE": (SearchRequest(genes=tuple(truth.query_genes), page=10_000), None),
     }[code]
-    good = SearchRequest(genes=_queries(comp, truth, 2)[1], page_size=6)
+    q = _queries(comp, truth, 3)
+    good = SearchRequest(genes=q[1], page_size=6)
+    other = SearchRequest(genes=q[2], page_size=6)
+    service._cache.clear()  # two misses beside the bad one: the pool is used
     with pytest.raises(Exception) as err:
-        service.respond_batch(BatchSearchRequest(searches=(good, bad, good)))
-    assert as_api_error(err.value).code == code
+        service.respond_batch(BatchSearchRequest(searches=(good, bad, other)))
+    error = as_api_error(err.value)
+    assert error.code == code
+    if details is not None:
+        assert error.details == details
+        with pytest.raises(Exception) as lone:
+            service.respond(bad)
+        assert error_payload(as_api_error(lone.value)) == error_payload(error)
+        # what a pool worker's reply goes through
+        piped = pickle.loads(pickle.dumps(err.value))
+        assert error_payload(as_api_error(piped)) == error_payload(error)
     # ... and the backend is none the worse for it
     assert _stable(service.respond(good)) == _stable(
         SpellService(comp, cache_size=0).respond(good)
@@ -376,3 +406,71 @@ def test_backends_supply_the_compute_step_and_nothing_above_it():
         for entry in ("respond", "respond_cached", "respond_batch", "iter_result",
                       "search", "_answer", "_respond"):
             assert entry not in vars(cls), f"{cls.__name__} redefines {entry}"
+
+
+# ------------------------------------------------------ one judge of a query
+def test_health_genes_is_read_from_the_backends_universe(setup, monkeypatch):
+    """``/v1/health`` ``genes`` tracks an ingest and reads the same behind
+    a 2-shard router — from the universe the backend already holds, never
+    by walking the compendium on the request's thread."""
+    comp = Compendium(list(setup[0]))  # private: the ingest grows it
+    expected = len(comp.gene_universe())
+    late = ExpressionMatrix(
+        np.random.default_rng(3).normal(size=(12, 6)),
+        list(comp[0].gene_ids[:10]) + ["LATE0", "LATE1"],
+        [f"c{i}" for i in range(6)],
+    )
+    walks = []
+    monkeypatch.setattr(Compendium, "gene_universe", lambda self: walks.append(self))
+    topology = build_local_topology(comp, n_shards=2)
+    try:
+        with SpellService(comp) as service:
+            app = ApiApp(service)
+            # the app holds no gene set, no universe lock, no rule of its own
+            assert not {"_check", "_gene_universe", "_universe", "_universe_lock"} & set(dir(app))
+            assert app.handle_wire("health", None)[1]["genes"] == expected
+            assert ApiApp(topology.router).handle_wire("health", None)[1]["genes"] == expected
+            status, _ = app.handle_wire(
+                "ingest", {"name": "late", "format": "pcl", "content": format_pcl(late)}
+            )
+            assert status == 200
+            assert app.handle_wire("health", None)[1]["genes"] == expected + 2
+    finally:
+        topology.close()
+    assert walks == []
+
+
+def _calls_and_raises(path: Path):
+    """``(keyword names passed to any call, names of raised classes)``."""
+    keywords, raised = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            keywords |= {kw.arg for kw in node.keywords}
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            raised.add(getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None)))
+    return keywords, raised
+
+
+def test_only_the_gene_universe_judges_a_query():
+    """Structure lock: in serving, one module derives a slot table and
+    raises the two universe verdicts (``engine.py`` is the reference the
+    oracles compare against), and an index is never edited in place."""
+    import inspect
+
+    from repro.spell import ShardArena, SpellIndex
+
+    judges = []
+    for package in ("spell", "api", "cluster_serving"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            keywords, raised = _calls_and_raises(path)
+            if "return_inverse" in keywords or raised & {"UnknownGeneError", "UnknownDatasetError"}:
+                judges.append(str(path.relative_to(SRC)))
+    assert judges == ["spell/engine.py", "spell/partials.py"]
+    _, raised = _calls_and_raises(SRC / "spell" / "engine.py")
+    assert not raised & {"UnknownGeneError", "UnknownDatasetError"}
+
+    for cls, gone in [(SpellIndex, ("add_dataset", "remove_dataset", "_select", "_resolve")),
+                      (ShardArena, ("append", "remove"))]:
+        for name in gone:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    assert "use_index" not in inspect.signature(SpellService.__init__).parameters

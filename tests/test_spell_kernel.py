@@ -11,8 +11,8 @@ x same condition count per dataset), which is the case a
 dataset-vectorised kernel handles trivially, so the property test here
 drives it over compendia where everything the stacking relies on varies:
 condition counts, gene subsets (0 / 1 / some / all query genes present
-per dataset), shard dtype, dataset filters, a late ``add_dataset`` that
-grows the universe, and a ``remove_dataset`` that leaves dead slots.
+per dataset), shard dtype, dataset filters, a late dataset that grows
+the universe under ``updated()``, and a removed one whose genes leave it.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class TestRaggedOracle:
         rng = np.random.default_rng(seed)
         datasets = ragged_datasets(rng, n_datasets)
         # the late shard brings genes no earlier shard has, so the universe
-        # (and the slot -> row table) must grow under add_dataset
+        # (and the slot -> row table) must grow under updated()
         late = datasets[-1]
         late_genes = list(late.matrix.gene_ids) + ["LATE0", "LATE1"]
         extra = rng.normal(size=(2, late.matrix.n_conditions))
@@ -210,10 +210,11 @@ class TestRaggedOracle:
             ),
         )
         index = SpellIndex.build(Compendium(datasets[:-1]), dtype=dtype)
-        index.add_dataset(datasets[-1])
+        index = index.updated(Compendium(datasets))
         live = list(datasets)
         if remove_first:
-            index.remove_dataset(live.pop(0).name)  # may leave dead slots behind
+            del live[0]  # the genes only it held leave the universe
+            index = index.updated(Compendium(live))
 
         names = None
         if filtered:

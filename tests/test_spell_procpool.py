@@ -94,14 +94,17 @@ class TestShardArena:
     def test_incremental_add_keeps_views_parallel(self, setup):
         comp, truth = setup
         datasets = list(comp)
-        index = SpellIndex.build(Compendium(datasets[:-1]))
-        index.add_dataset(datasets[-1])
+        built = SpellIndex.build(Compendium(datasets[:-1]))
+        index = built.updated(comp)
         assert len(index._arena) == len(index._entries)
+        # the shards both hold are the same arena views, not copies
+        assert all(a is b for a, b in zip(index._arena.views, built._arena.views))
         fresh = SpellIndex.build(comp)
         q = list(truth.query_genes)
         assert _rows(index.search(q)) == _rows(fresh.search(q))
-        index.remove_dataset(datasets[0].name)
+        index = index.updated(Compendium(datasets[1:]))
         assert len(index._arena) == len(index._entries)
+        assert all(a is b for a, b in zip(index._arena.views, built._arena.views[1:]))
         shrunk = SpellIndex.build(Compendium(datasets[1:]))
         assert _rows(index.search(q)) == _rows(shrunk.search(q))
 

@@ -207,14 +207,6 @@ class TestServiceCache:
         with pytest.raises(SearchError):
             service.search([truth.query_genes[0], truth.query_genes[0]])
 
-    def test_engine_mode_caches_too(self, small_setup):
-        comp, truth = small_setup
-        service = SpellService(comp, use_index=False)
-        a = service.search(list(truth.query_genes))
-        b = service.search(list(truth.query_genes))
-        assert service.cache_stats()["hits"] == 1
-        assert a.gene_ranking() == b.gene_ranking()
-
 
 # ---------------------------------------------------------- batched queries
 class TestRespondCached:
@@ -428,8 +420,7 @@ class TestIncrementalIndex:
     def test_add_dataset_matches_fresh_build(self, small_setup):
         comp, truth = small_setup
         datasets = list(comp)
-        grown = SpellIndex.build(Compendium(datasets[:-1]))
-        grown.add_dataset(datasets[-1])
+        grown = SpellIndex.build(Compendium(datasets[:-1])).updated(comp)
         fresh = SpellIndex.build(comp)
         q = list(truth.query_genes)
         a, b = grown.search(q), fresh.search(q)
@@ -441,8 +432,7 @@ class TestIncrementalIndex:
     def test_remove_dataset_matches_fresh_build(self, small_setup):
         comp, truth = small_setup
         datasets = list(comp)
-        shrunk = SpellIndex.build(comp)
-        shrunk.remove_dataset(datasets[-1].name)
+        shrunk = SpellIndex.build(comp).updated(Compendium(datasets[:-1]))
         fresh = SpellIndex.build(Compendium(datasets[:-1]))
         q = list(truth.query_genes)
         a, b = shrunk.search(q), fresh.search(q)
@@ -450,14 +440,6 @@ class TestIncrementalIndex:
         assert [(g.gene_id, g.score) for g in a.genes] == [
             (g.gene_id, g.score) for g in b.genes
         ]
-
-    def test_duplicate_add_and_missing_remove_rejected(self, small_setup):
-        comp, _ = small_setup
-        index = SpellIndex.build(comp)
-        with pytest.raises(ValidationError):
-            index.add_dataset(comp[0])
-        with pytest.raises(ValidationError):
-            index.remove_dataset("no-such-dataset")
 
     def test_parallel_build_matches_serial(self, small_setup):
         comp, truth = small_setup

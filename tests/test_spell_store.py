@@ -148,7 +148,7 @@ class TestSync:
         index = SpellIndex.build(comp)
         IndexStore.save(index, tmp_path)
         gone = comp.names[-1]
-        index.remove_dataset(gone)
+        index = index.updated(Compendium(list(comp)[:-1]))
         report = IndexStore.sync(index, tmp_path)
         assert report.written == ()
         assert report.removed == (gone,)
@@ -394,14 +394,14 @@ class TestReviewRegressions:
         a, b = self._two_datasets()
         index = SpellIndex.build(Compendium([a, b]))
         assert "ONLY_IN_B" in index.search(["ONLY_IN_B", "G001"]).query_used
-        index.remove_dataset("B")
+        index = index.updated(Compendium([a]))
         result = index.search(["ONLY_IN_B", "G001", "G002"])
         assert "ONLY_IN_B" in result.query_missing
         assert "ONLY_IN_B" not in result.query_used
         with pytest.raises(SearchError, match="no query gene"):
             index.search(["ONLY_IN_B"])
-        # re-adding resurrects the slot
-        index.add_dataset(b)
+        # re-adding resurrects the gene
+        index = index.updated(Compendium([a, b]))
         assert "ONLY_IN_B" in index.search(["ONLY_IN_B", "G001"]).query_used
 
     def test_dtype_switch_lands_in_new_shard_files(self, setup, tmp_path):
