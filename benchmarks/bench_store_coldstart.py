@@ -113,14 +113,19 @@ def test_mmap_coldstart_vs_rebuild(coldstart_bench, tmp_path_factory):
     assert speedup >= 10.0, f"mmap cold start only {speedup:.1f}x faster than rebuild"
 
 
-def _prerefactor_search_genes(index: SpellIndex, query: list[str]):
+def _gene_positions(index: SpellIndex) -> list[dict[str, int]]:
+    """gene id -> local row, per shard (the oracle's probe tables)."""
+    return [{g: i for i, g in enumerate(e.gene_ids)} for e in index._entries]
+
+
+def _prerefactor_search_genes(index: SpellIndex, gene_pos, query: list[str]):
     """The pre-refactor float64 query path, verbatim: per-gene dict probing,
     a ``GeneScore`` object per scored gene, Python-comparator full sort.
 
     Kept as the oracle for the array/top-k path: same math, legacy
     materialization — output must match bit-for-bit.
     """
-    query_used = tuple(g for g in query if any(g in e.gene_pos for e in index._entries))
+    query_used = tuple(g for g in query if any(g in pos for pos in gene_pos))
     slot_gene, slot_rows = index.universe.slot_gene, index.universe.rows
     n_slots = len(slot_gene)
     totals = np.zeros(n_slots)
@@ -128,11 +133,11 @@ def _prerefactor_search_genes(index: SpellIndex, query: list[str]):
     counts = np.zeros(n_slots, dtype=np.intp)
     query_set = set(query_used)
 
-    for entry, slots in zip(index._entries, slot_rows):
-        present = [g for g in query_used if g in entry.gene_pos]
+    for entry, pos, slots in zip(index._entries, gene_pos, slot_rows):
+        present = [g for g in query_used if g in pos]
         if len(present) < MIN_QUERY_PRESENT:
             continue
-        rows = np.asarray([entry.gene_pos[g] for g in present], dtype=np.intp)
+        rows = np.asarray([pos[g] for g in present], dtype=np.intp)
         Q = entry.normalized[rows]
         qcorr = np.clip(Q @ Q.T, -1.0, 1.0)
         iu = np.triu_indices(len(present), k=1)
@@ -164,6 +169,7 @@ def test_topk_beats_prerefactor_full_sort(universe_bench):
     rankings bit-identical to the pre-refactor float64 results."""
     comp, truth = universe_bench
     index = SpellIndex.build(comp)
+    gene_pos = _gene_positions(index)
     universe = comp.gene_universe()
     rng = default_rng(20260729)
     queries = [list(truth.query_genes)]
@@ -173,7 +179,7 @@ def test_topk_beats_prerefactor_full_sort(universe_bench):
 
     # correctness first: full ranking and top-k page vs the legacy oracle
     for q in queries:
-        legacy = _prerefactor_search_genes(index, q)
+        legacy = _prerefactor_search_genes(index, gene_pos, q)
         full = index.search(q)
         assert [(g.gene_id, g.score, g.n_datasets) for g in full.genes] == [
             (g.gene_id, g.score, g.n_datasets) for g in legacy
@@ -190,7 +196,7 @@ def test_topk_beats_prerefactor_full_sort(universe_bench):
                 fn(q)
         return sw.elapsed / len(queries)
 
-    t_legacy = timed(lambda q: _prerefactor_search_genes(index, q))
+    t_legacy = timed(lambda q: _prerefactor_search_genes(index, gene_pos, q))
     t_full = timed(lambda q: index.search(q))
     t_topk = timed(lambda q: index.search(q, top_k=PAGE_K))
 

@@ -292,7 +292,7 @@ class ApiApp:
             budget = Deadline.after_ms(request.deadline_ms)
             resolved = self._resolve(request.compendium, wait=wait)
             if resolved is not None:
-                tenant, service = resolved
+                _, service = resolved
                 respond = service.respond if wait else service.respond_cached
                 response = respond(request, deadline=budget)
         except BaseException:
@@ -305,12 +305,12 @@ class ApiApp:
     def search_batch(self, request: BatchSearchRequest) -> BatchSearchResponse:
         with self._timed("search/batch"):
             budget = Deadline.after_ms(request.deadline_ms)
-            tenant, service = self._resolve(request.compendium)
+            _, service = self._resolve(request.compendium)
             return service.respond_batch(request, deadline=budget)
 
     def datasets(self, request: DatasetListRequest) -> DatasetListResponse:
         with self._timed("datasets"):
-            tenant, service = self._resolve(request.compendium)
+            _, service = self._resolve(request.compendium)
             tiers = service.dataset_tiers()  # {} -> all resident (the v1 default)
             return DatasetListResponse(
                 datasets=tuple(
@@ -378,7 +378,7 @@ class ApiApp:
         """
         with self._timed("cluster"):
             with Stopwatch() as sw:
-                tenant, service = self._resolve(request.search.compendium)
+                _, service = self._resolve(request.search.compendium)
                 result = self._full_result(request.search, service)
                 dataset, matrix = self._gene_submatrix(
                     result, request.dataset,
@@ -414,7 +414,7 @@ class ApiApp:
         """Render the top genes of a search result as a PPM heatmap."""
         with self._timed("render/heatmap"):
             with Stopwatch() as sw:
-                tenant, service = self._resolve(request.search.compendium)
+                _, service = self._resolve(request.search.compendium)
                 result = self._full_result(request.search, service)
                 dataset, matrix = self._gene_submatrix(
                     result, request.dataset,

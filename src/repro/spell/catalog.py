@@ -24,10 +24,11 @@ is that fleet's spine:
   single-tenant deployment's behavior exactly.
 * **Live ingestion** — :meth:`ingest` validates the submission *in
   full* before any mutation (a malformed file is a structured 4xx and
-  the store is untouched), writes the source atomically
-  (tmp + fsync + rename), then publishes through the service's eager
-  copy-on-write sync: racing queries observe either the prior or the
-  fully-published compendium fingerprint, never a mix.
+  the store is untouched), writes the source through the store's one
+  crash-safe publish (tmp + fsync + rename + directory fsync; a full
+  disk is a structured 503 with no debris), then publishes through the
+  service's eager copy-on-write sync: racing queries observe either
+  the prior or the fully-published compendium fingerprint, never a mix.
 * **Observability** — :meth:`stats` rolls up per-tenant counters
   (resident / loads / evictions / ingests / datasets) for the
   ``tenants`` field of ``/v1/health``.
@@ -40,7 +41,6 @@ at ≤ 5× a warm search precisely because it is on this path.
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 from collections import OrderedDict
@@ -50,6 +50,7 @@ from repro.api.errors import ApiError
 from repro.data.compendium import Compendium
 from repro.data.loader import INGEST_FORMATS, parse_dataset
 from repro.spell.service import SpellService
+from repro.spell.store import _publish_bytes
 
 __all__ = ["DEFAULT_TENANT", "CompendiumCatalog"]
 
@@ -65,14 +66,10 @@ _SUFFIXES = sorted(INGEST_FORMATS.values(), key=len, reverse=True)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    """Crash-safe source publish: a reader (or a reload after a crash)
-    sees the whole file or no file, never a torn prefix."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Crash-safe source publish, as durable as a shard's: a reader (or
+    a reload after a crash) sees the whole file or no file, and a full
+    disk is a structured ``StorePublishError`` with no temp left."""
+    _publish_bytes(path, text.encode("utf-8"))
 
 
 class CompendiumCatalog:

@@ -9,13 +9,17 @@ paper's export workflow.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.data.compendium import Compendium
 from repro.data.dataset import Dataset
 from repro.stats.correlation import pearson_matrix
 from repro.util.errors import ValidationError
+
+if TYPE_CHECKING:  # networkx loads inside the functions: no serving route reaches them
+    import networkx as nx
 
 __all__ = ["coexpression_graph", "consensus_graph", "extract_modules"]
 
@@ -31,6 +35,8 @@ def coexpression_graph(
     Edge attributes: ``weight`` (the correlation, signed).  Restricting
     ``genes`` keeps the O(n^2) correlation tractable for big datasets.
     """
+    import networkx as nx
+
     if not (0.0 < threshold <= 1.0):
         raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
     matrix = dataset.matrix if genes is None else dataset.matrix.subset_genes(genes, missing="skip")
@@ -60,6 +66,8 @@ def consensus_graph(
     correlation over supporting datasets).  This is the §4 analysis in
     graph form: structure that persists across studies.
     """
+    import networkx as nx
+
     if len(compendium) == 0:
         raise ValidationError("compendium is empty")
     if min_support < 1:
@@ -86,6 +94,8 @@ def extract_modules(graph: nx.Graph, *, min_size: int = 3) -> list[list[str]]:
     Deterministic: members sorted within a module, modules sorted by
     (-size, first member).
     """
+    import networkx as nx
+
     if min_size < 1:
         raise ValidationError(f"min_size must be >= 1, got {min_size}")
     modules = [sorted(c) for c in nx.connected_components(graph) if len(c) >= min_size]

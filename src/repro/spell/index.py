@@ -192,14 +192,6 @@ class _DatasetIndex:
     normalized: np.ndarray  # (genes, conditions) unit-norm rows, contiguous
     source: Dataset | None = None
     fingerprint: str | None = None
-    _gene_pos: dict[str, int] | None = None
-
-    @property
-    def gene_pos(self) -> dict[str, int]:
-        """gene id -> local row; built lazily (cold start never needs it)."""
-        if self._gene_pos is None:
-            self._gene_pos = {g: i for i, g in enumerate(self.gene_ids)}
-        return self._gene_pos
 
 
 def _index_dataset(ds: Dataset, dtype=np.float64) -> _DatasetIndex:

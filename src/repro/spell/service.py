@@ -165,9 +165,8 @@ class SpellService(SearchBackend):
                 # re-read of the manifest (cheaper, and can't race a
                 # concurrent sync into mixing old shards with a new
                 # manifest's verdict)
-                loaded = [(e.name, e.fingerprint) for e in stale._entries]
                 live = [(ds.name, ds.fingerprint) for ds in self.compendium]
-                if loaded == live:
+                if stale.fingerprints() == live:
                     return stale
                 index = stale.updated(self.compendium)
                 IndexStore.sync(index, self._store_dir, stats=self.storage)

@@ -17,6 +17,17 @@ first query.  :class:`IndexStore` makes the index a durable artifact:
   fingerprint and rewrites only stale shards — the on-disk mirror of
   the copy-on-write ``SpellIndex.updated``.
 
+**A manifest is outside input.**  :class:`_Shard` states a record once:
+its fields are the manifest keys, each carrying the test a value read
+back from disk must pass — ``file`` must be the ``shard-<hash>.npy``
+name the store itself derives, so a record can never name a path
+outside the directory; the cold file's name is derived, never read.  A
+record that fails is :class:`~repro.util.errors.StoreError` from every
+entry point before any path is built; under a service that means
+"rebuild from the bound compendium and ``sync``".  The verified read
+(:func:`_checked`), the tier move (``IndexStore._retier``) and the
+publish (:func:`_publish_bytes`) likewise exist once each.
+
 **Integrity is end to end.**  Every manifest record carries the sha256
 of the shard's exact ``.npy`` bytes; ``load`` verifies it (eagerly for
 in-RAM loads; ``verify="eager"``/``"lazy"`` selects a startup-or-lazy
@@ -27,11 +38,12 @@ refuses with :class:`~repro.util.errors.StoreCorruptError` (the API
 maps it to the stable ``STORE_CORRUPT`` code).  A corrupt shard is
 never silently served.
 
-**Publish is crash-safe.**  Shards and the manifest are written to a
-temp name, fsynced, and atomically renamed (then the directory entry is
-fsynced), so a writer killed at any instruction leaves either the old
-or the new store — never a half-published manifest.  ENOSPC and other
-partial-write failures surface as
+**Publish is crash-safe.**  Shards and the manifest (and, through
+:mod:`repro.spell.catalog`, a tenant's ingested sources) are written to
+a temp name, fsynced, and atomically renamed (then the directory entry
+is fsynced), so a writer killed at any instruction leaves either the
+old or the new store — never a half-published manifest.  ENOSPC and
+other partial-write failures surface as
 :class:`~repro.util.errors.StorePublishError` before any manifest
 changes hands.  ``load`` sweeps crash debris: stale ``*.tmp`` partials
 and shard files no committed manifest references.
@@ -56,10 +68,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import threading
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +154,11 @@ class StorageStats:
             return out
 
 
+#: where counts go when a caller passes no ``stats``: written, never
+#: read, so no operation branches on having somewhere to count
+_UNCOUNTED = StorageStats()
+
+
 @dataclass(frozen=True)
 class SyncReport:
     """What one :meth:`IndexStore.sync` actually touched.
@@ -177,20 +195,6 @@ class VerifyReport:
         return not (self.corrupt or self.missing)
 
 
-@dataclass
-class _Manifest:
-    dtype: str
-    shards: list[dict] = field(default_factory=list)  # manifest order = index order
-
-    def to_json(self) -> dict:
-        return {
-            "format": FORMAT,
-            "format_version": FORMAT_VERSION,
-            "dtype": self.dtype,
-            "shards": self.shards,
-        }
-
-
 def _shard_filename(name: str, fingerprint: str, dtype: str) -> str:
     # dtype is part of the address: a dtype switch must land in a new
     # file, never truncate bytes a live mmap reader may have mapped
@@ -198,26 +202,155 @@ def _shard_filename(name: str, fingerprint: str, dtype: str) -> str:
     return f"shard-{key}.npy"
 
 
-def _cold_filename(filename: str) -> str:
-    return filename[: -len(".npy")] + ".npz" if filename.endswith(".npy") else filename + ".npz"
+def _is_str(value: object) -> bool:
+    return type(value) is str
 
 
-def _shard_record(
-    entry: _DatasetIndex, fingerprint: str, filename: str, sha256: str, nbytes: int
-) -> dict:
-    """The manifest entry for one shard (single source of truth)."""
-    return {
-        "name": entry.name,
-        "file": filename,
-        "dtype": entry.normalized.dtype.name,
-        "fingerprint": fingerprint,
-        "n_genes": len(entry.gene_ids),
-        "n_conditions": int(entry.normalized.shape[1]),
-        "gene_ids": list(entry.gene_ids),
-        "sha256": sha256,
-        "nbytes": int(nbytes),
-        "tier": TIER_RESIDENT,
-    }
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0  # bool is not a count
+
+
+def _matches(pattern: str):
+    regex = re.compile(pattern)
+    return lambda value: _is_str(value) and regex.fullmatch(value) is not None
+
+
+def _one_of(*values: str):
+    return lambda value: _is_str(value) and value in values
+
+
+_is_dtype = _one_of(*(dtype.name for dtype in SUPPORTED_DTYPES))
+
+
+def _key(says: str, test):
+    """One manifest key: the test a value read back from disk must pass,
+    and the words ``docs/operations.md`` states it in."""
+    return field(metadata={"says": says, "test": test})
+
+
+@dataclass
+class _Shard:
+    """One shard's manifest record, stated once.
+
+    The fields *are* the record's keys, in manifest order, and each
+    carries its test; :meth:`from_json`, :meth:`to_json` and
+    :func:`record_table` are read from them.  A manifest is outside
+    input: nothing becomes a path, a dtype or a length before it passed.
+    """
+
+    name: str = _key("a string", _is_str)
+    file: str = _key(
+        "`shard-<16 hex digits>.npy`, the name the store derives from the "
+        "content: never a separator, never a path out of the store directory",
+        _matches(r"shard-[0-9a-f]{16}\.npy"),  # what _shard_filename produces
+    )
+    dtype: str = _key("`float64` or `float32`", _is_dtype)
+    fingerprint: str = _key("a string", _is_str)
+    n_genes: int = _key("a non-negative integer, equal to `len(gene_ids)`", _is_count)
+    n_conditions: int = _key("a non-negative integer", _is_count)
+    gene_ids: list[str] = _key(
+        "a list of strings",
+        # the one O(genes) test: a C-speed walk, 0.6x the generator's cost
+        lambda value: type(value) is list and set(map(type, value)) <= {str},
+    )
+    sha256: str = _key("64 lowercase hex digits", _matches(r"[0-9a-f]{64}"))
+    nbytes: int = _key("a non-negative integer", _is_count)
+    tier: str = _key("`resident` or `cold`", _one_of(TIER_RESIDENT, TIER_COLD))
+
+    @property
+    def stored(self) -> str:
+        """The file that holds the shard's bytes right now: the ``.npz``
+        beside ``file`` for a cold record, ``file`` itself otherwise.
+        Derived — a manifest's ``cold_file`` is never what gets opened."""
+        if self.tier == TIER_COLD:
+            return self.file[: -len(".npy")] + ".npz"
+        return self.file
+
+    @classmethod
+    def of(cls, entry: _DatasetIndex, data: bytes) -> "_Shard":
+        """The record of ``entry`` stored resident as ``data``, its
+        exact ``.npy`` bytes."""
+        fingerprint = _entry_fingerprint(entry)
+        dtype = entry.normalized.dtype.name
+        return cls(
+            name=entry.name,
+            file=_shard_filename(entry.name, fingerprint, dtype),
+            dtype=dtype,
+            fingerprint=fingerprint,
+            n_genes=len(entry.gene_ids),
+            n_conditions=int(entry.normalized.shape[1]),
+            gene_ids=list(entry.gene_ids),
+            sha256=_sha256_hex(data),
+            nbytes=len(data),
+            tier=TIER_RESIDENT,
+        )
+
+    @classmethod
+    def from_json(cls, raw: object, where: Path) -> "_Shard":
+        """The record a manifest at ``where`` holds, or :class:`StoreError`."""
+        bad = f"corrupt index-store manifest at {where}: "
+        if not isinstance(raw, dict):
+            raise StoreError(f"{bad}shard record {_brief(raw)} is not an object")
+        missing = [key for key in _SHARD_TESTS if key not in raw]
+        if missing:
+            raise StoreError(f"{bad}shard record missing {missing}")
+        for key, test in _SHARD_TESTS.items():
+            if not test(raw[key]):
+                raise StoreError(
+                    f"{bad}shard {_brief(raw['name'])} has bad {key} {_brief(raw[key])}"
+                )
+        shard = cls(**{key: raw[key] for key in _SHARD_TESTS})
+        if shard.n_genes != len(shard.gene_ids):
+            raise StoreError(
+                f"{bad}shard {shard.name!r} says n_genes {shard.n_genes} "
+                f"for {len(shard.gene_ids)} gene ids"
+            )
+        if raw.get("cold_file", shard.stored) != shard.stored:
+            raise StoreError(
+                f"{bad}shard {shard.name!r} has bad cold_file {_brief(raw['cold_file'])}"
+            )
+        return shard
+
+    def to_json(self) -> dict:
+        # built shallowly: dataclasses.asdict would deep-copy every gene list
+        record = {key: getattr(self, key) for key in _SHARD_TESTS}
+        if self.tier == TIER_COLD:
+            record["cold_file"] = self.stored  # written for older readers
+        return record
+
+
+#: manifest key -> its test, in manifest order
+_SHARD_TESTS = {f.name: f.metadata["test"] for f in fields(_Shard)}
+
+
+def record_table() -> str:
+    """The shard record as the markdown table ``docs/operations.md`` carries."""
+    rows = ["| Key | A value read back from a manifest must be |", "|---|---|"]
+    rows += [f"| `{f.name}` | {f.metadata['says']} |" for f in fields(_Shard)]
+    return "\n".join(rows)
+
+
+def _brief(value: object) -> str:
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+@dataclass
+class _Manifest:
+    dtype: str
+    shards: list[_Shard] = field(default_factory=list)  # manifest order = index order
+
+    def to_json(self) -> dict:
+        return {
+            "format": FORMAT,
+            "format_version": FORMAT_VERSION,
+            "dtype": self.dtype,
+            "shards": [shard.to_json() for shard in self.shards],
+        }
+
+    def note_tiers(self, stats: StorageStats) -> None:
+        cold = sum(shard.tier == TIER_COLD for shard in self.shards)
+        stats.set_tiers(len(self.shards) - cold, cold)
 
 
 def _entry_fingerprint(entry: _DatasetIndex) -> str:
@@ -231,12 +364,32 @@ def _entry_fingerprint(entry: _DatasetIndex) -> str:
     )
 
 
+def _sources(bind: Compendium | None) -> dict[tuple[str, str], Dataset]:
+    """Bound datasets by the ``(name, fingerprint)`` a record names them by."""
+    return {(ds.name, ds.fingerprint): ds for ds in bind} if bind else {}
+
+
 def _npy_bytes(array: np.ndarray) -> bytes:
     """The exact ``.npy`` serialization of ``array`` — the unit the
     manifest's sha256 covers, identical on disk, in RAM, and inside a
     cold ``.npz`` member."""
     buf = io.BytesIO()
     np.save(buf, np.ascontiguousarray(array))
+    return buf.getvalue()
+
+
+def _cold_bytes(npy_data: bytes) -> bytes:
+    """``npy_data`` deflate-compressed as a one-member ``.npz``.
+
+    The member holds the *exact* ``.npy`` bytes, so decompression
+    round-trips to the same sha256 the manifest records — compression
+    never weakens the integrity chain.  (zstd would compress better but
+    is not in the base environment; the zip container keeps the file a
+    valid ``np.load`` target either way.)
+    """
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED, compresslevel=6) as archive:
+        archive.writestr(COLD_MEMBER, npy_data)
     return buf.getvalue()
 
 
@@ -259,13 +412,15 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _publish_bytes(path: Path, data: bytes) -> None:
-    """Crash-safe file publish: temp write + fsync + atomic rename.
+def _publish_bytes(path: Path, data: bytes, stats: StorageStats = _UNCOUNTED) -> None:
+    """Crash-safe file publish: temp write + fsync + atomic rename +
+    directory fsync — the only one in ``src/``; shards, cold shards, the
+    manifest and a tenant's ingested source all land through it.
 
-    Any OS-level failure (ENOSPC, EIO, permissions) raises
-    :class:`StorePublishError` after removing the temp file — the final
-    name either holds its previous complete content or the new bytes,
-    never a torn write.
+    Any OS-level failure (ENOSPC, EIO, permissions) is counted in
+    ``publish_errors`` and raises :class:`StorePublishError` after
+    removing the temp file — the final name either holds its previous
+    complete content or the new bytes, never a torn write.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -276,42 +431,11 @@ def _publish_bytes(path: Path, data: bytes) -> None:
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
+        stats.bump("publish_errors")
         raise StorePublishError(
             f"could not publish {path.name} in {path.parent}: {exc}"
         ) from exc
     _fsync_dir(path.parent)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _publish_bytes(path, text.encode("utf-8"))
-
-
-def _compress_bytes(npy_data: bytes, path: Path) -> None:
-    """Publish ``npy_data`` deflate-compressed as a one-member ``.npz``.
-
-    The member holds the *exact* ``.npy`` bytes, so decompression
-    round-trips to the same sha256 the manifest records — compression
-    never weakens the integrity chain.  (zstd would compress better but
-    is not in the base environment; the zip container keeps the file a
-    valid ``np.load`` target either way.)
-    """
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED, compresslevel=6) as archive:
-        archive.writestr(COLD_MEMBER, npy_data)
-    _publish_bytes(path, buf.getvalue())
-
-
-def _decompress_bytes(path: Path) -> bytes:
-    """The ``.npy`` bytes inside a cold shard; corruption raises
-    :class:`StoreCorruptError` (checksum verification is the caller's
-    job — this only peels the container)."""
-    try:
-        with zipfile.ZipFile(path) as archive:
-            return archive.read(COLD_MEMBER)
-    except (OSError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
-        raise StoreCorruptError(
-            f"cold shard {path} is unreadable: {exc}", files=(path.name,)
-        ) from exc
 
 
 def _quarantine(directory: Path, filename: str) -> str | None:
@@ -333,16 +457,41 @@ def _quarantine(directory: Path, filename: str) -> str | None:
     return target.name
 
 
-def _load_npy(data: bytes, path: Path, shard: dict) -> np.ndarray:
+def _checked(
+    directory: Path, shard: _Shard, stats: StorageStats
+) -> tuple[bytes | None, str]:
+    """The one verified read: ``(the shard's .npy bytes, "ok")`` when its
+    stored file (a cold one is unzipped first) hashes to the record's
+    sha256, else ``(None, why)`` — ``"missing"`` when the file is gone."""
+    path = directory / shard.stored
     try:
-        array = np.load(io.BytesIO(data))
-    except (OSError, ValueError) as exc:
+        if shard.tier == TIER_COLD:
+            with zipfile.ZipFile(path) as archive:
+                data = archive.read(COLD_MEMBER)
+        else:
+            data = path.read_bytes()
+    except FileNotFoundError:
+        return None, "missing"
+    except (OSError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
+        return None, f"unreadable ({exc})"
+    if _sha256_hex(data) != shard.sha256:
+        return None, "checksum mismatch"
+    stats.bump("verified")
+    return data, "ok"
+
+
+def _load_npy(
+    shard: _Shard, path: Path, data: bytes | None = None, mmap_mode: str | None = None
+) -> np.ndarray:
+    """The array in ``data`` (else in the file at ``path``)."""
+    try:
+        return np.load(path if data is None else io.BytesIO(data), mmap_mode=mmap_mode)
+    except (OSError, ValueError, EOFError) as exc:
         raise StoreCorruptError(
-            f"shard {shard['name']!r} at {path} does not parse as .npy: {exc}",
-            datasets=(str(shard["name"]),),
+            f"shard {shard.name!r} at {path} does not parse as .npy: {exc}",
+            datasets=(shard.name,),
             files=(path.name,),
         ) from exc
-    return array
 
 
 class IndexStore:
@@ -360,47 +509,51 @@ class IndexStore:
         index: SpellIndex, directory: str | Path, *, stats: StorageStats | None = None
     ) -> list[str]:
         """Write every shard plus the manifest; returns written file names."""
-        directory = Path(directory)
+        manifest, _ = IndexStore._write(index, Path(directory), {}, stats or _UNCOUNTED)
+        return [shard.file for shard in manifest.shards]
+
+    @staticmethod
+    def _write(
+        index: SpellIndex,
+        directory: Path,
+        current: dict[tuple[str, str], _Shard],
+        stats: StorageStats,
+    ) -> tuple[_Manifest, list[str]]:
+        """Publish ``index``'s shards, then its manifest; returns the
+        manifest and the names of the datasets written.  A shard whose
+        ``current`` record (keyed by name and fingerprint) still
+        addresses the same content, file on disk, is kept byte-untouched."""
         directory.mkdir(parents=True, exist_ok=True)
         manifest = _Manifest(dtype=index.dtype.name)
         written: list[str] = []
         for entry in index._entries:
             fingerprint = _entry_fingerprint(entry)
-            filename = _shard_filename(
-                entry.name, fingerprint, entry.normalized.dtype.name
-            )
-            data = _npy_bytes(entry.normalized)
-            IndexStore._publish_shard(directory, filename, data, stats)
-            written.append(filename)
-            manifest.shards.append(
-                _shard_record(entry, fingerprint, filename, _sha256_hex(data), len(data))
-            )
+            dtype = entry.normalized.dtype.name
+            shard = current.get((entry.name, fingerprint))
+            if (
+                shard is None
+                or shard.dtype != dtype
+                or shard.file != _shard_filename(entry.name, fingerprint, dtype)
+                or not (directory / shard.stored).exists()
+            ):
+                data = _npy_bytes(entry.normalized)
+                shard = _Shard.of(entry, data)
+                _publish_bytes(directory / shard.file, data, stats)
+                written.append(entry.name)
+            manifest.shards.append(shard)
+        # the manifest goes last: a crash before it leaves orphan files
+        # the committed manifest never references (the next sync or load
+        # reclaims them), never a manifest pointing at missing shards
         IndexStore._publish_manifest(directory, manifest, stats)
-        if stats is not None:
-            stats.set_tiers(len(manifest.shards), 0)
-        return written
-
-    @staticmethod
-    def _publish_shard(
-        directory: Path, filename: str, data: bytes, stats: StorageStats | None
-    ) -> None:
-        try:
-            _publish_bytes(directory / filename, data)
-        except StorePublishError:
-            if stats is not None:
-                stats.bump("publish_errors")
-            raise
+        manifest.note_tiers(stats)
+        return manifest, written
 
     @staticmethod
     def _publish_manifest(
-        directory: Path, manifest: _Manifest, stats: StorageStats | None
+        directory: Path, manifest: _Manifest, stats: StorageStats
     ) -> None:
-        try:
-            _atomic_write_text(directory / MANIFEST_NAME, json.dumps(manifest.to_json()))
-        except StorePublishError:
-            if stats is not None:
-                stats.bump("publish_errors")
-            raise
+        data = json.dumps(manifest.to_json()).encode("utf-8")
+        _publish_bytes(directory / MANIFEST_NAME, data, stats)
 
     @staticmethod
     def sync(
@@ -412,82 +565,33 @@ class IndexStore:
         New and changed datasets are written, shards for datasets no
         longer in the index are deleted, unchanged shard files are left
         byte-untouched — a cold (compressed) shard that is still current
-        stays cold.  A directory with no (or unreadable) manifest is
-        simply saved from scratch.
+        stays cold.  A directory with no (or unreadable, or refused)
+        manifest is simply saved from scratch — and swept all the same:
+        a corrupt manifest may have stranded shard files the new one
+        doesn't claim.
         """
         directory = Path(directory)
+        stats = stats or _UNCOUNTED
         try:
-            old = IndexStore._read_manifest(directory)
+            old = IndexStore._read_manifest(directory).shards
         except StoreError:
-            written = IndexStore.save(index, directory, stats=stats)
-            # even a from-scratch save sweeps: a corrupt manifest may
-            # have stranded shard files the new manifest doesn't claim
-            swept = IndexStore._sweep_orphans(directory, set(written), stats)
-            return SyncReport(
-                written=tuple(e.name for e in index._entries), swept=swept
-            )
-        old_by_key = {(s["name"], s["fingerprint"]): s for s in old.shards}
-
-        manifest = _Manifest(dtype=index.dtype.name)
-        written: list[str] = []
-        unchanged: list[str] = []
-        live_files: set[str] = set()
-        for entry in index._entries:
-            fingerprint = _entry_fingerprint(entry)
-            filename = _shard_filename(
-                entry.name, fingerprint, entry.normalized.dtype.name
-            )
-            prior = old_by_key.get((entry.name, fingerprint))
-            if (
-                prior is not None
-                and prior["file"] == filename
-                and prior["dtype"] == entry.normalized.dtype.name
-                and (directory / IndexStore._stored_file(prior)).exists()
-            ):
-                unchanged.append(entry.name)
-                manifest.shards.append(prior)
-                live_files.add(IndexStore._stored_file(prior))
-                continue
-            data = _npy_bytes(entry.normalized)
-            IndexStore._publish_shard(directory, filename, data, stats)
-            written.append(entry.name)
-            live_files.add(filename)
-            manifest.shards.append(
-                _shard_record(entry, fingerprint, filename, _sha256_hex(data), len(data))
-            )
-        # publish the new manifest first: a crash between here and the
-        # sweep leaves orphan files that load cleanly (the manifest
-        # never references a deleted shard) and that the *next*
-        # successful sync — or the next load — reclaims; never a
-        # manifest pointing at missing files
-        IndexStore._publish_manifest(directory, manifest, stats)
-        removed = tuple(
-            shard["name"]
-            for shard in old.shards
-            if IndexStore._stored_file(shard) not in live_files
+            old = []
+        manifest, written = IndexStore._write(
+            index, directory, {(s.name, s.fingerprint): s for s in old}, stats
         )
-        swept = IndexStore._sweep_orphans(directory, live_files, stats)
-        if stats is not None:
-            cold = sum(1 for s in manifest.shards if s.get("tier") == TIER_COLD)
-            stats.set_tiers(len(manifest.shards) - cold, cold)
+        live_files = {shard.stored for shard in manifest.shards}
+        fresh = set(written)
         return SyncReport(
             written=tuple(written),
-            removed=removed,
-            unchanged=tuple(unchanged),
-            swept=swept,
+            removed=tuple(s.name for s in old if s.stored not in live_files),
+            unchanged=tuple(s.name for s in manifest.shards if s.name not in fresh),
+            # files go only now, with the manifest that drops them committed
+            swept=IndexStore._sweep_orphans(directory, live_files, stats),
         )
-
-    @staticmethod
-    def _stored_file(shard: dict) -> str:
-        """The file that actually holds a shard's bytes right now —
-        the ``.npz`` for cold records, the ``.npy`` otherwise."""
-        if shard.get("tier") == TIER_COLD:
-            return str(shard.get("cold_file") or _cold_filename(shard["file"]))
-        return str(shard["file"])
 
     @staticmethod
     def _sweep_orphans(
-        directory: Path, live_files: set[str], stats: StorageStats | None = None
+        directory: Path, live_files: set[str], stats: StorageStats
     ) -> tuple[str, ...]:
         """Delete every shard file the committed manifest doesn't claim.
 
@@ -507,8 +611,7 @@ class IndexStore:
                 if path.name not in live_files:
                     path.unlink(missing_ok=True)
                     swept.append(path.name)
-        if swept and stats is not None:
-            stats.bump("swept", len(swept))
+        stats.bump("swept", len(swept))
         return tuple(swept)
 
     # ------------------------------------------------------------- tiering
@@ -528,37 +631,7 @@ class IndexStore:
         leaves a loadable store, with at worst both files present until
         the next sweep.  Returns the dataset names actually demoted.
         """
-        directory = Path(directory)
-        manifest = IndexStore._read_manifest(directory)
-        wanted = set(names)
-        demoted: list[str] = []
-        retired: list[str] = []
-        for shard in manifest.shards:
-            if shard["name"] not in wanted or shard.get("tier") == TIER_COLD:
-                continue
-            path = directory / shard["file"]
-            data = IndexStore._verified_bytes(directory, shard, path, stats)
-            cold_name = _cold_filename(shard["file"])
-            try:
-                _compress_bytes(data, directory / cold_name)
-            except StorePublishError:
-                if stats is not None:
-                    stats.bump("publish_errors")
-                raise
-            shard["tier"] = TIER_COLD
-            shard["cold_file"] = cold_name
-            demoted.append(shard["name"])
-            retired.append(shard["file"])
-        if not demoted:
-            return ()
-        IndexStore._publish_manifest(directory, manifest, stats)
-        for filename in retired:
-            (directory / filename).unlink(missing_ok=True)
-        if stats is not None:
-            stats.bump("demotions", len(demoted))
-            cold = sum(1 for s in manifest.shards if s.get("tier") == TIER_COLD)
-            stats.set_tiers(len(manifest.shards) - cold, cold)
-        return tuple(demoted)
+        return IndexStore._retier(directory, names, TIER_COLD, "demotions", None, stats)
 
     @staticmethod
     def promote(
@@ -575,98 +648,94 @@ class IndexStore:
         rotted on disk is quarantined and rebuilt from ``bind`` when
         possible, else the promote refuses with ``StoreCorruptError``.
         """
+        return IndexStore._retier(
+            directory, names, TIER_RESIDENT, "promotions", bind, stats
+        )
+
+    @staticmethod
+    def _retier(
+        directory: str | Path,
+        names: list[str] | tuple[str, ...],
+        tier: str,
+        counter: str,
+        bind: Compendium | None,
+        stats: StorageStats | None,
+    ) -> tuple[str, ...]:
+        """The one tier move: verified bytes in, the new tier's file
+        published, the manifest republished — only then the old file
+        unlinked.  Returns the names of the datasets moved."""
         directory = Path(directory)
+        stats = stats or _UNCOUNTED
         manifest = IndexStore._read_manifest(directory)
-        sources = {(ds.name, ds.fingerprint): ds for ds in bind} if bind else {}
+        sources = _sources(bind)
         wanted = set(names)
-        promoted: list[str] = []
+        moved: list[str] = []
         retired: list[str] = []
         for shard in manifest.shards:
-            if shard["name"] not in wanted or shard.get("tier") != TIER_COLD:
+            if shard.name not in wanted or shard.tier == tier:
                 continue
-            cold_name = IndexStore._stored_file(shard)
             data = IndexStore._verified_bytes(
-                directory,
-                shard,
-                directory / cold_name,
-                stats,
-                source=sources.get((shard["name"], shard["fingerprint"])),
+                directory, shard, stats, source=sources.get((shard.name, shard.fingerprint))
             )
-            IndexStore._publish_shard(directory, shard["file"], data, stats)
-            shard["tier"] = TIER_RESIDENT
-            shard.pop("cold_file", None)
-            shard["sha256"] = _sha256_hex(data)
-            shard["nbytes"] = len(data)
-            promoted.append(shard["name"])
-            retired.append(cold_name)
-        if not promoted:
+            retired.append(shard.stored)
+            IndexStore._place(directory, shard, data, tier, stats)
+            moved.append(shard.name)
+        if not moved:
             return ()
         IndexStore._publish_manifest(directory, manifest, stats)
         for filename in retired:
             (directory / filename).unlink(missing_ok=True)
-        if stats is not None:
-            stats.bump("promotions", len(promoted))
-            cold = sum(1 for s in manifest.shards if s.get("tier") == TIER_COLD)
-            stats.set_tiers(len(manifest.shards) - cold, cold)
-        return tuple(promoted)
+        stats.bump(counter, len(moved))
+        manifest.note_tiers(stats)
+        return tuple(moved)
+
+    @staticmethod
+    def _place(
+        directory: Path, shard: _Shard, data: bytes, tier: str, stats: StorageStats
+    ) -> None:
+        """Publish ``data`` (a shard's ``.npy`` bytes) as its file in
+        ``tier`` and make the record say so."""
+        shard.tier, shard.sha256, shard.nbytes = tier, _sha256_hex(data), len(data)
+        stored = _cold_bytes(data) if tier == TIER_COLD else data
+        _publish_bytes(directory / shard.stored, stored, stats)
 
     # -------------------------------------------------------------- integrity
     @staticmethod
     def _verified_bytes(
         directory: Path,
-        shard: dict,
-        path: Path,
-        stats: StorageStats | None,
+        shard: _Shard,
+        stats: StorageStats,
         *,
         source: Dataset | None = None,
     ) -> bytes:
         """The shard's ``.npy`` bytes, checksum-verified — or rebuilt.
 
-        Reads ``path`` (decompressing a ``.npz`` container first) and
-        compares sha256 against the manifest record.  On any mismatch or
-        read failure the damaged file is quarantined and, when
+        On any mismatch or read failure the damaged file is quarantined
+        (so it is gone from its stored name afterwards) and, when
         ``source`` is the shard's bound dataset, the bytes are
-        re-derived from it (the caller republues them); with no source
+        re-derived from it (the caller republishes them); with no source
         the store refuses with :class:`StoreCorruptError` rather than
         serve bytes that differ from what was written.
         """
-        name = str(shard["name"])
-        data: bytes | None = None
-        failure: str | None = None
-        try:
-            raw = path.read_bytes()
-            data = _decompress_bytes(path) if path.suffix == ".npz" else raw
-        except FileNotFoundError:
-            failure = "missing"
-        except OSError as exc:
-            failure = f"unreadable ({exc})"
-        except StoreCorruptError:
-            failure = "undecompressable"
+        data, why = _checked(directory, shard, stats)
         if data is not None:
-            if _sha256_hex(data) == shard["sha256"]:
-                if stats is not None:
-                    stats.bump("verified")
-                return data
-            failure = "checksum mismatch"
-        if stats is not None:
-            stats.bump("corrupt")
-        quarantined = _quarantine(directory, path.name)
-        if quarantined is not None and stats is not None:
+            return data
+        stats.bump("corrupt")
+        quarantined = _quarantine(directory, shard.stored)
+        if quarantined is not None:
             stats.bump("quarantined")
         if source is not None:
-            rebuilt = _npy_bytes(
-                _index_dataset(source, dtype=np.dtype(shard["dtype"])).normalized
+            stats.bump("rebuilt")
+            return _npy_bytes(
+                _index_dataset(source, dtype=np.dtype(shard.dtype)).normalized
             )
-            if stats is not None:
-                stats.bump("rebuilt")
-            return rebuilt
         raise StoreCorruptError(
-            f"shard {name!r} at {path} failed integrity verification "
-            f"({failure}); quarantined "
+            f"shard {shard.name!r} at {directory / shard.stored} failed integrity "
+            f"verification ({why}); quarantined "
             f"{quarantined if quarantined is not None else 'nothing (file gone)'} "
             "and no bound dataset is available to rebuild from",
-            datasets=(name,),
-            files=(path.name,),
+            datasets=(shard.name,),
+            files=(shard.stored,),
         )
 
     @staticmethod
@@ -680,34 +749,19 @@ class IndexStore:
         to detect bit rot without forcing an eager load.
         """
         directory = Path(directory)
-        manifest = IndexStore._read_manifest(directory)
+        stats = stats or _UNCOUNTED
         ok: list[str] = []
         corrupt: list[str] = []
         missing: list[str] = []
-        for shard in manifest.shards:
-            path = directory / IndexStore._stored_file(shard)
-            try:
-                data = (
-                    _decompress_bytes(path)
-                    if path.suffix == ".npz"
-                    else path.read_bytes()
-                )
-            except FileNotFoundError:
-                missing.append(shard["name"])
-                continue
-            except (OSError, StoreCorruptError):
-                corrupt.append(shard["name"])
-                if stats is not None:
-                    stats.bump("corrupt")
-                continue
-            if _sha256_hex(data) == shard["sha256"]:
-                ok.append(shard["name"])
-                if stats is not None:
-                    stats.bump("verified")
+        for shard in IndexStore._read_manifest(directory).shards:
+            data, why = _checked(directory, shard, stats)
+            if data is not None:
+                ok.append(shard.name)
+            elif why == "missing":
+                missing.append(shard.name)
             else:
-                corrupt.append(shard["name"])
-                if stats is not None:
-                    stats.bump("corrupt")
+                corrupt.append(shard.name)
+                stats.bump("corrupt")
         return VerifyReport(
             ok=tuple(ok), corrupt=tuple(corrupt), missing=tuple(missing)
         )
@@ -715,50 +769,37 @@ class IndexStore:
     # -------------------------------------------------------------- reading
     @staticmethod
     def _read_manifest(directory: Path) -> _Manifest:
+        """The committed manifest, every record tested — or :class:`StoreError`."""
         path = Path(directory) / MANIFEST_NAME
         if not path.exists():
             raise StoreError(f"no index store at {directory} (missing {MANIFEST_NAME})")
         try:
             raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # bad bytes, bad JSON
             raise StoreError(f"corrupt index-store manifest at {path}: {exc}") from exc
         if not isinstance(raw, dict) or raw.get("format") != FORMAT:
             raise StoreError(
                 f"{path} is not a {FORMAT} manifest "
-                f"(format={raw.get('format') if isinstance(raw, dict) else raw!r})"
+                f"(format={_brief(raw.get('format') if isinstance(raw, dict) else raw)})"
             )
         if raw.get("format_version") != FORMAT_VERSION:
             raise StoreError(
                 f"index store at {directory} has format_version "
-                f"{raw.get('format_version')!r}; this build reads version "
+                f"{_brief(raw.get('format_version'))}; this build reads version "
                 f"{FORMAT_VERSION} — rebuild the store with IndexStore.save"
             )
         dtype = raw.get("dtype")
-        try:
-            supported = np.dtype(dtype) in SUPPORTED_DTYPES
-        except TypeError:
-            supported = False
-        if not supported:
-            raise StoreError(f"index store dtype {dtype!r} is not supported")
+        if not _is_dtype(dtype):
+            raise StoreError(f"index store dtype {_brief(dtype)} is not supported")
         shards = raw.get("shards")
-        if not isinstance(shards, list):
+        if not isinstance(shards, list) or not shards:
             raise StoreError(f"corrupt index-store manifest at {path}: no shard list")
-        required = {
-            "name", "file", "dtype", "fingerprint", "n_genes", "gene_ids",
-            "sha256", "nbytes", "tier",
-        }
-        for shard in shards:
-            if not isinstance(shard, dict) or not required.issubset(shard):
-                raise StoreError(
-                    f"corrupt index-store manifest at {path}: shard record "
-                    f"missing {sorted(required - set(shard or ()))}"
-                )
-            if shard["tier"] not in (TIER_RESIDENT, TIER_COLD):
-                raise StoreError(
-                    f"corrupt index-store manifest at {path}: shard "
-                    f"{shard['name']!r} has unknown tier {shard['tier']!r}"
-                )
-        return _Manifest(dtype=dtype, shards=shards)
+        manifest = _Manifest(dtype, [_Shard.from_json(shard, path) for shard in shards])
+        if len({shard.name for shard in manifest.shards}) != len(shards):
+            raise StoreError(
+                f"corrupt index-store manifest at {path}: a dataset is listed twice"
+            )
+        return manifest
 
     @staticmethod
     def load(
@@ -800,98 +841,70 @@ class IndexStore:
         been built in-process.
         """
         directory = Path(directory)
+        stats = stats or _UNCOUNTED
         if verify not in (None, "eager", "lazy"):
             raise StoreError(f"unknown verify policy {verify!r}")
         manifest = IndexStore._read_manifest(directory)
         eager = verify == "eager" or (verify is None and not mmap)
-        by_key = {}
-        if bind is not None:
-            by_key = {(ds.name, ds.fingerprint): ds for ds in bind}
+        sources = _sources(bind)
         if sweep:
-            live = {IndexStore._stored_file(s) for s in manifest.shards}
-            IndexStore._sweep_orphans(directory, live, stats)
+            live_files = {shard.stored for shard in manifest.shards}
+            IndexStore._sweep_orphans(directory, live_files, stats)
         entries: list[_DatasetIndex] = []
-        repaired = False
+        healed = False
         for shard in manifest.shards:
-            source = by_key.get((shard["name"], shard["fingerprint"]))
-            stored = IndexStore._stored_file(shard)
-            path = directory / stored
-            cold = shard.get("tier") == TIER_COLD
-            if cold or eager:
-                # the bytes pass through RAM anyway (cold always does:
-                # decompress-on-promote re-verifies by construction), so
-                # hashing them is one pass over data already read
-                data = IndexStore._verified_bytes(
-                    directory, shard, path, stats, source=source
-                )
-                if _sha256_hex(data) != shard["sha256"]:
-                    # rebuilt bytes drifted from the recorded digest
-                    # (e.g. a numpy serialization change): republish so
-                    # the store and manifest agree again
-                    IndexStore._publish_shard(directory, shard["file"], data, stats)
-                    shard["sha256"] = _sha256_hex(data)
-                    shard["nbytes"] = len(data)
-                    shard["tier"] = TIER_RESIDENT
-                    shard.pop("cold_file", None)
-                    repaired = True
-                elif not path.exists():
-                    # verification rebuilt from source but the digest
-                    # matched: persist the healed resident file
-                    IndexStore._publish_shard(directory, shard["file"], data, stats)
-                    if cold:
-                        shard["tier"] = TIER_RESIDENT
-                        shard.pop("cold_file", None)
-                        repaired = True
-                if cold and stats is not None:
-                    stats.bump("cold_loads")
-                if cold or not mmap:
-                    normalized = _load_npy(data, path, shard)
-                else:
-                    normalized = np.load(directory / shard["file"], mmap_mode="r")
-            else:
+            source = sources.get((shard.name, shard.fingerprint))
+            path = directory / shard.stored
+            normalized = None
+            if shard.tier == TIER_RESIDENT and not eager:
+                # the zero-copy open: structural checks only
                 try:
-                    normalized = np.load(path, mmap_mode="r" if mmap else None)
-                except (OSError, ValueError):
-                    # structurally unreadable: same quarantine →
-                    # rebuild-or-refuse path as a checksum mismatch
-                    data = IndexStore._verified_bytes(
-                        directory, shard, path, stats, source=source
-                    )
-                    IndexStore._publish_shard(directory, shard["file"], data, stats)
-                    normalized = (
-                        np.load(directory / shard["file"], mmap_mode="r")
-                        if mmap
-                        else _load_npy(data, path, shard)
-                    )
-            gene_ids = list(shard["gene_ids"])  # JSON already yields str
-            if normalized.ndim != 2 or normalized.shape[0] != len(gene_ids):
+                    normalized = _load_npy(shard, path, mmap_mode="r" if mmap else None)
+                except StoreCorruptError:
+                    pass  # same quarantine → rebuild-or-refuse as a bad checksum
+            if normalized is None:
+                # the bytes pass through RAM anyway (a cold shard's always
+                # do), so hashing them is one pass over data already read
+                data = IndexStore._verified_bytes(directory, shard, stats, source=source)
+                if shard.tier == TIER_COLD:
+                    stats.bump("cold_loads")
+                if not path.exists():
+                    # quarantined (or lost) and rebuilt from source: persist
+                    # the healed bytes resident, under their own digest, so
+                    # the store and the manifest agree again
+                    IndexStore._place(directory, shard, data, TIER_RESIDENT, stats)
+                    healed = True
+                path = directory / shard.stored
+                if mmap and shard.tier == TIER_RESIDENT:
+                    normalized = _load_npy(shard, path, mmap_mode="r")
+                else:
+                    normalized = _load_npy(shard, path, data)
+            if normalized.shape != (shard.n_genes, shard.n_conditions):
                 raise StoreCorruptError(
-                    f"shard {shard['name']!r} at {path} has shape "
-                    f"{normalized.shape} for {len(gene_ids)} gene ids",
-                    datasets=(str(shard["name"]),),
-                    files=(stored,),
+                    f"shard {shard.name!r} at {path} has shape {normalized.shape}, "
+                    f"manifest says {(shard.n_genes, shard.n_conditions)}",
+                    datasets=(shard.name,),
+                    files=(path.name,),
                 )
-            if normalized.dtype.name != shard["dtype"]:
+            if normalized.dtype.name != shard.dtype:
                 raise StoreCorruptError(
-                    f"shard {shard['name']!r} at {path} is {normalized.dtype.name}, "
-                    f"manifest says {shard['dtype']}",
-                    datasets=(str(shard["name"]),),
-                    files=(stored,),
+                    f"shard {shard.name!r} at {path} is {normalized.dtype.name}, "
+                    f"manifest says {shard.dtype}",
+                    datasets=(shard.name,),
+                    files=(path.name,),
                 )
             entries.append(
                 _DatasetIndex(
-                    name=str(shard["name"]),
-                    gene_ids=gene_ids,
+                    name=shard.name,
+                    gene_ids=shard.gene_ids,
                     normalized=normalized,
                     source=source,
-                    fingerprint=str(shard["fingerprint"]),
+                    fingerprint=shard.fingerprint,
                 )
             )
-        if repaired:
+        if healed:
             IndexStore._publish_manifest(directory, manifest, stats)
-        if stats is not None:
-            cold = sum(1 for s in manifest.shards if s.get("tier") == TIER_COLD)
-            stats.set_tiers(len(manifest.shards) - cold, cold)
+        manifest.note_tiers(stats)
         return SpellIndex(entries)
 
     @staticmethod
@@ -900,8 +913,8 @@ class IndexStore:
 
         Compares the ordered ``(name, fingerprint)`` sequence (order
         matters: aggregation order determines bit-level results) and,
-        when given, the shard dtype.  Missing or unreadable stores are
-        simply non-matches.
+        when given, the shard dtype.  Missing, unreadable or refused
+        stores are simply non-matches.
         """
         try:
             manifest = IndexStore._read_manifest(Path(directory))
@@ -909,15 +922,14 @@ class IndexStore:
             return False
         if dtype is not None and np.dtype(dtype).name != manifest.dtype:
             return False
-        on_disk = [(s["name"], s["fingerprint"]) for s in manifest.shards]
-        live = [(ds.name, ds.fingerprint) for ds in compendium]
-        return on_disk == live
+        on_disk = [(shard.name, shard.fingerprint) for shard in manifest.shards]
+        return on_disk == [(ds.name, ds.fingerprint) for ds in compendium]
 
     @staticmethod
     def tiers(directory: str | Path) -> dict[str, str]:
         """Dataset name -> tier, straight from the committed manifest."""
         manifest = IndexStore._read_manifest(Path(directory))
-        return {str(s["name"]): str(s.get("tier", TIER_RESIDENT)) for s in manifest.shards}
+        return {shard.name: shard.tier for shard in manifest.shards}
 
 
 def _cli(argv: list[str] | None = None) -> int:

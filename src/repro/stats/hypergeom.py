@@ -14,7 +14,6 @@ in :mod:`benchmarks.bench_ablations`).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.util.errors import ValidationError
 
@@ -33,6 +32,9 @@ def log_binomial(n: np.ndarray | int, k: np.ndarray | int) -> np.ndarray:
     Entries with ``k < 0`` or ``k > n`` get ``-inf`` (coefficient zero),
     which lets callers sum pmf terms without branching.
     """
+    # imported here: scipy.special is 66 modules no serving route reaches
+    from scipy.special import gammaln
+
     n_arr = np.asarray(n, dtype=np.float64)
     k_arr = np.asarray(k, dtype=np.float64)
     with np.errstate(invalid="ignore"):

@@ -13,7 +13,7 @@ from repro.util.errors import (
 )
 from repro.util.lru import LruCache
 from repro.util.rng import default_rng, spawn_rngs
-from repro.util.timing import Stopwatch, TimingRegistry
+from repro.util.timing import Stopwatch
 from repro.util.validation import (
     require,
     require_positive,
@@ -32,7 +32,6 @@ __all__ = [
     "default_rng",
     "spawn_rngs",
     "Stopwatch",
-    "TimingRegistry",
     "require",
     "require_positive",
     "require_in_range",

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import time
-from collections import defaultdict
-from dataclasses import dataclass, field
 
 
 class Stopwatch:
@@ -38,63 +36,3 @@ class Stopwatch:
             raise RuntimeError("Stopwatch.stop() called before start()")
         self.elapsed = time.perf_counter() - self._start
         return self.elapsed
-
-
-@dataclass
-class TimingRegistry:
-    """Accumulates named timing samples; powers frame metrics and benches.
-
-    The registry is additive: each ``record`` appends one sample, and
-    summary statistics are computed on demand.
-    """
-
-    samples: dict[str, list[float]] = field(default_factory=lambda: defaultdict(list))
-
-    def record(self, name: str, seconds: float) -> None:
-        self.samples[name].append(float(seconds))
-
-    def time(self, name: str):
-        """Return a context manager that records its elapsed time under ``name``."""
-        registry = self
-
-        class _Timer:
-            def __enter__(self_inner):
-                self_inner._sw = Stopwatch()
-                self_inner._sw.start()
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                registry.record(name, self_inner._sw.stop())
-
-        return _Timer()
-
-    def total(self, name: str) -> float:
-        return float(sum(self.samples.get(name, ())))
-
-    def count(self, name: str) -> int:
-        return len(self.samples.get(name, ()))
-
-    def mean(self, name: str) -> float:
-        values = self.samples.get(name)
-        if not values:
-            raise KeyError(f"no samples recorded for {name!r}")
-        return float(sum(values) / len(values))
-
-    def merge(self, other: "TimingRegistry") -> None:
-        """Fold another registry's samples into this one (used when gathering per-node metrics)."""
-        for name, values in other.samples.items():
-            self.samples[name].extend(values)
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        out: dict[str, dict[str, float]] = {}
-        for name, values in sorted(self.samples.items()):
-            if not values:
-                continue
-            out[name] = {
-                "count": float(len(values)),
-                "total": float(sum(values)),
-                "mean": float(sum(values) / len(values)),
-                "min": float(min(values)),
-                "max": float(max(values)),
-            }
-        return out

@@ -7,6 +7,9 @@ The ingest path's safety contract, end to end through the loaders:
   store manifest alike) is byte-identical to before the request; a
   duplicate name is the structured 409 with the same guarantee.  Both
   loader formats also round-trip *valid* submissions end to end.
+* **Publish failure** — a full disk under the source publish is the
+  structured 503 the store's own publishes answer, with no temp file
+  left and the tenant's tree unchanged; the retry succeeds.
 * **Crash safety** — a real ingesting process killed by ``os._exit``
   either before the source publish (nothing changed) or between the
   source publish and the index manifest publish (prior manifest
@@ -154,6 +157,46 @@ class TestValidationBeforeMutation:
             assert status == 409
             assert body["error"]["code"] == "DATASET_EXISTS"
             assert tree_snapshot(root) == before
+        finally:
+            app.service.close()
+            catalog.close()
+
+
+class TestPublishFailure:
+    def test_full_disk_is_a_structured_503_and_the_tenant_is_unchanged(
+        self, setup, tmp_path, monkeypatch
+    ):
+        """A source publishes through the store's one crash-safe publish:
+        ENOSPC is a stable code, never a leaked 500, and leaves no
+        ``*.tmp`` behind — the same ingest simply succeeds on retry."""
+        compendium, _ = setup
+        root = tmp_path / "cat"
+        catalog = CompendiumCatalog(root)
+        app = ApiApp(SpellService(compendium, n_workers=1), catalog=catalog)
+        try:
+            first, second = list(compendium)[:2]
+            catalog.ingest("t", first.name, "pcl", pcl_text(tmp_path, first))
+            before = tree_snapshot(root)
+            payload = {
+                "name": second.name, "format": "pcl",
+                "content": pcl_text(tmp_path, second), "compendium": "t",
+            }
+
+            def full_disk(fd):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(os, "fsync", full_disk)
+            status, body = app.handle_wire("ingest", payload)
+            monkeypatch.undo()
+            assert status == 503, body
+            assert body["error"]["code"] == "INDEX_STALE"
+            assert f"could not publish {second.name}.pcl" in body["error"]["message"]
+            assert "No space left" in body["error"]["message"]
+            assert not list(root.rglob("*.tmp"))
+            assert tree_snapshot(root) == before  # byte-identical tree
+            status, body = app.handle_wire("ingest", payload)
+            assert status == 200, body
+            assert body["datasets"] == 2
         finally:
             app.service.close()
             catalog.close()

@@ -10,7 +10,6 @@ from repro.util import (
     DataFormatError,
     ReproError,
     Stopwatch,
-    TimingRegistry,
     ValidationError,
     default_rng,
     format_table,
@@ -70,35 +69,6 @@ class TestTiming:
     def test_stopwatch_stop_before_start_raises(self):
         with pytest.raises(RuntimeError):
             Stopwatch().stop()
-
-    def test_registry_record_and_summary(self):
-        reg = TimingRegistry()
-        reg.record("x", 1.0)
-        reg.record("x", 3.0)
-        assert reg.total("x") == 4.0
-        assert reg.count("x") == 2
-        assert reg.mean("x") == 2.0
-        summary = reg.summary()["x"]
-        assert summary["min"] == 1.0 and summary["max"] == 3.0
-
-    def test_registry_time_context(self):
-        reg = TimingRegistry()
-        with reg.time("op"):
-            time.sleep(0.005)
-        assert reg.count("op") == 1
-        assert reg.total("op") >= 0.004
-
-    def test_registry_mean_missing_raises(self):
-        with pytest.raises(KeyError):
-            TimingRegistry().mean("nope")
-
-    def test_registry_merge(self):
-        a, b = TimingRegistry(), TimingRegistry()
-        a.record("x", 1.0)
-        b.record("x", 2.0)
-        b.record("y", 5.0)
-        a.merge(b)
-        assert a.count("x") == 2 and a.count("y") == 1
 
 
 class TestValidation:
