@@ -7,11 +7,12 @@ isolation:
   response encoding (no sockets, no loop);
 * :mod:`repro.api.aio.server` — one event loop driving sockets under
   the shared request pipeline (:mod:`repro.api.pipeline`): accept loop,
-  keep-alive, pipelining, chunk framing, graceful drain.  Where code
-  runs: the pipeline's ``ready`` phase — what is already in memory, a
-  result-cache hit above all — is answered on the loop; its ``compute``
-  phase — anything that can wait — on a bounded ``aio-dispatch``
-  thread pool;
+  one ``asyncio.BufferedProtocol`` per connection (keep-alive,
+  pipelining, read/write backpressure, the idle bound), chunk framing,
+  graceful drain.  Where code runs: the pipeline's ``ready`` phase — what is
+  already in memory, a result-cache hit above all — is answered on the
+  loop; its ``compute`` phase — anything that can wait — on a bounded
+  ``aio-dispatch`` thread pool;
 * :mod:`repro.api.aio.supervisor` — the multi-loop topology: N worker
   processes, each its own loop, sharing one port via ``SO_REUSEPORT``;
 * ``python -m repro.api.aio`` — the CLI (the flag table of

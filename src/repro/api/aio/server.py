@@ -2,36 +2,46 @@
 
 This is the asyncio half of the serving tier: a hand-rolled accept loop
 (``loop.sock_accept`` on a socket the server binds itself, optionally
-with ``SO_REUSEPORT`` so N worker processes share one port), per
-connection a **reader** coroutine (incremental HTTP/1.1 parsing via
-:mod:`repro.api.aio.http11`) and a **responder** coroutine (in-order
-dispatch and response writing) joined by a bounded queue — the queue
-*is* the per-connection pipelining window, and a full queue stops the
-reader, which stops ``sock_recv``, which is TCP backpressure.
+with ``SO_REUSEPORT`` so N worker processes share one port) that hands
+each accepted socket to the loop as one ``asyncio.BufferedProtocol``.
+The transport keeps the fd registered for the connection's life, so **a
+request is a callback**: ``data_received`` feeds the incremental parser
+(:mod:`repro.api.aio.http11`), plans the request on its head
+(:func:`~repro.api.pipeline.plan_request` — admission control runs
+there, before the body is waited for), buffers the declared body and
+answers from the front of the connection's window, strictly in request
+order.  A result-cache hit is ``epoll_wait``, ``recv``, ``send`` and
+nothing else: no task, no future, no queue.
 
 **What this module decides** is how bytes move and where code runs:
-the reader plans each request on its head
-(:func:`~repro.api.pipeline.plan_request` — admission control runs
-there, before the body is read) and buffers the declared body; the
-responder runs the pipeline's :func:`~repro.api.pipeline.ready` phase
-**on the loop** — everything that cannot wait, which for a result-cache
-hit is the whole answer, written without leaving the loop thread — and
-only when that returns ``None`` submits
+the pipeline's :func:`~repro.api.pipeline.ready` phase runs **on the
+loop** — everything that cannot wait, which for a hit is the whole
+answer — and only when that returns ``None`` is
 :func:`~repro.api.pipeline.compute` — the kernel, the index worker
 pool's pipes, the sharded router's sockets, tenant loads, ingest,
-export chunks, renders — to a bounded thread-pool executor
-(``aio-dispatch`` threads).  So the loop answers what is already in
-memory at loop speed, hundreds of connections stay responsive while a
-handful of requests compute, and nothing that can wait runs on the
-loop.  **What it does not decide** is anything about the request:
-routing, the gate, body rules, error bodies, headers and the close
-decision are :mod:`repro.api.pipeline`'s, the same code the threaded
-driver (:mod:`repro.api.http`) runs as one ``respond`` call.
+renders, every line of an export — submitted to a bounded thread-pool
+executor (``aio-dispatch`` threads), one call per connection at a time,
+whose done-callback writes and carries on.  So hundreds of connections
+stay responsive while a handful of requests compute, and nothing that
+can wait runs on the loop.  **What it does not decide** is anything
+about the request: routing, the gate, body rules, error bodies, headers
+and the close decision are :mod:`repro.api.pipeline`'s, the same code
+the threaded driver (:mod:`repro.api.http`) runs as one ``respond``.
+
+**Where backpressure lives.**  Reading: at ``pipeline_depth``
+parsed-but-unanswered requests the connection calls ``pause_reading``
+(the kernel's receive buffer fills and TCP stalls the client) and
+resumes below it.  Writing: a client that stops reading fills the
+transport's buffer to its high-water mark; from ``pause_writing`` to
+``resume_writing`` the connection answers nothing more and pulls no
+export line.  Silence: a connection that owes no answer and has sent
+nothing for :data:`~repro.api.transport.IDLE_SECONDS` is closed by one
+per-server sweep timer.
 
 Graceful drain (the contract in :mod:`repro.api.transport`):
-``shutdown()`` stops accepting, lets every parsed-and-admitted request
-finish writing its response (bounded by ``drain_seconds``), closes idle
-keep-alive connections, and only then tears the loop down — an
+``shutdown()`` stops accepting, closes idle keep-alive connections,
+lets every parsed-and-admitted request finish writing its response
+(bounded by ``drain_seconds``), and only then tears the loop down — an
 in-flight response is never dropped.
 """
 
@@ -42,18 +52,17 @@ import os
 import socket
 import sys
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 
 from repro.api.app import ApiApp
 from repro.api.errors import ApiError
-from repro.api.pipeline import Plan, compute, plan_request, read_body, ready
-from repro.api.transport import DEFAULT_DRAIN_SECONDS, TransportStats
+from repro.api.pipeline import Plan, Response, compute, plan_request, read_body, ready
+from repro.api.transport import DEFAULT_DRAIN_SECONDS, IDLE_SECONDS, TransportStats
 from repro.api.aio.http11 import (
     CHUNKED_EOF,
     ProtocolError,
-    RequestHead,
     RequestParser,
     encode_chunk,
     encode_response,
@@ -62,12 +71,13 @@ from repro.api.aio.http11 import (
 
 __all__ = ["AioApiServer", "serve", "serve_background"]
 
-#: Bytes asked of the socket per read — large enough that a pipelined
-#: burst of small requests arrives in one syscall.
+#: Bytes asked of the socket per read, into the loop's one receive buffer:
+#: a pipelined burst of small requests arrives in one syscall (asyncio's
+#: own default allocates 256 KiB per ``recv``, ~12 us of every request).
 _RECV_BYTES = 1 << 16
 
 #: Default per-connection pipelining window (parsed-but-unanswered
-#: requests); a full window pauses the reader (TCP backpressure).
+#: requests); a full window pauses reading (TCP backpressure).
 DEFAULT_PIPELINE_DEPTH = 8
 
 #: Default cap on concurrently served connections; at the cap the accept
@@ -75,22 +85,221 @@ DEFAULT_PIPELINE_DEPTH = 8
 #: per-connection state without bound.
 DEFAULT_MAX_CONNECTIONS = 512
 
-_DONE = object()  # responder sentinel: no more items for this connection
 
-@dataclass
-class _Item:
-    """One planned request handed from the reader to the responder."""
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection: the loop calls, the connection answers.
 
-    plan: Plan
-    keep_alive: bool = False  # the client permits reuse after this response
+    ``window`` holds the requests parsed and admitted but not yet fully
+    answered, in arrival order; only its front is ever answered, so
+    responses leave in request order and at most one executor call
+    (``waiting``) belongs to a connection at a time.  Every path out — a
+    ``Connection: close`` answer, a half-close, a reset, a drain — ends
+    in :meth:`_teardown`: the books balance, the slot goes back.
+    """
 
+    def __init__(self, server: "AioApiServer", addr, release) -> None:
+        self.server = server
+        self.peer = str(addr[0]) if addr else "unknown"
+        self.release = release  # hands the max_connections slot back
+        self.transport: asyncio.Transport | None = None
+        self.parser = RequestParser()
+        self.window: deque[tuple[Plan, bool]] = deque()  # (plan, client allows reuse)
+        self.pending = None  # (head, plan) admitted on its head, body still arriving
+        self.seen = 0  # requests admitted on this connection, ever
+        self.parsing = True  # False: nothing further on this stream is trusted
+        self.waiting = False  # an executor call of this connection is outstanding
+        self.stream: Response | None = None  # the export being written, line by line
+        self.can_write = True  # False between pause_writing and resume_writing
+        self.paused = False  # reading is paused at the pipelining window
+        self.yielded = False  # a continuation of _pump is already scheduled
+        self.eof = False  # the client half-closed: answer what is owed, then close
+        self.touched = 0.0  # loop time of the last byte in or executor call back
 
-@dataclass
-class _ConnState:
-    """Per-connection bookkeeping shared by reader and responder."""
+    # ---------------------------------------------------- the loop's callbacks
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.touched = self.server._loop.time()
+        self.server._connections.add(self)
+        self.server.stats.connection_opened()
 
-    seen: int = 0  # requests enqueued on this connection, ever
-    pending: int = 0  # enqueued but not yet fully responded
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.server._recv  # shared: buffer_updated copies out at once
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self.server._recv[:nbytes])
+
+    def data_received(self, data) -> None:
+        self.touched = self.server._loop.time()
+        if self.parsing:
+            self.parser.feed(data)
+            if not self.yielded:
+                self._pump()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.pending is not None:
+            (head, plan), self.pending = self.pending, None
+            read_body(plan, b"")  # went away mid-body; read_body reports it
+            self._admit(plan, head.keep_alive)
+        self._pump()
+        return bool(self.window)  # keep the write side open while an answer is owed
+
+    def pause_writing(self) -> None:
+        self.can_write = False
+        self.server.stats.writing_paused()
+
+    def resume_writing(self) -> None:
+        self.can_write = True
+        self._pump()
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        if not self.waiting:
+            self._teardown()
+
+    # ------------------------------------------------------------------ parse
+    def _fill(self) -> None:
+        """Parse buffered bytes into the window: admit on the head, then its body."""
+        server = self.server
+        while self.parsing and len(self.window) < server.pipeline_depth:
+            if self.pending is None:
+                try:
+                    head = self.parser.poll_head()
+                except ProtocolError as exc:
+                    self._admit(Plan(error=ApiError(exc.code, exc.message)), False)
+                    return
+                if head is None:
+                    return
+                self.pending = head, plan_request(
+                    server.app, head.method, head.target, head.headers, self.peer
+                )
+            head, plan = self.pending
+            body = self.parser.poll_body(head) if plan.body_bytes else b""
+            if body is None:
+                return
+            self.pending = None
+            read_body(plan, body)
+            self._admit(plan, head.keep_alive)
+
+    def _admit(self, plan: Plan, keep_alive: bool) -> None:
+        self.seen += 1
+        self.window.append((plan, keep_alive))
+        self.server.stats.request_started(reused=self.seen > 1, depth=len(self.window))
+        if plan.error is not None:
+            # unframeable, or refused with its body unread: never resynced
+            self.parsing = False
+
+    # ----------------------------------------------------------------- answer
+    def _pump(self) -> None:
+        """Answer from the front of the window until something must be
+        waited for: the executor, the client's reads, or the loop's turn."""
+        self.yielded = False
+        server = self.server
+        inline = 0
+        while self.transport is not None:
+            self._fill()
+            if self.waiting or not self.can_write:
+                break
+            if self.stream is not None:
+                # each next() is blocking work (slicing + JSON + checksum)
+                self._submit(next, self.stream.lines, None)
+                break
+            if not self.window:
+                break
+            if inline >= server.pipeline_depth:
+                # a burst of hits waits on nothing: give the loop a turn
+                # once per window so one client cannot monopolise it
+                self.yielded = True
+                server._loop.call_soon(self._pump)
+                break
+            plan, keep_alive = self.window[0]
+            phase = dict(keep_alive=keep_alive, draining=server._draining)
+            # what cannot wait is answered right here, on the loop; only
+            # what may wait costs a thread hop
+            response = ready(server.app, plan, **phase)
+            if response is None:
+                self._submit(partial(compute, server.app, plan, **phase))
+                break
+            server.stats.answered_inline()
+            inline += 1
+            self._finish(response)
+        # leave the callback with reading in the state the window asks for
+        full = len(self.window) >= server.pipeline_depth
+        if full != self.paused and self.transport is not None and not self.eof:
+            self.paused = full
+            if full:
+                self.transport.pause_reading()
+                server.stats.reading_paused()
+            else:
+                self.transport.resume_reading()
+
+    def _submit(self, fn, *args) -> None:
+        future = self.server._loop.run_in_executor(self.server._executor, fn, *args)
+        self.waiting = True
+        future.add_done_callback(self._landed)
+
+    def _landed(self, future) -> None:
+        """An executor call came back: ``compute``'s response, a stream's
+        next line (``None`` at its end), or teardown's ``lines.close``."""
+        self.waiting = False
+        self.touched = self.server._loop.time()
+        try:
+            result = future.result()
+        except Exception as exc:  # noqa: BLE001 — the pipeline answers its own failures
+            self.server._log(f"dropping {self.peer}: executor call failed: {exc!r}")
+            if self.transport is not None:
+                return self.transport.abort()
+            result = None
+        if isinstance(result, Response) and result.lines is not None:
+            self.stream = result  # from here on teardown owes its generator a close
+        if self.transport is None:
+            return self._teardown()
+        if result is None:
+            response, self.stream = self.stream, None
+            self._finish(response, CHUNKED_EOF)
+        elif result is self.stream:
+            self.transport.write(encode_stream_head(result.content_type, close=result.close))
+        elif isinstance(result, Response):
+            self._finish(result)
+        else:
+            self.transport.write(encode_chunk(result))
+        self._pump()
+
+    def _finish(self, response: Response, last: bytes | None = None) -> None:
+        """Write the last bytes of the front request's answer; retire it."""
+        self.transport.write(last or encode_response(
+            response.status, response.body, response.content_type,
+            extra_headers=response.headers, close=response.close,
+        ))
+        self.window.popleft()
+        self.server.stats.request_finished()
+        if response.close or not self.window and (self.eof or self.server._draining):
+            self.parsing = False
+            self._forget()
+            self.transport.close()  # flushes what is buffered first
+
+    # ------------------------------------------------------------------- exit
+    def quiet_since(self, cutoff: float) -> bool:
+        """Nothing parsed-and-unanswered, and no byte since ``cutoff``."""
+        return self.transport is not None and not self.window and self.touched <= cutoff
+
+    def _forget(self) -> None:
+        """Admitted requests that will never be answered still balance."""
+        while self.window:
+            self.window.popleft()
+            self.server.stats.request_finished()
+
+    def _teardown(self) -> None:
+        """The client is gone and nothing of it is left on the executor."""
+        if self.stream is not None:
+            # abandoned mid-export: close the generator where it runs (it
+            # records the failed export and releases what it pinned)
+            stream, self.stream = self.stream, None
+            return self._submit(stream.lines.close)
+        self._forget()
+        self.server._connections.discard(self)
+        self.server.stats.connection_closed()
+        self.release()
 
 
 class AioApiServer:
@@ -106,6 +315,9 @@ class AioApiServer:
     balances accepted connections across their accept queues — the
     multi-loop topology :mod:`repro.api.aio.supervisor` manages.
     """
+
+    #: Seconds a connection that owes no answer may stay silent.
+    idle_seconds = IDLE_SECONDS
 
     def __init__(
         self,
@@ -133,11 +345,11 @@ class AioApiServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._serve_task: asyncio.Task | None = None
         self._draining = False
-        self._shutdown_requested = threading.Event()
         self._started = threading.Event()
         self._stopped = threading.Event()
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._conn_socks: set[socket.socket] = set()
+        self._connections: set[_Connection] = set()
+        self._recv = memoryview(bytearray(_RECV_BYTES))  # the loop reads one socket at a time
+        self._sweeper: asyncio.TimerHandle | None = None
 
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -170,6 +382,7 @@ class AioApiServer:
             max_workers=threads, thread_name_prefix="aio-dispatch"
         )
         slots = asyncio.Semaphore(self.max_connections)
+        self._sweep()
         self._started.set()
         try:
             while True:
@@ -179,21 +392,11 @@ class AioApiServer:
                 except (asyncio.CancelledError, OSError):
                     slots.release()
                     raise
-                conn.setblocking(False)
-                try:
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                except OSError:
-                    pass
-                task = loop.create_task(self._handle_connection(conn, addr))
-                self._conn_tasks.add(task)
-                self._conn_socks.add(conn)
-
-                def _done(t, *, c=conn):
-                    self._conn_tasks.discard(t)
-                    self._conn_socks.discard(c)
-                    slots.release()
-
-                task.add_done_callback(_done)
+                # the slot is the connection's now: _teardown returns it,
+                # also if this await is cancelled (asyncio closes the transport)
+                await loop.connect_accepted_socket(
+                    partial(_Connection, self, addr, slots.release), conn
+                )
         except asyncio.CancelledError:
             pass
         finally:
@@ -201,246 +404,43 @@ class AioApiServer:
             self._executor.shutdown(wait=False)
             self._stopped.set()
 
+    def _sweep(self) -> None:
+        """The idle bound: one timer per server, never one per request."""
+        cutoff = self._loop.time() - self.idle_seconds
+        for conn in list(self._connections):
+            if conn.quiet_since(cutoff):
+                if conn.transport.is_closing():
+                    conn.transport.abort()  # a whole bound and its close has not flushed
+                else:
+                    self.stats.closed_idle()
+                    conn.transport.close()
+        self._sweeper = self._loop.call_later(self.idle_seconds / 4, self._sweep)
+
     async def _drain_and_close(self) -> None:
         """The drain contract: finish in-flight responses, then tear down."""
         self._draining = True
         self._sock.close()
-        in_flight = self.stats.begin_drain()
-        if in_flight or self._conn_tasks:
-            deadline = self._loop.time() + self.drain_seconds
-            while self.stats.snapshot()["in_flight"] > 0:
-                if self._loop.time() >= deadline:
-                    self._log(
-                        f"drain timeout: abandoning "
-                        f"{self.stats.snapshot()['in_flight']} request(s)"
-                    )
-                    break
-                await asyncio.sleep(0.01)
-        # idle keep-alive connections (readers parked in sock_recv) hold
-        # no in-flight work; cancel their tasks — closing the socket
-        # under a pending sock_recv would strand the future forever
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
-
-    # ------------------------------------------------------------- connection
-    async def _handle_connection(self, sock: socket.socket, addr) -> None:
-        self.stats.connection_opened()
-        loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue(self.pipeline_depth)
-        state = _ConnState()
-        responder = loop.create_task(self._respond_loop(sock, queue, state))
-        try:
-            await self._read_loop(sock, addr, queue, state, responder)
-        except asyncio.CancelledError:
-            responder.cancel()
-            raise
-        finally:
-            if responder.done():
-                if not responder.cancelled():
-                    responder.exception()  # retrieve, or the loop warns
-            else:
-                try:
-                    # racing the sentinel put against the responder keeps
-                    # a full pipeline window from deadlocking this task
-                    # against a responder that exits mid-wait
-                    await self._put_or_abort(queue, responder, _DONE)
-                    await responder
-                except asyncio.CancelledError:
-                    responder.cancel()
-                except Exception:
-                    pass  # responder's own failure; keep balancing books
-            # anything still queued was admitted (counted in-flight) but
-            # will never be answered — balance the books
-            while not queue.empty():
-                item = queue.get_nowait()
-                if item is not _DONE and isinstance(item, _Item):
-                    state.pending -= 1
-                    self.stats.request_finished()
-            try:
-                sock.close()
-            except OSError:
-                pass
-            self.stats.connection_closed()
-
-    async def _read_loop(self, sock, addr, queue, state, responder) -> None:
-        """Parse requests off the socket and enqueue them in order."""
-        loop = asyncio.get_running_loop()
-        parser = RequestParser()
-        while not responder.done():
-            try:
-                head = parser.poll_head()
-            except ProtocolError as exc:
-                await self._enqueue(
-                    queue, state, responder,
-                    _Item(Plan(error=ApiError(exc.code, exc.message))),
+        self._sweeper.cancel()
+        self.stats.begin_drain()
+        # idle connections hold no in-flight work; every other one closes
+        # itself behind its next answer, once those bytes are flushed
+        for conn in list(self._connections):
+            if conn.quiet_since(self._loop.time()):
+                conn.transport.close()
+        await asyncio.sleep(0)  # their connection_lost callbacks run first
+        deadline = self._loop.time() + self.drain_seconds
+        while self._connections:
+            if self._loop.time() >= deadline:
+                self._log(
+                    f"drain timeout: abandoning "
+                    f"{self.stats.snapshot()['in_flight']} request(s)"
                 )
-                return  # unframeable stream: nothing after it is trusted
-            if head is None:
-                if self._draining and state.pending == 0 and parser.pending_bytes() == 0:
-                    return  # idle keep-alive connection during drain
-                try:
-                    data = await loop.sock_recv(sock, _RECV_BYTES)
-                except (OSError, asyncio.CancelledError):
-                    return
-                if not data:
-                    return  # client closed
-                parser.feed(data)
-                continue
-
-            item = await self._plan(sock, loop, parser, head, addr)
-            if not await self._enqueue(queue, state, responder, item):
-                return  # responder exited (close/write failure) mid-wait
-            if item.plan.error is not None:
-                # the body (if any) was not drained; the stream cannot
-                # be resynced — stop reading, responder will close
-                return
-
-    async def _plan(self, sock, loop, parser, head: RequestHead, addr) -> _Item:
-        """Plan on the head (admission included), then buffer the body."""
-        plan = plan_request(
-            self.app, head.method, head.target, head.headers,
-            str(addr[0]) if addr else "unknown",
-        )
-        body = parser.poll_body(head) if plan.body_bytes else b""
-        while body is None:
-            try:
-                data = await loop.sock_recv(sock, _RECV_BYTES)
-            except OSError:
-                data = b""
-            if not data:
-                body = b""  # client went away mid-body; read_body reports it
                 break
-            parser.feed(data)
-            body = parser.poll_body(head)
-        read_body(plan, body)
-        return _Item(plan, keep_alive=head.keep_alive)
-
-    async def _enqueue(
-        self, queue, state: _ConnState, responder: asyncio.Task, item: _Item
-    ) -> bool:
-        """Admit one parsed request to the pipeline window (may block).
-
-        Returns whether the item was enqueued.  ``False`` means the
-        responder finished first — a ``Connection: close`` response or a
-        write failure ended the connection while the pipeline window was
-        full — so nothing more will ever be served and the reader must
-        stop.  Racing the put against the responder is what prevents the
-        reader from deadlocking on a dead responder (which would strand
-        the connection task and its ``max_connections`` slot forever).
-        """
-        state.seen += 1
-        state.pending += 1
-        self.stats.request_started(reused=state.seen > 1, depth=state.pending)
-        try:
-            enqueued = await self._put_or_abort(queue, responder, item)
-        except asyncio.CancelledError:
-            state.pending -= 1
-            self.stats.request_finished()
-            raise
-        if not enqueued:
-            state.pending -= 1
-            self.stats.request_finished()
-        return enqueued
-
-    @staticmethod
-    async def _put_or_abort(
-        queue: asyncio.Queue, responder: asyncio.Task, item
-    ) -> bool:
-        """``queue.put(item)`` unless the responder exits first.
-
-        Returns whether the item made it onto the queue.  A plain
-        ``await queue.put`` on a full queue never wakes once the
-        responder (the only consumer) has returned — so only a full
-        window pays for the race; with room the put cannot wait.
-        """
-        if not queue.full():
-            queue.put_nowait(item)
-            return True
-        put = asyncio.ensure_future(queue.put(item))
-        try:
-            await asyncio.wait({put, responder}, return_when=asyncio.FIRST_COMPLETED)
-        except asyncio.CancelledError:
-            put.cancel()
-            raise
-        if put.done() and not put.cancelled():
-            return True
-        put.cancel()
-        return False
-
-    # -------------------------------------------------------------- responder
-    async def _respond_loop(self, sock, queue, state: _ConnState) -> None:
-        """Serve queued requests strictly in order; stop on close."""
-        unyielded = 0  # responses written back to back without suspending
-        while True:
-            item = await queue.get()
-            if item is _DONE:
-                return
-            try:
-                close, inline = await self._write_response(sock, item)
-            except (ConnectionError, OSError, BrokenPipeError):
-                state.pending -= 1
-                self.stats.request_finished()
-                return  # client went away; reader will hit EOF/close
-            state.pending -= 1
-            self.stats.request_finished()
-            if close:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                return
-            # an inline answer to a pipelined request may never suspend
-            # (queue non-empty, socket writable): give the loop a turn
-            # once per window so one client cannot monopolise it
-            unyielded = unyielded + 1 if inline else 0
-            if unyielded >= self.pipeline_depth:
-                unyielded = 0
-                await asyncio.sleep(0)
-
-    async def _write_response(self, sock, item: _Item) -> tuple[bool, bool]:
-        """Write one response; returns ``(connection must close, answered
-        inline)``."""
-        loop = asyncio.get_running_loop()
-        phase = dict(keep_alive=item.keep_alive, draining=self._draining)
-        # what cannot wait is answered right here, on the loop; only what
-        # may wait costs a thread hop
-        response = ready(self.app, item.plan, **phase)
-        inline = response is not None
-        if inline:
-            self.stats.answered_inline()
-        else:
-            response = await loop.run_in_executor(
-                self._executor, partial(compute, self.app, item.plan, **phase)
-            )
-        if response.lines is None:
-            await loop.sock_sendall(sock, encode_response(
-                response.status, response.body, response.content_type,
-                extra_headers=response.headers, close=response.close,
-            ))
-            return response.close, inline
-        # each next() on the line stream is blocking work (slicing +
-        # JSON + checksum), so it too runs on the executor
-        lines = response.lines
-        try:
-            await loop.sock_sendall(
-                sock, encode_stream_head(response.content_type, close=response.close)
-            )
-            while True:
-                line = await loop.run_in_executor(self._executor, next, lines, None)
-                if line is None:
-                    break
-                await loop.sock_sendall(sock, encode_chunk(line))
-            await loop.sock_sendall(sock, CHUNKED_EOF)
-        except BaseException:
-            # client gone (OSError) or task cancelled mid-stream: close
-            # the stream where its generator runs; the exception keeps
-            # propagating to the responder loop, which balances the
-            # connection-slot accounting
-            await loop.run_in_executor(self._executor, lines.close)
-            raise
-        return response.close, False
+            await asyncio.sleep(0.01)
+        for conn in list(self._connections):
+            if conn.transport is not None:
+                conn.transport.abort()
+        await asyncio.sleep(0)  # let their connection_lost callbacks run
 
     # -------------------------------------------------------------- plumbing
     def _log(self, message: str) -> None:

@@ -3,7 +3,7 @@
 Both serving facades — the threaded :mod:`repro.api.http` and the
 asyncio :mod:`repro.api.aio` tier — are socket drivers under one
 :mod:`repro.api.pipeline`, and operating them side by side needs the
-same three things from each:
+same things from each:
 
 * **Body framing** (:func:`declared_body_length`): how many body bytes
   a request head declares — the one rule the stdlib-parsed threaded
@@ -11,12 +11,16 @@ same three things from each:
   never disagree on.
 * **Counters** (:class:`TransportStats`): open/total connections,
   keep-alive reuse, observed pipeline depth, in-flight requests, how
-  many requests were finished *during* a drain, and how many an
-  event-loop facade answered inline (without its executor).  A facade
+  many requests were finished *during* a drain, how many an event-loop
+  facade answered inline (without its executor), how often it paused
+  reading (a full pipelining window) or writing (a client not reading),
+  and how many connections it closed at the idle bound.  A facade
   registers its snapshot on the backend
   (``service.register_transport_stats(label, stats.snapshot)``), so
   ``/v1/health``'s append-only ``serving.transport`` field reports the
   live transport no matter which facade answered the probe.
+* **The idle bound** (:data:`IDLE_SECONDS`): how long a connection that
+  owes no answer may stay silent before its driver closes it.
 * **The drain contract** (:meth:`TransportStats.begin_drain` +
   :meth:`TransportStats.wait_idle`): on SIGTERM / ``close()`` a facade
   first stops accepting work, then waits — bounded — for every
@@ -38,6 +42,7 @@ from typing import Mapping
 
 __all__ = [
     "DEFAULT_DRAIN_SECONDS",
+    "IDLE_SECONDS",
     "TransportStats",
     "close_quietly",
     "declared_body_length",
@@ -107,6 +112,12 @@ def retry_after_headers(body: dict) -> dict:
 #: only a genuinely wedged handler ever gets near it.
 DEFAULT_DRAIN_SECONDS = 10.0
 
+#: The idle bound both drivers hold a connection to: one that owes no
+#: answer and has been silent this long — a parked keep-alive client, a
+#: half-sent head or body alike — is closed, so a slow-loris client
+#: cannot pin a handler thread or a ``max_connections`` slot forever.
+IDLE_SECONDS = 60.0
+
 
 class TransportStats:
     """Connection/request counters plus the graceful-drain rendezvous.
@@ -140,6 +151,9 @@ class TransportStats:
         self.requests_total = 0
         self.drained_requests = 0
         self.inline_responses = 0
+        self.read_pauses = 0
+        self.write_pauses = 0
+        self.idle_closed = 0
         self.draining = False
 
     # ------------------------------------------------------------ lifecycle
@@ -166,6 +180,21 @@ class TransportStats:
         executor submission (a thread-per-request facade never calls it)."""
         with self._lock:
             self.inline_responses += 1
+
+    def reading_paused(self) -> None:
+        """A connection hit its pipelining window (``pause_reading``)."""
+        with self._lock:
+            self.read_pauses += 1
+
+    def writing_paused(self) -> None:
+        """A client stopped reading its answers (``pause_writing``)."""
+        with self._lock:
+            self.write_pauses += 1
+
+    def closed_idle(self) -> None:
+        """A connection was closed at the idle bound."""
+        with self._lock:
+            self.idle_closed += 1
 
     def request_finished(self) -> None:
         with self._idle:
@@ -213,4 +242,7 @@ class TransportStats:
                 "drained_requests": self.drained_requests,
                 "draining": self.draining,
                 "inline_responses": self.inline_responses,
+                "read_pauses": self.read_pauses,
+                "write_pauses": self.write_pauses,
+                "idle_closed": self.idle_closed,
             }
