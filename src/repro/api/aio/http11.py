@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.api.transport import declared_body_length
+from repro.api.transport import CHUNKED_EOF, declared_body_length, encode_chunk
 
 __all__ = [
     "MAX_REQUEST_LINE_BYTES",
@@ -53,9 +53,6 @@ MAX_REQUEST_LINE_BYTES = 8192
 
 #: Longest accepted header block (request line included).
 MAX_HEADER_BYTES = 32768
-
-#: Sentinel chunk terminating a chunked response body.
-CHUNKED_EOF = b"0\r\n\r\n"
 
 _REASONS = {
     200: "OK",
@@ -294,8 +291,3 @@ def encode_stream_head(
     lines = _head_lines(200, content_type, None, close)
     lines.append("Transfer-Encoding: chunked")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
-
-
-def encode_chunk(data: bytes) -> bytes:
-    """One HTTP/1.1 body chunk: hex size line, payload, CRLF."""
-    return f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n"

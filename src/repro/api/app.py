@@ -21,7 +21,6 @@ test harness.  Responsibilities:
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from contextlib import contextmanager
@@ -46,6 +45,7 @@ from repro.api.protocol import (
     RenderResponse,
     SearchRequest,
     SearchResponse,
+    ndjson_line,
 )
 from repro.api.routes import (
     ROUTE_BY_NAME,
@@ -486,43 +486,40 @@ class ApiApp:
             tenant, service = self._resolve(request.compendium)
             self.gate.charge_tenant(tenant, context)
             budget = Deadline.after_ms(request.deadline_ms)
-            cursor = service.iter_result(request, deadline=budget)
+            lines = service.iter_result(request, deadline=budget).lines()
         except BaseException:
             self._stats.record(endpoint, sw.stop(), error=True)
             raise
-        return self._encode_export(cursor, sw)
+        return self._encode_export(lines, request.chunk_size, sw)
 
-    def _encode_export(self, cursor, sw: Stopwatch):
-        """Serialize an export cursor to NDJSON, checksumming chunk bytes.
+    def _encode_export(self, lines, chunk_size: int, sw: Stopwatch):
+        """Pass an export cursor's NDJSON lines on, checksumming them.
 
         The checksum is ``sha256`` over the exact bytes of every chunk
         line (newline included) in stream order — the trailer promises
         integrity of what was actually sent, so it must hash wire bytes,
-        not protocol objects.
+        not protocol objects.  Every chunk line but a stream's last
+        holds ``chunk_size`` rows, and a cursor that yields a line yields
+        them all, so an error trailer's ``total_rows`` is that many per
+        line sent.
         """
         endpoint = "search/export"
         digest = hashlib.sha256()
         n_chunks = 0
-        total_rows = 0
         recorded = False
         try:
-            for item in cursor:
+            for item in lines:
                 if isinstance(item, ExportTrailer):
                     trailer = replace(
-                        item,
-                        checksum=f"sha256:{digest.hexdigest()}",
-                        n_chunks=n_chunks,
-                        total_rows=total_rows,
+                        item, checksum=f"sha256:{digest.hexdigest()}", n_chunks=n_chunks
                     )
                     self._stats.record(endpoint, sw.stop(), error=False)
                     recorded = True
-                    yield json.dumps(trailer.to_wire()).encode("utf-8") + b"\n"
+                    yield ndjson_line(trailer)
                     return
-                line = json.dumps(item.to_wire()).encode("utf-8") + b"\n"
-                digest.update(line)
+                digest.update(item)
                 n_chunks += 1
-                total_rows += len(item.gene_rows)
-                yield line
+                yield item
             raise RuntimeError("export cursor ended without a trailer")
         except GeneratorExit:
             # consumer went away mid-stream (client disconnect): the
@@ -534,15 +531,15 @@ class ApiApp:
             err = as_api_error(exc)
             if not recorded:
                 self._stats.record(endpoint, sw.stop(), error=True)
-            yield json.dumps(
+            yield ndjson_line(
                 ExportTrailer(
                     status="error",
-                    total_rows=total_rows,
+                    total_rows=n_chunks * chunk_size,
                     n_chunks=n_chunks,
                     checksum=f"sha256:{digest.hexdigest()}",
                     error=error_payload(err)["error"],
-                ).to_wire()
-            ).encode("utf-8") + b"\n"
+                )
+            )
 
     def health(self) -> HealthResponse:
         with self._timed("health"):

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
+import re
 from pathlib import Path
 
 from repro.api.errors import API_VERSION, ERROR_DESCRIPTIONS, ERROR_STATUS
@@ -58,9 +60,11 @@ choosing and sizing a facade.
 """
 
 
-def _first_doc_line(obj: type | None) -> str:
-    doc = (getattr(obj, "__doc__", None) or "").strip()
-    return doc.splitlines()[0].strip() if doc else ""
+def _doc(cls: type) -> str:
+    """A message class's docstring as markdown: Sphinx cross-reference
+    roles (``:class:`~x.Y` ``) become plain code spans."""
+    doc = inspect.cleandoc(cls.__doc__ or "")
+    return re.sub(r":[a-z]+:`~?([^`]+)`", r"`\1`", doc)
 
 
 def _default_repr(field: dataclasses.Field) -> str:
@@ -102,9 +106,9 @@ def _route_section(route: Route) -> list[str]:
     if route.request_cls is None:
         lines += ["**Request:** no body.", ""]
     else:
-        intro = _first_doc_line(route.request_cls)
-        lines += [f"**Request** — `{route.request_cls.__name__}`: {intro}", ""]
-        lines += _fields_table(route.request_cls) + [""]
+        cls = route.request_cls
+        lines += [f"**Request** — `{cls.__name__}`: {_doc(cls)}", ""]
+        lines += _fields_table(cls) + [""]
 
     responses = route.response_cls
     if not isinstance(responses, tuple):
@@ -113,8 +117,7 @@ def _route_section(route: Route) -> list[str]:
         label = "**Response**" if len(responses) == 1 else (
             f"**Stream line {i + 1}**"
         )
-        intro = _first_doc_line(cls)
-        lines += [f"{label} — `{cls.__name__}`: {intro}", ""]
+        lines += [f"{label} — `{cls.__name__}`: {_doc(cls)}", ""]
         lines += _fields_table(cls) + [""]
     return lines
 

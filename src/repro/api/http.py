@@ -39,7 +39,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.api import cli
 from repro.api.app import ApiApp
 from repro.api.pipeline import Response, plan_request, read_body, respond
-from repro.api.transport import DEFAULT_DRAIN_SECONDS, TransportStats
+from repro.api.transport import (
+    CHUNKED_EOF,
+    DEFAULT_DRAIN_SECONDS,
+    TransportStats,
+    encode_chunk,
+)
 
 __all__ = ["ApiHTTPServer", "serve", "main"]
 
@@ -176,11 +181,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             for line in response.lines:
-                # one HTTP/1.1 chunk: size line, payload, CRLF
-                self.wfile.write(f"{len(line):X}\r\n".encode("ascii"))
-                self.wfile.write(line)
-                self.wfile.write(b"\r\n")
-            self.wfile.write(b"0\r\n\r\n")
+                # one chunk, one write: the writer is unbuffered and
+                # TCP_NODELAY, so each write call is a send of its own
+                self.wfile.write(encode_chunk(line))
+            self.wfile.write(CHUNKED_EOF)
             self.wfile.flush()
         except OSError:
             # client went away mid-stream (BrokenPipeError /

@@ -75,6 +75,7 @@ Design rules (the compatibility policy, see ROADMAP):
 from __future__ import annotations
 
 import base64
+import json
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
@@ -107,6 +108,7 @@ __all__ = [
     "ExportChunk",
     "ExportTrailer",
     "HealthResponse",
+    "ndjson_line",
     "page_count",
     "check_page",
 ]
@@ -476,6 +478,14 @@ def check_page(page: int, total: int, page_size: int) -> int:
             details={"page": page, "total_pages": total_pages, "total_rows": total},
         )
     return total_pages
+
+
+def ndjson_line(message: "_Message") -> bytes:
+    """One message as one line of a streaming export: its JSON bytes and
+    a newline.  The only place a stream line is encoded — the chunk
+    lines a cached ranking memoizes and both trailers come from here,
+    so the checksummed bytes are what the golden test pins."""
+    return json.dumps(message.to_wire()).encode("utf-8") + b"\n"
 
 
 # --------------------------------------------------------------------------
@@ -960,7 +970,9 @@ class HealthResponse(_Message):
 
     ``cache`` carries the result cache's full counter set (hits, misses,
     evictions, plus the admission policy's ``min_cost`` / ``admitted`` /
-    ``rejected`` and the hottest entry's hit count); ``serving``
+    ``rejected``, the hottest entry's hit count and ``encoded_bytes``:
+    the export chunk lines resident results hold, summed when health is
+    asked, at most one export's NDJSON per entry); ``serving``
     describes the batch topology (thread workers, process workers, and
     the worker pool's batch/resync counters).  Both are free-form
     objects on the wire so new counters stay append-only.

@@ -9,6 +9,8 @@ same things from each:
   a request head declares — the one rule the stdlib-parsed threaded
   driver and the hand-rolled :mod:`repro.api.aio.http11` parser must
   never disagree on.
+* **Chunk framing** (:func:`encode_chunk`, :data:`CHUNKED_EOF`): a
+  streaming response is one HTTP/1.1 chunk per line, each written whole.
 * **Counters** (:class:`TransportStats`): open/total connections,
   keep-alive reuse, observed pipeline depth, in-flight requests, how
   many requests were finished *during* a drain, how many an event-loop
@@ -41,13 +43,18 @@ import time
 from typing import Mapping
 
 __all__ = [
+    "CHUNKED_EOF",
     "DEFAULT_DRAIN_SECONDS",
     "IDLE_SECONDS",
     "TransportStats",
     "close_quietly",
     "declared_body_length",
+    "encode_chunk",
     "retry_after_headers",
 ]
+
+#: Sentinel chunk terminating a chunked response body.
+CHUNKED_EOF = b"0\r\n\r\n"
 
 
 def declared_body_length(headers: Mapping[str, str]) -> int:
@@ -73,6 +80,11 @@ def declared_body_length(headers: Mapping[str, str]) -> int:
     if not raw or not all(c in "0123456789" for c in raw):
         raise ValueError(f"bad Content-Length {raw!r}")
     return int(raw)
+
+
+def encode_chunk(data: bytes) -> bytes:
+    """One HTTP/1.1 body chunk: hex size line, payload, CRLF."""
+    return b"%X\r\n%b\r\n" % (len(data), data)
 
 
 def close_quietly(lines) -> None:

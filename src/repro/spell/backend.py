@@ -34,6 +34,7 @@ from repro.api.protocol import (
     ExportTrailer,
     SearchRequest,
     SearchResponse,
+    ndjson_line,
 )
 from repro.data.compendium import Compendium
 from repro.spell.cache import QueryCache, rebind_result
@@ -44,11 +45,91 @@ from repro.util.deadline import Deadline
 from repro.util.errors import SearchError
 from repro.util.timing import Stopwatch
 
-__all__ = ["COMPLETE", "SearchBackend"]
+__all__ = ["COMPLETE", "ExportCursor", "SearchBackend"]
 
 #: The report of an answer that covers every selected dataset (shared,
 #: never mutated): what a cache hit and a single-node search both carry.
 COMPLETE: dict = {"partial": False, "shards": {}}
+
+
+class ExportCursor:
+    """One export's walk over a resolved ranking, with two faces.
+
+    Iterated, it yields typed :class:`ExportChunk` messages then the
+    ``ok`` :class:`ExportTrailer`; :meth:`lines` yields the same chunks
+    as ready NDJSON lines (:func:`~repro.api.protocol.ndjson_line`),
+    then that trailer.  Both come from one offset walk (:meth:`_chunks`).
+
+    Chunks are cut at fixed multiples of ``chunk_size`` from zero, so a
+    resumed stream's lines are bit-identical to the same-offset lines of
+    an uninterrupted export (same search, same slicing) — which is what
+    lets :meth:`lines` serve every export of a ranking from one encoding
+    of it, memoized on the ranking's :class:`GeneTable` (``encoded``).
+    """
+
+    __slots__ = ("result", "request", "elapsed")
+
+    def __init__(self, result: SpellResult, request: ExportRequest, elapsed: float) -> None:
+        self.result = result
+        self.request = request
+        self.elapsed = elapsed
+
+    def _bounds(self) -> tuple[int, int]:
+        """``(offset, exportable)``: where this stream starts (the
+        protocol pins ``resume_offset`` to a chunk boundary; past the
+        end is the end) and how many rows the whole export has."""
+        exportable = min(self.result.total_genes, len(self.result.genes))
+        if self.request.top_k is not None:
+            exportable = min(exportable, self.request.top_k)
+        return min(self.request.resume_offset, exportable), exportable
+
+    def _chunks(self, offset: int, exportable: int):
+        table, size = self.result.genes, self.request.chunk_size
+        while offset < exportable:
+            stop = min(offset + size, exportable)
+            yield ExportChunk(offset=offset, gene_rows=tuple(table.rows(offset, stop)))
+            offset = stop
+
+    def _trailer(self, offset: int, exportable: int) -> ExportTrailer:
+        result, request = self.result, self.request
+        return ExportTrailer(
+            status="ok",
+            total_genes=result.total_genes,
+            total_rows=exportable - offset,  # a resumed cursor skips the prefix
+            resume_offset=request.resume_offset,
+            query=result.query,
+            query_used=result.query_used,
+            query_missing=result.query_missing,
+            dataset_rows=tuple(
+                (i + 1, d.name, d.weight)
+                for i, d in enumerate(result.datasets[: request.top_datasets])
+            ),
+            elapsed_seconds=float(self.elapsed),
+        )
+
+    def __iter__(self):
+        offset, exportable = self._bounds()
+        yield from self._chunks(offset, exportable)
+        yield self._trailer(offset, exportable)
+
+    def lines(self):
+        """The chunk lines as NDJSON bytes, then the trailer object.
+
+        The table keeps one chunking — the whole ranking's lines at one
+        ``chunk_size`` — and a different size replaces it; a resumed
+        stream is a suffix of it.  Everything that can fail runs before
+        the first line: a stream that yields a line yields them all.
+        """
+        offset, exportable = self._bounds()
+        size = self.request.chunk_size
+        table = self.result.genes
+        memo = table.encoded
+        if memo is None or memo[0] != size or memo[1] != exportable:
+            lines = tuple(map(ndjson_line, self._chunks(0, exportable)))
+            memo = table.encoded = (size, exportable, lines)
+        trailer = self._trailer(offset, exportable)
+        yield from memo[2][-(-offset // size):]
+        yield trailer
 
 
 class SearchBackend:
@@ -342,53 +423,21 @@ class SearchBackend:
         the stream as the full ranking, so an unreachable shard raises
         ``SHARD_UNAVAILABLE`` here instead of degrading.
 
-        Returns an iterator yielding :class:`ExportChunk` objects
-        followed by exactly one ``status="ok"`` :class:`ExportTrailer`
-        (``checksum``/``n_chunks`` are left for the stream encoder,
-        which owns the wire bytes).  The search itself runs *eagerly*,
-        so invalid queries raise here — before a transport has
-        committed a success status line to the stream.
+        Returns an :class:`ExportCursor`: iterated, it yields
+        :class:`ExportChunk` objects followed by exactly one
+        ``status="ok"`` :class:`ExportTrailer` (``checksum``/``n_chunks``
+        are left for the stream encoder, which owns the wire bytes); its
+        :meth:`~ExportCursor.lines` is the same walk as ready NDJSON
+        bytes.  The search itself runs *eagerly*, so invalid queries
+        raise here — before a transport has committed a success status
+        line to the stream.
         """
         budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
         budget.check("export admission")
         member = (request.genes, request.top_k, request.datasets, request.use_cache, None)
         answers, _ = self._answer((member,), budget, require_complete=True)
         result, _report, seconds = answers[0]
-        return self._iter_chunks(result, request, seconds)
-
-    @staticmethod
-    def _iter_chunks(result: SpellResult, request: ExportRequest, elapsed: float):
-        table = result.genes
-        exportable = result.total_genes
-        if request.top_k is not None:
-            exportable = min(exportable, request.top_k)
-        exportable = min(exportable, len(table))
-        # resume: skip whole chunks already streamed to the client.  The
-        # protocol pins resume_offset to a chunk boundary, and chunks are
-        # cut at fixed multiples of chunk_size from zero, so the resumed
-        # stream's chunk lines are bit-identical to the same-offset lines
-        # of an uninterrupted export (same search, same slicing).
-        offset = min(request.resume_offset, exportable)
-        while offset < exportable:
-            stop = min(offset + request.chunk_size, exportable)
-            yield ExportChunk(offset=offset, gene_rows=tuple(table.rows(offset, stop)))
-            offset = stop
-        yield ExportTrailer(
-            status="ok",
-            total_genes=result.total_genes,
-            # rows this cursor walked (a resumed cursor skips the prefix);
-            # the stream encoder re-counts what actually hit the wire
-            total_rows=exportable - min(request.resume_offset, exportable),
-            resume_offset=request.resume_offset,
-            query=result.query,
-            query_used=result.query_used,
-            query_missing=result.query_missing,
-            dataset_rows=tuple(
-                (i + 1, d.name, d.weight)
-                for i, d in enumerate(result.datasets[: request.top_datasets])
-            ),
-            elapsed_seconds=float(elapsed),
-        )
+        return ExportCursor(result, request, seconds)
 
     # ------------------------------------------------------------------ stats
     @property

@@ -27,6 +27,10 @@ passed by the caller as ``cost=`` — meets the threshold; cheap results
 are recomputed on demand instead of displacing expensive ones.
 Admission and rejection are counted (and per-entry hit counts tracked)
 so ``/v1/health`` can report how the policy behaves in production.
+
+A resident result may also hold its export encoding (the NDJSON chunk
+lines of one chunking, on its ``GeneTable``); ``encoded_bytes`` in
+:meth:`QueryCache.stats` sums them, so what the memo holds is visible.
 """
 
 from __future__ import annotations
@@ -171,4 +175,10 @@ class QueryCache:
         stats["min_cost"] = self.min_cost
         stats["admitted"] = self.admitted
         stats["rejected"] = self.rejected
+        # summed at snapshot time: the export path keeps no counter
+        stats["encoded_bytes"] = sum(
+            value.genes.encoded_bytes()
+            for value in self._lru.values()
+            if isinstance(value, SpellResult)
+        )
         return stats

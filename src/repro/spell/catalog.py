@@ -12,7 +12,7 @@ is that fleet's spine:
   is the tenant's private :class:`~repro.spell.store.IndexStore`
   directory.  Tenant names share the wire protocol's filesystem-safe
   grammar, so a hostile ``compendium`` field can never traverse out of
-  the root.
+  the root.  A directory is a tenant only once it holds a source file.
 * **Lazy residency with a bounded LRU** — a tenant's
   :class:`~repro.spell.service.SpellService` is built on first use
   (mmap cold start when its store is current) and at most
@@ -61,8 +61,26 @@ DEFAULT_TENANT = "default"
 #: catalog is safe even for in-process callers that bypass the protocol.
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
-#: Longest suffix first, so ``x.soft.txt`` never misparses as ``.txt``.
-_SUFFIXES = sorted(INGEST_FORMATS.values(), key=len, reverse=True)
+
+def _sources(base: Path):
+    """``(path, format, dataset name)`` for every source file under a
+    tenant directory, in name order.  Foreign files (tmp leftovers,
+    notes) are not sources."""
+    source_dir = base / "datasets"
+    if not source_dir.is_dir():
+        return
+    for path in sorted(source_dir.iterdir()):
+        for fmt, suffix in INGEST_FORMATS.items():
+            if path.name.endswith(suffix) and len(path.name) > len(suffix):
+                yield path, fmt, path.name[: -len(suffix)]
+                break
+
+
+def _is_tenant(base: Path) -> bool:
+    """A tenant is its sources: the empty directory a failed first
+    ingest leaves behind is no tenant, so it is neither listed nor
+    loaded, and the retried ingest creates the tenant afresh."""
+    return next(_sources(base), None) is not None
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -112,7 +130,7 @@ class CompendiumCatalog:
             names = set(self._resident)
             if self.root.is_dir():
                 for entry in self.root.iterdir():
-                    if entry.is_dir() and _TENANT_RE.fullmatch(entry.name):
+                    if _TENANT_RE.fullmatch(entry.name) and _is_tenant(entry):
                         names.add(entry.name)
             return sorted(names)
 
@@ -128,7 +146,7 @@ class CompendiumCatalog:
         with self._lock:
             service = self._resident.get(tenant)
             if service is None:
-                if not self._tenant_dir(tenant).is_dir():
+                if not _is_tenant(self._tenant_dir(tenant)):
                     raise ApiError(
                         "UNKNOWN_COMPENDIUM",
                         f"no compendium named {tenant!r}",
@@ -185,13 +203,10 @@ class CompendiumCatalog:
         behavior, just namespaced per tenant.
         """
         base = self._tenant_dir(tenant)
-        datasets = []
-        source_dir = base / "datasets"
-        if source_dir.is_dir():
-            for path in sorted(source_dir.iterdir()):
-                parsed = self._parse_source(path)
-                if parsed is not None:
-                    datasets.append(parsed)
+        datasets = [
+            parse_dataset(path.read_text(encoding="utf-8"), fmt, name=name)
+            for path, fmt, name in _sources(base)
+        ]
         service = SpellService(
             Compendium(datasets),
             store_dir=base / "store",
@@ -201,15 +216,6 @@ class CompendiumCatalog:
         self._bump(tenant, "loads")
         self._evict_over_budget()
         return service
-
-    def _parse_source(self, path: Path):
-        for fmt, suffix in INGEST_FORMATS.items():
-            if path.name.endswith(suffix) and len(path.name) > len(suffix):
-                name = path.name[: -len(suffix)]
-                return parse_dataset(
-                    path.read_text(encoding="utf-8"), fmt, name=name
-                )
-        return None  # foreign files (tmp leftovers, notes) are not datasets
 
     def _evict_over_budget(self) -> None:
         """Close least-recently-used tenants down to ``max_resident``.
@@ -250,7 +256,7 @@ class CompendiumCatalog:
         with self._lock:
             base = self._tenant_dir(tenant)
             service = self._resident.get(tenant)
-            if service is None and base.is_dir():
+            if service is None and _is_tenant(base):
                 service = self._load(tenant)
             # (1) full validation before any side effect
             dataset = parse_dataset(content, fmt, name=dataset_name)

@@ -73,9 +73,18 @@ class GeneTable(SequenceABC):
     ``total`` is the number of candidate genes in the full ranking:
     equal to ``len(self)`` for complete results, larger when the table
     was truncated by a top-k query.
+
+    ``encoded`` is the export memo: ``None``, or ``(chunk_size,
+    exportable, lines)`` — the ranking cut at one ``chunk_size`` as
+    ready NDJSON chunk lines (:class:`~repro.spell.backend.ExportCursor`
+    builds and reads it).  The arrays never change, so the bytes are
+    derived once and live exactly as long as the table: in the result
+    cache, until the entry is evicted or the compendium version moves
+    on.  It is never pickled — a worker's reply and a loaded copy carry
+    the arrays only.
     """
 
-    __slots__ = ("ids", "scores", "n_datasets", "total")
+    __slots__ = ("ids", "scores", "n_datasets", "total", "encoded")
 
     def __init__(self, ids, scores, n_datasets, *, total: int | None = None) -> None:
         ids = np.asarray(ids)
@@ -92,6 +101,23 @@ class GeneTable(SequenceABC):
         self.scores = scores
         self.n_datasets = n_ds
         self.total = len(ids) if total is None else int(total)
+        self.encoded = None
+
+    def __getstate__(self):
+        # the arrays only, in the form a slotted object pickles by default
+        return None, {
+            "ids": self.ids, "scores": self.scores,
+            "n_datasets": self.n_datasets, "total": self.total,
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.encoded = None
+
+    def encoded_bytes(self) -> int:
+        """Bytes held by the export memo (0 when there is none)."""
+        return 0 if self.encoded is None else sum(map(len, self.encoded[2]))
 
     @classmethod
     def from_scores(

@@ -118,6 +118,11 @@ class LruCache(Generic[K, V]):
             )
             return ranked[: max(0, int(n))]
 
+    def values(self) -> list[V]:
+        """The resident values, least-recently-used first (a snapshot)."""
+        with self._lock:
+            return list(self._data.values())
+
     def clear(self) -> None:
         with self._lock:
             self._data.clear()

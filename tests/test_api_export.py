@@ -13,6 +13,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -193,21 +194,21 @@ class TestExportStream:
 
 class TestMidStreamFailure:
     def _exploding_app(self, export_setup, n_good_chunks: int = 1):
-        """An app whose cursor yields ``n_good_chunks`` then blows up."""
+        """An app whose cursor's lines yield ``n_good_chunks`` then blow up."""
         compendium, truth = export_setup
         service = SpellService(compendium)
         real_iter = service.iter_result
 
         def exploding(request, **kwargs):
-            cursor = real_iter(request, **kwargs)
+            lines = real_iter(request, **kwargs).lines
 
             def walk():
-                for i, item in enumerate(cursor):
+                for i, item in enumerate(lines()):
                     if i >= n_good_chunks:
                         raise RuntimeError("disk on fire")
                     yield item
 
-            return walk()
+            return SimpleNamespace(lines=walk)
 
         service.iter_result = exploding
         return ApiApp(service), truth

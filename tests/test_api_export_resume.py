@@ -22,6 +22,7 @@ import http.client
 import json
 import socket
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -233,21 +234,21 @@ class TestResumeBitIdentity:
 
 
 def _slow_app(setup, delay: float = 0.05):
-    """A fresh app whose export cursor sleeps between chunks, so a
-    mid-stream disconnect is guaranteed to hit an in-progress write."""
+    """A fresh app whose export cursor's lines sleep between chunks, so
+    a mid-stream disconnect is guaranteed to hit an in-progress write."""
     compendium, truth = setup
     service = SpellService(compendium)
     real_iter = service.iter_result
 
     def slow(request, **kwargs):
-        cursor = real_iter(request, **kwargs)
+        lines = real_iter(request, **kwargs).lines
 
         def walk():
-            for item in cursor:
+            for item in lines():
                 time.sleep(delay)
                 yield item
 
-        return walk()
+        return SimpleNamespace(lines=walk)
 
     service.iter_result = slow
     return ApiApp(service), service, truth

@@ -1,0 +1,332 @@
+"""A warm export is a byte copy: the encoded chunk lines a cached
+ranking keeps.
+
+:meth:`ExportCursor.lines` serves an export from one encoding of the
+ranking, memoized on its :class:`GeneTable`; the typed face (iterating
+the cursor) still builds every :class:`ExportChunk`.  The contract under
+test: the memo's bytes are exactly ``ndjson_line`` over the typed walk —
+cold or warm, resumed anywhere, through the app and over both facades,
+chunk framing included — and the memo holds one chunking, is never
+pickled, never lands on a resident entry from an uncached export, dies
+with the compendium version, and is counted in ``/v1/health``.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import json
+import pickle
+import socket
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.api.aio.server import serve_background as aio_serve
+from repro.api.app import ApiApp
+from repro.api.http import serve_background as threaded_serve
+from repro.api.protocol import ExportRequest, ExportTrailer, ndjson_line
+from repro.data.pcl import write_pcl
+from repro.spell import SpellService
+from repro.synth import make_spell_compendium
+
+SRC = Path(repro.__file__).resolve().parent
+
+CACHE_KEYS_BEFORE = [
+    "entries", "max_entries", "hits", "misses", "evictions", "hot_entry_hits",
+    "min_cost", "admitted", "rejected",
+]
+
+
+@pytest.fixture(scope="module")
+def setup():
+    """Small (compendium, truth) pair private to this module — read-only."""
+    return make_spell_compendium(
+        n_datasets=6,
+        n_relevant=2,
+        n_genes=150,
+        n_conditions=10,
+        module_size=12,
+        query_size=3,
+        seed=23,
+    )
+
+
+@pytest.fixture(scope="module")
+def served(setup):
+    """One service and app behind both facades: ``(service, app, addrs)``."""
+    compendium, _ = setup
+    with SpellService(compendium) as service:
+        app = ApiApp(service)
+        servers = {"threaded": threaded_serve(app), "aio": aio_serve(app)}
+        try:
+            yield service, app, {
+                name: server.server_address[:2] for name, (server, _) in servers.items()
+            }
+        finally:
+            for server, thread in servers.values():
+                server.close(timeout=5)
+                thread.join(timeout=10)
+
+
+def raw_export(addr, payload: dict) -> list[bytes]:
+    """POST an export and return its HTTP chunk payloads, parsed strictly
+    off the raw socket bytes (``Connection: close``, read to EOF)."""
+    body = json.dumps(payload).encode()
+    with socket.create_connection(addr, timeout=30) as sock:
+        sock.sendall(
+            b"POST /v1/search/export HTTP/1.1\r\nHost: test\r\n"
+            b"Connection: close\r\nContent-Type: application/json\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
+        raw = b""
+        while block := sock.recv(65536):
+            raw += block
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200"), head
+    assert b"\r\nTransfer-Encoding: chunked" in head
+    chunks = []
+    while True:
+        size_line, _, rest = rest.partition(b"\r\n")
+        size = int(size_line, 16)
+        if size == 0:
+            assert rest == b"\r\n"  # the terminating chunk, nothing after it
+            return chunks
+        assert rest[size : size + 2] == b"\r\n"
+        chunks.append(rest[:size])
+        rest = rest[size + 2 :]
+
+
+def without_elapsed(line: bytes) -> dict:
+    trailer = json.loads(line)
+    trailer.pop("elapsed_seconds")
+    return trailer
+
+
+def cached_table(service, request: ExportRequest):
+    """The resident ranking an export of ``request`` is served from."""
+    return service.search(
+        request.genes, top_k=request.top_k, datasets=request.datasets
+    ).genes
+
+
+# -------------------------------------------------------------- the property
+@st.composite
+def export_requests(draw, genes, names, exportable_of):
+    chunk_size = draw(st.integers(1, 60))
+    top_k = draw(st.none() | st.integers(1, 200))
+    datasets = draw(st.none() | st.lists(st.sampled_from(names), min_size=1, unique=True))
+    exportable = exportable_of(top_k, datasets)
+    # every chunk boundary, past the end included (``exportable`` is
+    # rarely a multiple of ``chunk_size``, so the last chunk is short)
+    k = draw(st.integers(0, exportable // chunk_size + 2))
+    return ExportRequest(
+        genes=genes, top_k=top_k, chunk_size=chunk_size,
+        datasets=None if datasets is None else tuple(datasets),
+        resume_offset=k * chunk_size,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lines_are_ndjson_of_the_typed_walk(served, setup, data):
+    service, app, addrs = served
+    compendium, truth = setup
+
+    def exportable_of(top_k, datasets):
+        result = service.search(truth.query_genes, top_k=top_k, datasets=datasets)
+        return min(result.total_genes, len(result.genes))
+
+    request = data.draw(
+        export_requests(truth.query_genes, [ds.name for ds in compendium], exportable_of)
+    )
+    typed = list(service.iter_result(request))
+    assert isinstance(typed[-1], ExportTrailer)
+    expected = [ndjson_line(chunk) for chunk in typed[:-1]]
+
+    table = cached_table(service, request)
+    table.encoded = None
+    cold = list(service.iter_result(request).lines())
+    assert table.encoded is not None and table.encoded[0] == request.chunk_size
+    warm = list(service.iter_result(request).lines())
+    for lines in (cold, warm):
+        assert lines[:-1] == expected
+        assert lines[-1].total_rows == typed[-1].total_rows
+        assert lines[-1].total_genes == typed[-1].total_genes
+
+    streamed = list(app.export(request.to_wire()))
+    assert streamed[:-1] == expected
+    trailer = json.loads(streamed[-1])
+    assert trailer["status"] == "ok"
+    assert trailer["n_chunks"] == len(expected)
+    assert trailer["total_rows"] == sum(len(c.gene_rows) for c in typed[:-1])
+    assert trailer["checksum"] == "sha256:" + hashlib.sha256(b"".join(expected)).hexdigest()
+    for addr in addrs.values():
+        chunks = raw_export(addr, request.to_wire())
+        assert chunks[:-1] == expected  # one HTTP chunk per line, same bytes
+        assert without_elapsed(chunks[-1]) == without_elapsed(streamed[-1])
+
+
+# ------------------------------------------------------------ memo contract
+def test_one_chunking_per_table(setup):
+    compendium, truth = setup
+    with SpellService(compendium) as service:
+        for size in range(1, 51):
+            request = ExportRequest(genes=truth.query_genes, chunk_size=size)
+            lines = list(service.iter_result(request).lines())
+            table = cached_table(service, request)
+            assert table.encoded[0] == size
+            assert list(table.encoded[2]) == lines[:-1]
+            assert service.cache_stats()["encoded_bytes"] == table.encoded_bytes()
+            assert table.encoded_bytes() == sum(map(len, lines[:-1]))
+
+
+def test_racing_chunkings_never_mix(setup):
+    """Threads exporting one cached ranking at different sizes replace
+    each other's memo; every stream is still exactly its own size's."""
+    compendium, truth = setup
+    sizes = (7, 10, 13)
+    with SpellService(compendium) as service:
+        expected = {
+            size: [
+                ndjson_line(chunk)
+                for chunk in list(
+                    service.iter_result(ExportRequest(genes=truth.query_genes, chunk_size=size))
+                )[:-1]
+            ]
+            for size in sizes
+        }
+        failures: list = []
+
+        def worker(seed: int) -> None:
+            for i in range(40):
+                size = sizes[(seed + i) % len(sizes)]
+                request = ExportRequest(genes=truth.query_genes, chunk_size=size)
+                if list(service.iter_result(request).lines())[:-1] != expected[size]:
+                    failures.append(size)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+def test_memo_is_never_pickled(setup):
+    compendium, truth = setup
+    with SpellService(compendium) as service:
+        request = ExportRequest(genes=truth.query_genes, chunk_size=25)
+        table = cached_table(service, request)
+        bare = pickle.dumps(table)
+        list(service.iter_result(request).lines())
+        assert table.encoded is not None
+        assert pickle.dumps(table) == bare  # not one byte more on the wire
+        copy = pickle.loads(bare)
+        assert copy.encoded is None and copy == table
+
+
+def test_uncached_export_memoizes_nothing_resident(setup):
+    compendium, truth = setup
+    with SpellService(compendium) as service:
+        request = ExportRequest(genes=truth.query_genes, chunk_size=10)
+        table = cached_table(service, request)  # resident, not yet exported
+        uncached = ExportRequest(genes=truth.query_genes, chunk_size=10, use_cache=False)
+        lines = list(service.iter_result(uncached).lines())
+        assert table.encoded is None
+        assert service.cache_stats()["encoded_bytes"] == 0
+        assert list(service.iter_result(request).lines())[:-1] == lines[:-1]
+
+
+def test_export_after_ingest_is_not_stale(setup, tmp_path):
+    compendium, truth = setup
+    with SpellService(compendium) as service:
+        app = ApiApp(service)
+        payload = {"genes": list(truth.query_genes), "chunk_size": 20}
+        before = list(app.export(payload))
+        assert list(app.export(payload))[:-1] == before[:-1]  # warm: the memo
+        source = tmp_path / "copy.pcl"
+        write_pcl(list(compendium)[0].matrix, source)
+        status, body = app.handle_wire(
+            "ingest", {"name": "copy", "format": "pcl", "content": source.read_text()}
+        )
+        assert status == 200, body
+        after = list(app.export(payload))
+        fresh = list(app.export(dict(payload, use_cache=False)))
+        assert after[:-1] == fresh[:-1]
+        assert after[:-1] != before[:-1]
+
+
+def test_health_counts_encoded_bytes(setup):
+    compendium, truth = setup
+    with SpellService(compendium) as service:
+        app = ApiApp(service)
+        payload = {"genes": list(truth.query_genes), "chunk_size": 10}
+        app.handle_wire("search", {"genes": list(truth.query_genes)})
+        cache = app.handle_wire("health", None)[1]["cache"]
+        assert list(cache) == CACHE_KEYS_BEFORE + ["encoded_bytes"]
+        assert cache["encoded_bytes"] == 0
+        lines = list(app.export(payload))
+        held = app.handle_wire("health", None)[1]["cache"]["encoded_bytes"]
+        assert held == sum(map(len, lines[:-1])) > 0
+        list(app.export(payload))  # a repeat warm export adds nothing
+        assert app.handle_wire("health", None)[1]["cache"]["encoded_bytes"] == held
+
+
+# ------------------------------------------------------------ structure locks
+def _calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def _is_json_dumps(call: ast.Call) -> bool:
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute) and func.attr == "dumps"
+        and isinstance(func.value, ast.Name) and func.value.id == "json"
+    )
+
+
+def test_only_ndjson_line_encodes_a_stream_message():
+    """No module that handles export messages calls ``json.dumps`` but
+    ``ndjson_line`` itself: a stream line is encoded in one place."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if "ExportChunk" not in source and "ExportTrailer" not in source:
+            continue
+        tree = ast.parse(source)
+        allowed = {
+            id(call)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "ndjson_line"
+            for call in _calls(fn)
+        }
+        offenders += [
+            f"{path.relative_to(SRC)}:{call.lineno}"
+            for call in _calls(tree)
+            if _is_json_dumps(call) and id(call) not in allowed
+        ]
+    assert offenders == []
+
+
+def test_threaded_driver_writes_a_chunk_in_one_call():
+    tree = ast.parse((SRC / "api" / "http.py").read_text(encoding="utf-8"))
+    loops = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.For) and ast.unparse(node.iter) == "response.lines"
+    ]
+    assert len(loops) == 1
+    assert [ast.unparse(stmt) for stmt in loops[0].body] == [
+        "self.wfile.write(encode_chunk(line))"
+    ]

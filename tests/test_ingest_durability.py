@@ -201,6 +201,51 @@ class TestPublishFailure:
             app.service.close()
             catalog.close()
 
+    def test_failed_first_ingest_leaves_no_ghost_tenant(
+        self, setup, tmp_path, monkeypatch
+    ):
+        """A tenant is its sources: the directory a failed first publish
+        leaves behind is not a tenant — health does not list it, a query
+        is ``UNKNOWN_COMPENDIUM``, and the retried ingest creates it."""
+        compendium, truth = setup
+        root = tmp_path / "cat"
+        catalog = CompendiumCatalog(root)
+        app = ApiApp(SpellService(compendium, n_workers=1), catalog=catalog)
+        try:
+            first = list(compendium)[0]
+            payload = {
+                "name": first.name, "format": "pcl",
+                "content": pcl_text(tmp_path, first), "compendium": "fresh",
+            }
+
+            def full_disk(fd):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(os, "fsync", full_disk)
+            status, body = app.handle_wire("ingest", payload)
+            monkeypatch.undo()
+            assert status == 503, body
+            assert body["error"]["code"] == "INDEX_STALE"
+            assert (root / "fresh").is_dir()  # the publish got that far
+            _, health = app.handle_wire("health", None)
+            assert "fresh" not in health["tenants"]
+            search = {"genes": list(truth.query_genes), "compendium": "fresh"}
+            status, body = app.handle_wire("search", search)
+            assert status == 404, body
+            assert body["error"]["code"] == "UNKNOWN_COMPENDIUM"
+            assert "fresh" not in body["error"]["details"]["known"]
+
+            status, body = app.handle_wire("ingest", payload)
+            assert status == 200, body
+            assert body["datasets"] == 1
+            _, health = app.handle_wire("health", None)
+            assert health["tenants"]["fresh"]["datasets"] == 1
+            status, body = app.handle_wire("search", search)
+            assert status == 200, body
+        finally:
+            app.service.close()
+            catalog.close()
+
 
 def _crash_ingest(root: Path, sources: Path, *, patch: str) -> None:
     """A real process ingests ``dataset_01`` into tenant ``t`` under
