@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import signal
 import sys
-import time
 
 from repro.api import cli
 from repro.api.transport import DEFAULT_DRAIN_SECONDS
@@ -67,20 +65,13 @@ def _serve_group(args: argparse.Namespace, options: dict, server_options: dict) 
         factory_kwargs=options,
         server_options=server_options,
     )
+    stop = cli.stop_signal()
     group.start()
     cli.print_banner(args.host, group.port)
     print(f"  loops: {args.loops} (SO_REUSEPORT)", flush=True)
-
-    stop = {"signaled": False}
-
-    def _on_term(signum, frame) -> None:
-        stop["signaled"] = True
-
-    signal.signal(signal.SIGTERM, _on_term)
-    signal.signal(signal.SIGINT, _on_term)
     try:
-        while not stop["signaled"] and all(group.alive()):
-            time.sleep(0.2)
+        while all(group.alive()) and not stop.wait(0.2):
+            pass
     finally:
         killed = group.stop()
         if killed and args.verbose:

@@ -16,9 +16,10 @@ once:
 * :func:`build_app` — compendium → service → catalog → gate →
   :class:`~repro.api.app.ApiApp` from plain scalar options, so the same
   dict crosses a ``spawn`` boundary to loop-group workers;
-* :func:`read_auth_files`, :func:`print_banner` and
+* :func:`read_auth_files`, :func:`print_banner`,
   :func:`serve_until_signalled` (signal → drain → close catalog → close
-  service).
+  service) and the :func:`stop_signal` under it, which the shard CLI
+  and the loop-group supervisor share.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "print_banner",
     "read_auth_files",
     "serve_until_signalled",
+    "stop_signal",
 ]
 
 #: group -> ((flag, argparse keyword arguments), ...).  ``add_flags``
@@ -333,6 +335,16 @@ def print_banner(host: str, port: int, truth=None, *, what: str = "serving v1 AP
         print(f"  try: curl -N -X POST {base}/v1/search/export -d '{export}'", flush=True)
 
 
+def stop_signal() -> threading.Event:
+    """An event SIGTERM / SIGINT sets, from here on.  Call it on the main
+    thread before the process serves or announces itself, so no signal
+    can arrive unhandled once a client can see it."""
+    stop = threading.Event()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, lambda signum, frame: stop.set())
+    return stop
+
+
 def serve_until_signalled(server, app: ApiApp, run) -> None:
     """``run()`` the bound ``server`` until SIGTERM / SIGINT, then tear down.
 
@@ -345,9 +357,7 @@ def serve_until_signalled(server, app: ApiApp, run) -> None:
     serving thread and signal handlers run on this one, which must be
     the main thread.
     """
-    stop = threading.Event()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(sig, lambda signum, frame: stop.set())
+    stop = stop_signal()
     serving = threading.Thread(target=run, name="serve", daemon=True)
     serving.start()
     try:

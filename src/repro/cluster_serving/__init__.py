@@ -19,12 +19,16 @@ Run a demo topology (shared ``--seed`` keeps placement in agreement)::
     python -m repro.cluster_serving.shard --port 8203 --shards 3 --shard-index 2 &
     python -m repro.cluster_serving --port 8200 \\
         --shard-addresses 127.0.0.1:8201,127.0.0.1:8202,127.0.0.1:8203
+
+The shard node and the in-process topology load lazily via module
+``__getattr__``: the package must not import
+:mod:`repro.cluster_serving.shard`, or ``python -m
+repro.cluster_serving.shard`` would run a second copy of it as
+``__main__``.
 """
 
 from repro.cluster_serving.ring import DEFAULT_VNODES, HashRing, plan_assignment
 from repro.cluster_serving.router import RouterService
-from repro.cluster_serving.shard import ShardNode, shard_compendium
-from repro.cluster_serving.topology import LocalTopology, build_local_topology
 
 __all__ = [
     "DEFAULT_VNODES",
@@ -36,3 +40,20 @@ __all__ = [
     "plan_assignment",
     "shard_compendium",
 ]
+
+_LAZY = {
+    "ShardNode": "repro.cluster_serving.shard",
+    "shard_compendium": "repro.cluster_serving.shard",
+    "LocalTopology": "repro.cluster_serving.topology",
+    "build_local_topology": "repro.cluster_serving.topology",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

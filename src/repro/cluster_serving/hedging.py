@@ -63,10 +63,9 @@ class HedgePolicy:
     samples exist ``initial_delay`` is used.  ``max_hedges`` bounds
     extra calls per dataset per query, so hedging can at most double
     (with the default 1) the call volume for the affected datasets —
-    and only for requests actually stuck in the tail.
+    and only for requests actually stuck in the tail; 0 disables hedging.
     """
 
-    enabled: bool = True
     percentile: float = 95.0
     factor: float = 1.0
     min_delay: float = 0.01
@@ -84,9 +83,13 @@ class HedgePolicy:
         if self.max_hedges < 0:
             raise ValidationError(f"max_hedges must be >= 0, got {self.max_hedges}")
 
+    @property
+    def enabled(self) -> bool:
+        return self.max_hedges > 0
+
     @classmethod
     def disabled(cls) -> "HedgePolicy":
-        return cls(enabled=False, max_hedges=0)
+        return cls(max_hedges=0)
 
     def delay(self, tracker: LatencyTracker) -> float:
         """Seconds an outstanding call may age before its hedge fires."""

@@ -213,7 +213,7 @@ class RouterService(SearchBackend):
         hedges_used = {name: 0 for name in selected}
         done: set[str] = set()
         results: queue.Queue = queue.Queue()
-        hedging = self._hedge.enabled and self._hedge.max_hedges > 0
+        hedging = self._hedge.enabled
 
         def assign_next(names: list[str], *, is_hedge: bool) -> None:
             group: dict[str, list[str]] = {}
@@ -421,7 +421,7 @@ class RouterService(SearchBackend):
             snap["catalog_synced"] = self._catalog_synced(nid, snap.get("info") or {})
         with self._lock:
             hedging = {
-                "enabled": self._hedge.enabled and self._hedge.max_hedges > 0,
+                "enabled": self._hedge.enabled,
                 "fired": self._hedges_fired,
                 "wins": self._hedge_wins,
                 "observed_p95_seconds": self._latency.percentile(95.0),

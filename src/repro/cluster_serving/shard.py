@@ -183,7 +183,7 @@ class ShardNode:
 # CLI: python -m repro.cluster_serving.shard
 # --------------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
-    from repro.api.cli import add_flags, demo_compendium
+    from repro.api.cli import add_flags, demo_compendium, stop_signal
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster_serving.shard",
@@ -242,6 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         dtype=np.float32 if args.dtype == "float32" else np.float64,
         fault_plan=fault_plan,
     )
+    stop = stop_signal()
     host, port = node.serve_background()
     names = ", ".join(sorted(ds.name for ds in subset)) or "(none)"
     faults = f" [faults: {fault_plan.describe()}]" if fault_plan is not None else ""
@@ -251,9 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         flush=True,
     )
     try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
+        stop.wait()
     finally:
         node.close()
     return 0

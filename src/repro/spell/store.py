@@ -938,7 +938,7 @@ def _cli(argv: list[str] | None = None) -> int:
     Operator verbs over a store directory: ``verify`` (scrub; exit 1 on
     any corrupt/missing shard), ``tiers`` (tier per dataset), ``demote``
     / ``promote`` (move named datasets between tiers).  JSON on stdout,
-    one object per run, so the CI durability smoke and shell pipelines
+    one object per run, so the store smoke scenarios and shell pipelines
     can assert on it.
     """
     import argparse
@@ -976,5 +976,5 @@ def _cli(argv: list[str] | None = None) -> int:
         return 2
 
 
-if __name__ == "__main__":  # pragma: no cover — exercised by the CI smoke
+if __name__ == "__main__":  # pragma: no cover — exercised by tests/smoke
     raise SystemExit(_cli())

@@ -6,23 +6,19 @@ is what makes every entry point — the router included — drain on SIGTERM.
 from __future__ import annotations
 
 import json
-import os
-import re
 import signal
 import subprocess
 import sys
 import threading
 import time
 import urllib.request
-from pathlib import Path
 
 import pytest
 
 from repro.api import cli
 from repro.synth import systematic_names
+from tests.smoke.conftest import ENV, REPO, RPC_BANNER, port_from_banner, spawn
 
-REPO = Path(__file__).resolve().parent.parent
-ENV = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
 SYNTH = ["--synth-datasets", "4", "--synth-genes", "80", "--synth-conditions", "8"]
 
 
@@ -61,26 +57,10 @@ assert "scipy" in sys.modules and "networkx" in sys.modules
     assert done.returncode == 0, done.stderr
 
 
-def _spawn(module: str, *args: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", module, *args],
-        env=ENV, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-
-
-def _port_from_banner(proc: subprocess.Popen, pattern: str) -> int:
-    """Block until the process prints its listening port."""
-    for line in proc.stdout:
-        match = re.search(pattern, line)
-        if match:
-            return int(match.group(1))
-    raise AssertionError(f"process exited ({proc.wait()}) before announcing a port")
-
-
 def test_router_cli_drains_in_flight_response_on_sigterm():
     """SIGTERM while a routed request is being answered: the client
     still gets the full response, then the router exits cleanly."""
-    shard = _spawn(
+    shard = spawn(
         "repro.cluster_serving.shard", "--port", "0", "--shards", "1",
         "--shard-index", "0", *SYNTH,
         # every partials call is held 1.5 s: a reliably slow request
@@ -88,12 +68,12 @@ def test_router_cli_drains_in_flight_response_on_sigterm():
     )
     router = None
     try:
-        shard_port = _port_from_banner(shard, r"on 127\.0\.0\.1:(\d+)")
-        router = _spawn(
+        shard_port = port_from_banner(shard, RPC_BANNER)
+        router = spawn(
             "repro.cluster_serving", "--port", "0", "--no-hedge", *SYNTH,
             "--shard-addresses", f"127.0.0.1:{shard_port}",
         )
-        port = _port_from_banner(router, r"on http://127\.0\.0\.1:(\d+)/v1/")
+        port = port_from_banner(router)
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/v1/search",
             data=json.dumps({"genes": systematic_names(3), "page_size": 5}).encode(),
@@ -117,6 +97,8 @@ def test_router_cli_drains_in_flight_response_on_sigterm():
         assert outcome.get("status") == 200, outcome
         assert outcome["body"]["gene_rows"], outcome
         assert router.wait(timeout=30) == 0
+        shard.send_signal(signal.SIGTERM)
+        assert shard.wait(timeout=30) == 0
     finally:
         for proc in (router, shard):
             if proc is not None:
