@@ -21,6 +21,7 @@ test harness.  Responsibilities:
 from __future__ import annotations
 
 import hashlib
+import json
 import threading
 import time
 from contextlib import contextmanager
@@ -198,29 +199,33 @@ class ApiApp:
         :meth:`ready_wire` (never waits) or :meth:`compute_wire` (may).
         A transport that must not block calls the first where it stands
         and the second from a worker thread; the answer is the same.
+        A ready answer arrives encoded, and is decoded here for the
+        in-process caller.
         """
         request, answer = self.ready_wire(endpoint, payload, context=context)
-        return answer or self.compute_wire(endpoint, request)
+        status, body = answer or self.compute_wire(endpoint, request)
+        return status, json.loads(body) if isinstance(body, bytes) else body
 
     def ready_wire(
         self, endpoint: str, payload, *, context: RequestContext | None = None
-    ) -> tuple[object, tuple[int, dict] | None]:
+    ) -> tuple[object, tuple[int, dict | bytes] | None]:
         """Everything about one request that cannot wait.
 
         Gate, route, parse, the tenant charge — and, where the route has
         a ``ready`` half, an answer from what is already in memory.
         Returns ``(parsed request, answer)``; ``answer`` is ``None`` when
-        only :meth:`compute_wire` can tell, and is final (an error body)
-        when any of those steps refused the request.
+        only :meth:`compute_wire` can tell, is final (an error body)
+        when any of those steps refused the request, and on a ready
+        half's success is ``(200, the encoded JSON body)``.
         """
         try:
             request = self._parse(endpoint, payload, context)
             ready = ROUTE_BY_NAME[endpoint].ready
-            response = getattr(self, ready)(request) if ready else None
+            body = getattr(self, ready)(request) if ready else None
         except Exception as exc:  # noqa: BLE001 — the boundary swallows all
             err = as_api_error(exc)
             return None, (err.http_status, error_payload(err))
-        return request, None if response is None else (200, response.to_wire())
+        return request, None if body is None else (200, body)
 
     def compute_wire(self, endpoint: str, request) -> tuple[int, dict]:
         """Run the handler for a request :meth:`ready_wire` parsed but
@@ -273,8 +278,9 @@ class ApiApp:
     def search(self, request: SearchRequest) -> SearchResponse:
         return self._search(request, wait=True)
 
-    def search_cached(self, request: SearchRequest) -> SearchResponse | None:
-        """The half of :meth:`search` that never waits.
+    def search_cached(self, request: SearchRequest) -> bytes | None:
+        """The half of :meth:`search` that never waits, answering the
+        page's JSON body.
 
         Same checks, same errors, same bytes — but only for a resident
         tenant whose result cache already holds the answer; otherwise
@@ -282,7 +288,9 @@ class ApiApp:
         """
         return self._search(request, wait=False)
 
-    def _search(self, request: SearchRequest, *, wait: bool) -> SearchResponse | None:
+    def _search(
+        self, request: SearchRequest, *, wait: bool
+    ) -> SearchResponse | bytes | None:
         sw = Stopwatch()
         sw.start()
         response = None

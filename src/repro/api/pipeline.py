@@ -19,7 +19,8 @@ Step 3 is two phases, and ``respond`` is literally ``ready(...) or
 compute(...)``.  :func:`ready` is everything that **cannot wait** — a
 failed plan, parsing and validating the request, the tenant charge,
 resolving an already-resident tenant, the deadline check, the
-result-cache probe and, on a hit, building and encoding the page — and
+result-cache probe and, on a hit, the page's bytes (kept encoded on the
+cached ranking, with this request's ``elapsed_seconds`` spliced in) — and
 returns ``None`` when only the second phase can tell.  :func:`compute`
 is everything that **may wait**: the scoring kernel, the process pool's
 pipes, the router's sockets, a lazy tenant load, ingest and its fsync,
@@ -292,7 +293,9 @@ def read_body(plan: Plan, raw: bytes) -> None:
 # --------------------------------------------------------------------------
 # step 3: the response
 # --------------------------------------------------------------------------
-def _json(status: int, body: dict, close: bool) -> Response:
+def _json(status: int, body: dict | bytes, close: bool) -> Response:
+    if isinstance(body, bytes):  # a ready half's page, encoded where it is kept
+        return Response(status, JSON_TYPE, body=body, close=close)
     return Response(
         status,
         JSON_TYPE,

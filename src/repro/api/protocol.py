@@ -109,6 +109,7 @@ __all__ = [
     "ExportTrailer",
     "HealthResponse",
     "ndjson_line",
+    "page_body_parts",
     "page_count",
     "check_page",
 ]
@@ -484,8 +485,30 @@ def ndjson_line(message: "_Message") -> bytes:
     """One message as one line of a streaming export: its JSON bytes and
     a newline.  The only place a stream line is encoded — the chunk
     lines a cached ranking memoizes and both trailers come from here,
-    so the checksummed bytes are what the golden test pins."""
+    so the checksummed bytes are what the golden test pins.  The pages a
+    cached ranking memoizes are cut from it too (:func:`page_body_parts`)."""
     return json.dumps(message.to_wire()).encode("utf-8") + b"\n"
+
+
+_ELAPSED_KEY = b'"elapsed_seconds": '
+
+
+def page_body_parts(page: "SearchResponse") -> tuple[bytes, bytes]:
+    """``page``'s JSON body cut around its ``elapsed_seconds`` value.
+
+    Returns ``(head, tail)`` such that ``head + float.__repr__(seconds)
+    + tail`` is the body a page differing only in ``elapsed_seconds``
+    encodes to — ``json.dumps`` writes a finite float as its ``repr`` —
+    so a cache hit answers with stored bytes.  The cut is the first
+    ``"elapsed_seconds": `` in the body, which is the field itself: that
+    text can only be an object key (a quote inside a JSON string is
+    escaped), and every field before it is a string, a number or a list,
+    so no gene or dataset name a client chose can forge it.
+    """
+    body = ndjson_line(page)
+    start = body.index(_ELAPSED_KEY) + len(_ELAPSED_KEY)
+    stop = start + len(float.__repr__(page.elapsed_seconds))
+    return body[:start], body[stop:-1]
 
 
 # --------------------------------------------------------------------------
@@ -971,8 +994,10 @@ class HealthResponse(_Message):
     ``cache`` carries the result cache's full counter set (hits, misses,
     evictions, plus the admission policy's ``min_cost`` / ``admitted`` /
     ``rejected``, the hottest entry's hit count and ``encoded_bytes``:
-    the export chunk lines resident results hold, summed when health is
-    asked, at most one export's NDJSON per entry); ``serving``
+    the encoded bytes resident results hold, summed when health is
+    asked — at most one export's NDJSON chunk lines plus the bodies of
+    at most 8 pages per entry, each page kept from its first cache hit);
+    ``serving``
     describes the batch topology (thread workers, process workers, and
     the worker pool's batch/resync counters).  Both are free-form
     objects on the wire so new counters stay append-only.

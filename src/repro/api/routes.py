@@ -58,8 +58,9 @@ class Route:
     types, in order of appearance).  ``raw_formats`` lists ``?format=``
     values that switch the response to raw bytes instead of the JSON
     envelope.  ``ready`` names the handler's never-waiting half when it
-    has one: an ``ApiApp`` method that answers from what is already in
-    memory or returns ``None`` (see ``ApiApp.ready_wire``).
+    has one: an ``ApiApp`` method that answers the encoded JSON body
+    from what is already in memory or returns ``None`` (see
+    ``ApiApp.ready_wire``).
     """
 
     name: str

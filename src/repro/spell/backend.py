@@ -35,6 +35,7 @@ from repro.api.protocol import (
     SearchRequest,
     SearchResponse,
     ndjson_line,
+    page_body_parts,
 )
 from repro.data.compendium import Compendium
 from repro.spell.cache import QueryCache, rebind_result
@@ -45,11 +46,16 @@ from repro.util.deadline import Deadline
 from repro.util.errors import SearchError
 from repro.util.timing import Stopwatch
 
-__all__ = ["COMPLETE", "ExportCursor", "SearchBackend"]
+__all__ = ["COMPLETE", "ExportCursor", "PAGES_PER_RANKING", "SearchBackend"]
 
 #: The report of an answer that covers every selected dataset (shared,
 #: never mutated): what a cache hit and a single-node search both carry.
 COMPLETE: dict = {"partial": False, "shards": {}}
+
+#: Encoded pages one cached ranking keeps for its hits (a constant, not a
+#: knob): a table's page memo stops growing here, and later pages are
+#: encoded per hit.
+PAGES_PER_RANKING = 8
 
 
 class ExportCursor:
@@ -318,10 +324,9 @@ class SearchBackend:
         what: str,
         *,
         cached_only: bool = False,
-    ) -> tuple[list[SearchResponse], tuple[int, int, int]] | None:
-        """:meth:`_answer` for protocol requests: ``(pages, (hits, misses,
-        width))``.  ``deadline`` bounds them all; a member's own
-        ``deadline_ms`` can only tighten it."""
+    ) -> tuple[list[tuple[SpellResult, dict, float]], tuple[int, int, int]] | None:
+        """:meth:`_answer` for protocol requests.  ``deadline`` bounds
+        them all; a member's own ``deadline_ms`` can only tighten it."""
         members = []
         for request in requests:
             if request.deadline_ms is not None:
@@ -333,21 +338,18 @@ class SearchBackend:
         if deadline is None:
             deadline = Deadline.never()
         deadline.check(what)
-        answered = self._answer(members, deadline, cached_only=cached_only)
-        if answered is None:
-            return None
-        answers, tally = answered
-        pages = [
-            SearchResponse.from_result(
-                result,
-                request,
-                elapsed_seconds=seconds,
-                partial=report["partial"],
-                shards=report["shards"],
-            )
-            for request, (result, report, seconds) in zip(requests, answers)
-        ]
-        return pages, tally
+        return self._answer(members, deadline, cached_only=cached_only)
+
+    @staticmethod
+    def _page(request: SearchRequest, answer: tuple) -> SearchResponse:
+        result, report, seconds = answer
+        return SearchResponse.from_result(
+            result,
+            request,
+            elapsed_seconds=seconds,
+            partial=report["partial"],
+            shards=report["shards"],
+        )
 
     def respond(
         self, request: SearchRequest, *, deadline: Deadline | None = None
@@ -368,18 +370,41 @@ class SearchBackend:
         fails fast rather than committing to the work; partiality rides
         the append-only ``partial``/``shards`` fields.
         """
-        return self._respond((request,), deadline, "search admission")[0][0]
+        answers, _ = self._respond((request,), deadline, "search admission")
+        return self._page(request, answers[0])
 
     def respond_cached(
         self, request: SearchRequest, *, deadline: Deadline | None = None
-    ) -> SearchResponse | None:
+    ) -> bytes | None:
         """:meth:`respond` when the answer is already in the result cache,
-        else ``None`` with no counter moved — the half of ``respond``
-        that never waits (same checks, same errors, same bytes)."""
+        as the page's JSON body, else ``None`` with no counter moved —
+        the half of ``respond`` that never waits (same checks, same
+        errors, same bytes).
+
+        The body comes from the ranking's page memo (``GeneTable.pages``)
+        with this hit's ``elapsed_seconds`` spliced in; the first hit on a
+        page builds and stores it, up to :data:`PAGES_PER_RANKING`.  A
+        miss never fills the memo, and an error is never stored.
+        """
         answered = self._respond(
             (request,), deadline, "search admission", cached_only=True
         )
-        return None if answered is None else answered[0][0]
+        if answered is None:
+            return None
+        (answer,), _ = answered
+        result, _, seconds = answer
+        table = result.genes
+        pages = table.pages
+        # the rest of what the body depends on is in the cache key, and a
+        # hit is always COMPLETE
+        key = (request.genes, request.page, request.page_size, request.top_datasets)
+        parts = pages.get(key)
+        if parts is None:
+            parts = page_body_parts(self._page(request, answer))
+            if len(pages) < PAGES_PER_RANKING:
+                # copy-on-write: a reader never sees a dict change size
+                table.pages = {**pages, key: parts}
+        return parts[0] + float.__repr__(seconds).encode("ascii") + parts[1]
 
     def respond_batch(
         self, request: BatchSearchRequest, *, deadline: Deadline | None = None
@@ -397,11 +422,12 @@ class SearchBackend:
         """
         budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
         with Stopwatch() as sw:
-            pages, (hits, misses, width) = self._respond(
+            answers, (hits, misses, width) = self._respond(
                 request.searches, budget, "batch admission"
             )
+            pages = tuple(map(self._page, request.searches, answers))
         return BatchSearchResponse(
-            results=tuple(pages),
+            results=pages,
             total_seconds=sw.elapsed,
             n_workers=width,
             cache_hits=hits,

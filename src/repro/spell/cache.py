@@ -28,9 +28,10 @@ are recomputed on demand instead of displacing expensive ones.
 Admission and rejection are counted (and per-entry hit counts tracked)
 so ``/v1/health`` can report how the policy behaves in production.
 
-A resident result may also hold its export encoding (the NDJSON chunk
-lines of one chunking, on its ``GeneTable``); ``encoded_bytes`` in
-:meth:`QueryCache.stats` sums them, so what the memo holds is visible.
+A resident result may also hold encoded bytes on its ``GeneTable``: its
+export encoding (the NDJSON chunk lines of one chunking) and the bodies
+of the pages its cache hits were answered with; ``encoded_bytes`` in
+:meth:`QueryCache.stats` sums both, so what the memos hold is visible.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class QueryCache:
         stats["min_cost"] = self.min_cost
         stats["admitted"] = self.admitted
         stats["rejected"] = self.rejected
-        # summed at snapshot time: the export path keeps no counter
+        # summed at snapshot time: neither memo keeps a counter
         stats["encoded_bytes"] = sum(
             value.genes.encoded_bytes()
             for value in self._lru.values()

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +45,9 @@ __all__ = [
 
 #: A dataset needs this many query genes present to receive a weight.
 MIN_QUERY_PRESENT = 2
+
+#: The page memo of a :class:`GeneTable` that has served no cache hit.
+NO_PAGES: Mapping = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,18 @@ class GeneTable(SequenceABC):
     cache, until the entry is evicted or the compendium version moves
     on.  It is never pickled — a worker's reply and a loaded copy carry
     the arrays only.
+
+    ``pages`` is the page memo beside it, with the same lifetime: the
+    :class:`~repro.api.protocol.SearchResponse` bodies cache hits on
+    this ranking were answered with, keyed ``(query as sent, page,
+    page_size, top_datasets)`` and cut around ``elapsed_seconds``
+    (:func:`~repro.api.protocol.page_body_parts`;
+    :meth:`~repro.spell.backend.SearchBackend.respond_cached` fills and
+    reads it).  It is replaced, never mutated, so a reader on another
+    thread or on an event loop needs no lock.
     """
 
-    __slots__ = ("ids", "scores", "n_datasets", "total", "encoded")
+    __slots__ = ("ids", "scores", "n_datasets", "total", "encoded", "pages")
 
     def __init__(self, ids, scores, n_datasets, *, total: int | None = None) -> None:
         ids = np.asarray(ids)
@@ -102,6 +115,7 @@ class GeneTable(SequenceABC):
         self.n_datasets = n_ds
         self.total = len(ids) if total is None else int(total)
         self.encoded = None
+        self.pages = NO_PAGES
 
     def __getstate__(self):
         # the arrays only, in the form a slotted object pickles by default
@@ -114,10 +128,14 @@ class GeneTable(SequenceABC):
         for name, value in state[1].items():
             setattr(self, name, value)
         self.encoded = None
+        self.pages = NO_PAGES
 
     def encoded_bytes(self) -> int:
-        """Bytes held by the export memo (0 when there is none)."""
-        return 0 if self.encoded is None else sum(map(len, self.encoded[2]))
+        """Bytes held by the export and page memos (0 when there are none)."""
+        held = sum(len(head) + len(tail) for head, tail in self.pages.values())
+        if self.encoded is not None:
+            held += sum(map(len, self.encoded[2]))
+        return held
 
     @classmethod
     def from_scores(

@@ -30,7 +30,7 @@ import repro
 from repro.api.aio.server import serve_background as aio_serve
 from repro.api.app import ApiApp
 from repro.api.http import serve_background as threaded_serve
-from repro.api.protocol import ExportRequest, ExportTrailer, ndjson_line
+from repro.api.protocol import ExportRequest, ExportTrailer, SearchRequest, ndjson_line
 from repro.data.pcl import write_pcl
 from repro.spell import SpellService
 from repro.synth import make_spell_compendium
@@ -231,10 +231,13 @@ def test_memo_is_never_pickled(setup):
         table = cached_table(service, request)
         bare = pickle.dumps(table)
         list(service.iter_result(request).lines())
-        assert table.encoded is not None
+        page = SearchRequest(genes=tuple(truth.query_genes), page_size=7)
+        assert service.respond_cached(page) is not None  # a hit: the page memo
+        assert table.encoded is not None and len(table.pages) == 1
         assert pickle.dumps(table) == bare  # not one byte more on the wire
         copy = pickle.loads(bare)
         assert copy.encoded is None and copy == table
+        assert len(copy.pages) == 0
 
 
 def test_uncached_export_memoizes_nothing_resident(setup):
@@ -254,14 +257,25 @@ def test_export_after_ingest_is_not_stale(setup, tmp_path):
     with SpellService(compendium) as service:
         app = ApiApp(service)
         payload = {"genes": list(truth.query_genes), "chunk_size": 20}
+        search = {"genes": list(truth.query_genes), "page_size": 7}
         before = list(app.export(payload))
         assert list(app.export(payload))[:-1] == before[:-1]  # warm: the memo
+        page_before = app.handle_wire("search", search)[1]  # warm: the page memo
+        assert len(cached_table(service, ExportRequest(**payload)).pages) == 1
         source = tmp_path / "copy.pcl"
         write_pcl(list(compendium)[0].matrix, source)
         status, body = app.handle_wire(
             "ingest", {"name": "copy", "format": "pcl", "content": source.read_text()}
         )
         assert status == 200, body
+        misses = service.cache_stats()["misses"]
+        page_after = app.handle_wire("search", search)[1]
+        assert service.cache_stats()["misses"] == misses + 1
+        page_fresh = app.handle_wire("search", dict(search, use_cache=False))[1]
+        for page in (page_before, page_after, page_fresh):
+            page.pop("elapsed_seconds")
+        assert page_after == page_fresh
+        assert page_after != page_before
         after = list(app.export(payload))
         fresh = list(app.export(dict(payload, use_cache=False)))
         assert after[:-1] == fresh[:-1]
@@ -310,6 +324,34 @@ def test_only_ndjson_line_encodes_a_stream_message():
             id(call)
             for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef) and fn.name == "ndjson_line"
+            for call in _calls(fn)
+        }
+        offenders += [
+            f"{path.relative_to(SRC)}:{call.lineno}"
+            for call in _calls(tree)
+            if _is_json_dumps(call) and id(call) not in allowed
+        ]
+    assert offenders == []
+
+
+def test_only_the_protocol_and_pipeline_encode_a_search_page():
+    """A ``SearchResponse`` wire dict is JSON-encoded in two places: the
+    protocol's encoder (``ndjson_line``, which ``page_body_parts`` cuts a
+    memoized page from) and ``pipeline._json`` (a computed answer).  No
+    other module that handles pages or wire answers calls ``json.dumps``."""
+    handles = ("SearchResponse", "to_wire(", "ready_wire(", "compute_wire(", "handle_wire(")
+    allowed_in = {"api/protocol.py": "ndjson_line", "api/pipeline.py": "_json"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if not any(name in source for name in handles):
+            continue
+        tree = ast.parse(source)
+        where = allowed_in.get(path.relative_to(SRC).as_posix())
+        allowed = {
+            id(call)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == where
             for call in _calls(fn)
         }
         offenders += [

@@ -1,7 +1,9 @@
 """Tests for the serving-grade SPELL subsystem: result cache, batched
 queries, and incremental index maintenance."""
 
+import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,12 +232,14 @@ class TestRespondCached:
         service = SpellService(comp)
         request = SearchRequest(genes=tuple(truth.query_genes), page=1, page_size=7)
         computed = service.respond(request)
-        hit = service.respond_cached(request)
+        hit = service.respond_cached(request)  # the page's JSON body
         again = service.respond(request)
-        for response in (hit, again):
-            assert response.gene_rows == computed.gene_rows
-            assert response.dataset_rows == computed.dataset_rows
-            assert (response.total_pages, response.partial) == (computed.total_pages, False)
+        elapsed = json.loads(hit)["elapsed_seconds"]
+        assert hit == json.dumps(replace(computed, elapsed_seconds=elapsed).to_wire()).encode()
+        assert computed.partial is False
+        assert again.gene_rows == computed.gene_rows
+        assert again.dataset_rows == computed.dataset_rows
+        assert (again.total_pages, again.partial) == (computed.total_pages, False)
         stats = service.cache_stats()
         assert (stats["hits"], stats["misses"], service.query_count) == (2, 1, 3)
 
