@@ -53,7 +53,6 @@ __all__ = [
     "HealthResponse",
     # lazy (see __getattr__): the application object and HTTP facade
     "ApiApp",
-    "ENDPOINTS",
     "ApiHTTPServer",
     "serve",
     "serve_background",
@@ -61,7 +60,6 @@ __all__ = [
 
 _LAZY = {
     "ApiApp": ("repro.api.app", "ApiApp"),
-    "ENDPOINTS": ("repro.api.app", "ENDPOINTS"),
     "ApiHTTPServer": ("repro.api.http", "ApiHTTPServer"),
     "serve": ("repro.api.http", "serve"),
     "serve_background": ("repro.api.http", "serve_background"),

@@ -7,9 +7,13 @@ heatmap rendering — behind one object that any transport can host: the
 stdlib HTTP facade (:mod:`repro.api.http`), an in-process caller, or a
 test harness.  Responsibilities:
 
-* **Routing** — ``handle_wire(endpoint, payload)`` parses, dispatches,
-  and serializes entirely in wire (JSON-object) space, so transports
-  never import protocol types.
+* **Routing** — every route, whether it answers a JSON body, raw bytes
+  (``?format=ppm``) or an NDJSON stream, enters one way:
+  :meth:`ApiApp.ready_wire` gates, parses and tenant-charges it (and
+  answers it when a never-waiting half can), :meth:`ApiApp.compute_wire`
+  runs its handler.  ``handle_wire(endpoint, payload)`` is the two in a
+  row, entirely in wire (JSON-object) space, so transports never import
+  protocol types.
 * **Error discipline** — every failure crossing the boundary becomes a
   stable code (:mod:`repro.api.errors`).  The app does not judge a query
   itself: an unknown gene or dataset is the verdict of the backend's gene
@@ -48,42 +52,17 @@ from repro.api.protocol import (
     SearchResponse,
     ndjson_line,
 )
-from repro.api.routes import (
-    ROUTE_BY_NAME,
-    ROUTES,
-    all_endpoints,
-    stream_endpoints,
-    unary_endpoints,
-)
+from repro.api.routes import ROUTE_BY_NAME, ROUTES, all_endpoints
 from repro.cluster.hierarchical import hierarchical_cluster
 from repro.data.loader import parse_dataset
 from repro.spell.backend import SearchBackend
-from repro.spell.engine import SpellResult
 from repro.util.deadline import Deadline
 from repro.util.timing import Stopwatch
 from repro.viz.colormap import get_colormap
 from repro.viz.heatmap import render_heatmap_block
 from repro.viz.ppm import encode_ppm
 
-__all__ = [
-    "ApiApp",
-    "DEFAULT_TENANT",
-    "ENDPOINTS",
-    "ROUTES",
-    "STREAM_ENDPOINTS",
-    "all_endpoints",
-]
-
-#: endpoint name -> (request type or None, ApiApp method name) — derived
-#: from the declarative registry (:mod:`repro.api.routes`), which is the
-#: single registration point every facade shares.  The names stay
-#: exported for transports and tests that consume the dispatch tables.
-ENDPOINTS: dict[str, tuple[type | None, str]] = unary_endpoints()
-
-#: Streaming endpoints answer with a *sequence* of NDJSON lines, not one
-#: JSON body, so they dispatch through :meth:`ApiApp.export` rather than
-#: ``handle_wire`` (whose (status, body) contract cannot stream).
-STREAM_ENDPOINTS: dict[str, type] = stream_endpoints()
+__all__ = ["ApiApp", "DEFAULT_TENANT", "ROUTES", "all_endpoints"]
 
 #: The tenant a request without a ``compendium`` field is served from —
 #: must agree with :data:`repro.spell.catalog.DEFAULT_TENANT` (asserted
@@ -127,9 +106,11 @@ class ApiApp:
 
     ``gate`` is the admission-control policy (:mod:`repro.api.limits`):
     auth, per-client rate limits, and the request body cap run in
-    :meth:`handle_wire` / :meth:`export` *before* any routing or
-    parsing, so every transport inherits the hardening by passing a
-    :class:`RequestContext`.  Transports that pass no context (trusted
+    :meth:`_parse` — the one way into every route — *before* the body
+    is decoded, and the tenant's budget is charged right after it, before
+    the tenant is resolved, so an over-budget request never loads (or
+    evicts) a tenant.  Every transport inherits the hardening by passing
+    a :class:`RequestContext`.  Transports that pass no context (trusted
     in-process callers, tests) bypass the gate.
 
     ``catalog`` (a :class:`~repro.spell.catalog.CompendiumCatalog`)
@@ -189,7 +170,7 @@ class ApiApp:
     def handle_wire(
         self, endpoint: str, payload, *, context: RequestContext | None = None
     ) -> tuple[int, dict]:
-        """Dispatch one wire request; returns ``(http_status, json_body)``.
+        """Dispatch one unary wire request; returns ``(http_status, json_body)``.
 
         Never raises: every failure — gate rejection, unknown endpoint,
         malformed payload, downstream error — comes back as a structured
@@ -227,21 +208,35 @@ class ApiApp:
             return None, (err.http_status, error_payload(err))
         return request, None if body is None else (200, body)
 
-    def compute_wire(self, endpoint: str, request) -> tuple[int, dict]:
+    def compute_wire(self, endpoint: str, request, *, raw: bool = False) -> tuple[int, object]:
         """Run the handler for a request :meth:`ready_wire` parsed but
         could not answer — the kernel, a pool, a shard, a disk may be
-        waited for in here."""
-        handler = getattr(self, ENDPOINTS[endpoint][1])
+        waited for in here.
+
+        A failure is ``(status, error payload)`` on every route.  A
+        success is ``(200, the response's wire dict)`` — except that a
+        stream route answers its iterator of NDJSON lines, and ``raw``
+        (a ``?format=ppm`` render) the image bytes.
+        """
+        route = ROUTE_BY_NAME[endpoint]
+        handler = getattr(self, route.handler)
         try:
             response = handler() if request is None else handler(request)
         except Exception as exc:  # noqa: BLE001 — the boundary swallows all
             err = as_api_error(exc)
             return err.http_status, error_payload(err)
-        return 200, response.to_wire()
+        if route.kind == "stream":
+            return 200, response
+        return 200, response.ppm if raw else response.to_wire()
 
     def _parse(self, endpoint: str, payload, context: RequestContext | None):
         """Gate, route and parse one wire request into its protocol type
-        (``None`` for a body-less route).
+        (``None`` for a body-less route), and charge its tenant.
+
+        This is the only place the app admits, decodes or charges a
+        request, for every route.  The tenant is charged from the parsed
+        name, before any handler resolves it: a request over its
+        tenant's budget never loads that tenant.
 
         A refusal is counted here — the handler never runs, so
         ``_timed()`` never sees it, and a flood of 401/429/413s or
@@ -250,7 +245,7 @@ class ApiApp:
         a client spraying bogus names must not grow the stats map (and
         the health payload) without bound.
         """
-        route = ENDPOINTS.get(endpoint)
+        route = ROUTE_BY_NAME.get(endpoint)
         try:
             self.gate.admit(endpoint, context)
             if route is None:
@@ -259,10 +254,9 @@ class ApiApp:
                     f"no endpoint {endpoint!r}",
                     details={"endpoints": all_endpoints()},
                 )
-            request_cls = route[0]
-            if request_cls is None:
+            if route.request_cls is None:
                 return None
-            request = request_cls.from_wire(payload if payload is not None else {})
+            request = route.request_cls.from_wire(payload if payload is not None else {})
             # the tenant rides in the body, so its rate budget can only
             # be charged here, post-parse — admission (auth, per-peer,
             # per-token) already ran pre-body
@@ -386,12 +380,8 @@ class ApiApp:
         """
         with self._timed("cluster"):
             with Stopwatch() as sw:
-                _, service = self._resolve(request.search.compendium)
-                result = self._full_result(request.search, service)
-                dataset, matrix = self._gene_submatrix(
-                    result, request.dataset,
-                    self._gene_limit(request.search, request.top_genes),
-                    service,
+                dataset, matrix = self._top_submatrix(
+                    request.search, request.dataset, request.top_genes
                 )
                 if matrix.n_genes < 2:
                     raise ApiError(
@@ -422,12 +412,8 @@ class ApiApp:
         """Render the top genes of a search result as a PPM heatmap."""
         with self._timed("render/heatmap"):
             with Stopwatch() as sw:
-                _, service = self._resolve(request.search.compendium)
-                result = self._full_result(request.search, service)
-                dataset, matrix = self._gene_submatrix(
-                    result, request.dataset,
-                    self._gene_limit(request.search, request.top_genes),
-                    service,
+                dataset, matrix = self._top_submatrix(
+                    request.search, request.dataset, request.top_genes
                 )
                 if matrix.n_genes < 1:
                     raise ApiError(
@@ -461,44 +447,36 @@ class ApiApp:
                 elapsed_seconds=sw.elapsed,
             )
 
-    def render_heatmap_wire(
-        self, payload, *, context: RequestContext | None = None
-    ) -> RenderResponse:
-        """Parse-and-render for transports that need the typed response
-        (the ``?format=ppm`` raw-bytes path).  Gate rejections and parse
-        failures count toward the endpoint's error stats exactly as in
-        ``handle_wire``.
-        """
-        return self.render_heatmap(self._parse("render/heatmap", payload, context))
-
     # ------------------------------------------------------ streaming export
-    def export(self, payload, *, context: RequestContext | None = None):
+    def search_export(self, request: ExportRequest):
         """``search/export``: returns an iterator of NDJSON lines (bytes).
 
-        Everything that can fail *before* streaming — gate rejection,
-        parse errors, unknown genes/datasets, the search itself — raises
-        here (as :class:`ApiError` or a mappable exception), so a
-        transport can still answer with an ordinary error status.  Once
-        the iterator is handed back, failure mid-walk surfaces as a
+        Everything that can fail *before* streaming — unknown
+        genes/datasets, the deadline, the search itself — raises here,
+        so a transport can still answer with an ordinary error status.
+        Once the iterator is handed back, failure mid-walk surfaces as a
         final ``status="error"`` trailer line carrying the structured
         error — a consumer always sees either an ``ok`` trailer with a
         matching checksum or an explicit error, never a silently
         truncated stream.
         """
-        endpoint = "search/export"
         sw = Stopwatch()
         sw.start()
         try:
-            self.gate.admit(endpoint, context)
-            request = ExportRequest.from_wire(payload if payload is not None else {})
-            tenant, service = self._resolve(request.compendium)
-            self.gate.charge_tenant(tenant, context)
             budget = Deadline.after_ms(request.deadline_ms)
+            _, service = self._resolve(request.compendium)
             lines = service.iter_result(request, deadline=budget).lines()
         except BaseException:
-            self._stats.record(endpoint, sw.stop(), error=True)
+            self._stats.record("search/export", sw.stop(), error=True)
             raise
         return self._encode_export(lines, request.chunk_size, sw)
+
+    def export(self, payload, *, context: RequestContext | None = None):
+        """:meth:`search_export` of one wire payload, for in-process
+        callers: gated, parsed and charged by :meth:`_parse` like every
+        route, and raising (as :class:`ApiError` or a mappable
+        exception) where a transport would answer an error status."""
+        return self.search_export(self._parse("search/export", payload, context))
 
     def _encode_export(self, lines, chunk_size: int, sw: Stopwatch):
         """Pass an export cursor's NDJSON lines on, checksumming them.
@@ -575,13 +553,13 @@ class ApiApp:
     def record_rejection(self, endpoint: str) -> None:
         """Count a transport-level gate rejection against an endpoint.
 
-        A transport that gates *before* reading the body (the HTTP
-        facade) rejects requests ``handle_wire`` never sees; this keeps
+        A transport that gates *before* reading the body (the request
+        pipeline) rejects requests :meth:`_parse` never sees; this keeps
         those 401/429/413s visible in ``/v1/health`` error rates.  The
         caller-supplied name is clamped to known endpoints so a spray
         cannot grow the stats map.
         """
-        known = endpoint in ENDPOINTS or endpoint in STREAM_ENDPOINTS
+        known = endpoint in ROUTE_BY_NAME
         self._stats.record(endpoint if known else "(unknown)", 0.0, error=True)
 
     # -------------------------------------------------------------- internals
@@ -597,41 +575,32 @@ class ApiApp:
         else:
             self._stats.record(endpoint, sw.stop(), error=False)
 
-    @staticmethod
-    def _full_result(request: SearchRequest, service: SearchBackend) -> SpellResult:
-        """Full (un-truncated) search result for cluster/render endpoints."""
-        return service.search(
-            request.genes, use_cache=request.use_cache, datasets=request.datasets
+    def _top_submatrix(self, search: SearchRequest, dataset: str | None, top_genes: int):
+        """``(dataset, matrix)``: the expression submatrix of a search's
+        top genes in one dataset — the named one, or the search's
+        top-weighted one — for cluster and render.
+
+        The nested search's budget starts here, before the tenant is
+        resolved, as :meth:`_search`'s does, and bounds the (full,
+        un-truncated) search.  The search's ``top_k`` caps the genes read:
+        cluster/render must never touch genes the client's search
+        contract excluded.  A named dataset is judged by the backend's
+        gene universe, like a search's ``datasets`` filter.
+        """
+        budget = Deadline.after_ms(search.deadline_ms)
+        _, service = self._resolve(search.compendium)
+        result = service.search(
+            search.genes, use_cache=search.use_cache, datasets=search.datasets,
+            deadline=budget,
         )
-
-    @staticmethod
-    def _gene_limit(search: SearchRequest, top_genes: int) -> int:
-        """Honor the nested search's ``top_k`` cap: cluster/render must
-        never touch genes the client's search contract excluded."""
-        if search.top_k is None:
-            return top_genes
-        return min(top_genes, search.top_k)
-
-    def _gene_submatrix(
-        self,
-        result: SpellResult,
-        dataset: str | None,
-        top_genes: int,
-        service: SearchBackend | None = None,
-    ):
-        """Expression submatrix of the result's top genes in one dataset."""
-        service = self.service if service is None else service
-        compendium = service.compendium
         if dataset is None:
             if not result.datasets:
                 raise ApiError("INVALID_REQUEST", "search returned no datasets")
             dataset = result.datasets[0].name
-        elif dataset not in compendium:
-            raise ApiError(
-                "UNKNOWN_DATASET",
-                f"unknown dataset {dataset!r}",
-                details={"unknown_datasets": [dataset]},
-            )
+        else:
+            service.universe().select((dataset,))
+        if search.top_k is not None:
+            top_genes = min(top_genes, search.top_k)
         top = result.top_genes(top_genes)
-        matrix = compendium[dataset].matrix.subset_genes(top, missing="skip")
+        matrix = service.compendium[dataset].matrix.subset_genes(top, missing="skip")
         return dataset, matrix

@@ -82,7 +82,10 @@ ERROR_DESCRIPTIONS: dict[str, str] = {
     "INVALID_QUERY": "The gene query is empty or has duplicates.",
     "PAGE_OUT_OF_RANGE": "The requested page is at or past total_pages.",
     "UNKNOWN_GENE": "No query gene exists in the searched scope.",
-    "UNKNOWN_DATASET": "A dataset filter names a dataset the server does not hold.",
+    "UNKNOWN_DATASET": (
+        "A dataset filter, or the dataset a cluster or render reads, names a "
+        "dataset the server does not hold."
+    ),
     "UNKNOWN_ENDPOINT": "No such route.",
     "UNKNOWN_COMPENDIUM": (
         "The request's compendium field names a tenant the catalog does not "

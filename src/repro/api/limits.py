@@ -6,10 +6,9 @@ loop of deep queries monopolizes the scoring arena, and a single bogus
 ``Content-Length: 2GB`` header used to be an allocation request.  The
 :class:`RequestGate` centralizes the three defenses the ROADMAP names
 ("auth/rate limits on the HTTP facade") so that **every transport
-inherits them**: :meth:`repro.api.app.ApiApp.handle_wire` (and the
-export streaming path) run ``gate.admit(endpoint, context)`` before any
-work, and a transport only has to describe the request in a
-:class:`RequestContext`:
+inherits them**: ``ApiApp._parse`` — the one way into every route —
+runs ``gate.admit(endpoint, context)`` before any work, and a transport
+only has to describe the request in a :class:`RequestContext`:
 
 * **Bearer-token auth** — a single shared token (read from
   ``--auth-token-file`` by the CLI), compared constant-time with
@@ -44,8 +43,9 @@ work, and a transport only has to describe the request in a
   one *compendium* may be queried, across all callers.  The tenant
   name rides in the request body, which transports admit before
   reading — so this charge happens post-parse via
-  :meth:`RequestGate.charge_tenant`, called by ``ApiApp`` once the
-  request's tenant is known.  All three limiter failures answer the
+  :meth:`RequestGate.charge_tenant`, called by ``ApiApp._parse`` once
+  the request's tenant is known and before it is resolved, on every
+  route: an over-budget request never loads (or evicts) a tenant.  All three limiter failures answer the
   same stable ``RATE_LIMITED`` code with ``retry_after_ms`` (a
   ``scope`` detail says which budget ran dry), so every transport's
   existing ``Retry-After`` derivation keeps working unchanged.
@@ -352,7 +352,8 @@ class RequestGate:
 
         The tenant name rides in the request *body*, which transports
         admit before reading — so this runs post-parse, called by
-        ``ApiApp`` once the request's tenant is resolved.  In-process
+        ``ApiApp._parse`` once the request's tenant is named (and before
+        it is resolved, so a refused request never loads it).  In-process
         callers (``context is None``) bypass it like every other check:
         admission control is a transport boundary concern.
         """

@@ -17,11 +17,12 @@ three steps — and each step is decided here, once:
 
 Step 3 is two phases, and ``respond`` is literally ``ready(...) or
 compute(...)``.  :func:`ready` is everything that **cannot wait** — a
-failed plan, parsing and validating the request, the tenant charge,
-resolving an already-resident tenant, the deadline check, the
-result-cache probe and, on a hit, the page's bytes (kept encoded on the
-cached ranking, with this request's ``elapsed_seconds`` spliced in) — and
-returns ``None`` when only the second phase can tell.  :func:`compute`
+failed plan, parsing and validating the request (of every kind: JSON,
+raw or stream), the tenant charge, resolving an already-resident
+tenant, the deadline check, the result-cache probe and, on a hit, the
+page's bytes (kept encoded on the cached ranking, with this request's
+``elapsed_seconds`` spliced in) — and returns ``None`` when only the
+second phase can tell.  :func:`compute`
 is everything that **may wait**: the scoring kernel, the process pool's
 pipes, the router's sockets, a lazy tenant load, ingest and its fsync,
 exports, renders — and the unknown-gene/dataset verdicts, which belong
@@ -54,7 +55,7 @@ from typing import Mapping
 from urllib.parse import parse_qs, urlparse
 
 from repro.api.app import ApiApp, all_endpoints
-from repro.api.errors import ApiError, as_api_error, error_payload
+from repro.api.errors import ApiError, error_payload
 from repro.api.limits import RequestContext
 from repro.api.routes import ROUTE_BY_NAME, Route
 from repro.api.transport import (
@@ -82,7 +83,7 @@ PPM_TYPE = "image/x-portable-pixmap"
 
 _VERBS = ("GET", "POST")
 
-#: Gate-rejection codes raised here, before ``handle_wire`` ran (and
+#: Gate-rejection codes raised here, before ``ApiApp._parse`` ran (and
 #: could do its own error accounting).
 _GATE_CODES = frozenset({"UNAUTHORIZED", "RATE_LIMITED", "BODY_TOO_LARGE"})
 
@@ -93,11 +94,12 @@ class Plan:
 
     ``error`` set means the request is already answered (and the
     connection must close); otherwise ``route``/``context``/``kind``
-    say what :func:`respond` will call.  ``kind`` is ``"unary"`` (JSON
-    body via ``handle_wire``'s two phases), ``"raw"`` (``?format=``
-    bytes) or ``"stream"`` (NDJSON lines).  ``request`` is the parsed
+    say what :func:`respond` will call.  ``kind`` is ``"unary"`` (a JSON
+    body), ``"raw"`` (``?format=`` bytes) or ``"stream"`` (NDJSON
+    lines); all three take the app's same two phases and differ only in
+    what :func:`compute` wraps the answer in.  ``request`` is the parsed
     (and tenant-charged) protocol request :func:`ready` leaves for
-    :func:`compute`, so a cache miss is parsed and charged once.
+    :func:`compute`, so a request is parsed and charged once.
     """
 
     route: Route | None = None
@@ -236,7 +238,7 @@ def plan_request(
         app.gate.admit(route.name, context)
     except ApiError as err:
         if err.code in _GATE_CODES:
-            # handle_wire never sees this request: keep the 401/429/413
+            # the app never sees this request: keep the 401/429/413
             # visible in /v1/health error rates
             app.record_rejection(route.name if route is not None else "(unknown)")
         return Plan(error=err)
@@ -312,13 +314,11 @@ def ready(
 
     Safe to call from a thread that must not block (an event loop): it
     reaches no kernel, pool, socket or disk.  It is also the only phase
-    that parses the body and charges the tenant — ``plan.request``
-    carries the result to :func:`compute`.
+    that parses the body and charges the tenant, for every kind of
+    request — ``plan.request`` carries the result to :func:`compute`.
     """
     if plan.error is not None:
         return _json(plan.error.http_status, error_payload(plan.error), True)
-    if plan.kind != "unary":
-        return None
     plan.request, answer = app.ready_wire(
         plan.route.name, plan.payload, context=plan.context
     )
@@ -329,22 +329,19 @@ def compute(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Res
     """Answer a planned request :func:`ready` returned ``None`` for.
 
     This is where the application may wait.  Raw and stream requests
-    that fail *before* their first byte still answer an ordinary JSON
-    error status; once a stream is handed back, failures surface as the
-    structured error trailer the app layer emits.
+    that fail *before* their first byte answer an ordinary JSON error
+    status like any other; once a stream is handed back, failures
+    surface as the structured error trailer the app layer emits.
     """
     close = draining or not keep_alive
-    if plan.kind == "unary":
-        return _json(*app.compute_wire(plan.route.name, plan.request), close)
-    try:
-        if plan.kind == "raw":
-            rendered = app.render_heatmap_wire(plan.payload, context=plan.context)
-            return Response(200, PPM_TYPE, body=rendered.ppm, close=close)
-        lines = app.export(plan.payload, context=plan.context)
-    except Exception as exc:  # noqa: BLE001 — boundary
-        err = as_api_error(exc)
-        return _json(err.http_status, error_payload(err), close)
-    return Response(200, NDJSON_TYPE, lines=LineStream(lines), close=close)
+    status, body = app.compute_wire(
+        plan.route.name, plan.request, raw=plan.kind == "raw"
+    )
+    if status != 200 or plan.kind == "unary":
+        return _json(status, body, close)
+    if plan.kind == "raw":
+        return Response(200, PPM_TYPE, body=body, close=close)
+    return Response(200, NDJSON_TYPE, lines=LineStream(body), close=close)
 
 
 def respond(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:

@@ -622,7 +622,9 @@ class ClusterRequest(_Message):
 
     The expression values come from ``dataset`` when named, else from the
     search's top-weighted dataset.  ``top_genes`` bounds how many ranked
-    genes enter the clustering.
+    genes enter the clustering.  The nested search's ``deadline_ms``
+    bounds the search the genes come from, and a ``dataset`` the server
+    does not hold is ``UNKNOWN_DATASET``, judged as a ``datasets`` filter is.
     """
 
     search: SearchRequest = field(metadata=_SEARCH)
@@ -638,7 +640,8 @@ class RenderRequest(_Message):
 
     ``cluster=True`` reorders the rows by the dendrogram leaf order
     (correlation distance, average linkage) before rendering; otherwise
-    rows follow the search ranking.
+    rows follow the search ranking.  ``deadline_ms`` and ``dataset``
+    behave as in :class:`ClusterRequest`.
     """
 
     search: SearchRequest = field(metadata=_SEARCH)

@@ -3,9 +3,10 @@
 Every facade used to carry its own if/elif dispatch (the app's endpoint
 dict, the HTTP facade's GET-set and stream-set special cases); adding an
 endpoint meant editing each one.  This table is now the only place an
-endpoint is declared: :class:`~repro.api.app.ApiApp` derives its
-dispatch from it, the HTTP facade derives routing *and* verb checking
-from it, the sharded router inherits both unchanged, and the
+endpoint is declared: :class:`~repro.api.app.ApiApp` dispatches
+straight from it, the request pipeline (:mod:`repro.api.pipeline`)
+derives routing *and* verb checking from it, the sharded router inherits
+both unchanged, and the
 ``docs/api.md`` reference (:mod:`repro.api.docs`) is generated from it —
 so the registry is the single source of truth for the wire contract.
 
@@ -42,8 +43,6 @@ __all__ = [
     "ROUTES",
     "ROUTE_BY_NAME",
     "all_endpoints",
-    "stream_endpoints",
-    "unary_endpoints",
 ]
 
 
@@ -51,11 +50,12 @@ __all__ = [
 class Route:
     """One v1 endpoint: method, request/response schema, handler, kind.
 
-    ``kind`` is ``"unary"`` (one JSON body in, one JSON body out, served
-    through ``ApiApp.handle_wire``) or ``"stream"`` (NDJSON lines,
-    served through the app's streaming entry point named by
-    ``handler``).  ``response_cls`` may be a tuple for streams (the line
-    types, in order of appearance).  ``raw_formats`` lists ``?format=``
+    ``kind`` is ``"unary"`` (one JSON body in, one JSON body out) or
+    ``"stream"`` (NDJSON lines); either way the app's one entry —
+    ``ApiApp.ready_wire`` then ``ApiApp.compute_wire`` — parses it into
+    ``request_cls`` and calls the ``ApiApp`` method named by ``handler``.
+    ``response_cls`` may be a tuple for streams (the line types, in
+    order of appearance).  ``raw_formats`` lists ``?format=``
     values that switch the response to raw bytes instead of the JSON
     envelope.  ``ready`` names the handler's never-waiting half when it
     has one: an ``ApiApp`` method that answers the encoded JSON body
@@ -100,7 +100,7 @@ ROUTES: tuple[Route, ...] = (
         name="search/export",
         method="POST",
         request_cls=ExportRequest,
-        handler="export",
+        handler="search_export",
         response_cls=(ExportChunk, ExportTrailer),
         kind="stream",
         summary=(
@@ -155,19 +155,6 @@ ROUTES: tuple[Route, ...] = (
 )
 
 ROUTE_BY_NAME: dict[str, Route] = {route.name: route for route in ROUTES}
-
-
-def unary_endpoints() -> dict[str, tuple[type | None, str]]:
-    """Name -> (request type, handler) for every unary route — the
-    dispatch table ``ApiApp.handle_wire`` consumes."""
-    return {
-        r.name: (r.request_cls, r.handler) for r in ROUTES if r.kind == "unary"
-    }
-
-
-def stream_endpoints() -> dict[str, type]:
-    """Name -> request type for every streaming route."""
-    return {r.name: r.request_cls for r in ROUTES if r.kind == "stream"}
 
 
 def all_endpoints() -> list[str]:

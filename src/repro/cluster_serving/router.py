@@ -394,9 +394,9 @@ class RouterService(SearchBackend):
             for nid in self._membership.node_ids
         )
 
-    def gene_count(self) -> int:
+    def universe(self) -> GeneUniverse:
         self._sync_catalog()
-        return self._universe.gene_count()
+        return self._universe
 
     def _topology_stats(self) -> dict:
         return {

@@ -41,7 +41,7 @@ from repro.data.compendium import Compendium
 from repro.spell.cache import QueryCache, rebind_result
 from repro.spell.engine import SpellResult
 from repro.spell.index import BatchQuery
-from repro.spell.partials import checked_query
+from repro.spell.partials import GeneUniverse, checked_query
 from repro.util.deadline import Deadline
 from repro.util.errors import SearchError
 from repro.util.timing import Stopwatch
@@ -305,15 +305,20 @@ class SearchBackend:
         use_cache: bool = True,
         top_k: int | None = None,
         datasets: Sequence[str] | None = None,
+        deadline: Deadline | None = None,
     ) -> SpellResult:
         """Raw search result, served from cache when possible.
 
         ``top_k`` asks for only the first ``k`` ranked genes (identical
         to the head of the full ranking); ``datasets`` restricts the
-        search to the named datasets.
+        search to the named datasets.  ``deadline`` bounds it as it does
+        :meth:`respond`'s, checked before the search starts.
         """
+        if deadline is None:
+            deadline = Deadline.never()
+        deadline.check("search admission")
         member = (query, top_k, datasets, use_cache, None)
-        answers, _ = self._answer((member,), Deadline.never())
+        answers, _ = self._answer((member,), deadline)
         return answers[0][0]
 
     # -------------------------------------------------- protocol entry points
@@ -516,9 +521,13 @@ class SearchBackend:
     def index_bytes(self) -> int:
         raise NotImplementedError
 
-    def gene_count(self) -> int:
-        """Genes in the universe this backend judges queries against."""
+    def universe(self) -> GeneUniverse:
+        """The gene universe this backend judges queries against, current
+        with its compendium."""
         raise NotImplementedError
+
+    def gene_count(self) -> int:
+        return self.universe().gene_count()
 
     # ``/v1/health`` and ``/v1/datasets`` answer the v1 default (``{}``)
     # for the parts of the picture a backend does not have: per-shard

@@ -41,6 +41,7 @@ from repro.spell.backend import COMPLETE, SearchBackend
 from repro.spell.cache import DEFAULT_CACHE_SIZE
 from repro.spell.engine import SpellResult
 from repro.spell.index import BatchQuery, SpellIndex
+from repro.spell.partials import GeneUniverse
 from repro.spell.procpool import (
     REPLY_TIMEOUT_SECONDS,
     IndexWorkerPool,
@@ -442,9 +443,9 @@ class SpellService(SearchBackend):
     def index_bytes(self) -> int:
         return self._index.nbytes()
 
-    def gene_count(self) -> int:
+    def universe(self) -> GeneUniverse:
         self._sync_index()
-        return self._index.universe.gene_count()
+        return self._index.universe
 
     def storage_stats(self) -> dict:
         """Storage-tier counters for ``/v1/health`` (append-only keys).

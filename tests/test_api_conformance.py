@@ -18,25 +18,46 @@ exactly one response (the follow-up is never parsed), one it keeps must
 answer exactly two — which is also the request-smuggling regression: a
 declared body on a GET is drained or the connection closes; it is never
 parsed as a request.
+
+The rows that depend on what serves the app — deadlines, tenant
+budgets, the gene universe's verdicts — also run along an **app axis**
+(``COLUMNS``): the one ``SpellService`` above, a catalog routing two
+more tenants (``max_resident=2``, a tenant rate limit) and a 2-shard
+local router, each socket-free and over both facades.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 import socket
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.api.app
+import repro.api.pipeline
 from repro.api.aio.server import serve_background as aio_serve
 from repro.api.app import ApiApp
+from repro.api.errors import ApiError
 from repro.api.http import serve_background as threaded_serve
-from repro.api.limits import RequestGate
+from repro.api.limits import RequestContext, RequestGate
 from repro.api.pipeline import plan_request, read_body, respond
+from repro.cluster_serving import build_local_topology
+from repro.cluster_serving.hedging import HedgePolicy
 from repro.data import Dataset, ExpressionMatrix
+from repro.data.pcl import format_pcl
+from repro.rpc.faults import FaultPlan
+from repro.rpc.policy import RetryPolicy
 from repro.spell import SpellService
+from repro.spell.catalog import CompendiumCatalog
 from repro.synth import make_spell_compendium
+from repro.util.deadline import Deadline
 
 FOLLOW_UP = b"GET /v1/datasets HTTP/1.1\r\nHost: t\r\n\r\n"
 TOKEN = "s3cret"
@@ -281,7 +302,11 @@ def errors_counted(app: ApiApp, endpoint: str | None) -> int:
 @pytest.mark.parametrize("index", range(len(CASE_NAMES)), ids=CASE_NAMES)
 def test_pipeline_table(setup, service, index):
     case = cases(list(setup[1].query_genes))[index]
-    app = make_app(service, case.profile)
+    check_row(make_app(service, case.profile), case)
+
+
+def check_row(app: ApiApp, case: Case) -> None:
+    """One table row through the socket-free pipeline."""
     for headers in case.warmup:
         assert run_pipeline(app, case, headers)[1].status == 200
     before = errors_counted(app, case.rejected)
@@ -367,22 +392,28 @@ def split_responses(data: bytes) -> list[tuple[int, dict[str, str], bytes]]:
 FACADES = {"threaded": threaded_serve, "aio": aio_serve}
 
 
-def run_wire(service, case: Case, facade: str):
-    app = make_app(service, case.profile)
+@contextmanager
+def serving(app: ApiApp, facade: str):
+    """One facade serving ``app`` for the block; yields its address."""
     server, thread = FACADES[facade](app)
     try:
-        addr = server.server_address[:2]
+        yield server.server_address[:2]
+    finally:
+        server.close(timeout=5)
+        thread.join(timeout=10)
+        app.service.unregister_transport_stats("http")
+        app.service.unregister_transport_stats("aio")
+
+
+def run_wire(service, case: Case, facade: str):
+    app = make_app(service, case.profile)
+    with serving(app, facade) as addr:
         for headers in case.warmup:
             warm = split_responses(exchange(addr, case.wire(headers)))
             assert [r[0] for r in warm] == [200]
         before = errors_counted(app, case.rejected)
         data = exchange(addr, case.wire() + FOLLOW_UP)
         counted = errors_counted(app, case.rejected) - before
-    finally:
-        server.close(timeout=5)
-        thread.join(timeout=10)
-        service.unregister_transport_stats("http")
-        service.unregister_transport_stats("aio")
     return data, counted
 
 
@@ -420,3 +451,257 @@ def test_both_facades_put_the_pipeline_on_the_wire(setup, service, index):
             follow_status, follow_headers, _ = responses[1]
             assert follow_status == 200, facade
             assert follow_headers["content-type"].startswith("application/json")
+
+
+# -------------------------------------------------------------- the app axis
+#: column -> RequestGate keywords of the app it builds
+COLUMNS = {
+    "single": {},
+    "catalog": {"tenant_rate_limit": 0.001, "tenant_rate_burst": 64},
+    "router": {},
+}
+
+#: the catalog column's named tenants and the setup datasets each serves
+TENANTS = {"acme": (0, 1, 4), "beta": (2, 3)}
+
+#: what a deadline row may take beyond its budget (scheduling, the
+#: facade's connection, a 504's encoding) — far below the shards' stall
+SLACK_SECONDS = 1.0
+STALL_SECONDS = 3.0
+
+
+@pytest.fixture(scope="module")
+def columns(setup, service, tmp_path_factory):
+    """Column -> the ``ApiApp`` keywords of its backend (see
+    :func:`column_app`).  The catalog's default tenant is the module's
+    service, so a request that names no tenant answers the same bytes on
+    every column."""
+    comp = setup[0]
+    catalog = CompendiumCatalog(
+        tmp_path_factory.mktemp("tenants"), default_service=service, max_resident=2
+    )
+    for tenant, picks in TENANTS.items():
+        for i in picks:
+            catalog.ingest(tenant, comp[i].name, "pcl", format_pcl(comp[i].matrix))
+    topology = build_local_topology(comp, n_shards=2)
+    backends = {
+        "single": dict(service=service),
+        "catalog": dict(service=service, catalog=catalog),
+        "router": dict(service=topology.router),
+    }
+    yield backends
+    topology.close()
+    catalog.close()
+
+
+def column_app(columns, column: str, profile: str = "open") -> ApiApp:
+    """A fresh app (fresh gate: the row's profile plus the column's own
+    limits) over one column's backend."""
+    gate = RequestGate(**PROFILES[profile], **COLUMNS[column])
+    return ApiApp(gate=gate, **columns[column])
+
+
+@pytest.fixture(scope="module")
+def stalled_router(setup):
+    """The router column with both shards holding every ``partials``
+    reply for :data:`STALL_SECONDS` (hedging, retries, the cache and the
+    breaker off: every row reaches the stall)."""
+    stall = FaultPlan(methods=("partials",), stall=1.0, stall_seconds=STALL_SECONDS)
+    topology = build_local_topology(
+        setup[0], n_shards=2, cache_size=0,
+        hedge=HedgePolicy.disabled(), retry=RetryPolicy.none(),
+        breaker_failure_threshold=10**9,
+        fault_plans={"shard-0": stall, "shard-1": stall},
+    )
+    yield topology.router
+    topology.close()
+
+
+def post_everywhere(app: ApiApp, requests: list[tuple[str, dict]]) -> list[tuple]:
+    """POST each ``(target, payload)`` through the socket-free pipeline,
+    then over each facade (one server per facade): one ``((runner,
+    target), status, content type, body bytes, seconds to the answer)``
+    per request and runner."""
+    cases = [Case(t, "POST", t, *_json_post(payload)) for t, payload in requests]
+    answers = []
+    for case in cases:
+        t0 = time.monotonic()
+        _, response, body = run_pipeline(app, case)
+        seconds = time.monotonic() - t0
+        answers.append(
+            (("pipeline", case.target), response.status, response.content_type, body, seconds)
+        )
+    for facade in FACADES:
+        with serving(app, facade) as addr:
+            for case in cases:
+                t0 = time.monotonic()
+                data = exchange(addr, case.wire())
+                seconds = time.monotonic() - t0
+                ((status, headers, body),) = split_responses(data)
+                answers.append(
+                    ((facade, case.target), status, headers["content-type"], body, seconds)
+                )
+    return answers
+
+
+def search_routes(genes, *, deadline_ms=None, compendium=None) -> list[tuple[str, dict]]:
+    """``(target, payload)`` for every route that carries a search, all
+    asking ``genes``."""
+    scope = {} if compendium is None else {"compendium": compendium}
+    budget = {} if deadline_ms is None else {"deadline_ms": deadline_ms}
+    search = {"genes": genes, **budget, **scope}
+    nested = {"search": search, "top_genes": 6}
+    return [
+        ("/v1/search", search),
+        ("/v1/search/batch", {"searches": [{"genes": genes}], **budget, **scope}),
+        ("/v1/search/export", dict(search, chunk_size=30)),
+        ("/v1/cluster", nested),
+        ("/v1/render/heatmap", nested),
+        ("/v1/render/heatmap?format=ppm", nested),
+    ]
+
+
+def error_code(content_type: str, body: bytes) -> str | None:
+    return json.loads(body)["error"]["code"] if "json" in content_type else None
+
+
+@pytest.fixture()
+def spent_budgets(monkeypatch):
+    """Every budget a request's ``deadline_ms`` starts is already spent."""
+    monkeypatch.setattr(
+        Deadline, "after_ms",
+        classmethod(lambda cls, ms: cls(None) if ms is None else cls(0.0)),
+    )
+
+
+@pytest.mark.parametrize("genes", ["known", "unknown"])
+@pytest.mark.parametrize("column", list(COLUMNS))
+def test_a_spent_budget_is_504_on_every_search_route(
+    setup, columns, spent_budgets, column, genes
+):
+    """Every route that carries a search holds it to its ``deadline_ms``
+    — checked before the gene universe is asked, so a spent budget on a
+    query of unknown genes is still a 504, not a 404."""
+    query = list(setup[1].query_genes) if genes == "known" else ["NO-SUCH-GENE"]
+    tenant = "acme" if column == "catalog" else None
+    requests = search_routes(query, deadline_ms=60_000, compendium=tenant)
+    for where, status, content_type, body, _ in post_everywhere(
+        column_app(columns, column), requests
+    ):
+        assert (status, error_code(content_type, body)) == (504, "DEADLINE_EXCEEDED"), where
+
+
+@pytest.mark.parametrize("index", range(len(CASE_NAMES)), ids=CASE_NAMES)
+@pytest.mark.parametrize("column", ["catalog", "router"])
+def test_pipeline_table_on_every_column(setup, columns, column, index):
+    """The request contract does not depend on what serves the app."""
+    case = cases(list(setup[1].query_genes))[index]
+    check_row(column_app(columns, column, case.profile), case)
+
+
+def test_stalled_shards_answer_504_within_the_budget(setup, stalled_router):
+    """Behind shards that stall every reply, each route answers at its
+    own or nested ``deadline_ms`` (plus :data:`SLACK_SECONDS`), never
+    after the stall."""
+    budget_ms = 200
+    requests = search_routes(list(setup[1].query_genes), deadline_ms=budget_ms)
+    for where, status, content_type, body, seconds in post_everywhere(
+        ApiApp(stalled_router), requests
+    ):
+        assert (status, error_code(content_type, body)) == (504, "DEADLINE_EXCEEDED"), where
+        assert seconds < budget_ms / 1000 + SLACK_SECONDS < STALL_SECONDS, where
+
+
+def test_an_over_budget_tenant_is_refused_before_it_is_loaded(setup, columns):
+    """The tenant is charged before it is resolved, on every route: a
+    request over a non-resident tenant's budget answers 429 without
+    loading it, so no other tenant is evicted for it."""
+    app = column_app(columns, "catalog")
+    catalog = app.catalog
+    catalog.resolve("beta")  # max_resident=2: the default and beta; acme is out
+    with pytest.raises(ApiError):
+        for _ in range(COLUMNS["catalog"]["tenant_rate_burst"] + 1):
+            app.gate.charge_tenant("acme", RequestContext(client="127.0.0.1"))
+    before = catalog.stats()
+    assert before["acme"]["resident"] is False
+    requests = search_routes(list(setup[1].query_genes), compendium="acme")
+    for where, status, content_type, body, _ in post_everywhere(app, requests):
+        assert (status, error_code(content_type, body)) == (429, "RATE_LIMITED"), where
+        assert json.loads(body)["error"]["details"]["scope"] == "tenant", where
+    after = catalog.stats()
+    assert (after["acme"], after["beta"]) == (before["acme"], before["beta"])
+
+
+@pytest.mark.parametrize("column", list(COLUMNS))
+def test_an_unknown_target_dataset_is_the_gene_universe_verdict(setup, columns, column):
+    """Cluster and render judge a named ``dataset`` as a search judges
+    its ``datasets`` filter: the backend's gene universe answers, with
+    the same bytes on every route."""
+    query = list(setup[1].query_genes)
+    nested = {"search": {"genes": query}, "top_genes": 6, "dataset": "nope"}
+    requests = [
+        ("/v1/search", {"genes": query, "datasets": ["nope"]}),
+        ("/v1/cluster", nested),
+        ("/v1/render/heatmap", nested),
+        ("/v1/render/heatmap?format=ppm", nested),
+    ]
+    for where, status, _, body, _ in post_everywhere(column_app(columns, column), requests):
+        assert (status, body) == (
+            404,
+            b'{"api_version": "v1", "error": {"code": "UNKNOWN_DATASET", "message": '
+            b'"unknown dataset(s) in filter: nope", '
+            b'"details": {"unknown_datasets": ["nope"], "known_count": 5}}}',
+        ), where
+
+
+# ------------------------------------------------------------ the one way in
+def _callers(tree: ast.AST, attrs: set[str]) -> set[str]:
+    """Names of the innermost functions (``"<module>"`` for top-level
+    code) that call a method named in ``attrs``, on any receiver."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr in attrs:
+                found.add(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _tree(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+def test_every_route_enters_the_app_one_way():
+    """Structure lock: in the app only ``_parse`` admits, decodes or
+    charges a request; the pipeline's waiting phase reaches the app only
+    through ``compute_wire``; and the side doors and the dispatch tables
+    derived beside ``ROUTE_BY_NAME`` stay deleted."""
+    app_tree = _tree(repro.api.app)
+    assert _callers(app_tree, {"admit", "charge_tenant", "from_wire"}) == {"_parse"}
+    (compute,) = [
+        node for node in ast.walk(_tree(repro.api.pipeline))
+        if isinstance(node, ast.FunctionDef) and node.name == "compute"
+    ]
+    called = {
+        node.func.attr for node in ast.walk(compute)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "app"
+    }
+    assert called == {"compute_wire"}
+    gone = re.compile(
+        r"\b(render_heatmap_wire|unary_endpoints|stream_endpoints|ENDPOINTS|STREAM_ENDPOINTS)\b"
+    )
+    src = Path(repro.api.app.__file__).parents[1]
+    offenders = [
+        f"{path.relative_to(src)}:{match.group(0)}"
+        for path in sorted(src.rglob("*.py"))
+        for match in gone.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []

@@ -441,29 +441,38 @@ def test_health_genes_is_read_from_the_backends_universe(setup, monkeypatch):
 
 
 def _calls_and_raises(path: Path):
-    """``(keyword names passed to any call, names of raised classes)``."""
+    """``(keyword names passed to any call, names of raised classes)``;
+    an ``ApiError`` raised with a literal code also counts as
+    ``"ApiError:<code>"``."""
     keywords, raised = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Call):
             keywords |= {kw.arg for kw in node.keywords}
         elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
-            raised.add(getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None)))
+            name = getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None))
+            raised.add(name)
+            code = node.exc.args[0] if node.exc.args else None
+            if name == "ApiError" and isinstance(code, ast.Constant):
+                raised.add(f"ApiError:{code.value}")
     return keywords, raised
 
 
 def test_only_the_gene_universe_judges_a_query():
     """Structure lock: in serving, one module derives a slot table and
     raises the two universe verdicts (``engine.py`` is the reference the
-    oracles compare against), and an index is never edited in place."""
+    oracles compare against), and an index is never edited in place.
+    An ``ApiError`` raised with a verdict's code is a judge too."""
     import inspect
 
     from repro.spell import ShardArena, SpellIndex
 
+    verdicts = {"UnknownGeneError", "UnknownDatasetError",
+                "ApiError:UNKNOWN_GENE", "ApiError:UNKNOWN_DATASET"}
     judges = []
     for package in ("spell", "api", "cluster_serving"):
         for path in sorted((SRC / package).rglob("*.py")):
             keywords, raised = _calls_and_raises(path)
-            if "return_inverse" in keywords or raised & {"UnknownGeneError", "UnknownDatasetError"}:
+            if "return_inverse" in keywords or raised & verdicts:
                 judges.append(str(path.relative_to(SRC)))
     assert judges == ["spell/engine.py", "spell/partials.py"]
     _, raised = _calls_and_raises(SRC / "spell" / "engine.py")
