@@ -1,17 +1,11 @@
 """Hedged-request policy: racing replicas against tail latency.
 
-The classic tail-at-scale trick: when a shard call has been outstanding
-longer than the recent latency percentile, fire the *same* work at the
-dataset's next replica and take whichever answer lands first.  The merge
-stays bit-identical because partials are keyed by dataset name and
-fingerprint-verified — two replicas can only ever contribute the same
-content, so "first answer wins" changes latency, never rankings.
-
+When a shard call has been outstanding longer than the recent latency
+percentile, the same work goes to the dataset's next replica and the
+first answer wins (:mod:`repro.cluster_serving.gather` decides when).
 :class:`LatencyTracker` is a bounded reservoir of recent per-call RPC
 latencies; :class:`HedgePolicy` turns its percentile into the hedge
-delay.  Both live at the router (not the membership layer) because
-hedging needs the replica map — only the router knows who else can
-answer for a dataset.
+delay, which the router reads once per gather.
 """
 
 from __future__ import annotations

@@ -2,45 +2,22 @@
 
 :class:`RouterService` is the sharded
 :class:`~repro.spell.backend.SearchBackend`: the base class owns query
-validation, the result cache, ``respond`` / ``respond_batch`` /
-``iter_result`` and the serving stats, so :class:`~repro.api.app.ApiApp`
-(and hence every facade, auth, rate limits, and body caps) serves from a
-router exactly as it serves from a single node.  What lives here is
-*where cache misses are scored* (:meth:`RouterService._compute_many`) and
-the state that takes: the router holds only the
-compendium catalog (names, gene lists, fingerprints) and never builds an
-index; each query is judged by the catalog's
-:class:`~repro.spell.partials.GeneUniverse` — the same ``resolve``, and
-the same typed refusals, as a single node's index — then fans out to the
-shard nodes owning the selected datasets,
-and the returned per-dataset partials are merged by replaying the exact
-single-node accumulation order.  Rankings are therefore **bit-identical**
-to a one-node :class:`~repro.spell.index.SpellIndex` over the same
-compendium — the oracle property the tests pin down.
+validation, the result cache, the protocol entry points and the serving
+stats, so every facade serves a router exactly as it serves a single
+node.  What lives here is *where cache misses are scored*
+(:meth:`RouterService._compute_many`): the router holds only the
+compendium catalog (names, gene lists, fingerprints), judges each query
+by the catalog's :class:`~repro.spell.partials.GeneUniverse`, fans it out
+to the shards owning the selected datasets and merges their per-dataset
+partials in the single-node accumulation order.  Rankings are therefore
+**bit-identical** to a one-node :class:`~repro.spell.index.SpellIndex`
+over the same compendium — the oracle property the tests pin down.
 
-Degradation is structured, never silent:
-
-* A dead or stale shard triggers failover to the dataset's next replica
-  owner (replica preference comes from the consistent-hash ring,
-  reordered so heartbeat-alive nodes are tried first).
-* Datasets with *no* reachable owner are skipped from the merge and
-  surfaced as ``SearchResponse.partial=True`` plus a ``shards`` map
-  naming every skipped dataset and each node's failure; partial results
-  are never cached.
-* When nothing is reachable (or the caller demands completeness — the
-  export path does) the query fails with ``SHARD_UNAVAILABLE`` via
-  :class:`~repro.util.errors.RpcError`.
-* A request-scoped :class:`~repro.util.deadline.Deadline` bounds the
-  whole gather: per-call timeouts and hedge waits are clamped to the
-  remaining budget, and a spent budget raises
-  :class:`~repro.util.deadline.DeadlineExceeded` (a structured 504)
-  instead of blocking past what the client asked for.
-* Tail latency is fought with **hedged replica requests**
-  (:mod:`repro.cluster_serving.hedging`): once a shard call outlives the
-  recent latency percentile, the same datasets are requested from their
-  next replica and the first answer wins — merge order is canonical and
-  partials are fingerprint-verified, so hedging can never change a
-  ranking bit.
+Degradation is structured, never silent (failover, hedging and the
+deadline are :mod:`repro.cluster_serving.gather`'s): a dataset no owner
+answers is skipped and named, with its failures, in a flagged partial
+(never cached); with nothing reachable, or completeness demanded, the
+query fails with ``SHARD_UNAVAILABLE`` (:class:`~repro.util.errors.RpcError`).
 """
 
 from __future__ import annotations
@@ -50,6 +27,7 @@ import threading
 import time
 from typing import Sequence
 
+from repro.cluster_serving.gather import GatherState, Launch
 from repro.cluster_serving.hedging import HedgePolicy, LatencyTracker
 from repro.cluster_serving.ring import DEFAULT_VNODES, plan_assignment
 from repro.data.compendium import Compendium
@@ -59,7 +37,7 @@ from repro.spell.backend import SearchBackend
 from repro.spell.cache import DEFAULT_CACHE_SIZE
 from repro.spell.engine import SpellResult
 from repro.spell.index import BatchQuery
-from repro.spell.partials import DatasetPartial, GeneUniverse
+from repro.spell.partials import GeneUniverse
 from repro.util.deadline import Deadline, DeadlineExceeded
 from repro.util.errors import RpcError, SearchError
 
@@ -104,9 +82,7 @@ class RouterService(SearchBackend):
         self._rpc_timeout = rpc_timeout
         self._hedge = HedgePolicy() if hedge is None else hedge
         self._latency = LatencyTracker()
-        self._hedges_fired = 0
-        self._hedge_wins = 0
-        self._deadline_exceeded = 0
+        self._hedges_fired = self._hedge_wins = self._deadline_exceeded = 0
         self._catalog_version: int | None = None
         self._rebuild_catalog()
         # seed liveness + per-shard info so routing can prefer known-alive
@@ -137,189 +113,78 @@ class RouterService(SearchBackend):
     # ----------------------------------------------------------- fan-out core
     def _owner_order(self, name: str) -> list[str]:
         """Replica preference for one dataset: ring order, alive-first.
-
-        Heartbeat/liveness state only *reorders* the replicas — a node
-        marked dead is still tried last rather than written off, so a
-        stale liveness table can cost latency but never correctness.
-        """
+        Liveness only *reorders* the replicas — a node marked dead is
+        tried last, never written off — so it costs latency, not answers."""
         owners = self._plan[name]
         alive = [n for n in owners if self._membership.state(n).alive]
         return alive + [n for n in owners if n not in alive]
 
-    def _launch(
-        self,
-        nid: str,
-        names: list[str],
-        query: list[str],
-        deadline: Deadline,
-        results: "queue.Queue",
-        is_hedge: bool,
-    ) -> None:
-        """Fire one shard call on its own thread; the outcome lands on
-        ``results`` as ``(is_hedge, nid, names, reply|None, error|None,
-        elapsed)`` — every launch posts exactly one item."""
-        payload = {
-            "genes": query,
-            "datasets": [(n, self._fingerprints[n]) for n in names],
-        }
+    def _launch(self, launch: Launch, query: list[str], deadline: Deadline, results) -> None:
+        """Fire one shard call on its own thread, which posts exactly one
+        ``(launch, reply | None, error | None, elapsed)`` to ``results``."""
+        payload = {"genes": query, "datasets": [(n, self._fingerprints[n]) for n in launch.names]}
 
         def run() -> None:
             t0 = time.monotonic()
+            reply = error = None
             try:
                 reply = self._membership.call(
-                    nid, "partials", payload,
-                    timeout=self._rpc_timeout, deadline=deadline,
+                    launch.nid, "partials", payload, timeout=self._rpc_timeout, deadline=deadline
                 )
             except (RpcError, DeadlineExceeded) as exc:
-                results.put(
-                    (is_hedge, nid, names, None, str(exc), time.monotonic() - t0)
-                )
-                return
-            results.put((is_hedge, nid, names, reply, None, time.monotonic() - t0))
+                error = str(exc)
+            results.put((launch, reply, error, time.monotonic() - t0))
 
-        threading.Thread(target=run, name=f"gather-{nid}", daemon=True).start()
+        threading.Thread(target=run, name=f"gather-{launch.nid}", daemon=True).start()
 
     def _gather(
-        self,
-        query: list[str],
-        top_k: int | None,
-        datasets: Sequence[str] | None,
-        *,
-        require_complete: bool,
-        deadline: Deadline,
+        self, query: list[str], top_k: int | None, datasets: Sequence[str] | None,
+        *, require_complete: bool, deadline: Deadline,
     ) -> tuple[SpellResult, dict]:
-        """One scatter-gather search.  Returns ``(result, report)`` where
-        ``report`` carries the partiality verdict and per-shard detail.
+        """One scatter-gather search: ``(result, report)``, the report
+        carrying the partiality verdict and per-shard detail.
 
-        Event-driven rather than round-synchronized: every dataset
-        independently walks its replica preference list.  A failed call
-        triggers immediate failover; a call that merely outlives the
-        hedge delay triggers a *hedge* to the next replica while the
-        original stays in flight — first answer wins.  The whole loop is
-        bounded by ``deadline``; expiry raises
-        :class:`~repro.util.deadline.DeadlineExceeded`.
+        :class:`~repro.cluster_serving.gather.GatherState` makes every
+        decision; this is its thread driver (one ``_launch`` thread per
+        launch, one queue, the monotonic clock).  An expired ``deadline``
+        raises :class:`~repro.util.deadline.DeadlineExceeded`.
         """
         universe = self._universe
         resolved = universe.resolve(query, datasets)
         selected = [universe.dataset_names[i] for i in resolved.selected]
-
-        expected = self._fingerprints  # the catalog this gather merges over
-        contributions: dict[str, DatasetPartial] = {}
-        node_report: dict[str, dict] = {}
-        failures: dict[str, list[str]] = {name: [] for name in selected}
-        owners_left = {name: self._owner_order(name) for name in selected}
-        inflight = {name: 0 for name in selected}
-        oldest_launch: dict[str, float] = {}
-        hedges_used = {name: 0 for name in selected}
-        done: set[str] = set()
+        left, now = deadline.remaining(), time.monotonic()
+        state = GatherState(
+            selected, {name: self._owner_order(name) for name in selected}, self._fingerprints,
+            max_hedges=self._hedge.max_hedges, hedge_delay=self._hedge.delay(self._latency),
+            deadline_at=None if left is None else now + left,
+        )
         results: queue.Queue = queue.Queue()
-        hedging = self._hedge.enabled
-
-        def assign_next(names: list[str], *, is_hedge: bool) -> None:
-            group: dict[str, list[str]] = {}
-            for name in names:
-                if owners_left[name]:
-                    group.setdefault(owners_left[name].pop(0), []).append(name)
-            now = time.monotonic()
-            for nid, batch in group.items():
-                for name in batch:
-                    inflight[name] += 1
-                    oldest_launch.setdefault(name, now)
-                    if is_hedge:
-                        hedges_used[name] += 1
-                self._launch(nid, batch, query, deadline, results, is_hedge)
-            if is_hedge and group:
-                with self._lock:
-                    self._hedges_fired += len(group)
-
-        assign_next(list(selected), is_hedge=False)
-        while len(done) < len(selected):
-            # failed datasets with replicas left and nothing in flight
-            # fail over immediately
-            stalled = [
-                n for n in selected
-                if n not in done and inflight[n] == 0 and owners_left[n]
-            ]
-            if stalled:
-                assign_next(stalled, is_hedge=False)
-            if all(
-                n in done or (inflight[n] == 0 and not owners_left[n])
-                for n in selected
-            ):
-                break  # every unanswered dataset exhausted its replicas
-            deadline.check("sharded gather")
-
-            hedge_delay = self._hedge.delay(self._latency) if hedging else None
-            wait: float | None = None
-            if hedge_delay is not None:
-                now = time.monotonic()
-                fuses = [
-                    hedge_delay - (now - oldest_launch[n])
-                    for n in selected
-                    if n not in done and inflight[n] > 0 and owners_left[n]
-                    and hedges_used[n] < self._hedge.max_hedges
-                ]
-                if fuses:
-                    wait = max(0.0, min(fuses))
-            wait = deadline.clamp(wait)
+        actions = state.start(now)
+        while True:
+            for launch in actions:
+                self._launch(launch, query, deadline, results)
+            if state.finished:
+                break
+            wake = state.next_wakeup()
             try:
-                item = results.get(timeout=wait) if wait is not None else results.get()
-            except queue.Empty:
-                if hedge_delay is not None:
-                    now = time.monotonic()
-                    mature = [
-                        n for n in selected
-                        if n not in done and inflight[n] > 0 and owners_left[n]
-                        and hedges_used[n] < self._hedge.max_hedges
-                        and now - oldest_launch[n] >= hedge_delay
-                    ]
-                    if mature:
-                        assign_next(mature, is_hedge=True)
-                continue
-
-            is_hedge, nid, names, reply, error, elapsed = item
-            for name in names:
-                inflight[name] -= 1
-                if inflight[name] <= 0:
-                    oldest_launch.pop(name, None)
-            report = node_report.setdefault(nid, {"served": [], "refused": {}})
-            if error is not None:
-                report["error"] = error
-                for name in names:
-                    if name not in done:
-                        failures[name].append(f"{nid}: {error}")
-                continue
-            self._latency.add(elapsed)
-            refused = dict(reply["refused"])
-            for name, wire in reply["partials"].items():
-                if name in done:
-                    continue  # a faster replica already answered
-                if wire["fingerprint"] != expected.get(name):
-                    # scored, but not over the content the catalog names:
-                    # the refusal the shard should have made
-                    refused[name] = (
-                        f"stale content: shard scored {str(wire['fingerprint'])[:12]}, "
-                        f"router expects {str(expected.get(name))[:12]}"
-                    )
-                    continue
-                contributions[name] = DatasetPartial(
-                    name=wire["name"],
-                    fingerprint=wire["fingerprint"],
-                    n_query_present=wire["n_query_present"],
-                    weight=wire["weight"],
-                    scores=wire["scores"],
+                launch, reply, error, elapsed = results.get(
+                    timeout=None if wake is None else max(0.0, wake - time.monotonic())
                 )
-                report["served"].append(name)
-                done.add(name)
-                if is_hedge:
-                    with self._lock:
-                        self._hedge_wins += 1
-            for name, reason in refused.items():
-                report["refused"][name] = reason
-                if name not in done:
-                    failures[name].append(f"{nid}: {reason}")
-
-        skipped = [n for n in selected if n not in contributions]
+            except queue.Empty:
+                actions = state.on_timer(time.monotonic())
+                continue
+            if error is not None:
+                actions = state.on_failure(launch, error, time.monotonic())
+            else:
+                self._latency.add(elapsed)
+                actions = state.on_reply(launch, reply, time.monotonic())
+        contributions, skipped, failures, node_report, fired, wins = state.result()
+        with self._lock:
+            self._hedges_fired += fired
+            self._hedge_wins += wins
+            self._deadline_exceeded += int(state.expired)
+        if state.expired:
+            raise DeadlineExceeded("deadline exceeded before sharded gather completed")
         if len(skipped) == len(selected):
             raise RpcError(
                 f"no shard reachable for any of the {len(selected)} selected "
@@ -362,26 +227,17 @@ class RouterService(SearchBackend):
         require_complete: bool,
     ) -> tuple[list[tuple[SpellResult, dict]], int]:
         """One scatter-gather per miss over the current catalog, up to
-        ``n_workers`` of them in flight at once, all bounded by
-        ``deadline``.
-
-        The one thread fan-out in serving, and here because of what a
-        router *is*: a gather spends its time waiting on shard sockets,
-        so members overlap — where a node that scores in-process would
-        only convoy on the GIL.
-        """
+        ``n_workers`` in flight, all bounded by ``deadline``.  The one
+        thread fan-out in serving: a gather waits on shard sockets, so
+        members overlap, where a node scoring in-process would only
+        convoy on the GIL."""
         self._sync_catalog()
 
         def gather(miss: BatchQuery) -> tuple[SpellResult, dict]:
-            try:
-                return self._gather(
-                    list(miss.genes), miss.top_k, miss.datasets,
-                    require_complete=require_complete, deadline=deadline,
-                )
-            except DeadlineExceeded:
-                with self._lock:
-                    self._deadline_exceeded += 1
-                raise
+            return self._gather(
+                list(miss.genes), miss.top_k, miss.datasets,
+                require_complete=require_complete, deadline=deadline,
+            )
 
         width = min(self.n_workers, len(misses))
         return parallel_map(gather, misses, n_workers=width), width
@@ -408,13 +264,9 @@ class RouterService(SearchBackend):
         }
 
     def shard_stats(self) -> dict:
-        """Per-shard routing state for ``/v1/health`` (``shards`` field).
-
-        Each node snapshot carries its circuit-breaker state plus
-        ``catalog_synced`` — whether the fingerprints the node reported
-        on its last heartbeat cover everything the placement plan says
-        it owns (the rejoin resync check).
-        """
+        """Per-shard routing state for ``/v1/health`` (``shards`` field):
+        each node's breaker state plus ``catalog_synced``, the rejoin
+        resync check (:meth:`_catalog_synced`)."""
         self._sync_catalog()
         nodes = self._membership.stats()
         for nid, snap in nodes.items():
@@ -435,11 +287,8 @@ class RouterService(SearchBackend):
         }
 
     def _catalog_synced(self, node_id: str, info: dict) -> bool | None:
-        """Does the node's last-reported catalog match its planned subset?
-
-        ``None`` when the node has never reported fingerprints (no
-        heartbeat landed yet) — unknown, not out of sync.
-        """
+        """Do the fingerprints the node reported on its last heartbeat
+        cover its planned subset?  ``None``: it never reported (unknown)."""
         reported = info.get("fingerprints")
         if not isinstance(reported, dict):
             return None
@@ -451,13 +300,9 @@ class RouterService(SearchBackend):
         return all(reported.get(name) == fp for name, fp in owned.items())
 
     def heartbeat(self) -> None:
-        """Refresh shard liveness and heal breakers (the rejoin path).
-
-        Pings bypass open breakers, so a sweep after a shard restart
-        immediately re-registers the node: its breaker closes, its
-        reported catalog is refreshed for the resync check, and replica
-        ordering prefers it again on the next query — no router restart.
-        """
+        """Refresh shard liveness and heal breakers (the rejoin path):
+        pings bypass open breakers, so after a shard restart one sweep
+        closes its breaker, refreshes its catalog and routes to it again."""
         self._membership.heartbeat()
 
     # -------------------------------------------------------------- lifecycle

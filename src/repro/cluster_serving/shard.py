@@ -166,13 +166,7 @@ class ShardNode:
         if owned:
             assert self._index is not None  # owned names imply an index
             for part in self._index.search_partials(genes, datasets=owned):
-                partials[part.name] = {
-                    "name": part.name,
-                    "fingerprint": part.fingerprint,
-                    "n_query_present": part.n_query_present,
-                    "weight": part.weight,
-                    "scores": part.scores,
-                }
+                partials[part.name] = dict(vars(part))  # DatasetPartial's fields
         with self._lock:
             self._served += len(partials)
             self._refused += len(refused)

@@ -7,8 +7,8 @@ is :meth:`scatter` — issue one call per node concurrently, each with its
 own timeout, and return a :class:`ScatterResult` whose ``ok``/``failed``
 maps account for *every* node addressed.  Degradation is therefore
 always structured: a dead node shows up in ``failed`` with its error
-string; nothing is silently cut from the result set.  Both the display
-wall's tile fan-out and the sharded serving router are built on this.
+string; nothing is silently cut from the result set.  The display wall's
+tile fan-out and :meth:`heartbeat` are built on this.
 
 Fault policy lives here too, because the membership table is the one
 place that sees every call to every node:

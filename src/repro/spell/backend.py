@@ -312,13 +312,15 @@ class SearchBackend:
         ``top_k`` asks for only the first ``k`` ranked genes (identical
         to the head of the full ranking); ``datasets`` restricts the
         search to the named datasets.  ``deadline`` bounds it as it does
-        :meth:`respond`'s, checked before the search starts.
+        :meth:`respond`'s, checked before the search starts.  A raw
+        result has no field to flag a partial ranking, so a backend that
+        cannot cover every selected dataset raises instead.
         """
         if deadline is None:
             deadline = Deadline.never()
         deadline.check("search admission")
         member = (query, top_k, datasets, use_cache, None)
-        answers, _ = self._answer((member,), deadline)
+        answers, _ = self._answer((member,), deadline, require_complete=True)
         return answers[0][0]
 
     # -------------------------------------------------- protocol entry points

@@ -204,22 +204,12 @@ class SpellService(SearchBackend):
             with self._store_lock:
                 IndexStore.sync(index, self._store_dir, stats=self.storage)
 
-    def sync_index(self) -> None:
-        """Publish any pending compendium change (public ``_sync_index``).
-
-        Ingestion calls this eagerly after mutating the compendium so
-        the copy-on-write swap (and the manifest-first disk publish)
-        happens *inside* the ingest request — a racing query sees either
-        the prior index or the fully-published one, never a half-synced
-        state deferred to some later search.
-        """
-        self._sync_index()
-
     def ingest_dataset(self, dataset) -> str:
         """Add one parsed dataset to the live compendium and publish it.
 
         Append-only (``Compendium.add`` rejects a duplicate name), then
-        an eager :meth:`sync_index`; returns the dataset's durable
+        an eager :meth:`_sync_index`, so the swap and the disk publish
+        happen inside the ingest request; returns the dataset's durable
         fingerprint.  Callers own any on-disk source bookkeeping — this
         method is purely the in-memory + index-store publication step.
         """

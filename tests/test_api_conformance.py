@@ -517,6 +517,22 @@ def stalled_router(setup):
     topology.close()
 
 
+@pytest.fixture(scope="module")
+def dead_router(setup):
+    """The router column with ``shard-1`` killed and ``replication=1``
+    (retries, hedging, the cache and the breaker off: every row asks the
+    dead shard and hears the same refusal), and the datasets it took."""
+    topology = build_local_topology(
+        setup[0], n_shards=2, replication=1, cache_size=0,
+        hedge=HedgePolicy.disabled(), retry=RetryPolicy.none(),
+        breaker_failure_threshold=10**9,
+    )
+    topology.kill("shard-1")
+    topology.router.heartbeat()  # drop the pooled connection the kill left behind
+    yield topology.router, sorted(ds.name for ds in topology.shard("shard-1").compendium)
+    topology.close()
+
+
 def post_everywhere(app: ApiApp, requests: list[tuple[str, dict]]) -> list[tuple]:
     """POST each ``(target, payload)`` through the socket-free pipeline,
     then over each facade (one server per facade): one ``((runner,
@@ -610,6 +626,32 @@ def test_stalled_shards_answer_504_within_the_budget(setup, stalled_router):
     ):
         assert (status, error_code(content_type, body)) == (504, "DEADLINE_EXCEEDED"), where
         assert seconds < budget_ms / 1000 + SLACK_SECONDS < STALL_SECONDS, where
+
+
+def test_a_dead_shard_is_a_flagged_partial_or_a_refusal(setup, dead_router):
+    """Behind a lost shard, search and batch answer a flagged partial
+    naming every missing dataset with its reasons; the routes with no
+    field to flag one (export, cluster, render) refuse with
+    ``SHARD_UNAVAILABLE`` instead of drawing a truncated ranking.  Each
+    route answers the same on the pipeline and both facades."""
+    router, lost = dead_router
+    assert lost  # the plan gave shard-1 something to lose
+    bodies: dict[str, list] = {}
+    for (_, target), status, content_type, body, _ in post_everywhere(
+        ApiApp(router), search_routes(list(setup[1].query_genes))
+    ):
+        bodies.setdefault(target, []).append((status, comparable(content_type, body)))
+        if target in ("/v1/search", "/v1/search/batch"):
+            page = json.loads(body)
+            page = page["results"][0] if "results" in page else page
+            assert (status, page["partial"]) == (200, True), target
+            assert page["shards"]["missing_datasets"] == lost, target
+            assert all(page["shards"]["failures"][name] for name in lost), target
+        else:
+            assert (status, error_code(content_type, body)) == (503, "SHARD_UNAVAILABLE"), target
+    for target, answers in bodies.items():
+        assert len(answers) == 1 + len(FACADES), target
+        assert all(answer == answers[0] for answer in answers), target
 
 
 def test_an_over_budget_tenant_is_refused_before_it_is_loaded(setup, columns):

@@ -307,6 +307,7 @@ class TestHedgedReplicas:
             assert stats["enabled"]
             assert stats["fired"] >= 1
             assert stats["wins"] >= 1
+            assert stats["wins"] <= stats["fired"]
 
     def test_hedging_disabled_still_completes_via_failover(self, setup, oracle):
         comp, truth = setup

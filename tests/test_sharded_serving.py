@@ -12,6 +12,7 @@ partial (``partial=True`` + ``shards`` detail) or a structured
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -406,6 +407,42 @@ class TestStalenessRefusal:
             assert "shard scored eeeeeeeeeeee" in reason
             assert victim_name in response.shards["nodes"][owner]["refused"]
             assert victim_name not in response.shards["nodes"][owner]["served"]
+
+    def test_a_reply_counts_only_for_the_names_it_was_asked(self, setup, oracle):
+        """A shard that also answers for a catalog dataset nobody asked it
+        about cannot end the gather early: the extra name is ignored, and
+        the router still waits for the slower shard owning the rest."""
+        comp, truth = setup
+        query = list(truth.query_genes)
+        with fresh_topology(comp, n_shards=2, replication=1) as topology:
+            router = topology.router
+            owned = {
+                nid: sorted(n for n, owners in router._plan.items() if owners == [nid])
+                for nid in ("shard-0", "shard-1")
+            }
+            (asked, extra, *_), (slow, *_) = owned["shard-0"], owned["shard-1"]
+            chatty, late = topology.shard("shard-0"), topology.shard("shard-1")
+            partials = chatty._server._handlers["partials"]
+            lagging = late._server._handlers["partials"]
+
+            def also_extra(payload):
+                more = [(extra, router._fingerprints[extra])]
+                return partials(dict(payload, datasets=list(payload["datasets"]) + more))
+
+            def after_a_while(payload):
+                time.sleep(0.3)
+                return lagging(payload)
+
+            chatty._server._handlers["partials"] = also_extra
+            late._server._handlers["partials"] = after_a_while
+            datasets = (asked, slow)
+            response = router.respond(SearchRequest(genes=tuple(query), datasets=datasets))
+            assert response.partial is False
+            assert response.shards == {}
+            assert_bit_identical(
+                router.search(query, datasets=datasets),
+                oracle.search(query, datasets=datasets),
+            )
 
     def test_duplicate_ownership_never_double_counts(self, setup, topo, oracle):
         """replication=2 puts every dataset on two shards; the router asks
