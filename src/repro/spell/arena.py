@@ -8,22 +8,26 @@ the :class:`repro.spell.index.SpellIndex` scoring kernel:
   arrays scattered across the heap.  :class:`ShardArena` lays every
   shard's rows into **one contiguous buffer per dtype** and hands back
   zero-copy *views* (an ``offsets`` table derived from the views is
-  kept for introspection), so the kernel's per-dataset matmuls read
-  windows of a single array.
-  Matmuls against a view are bit-identical to matmuls against the
-  original shard (same values, same BLAS reduction order), which the
-  oracle tests assert.
+  kept for introspection).  Matmuls against a view are bit-identical to
+  matmuls against the original shard (same values, same BLAS reduction
+  order), which the oracle tests assert.
+
+* **Runs** — a view *continues* the one before it when it has the same
+  dtype and shape, is C-contiguous and starts where that one ends in the
+  same base buffer: a fused arena's equal-shape shards are one run, reused
+  views keep their old arena's runs, store mappings are runs of one.
+  :meth:`ShardArena.span` hands out a stretch of a run as one array.
 
 * **Kernel scratch** — the scoring kernel writes a block's stacked
-  ``Q @ Q.T`` Grams into one pair buffer and, per dataset, the
-  ``Xn @ Q_all.T`` product of the members it weighs positively into one
-  flat buffer (``Σ genes × columns`` elements: around a megabyte for a
+  ``Q @ Q.T`` Grams into one pair buffer and, per run, the
+  ``Xn @ Q_all.T`` product of the members the run weighs positively into
+  one flat buffer (``Σ genes × columns`` elements: around a megabyte for a
   lone query, i.e. a fresh ``mmap`` and a page fault per 4 KiB if
   allocated each time).  :class:`ScoreScratch` owns both; a
   :class:`ScratchPool` free-list recycles them across queries *and
-  threads* (a thread-per-request server like ``ThreadingHTTPServer``
-  never reuses a thread, so thread-local storage would defeat the pool
-  on the primary serving path).  The buffers are handed out
+  threads* (``ThreadingHTTPServer`` runs each connection on a fresh
+  thread, so thread-local storage would allocate per connection on the
+  primary serving path).  The buffers are handed out
   uninitialised — the kernel overwrites every element it reads — and
   grow only when a block needs more than any before it.  A batch goes
   through the kernel in blocks of at most
@@ -42,7 +46,7 @@ zero-copy cold start.  And shards that are already views into a
 previous index's arena (the copy-on-write ``SpellIndex.updated`` path)
 are reused as-is rather than re-copied, so an incremental sync costs
 O(changed shards), not O(index bytes).  Either way the consumer sees
-the same thing: a list of ``(genes, conditions)`` views.
+the same thing: a list of ``(genes, conditions)`` views, cut into runs.
 """
 
 from __future__ import annotations
@@ -63,9 +67,10 @@ class ShardArena:
     and sharing one dtype, the views alias one flat buffer (``fused`` is
     True); otherwise the inputs themselves serve as the views (``fused``
     is False) — the mmap and copy-on-write-reuse cases.
+    ``continues[i]``: view ``i`` continues view ``i - 1`` in one run.
     """
 
-    __slots__ = ("views", "fused", "_flat")
+    __slots__ = ("views", "fused", "_flat", "continues", "_runs")
 
     def __init__(self, shards: Sequence[np.ndarray]) -> None:
         shards = list(shards)
@@ -87,6 +92,16 @@ class ShardArena:
         else:
             self._flat = None
             self.views = shards
+        self.continues = [
+            i > 0 and _continues(self.views[i - 1], view) for i, view in enumerate(self.views)
+        ]
+        self._runs: list[tuple[np.ndarray, int]] = []  # per view: (its run, its place)
+        starts = [i for i, c in enumerate(self.continues) if not c] + [len(self.views)]
+        for start, end in zip(starts, starts[1:]):
+            first = np.asarray(self.views[start])
+            shape, strides = (end - start, *first.shape), (first.nbytes, *first.strides)
+            run = np.lib.stride_tricks.as_strided(first, shape, strides, writeable=False)
+            self._runs += [(run, k) for k in range(end - start)]
 
     def __len__(self) -> int:
         return len(self.views)
@@ -100,7 +115,7 @@ class ShardArena:
         every view of an unfused arena).
 
         Introspection only — the scoring loop addresses shards through
-        ``views``; this exists so tests and debuggers can verify the
+        :meth:`span`; this exists so tests and debuggers can verify the
         contiguous layout without poking at ``ctypes`` themselves.
         """
         if self._flat is None:
@@ -108,8 +123,23 @@ class ShardArena:
         start = self._flat.ctypes.data
         return [(v.ctypes.data - start) // self._flat.itemsize for v in self.views]
 
+    def span(self, first: int, count: int) -> np.ndarray:
+        """Views ``first .. first + count - 1`` of one run as one zero-copy,
+        read-only ``(count, genes, conditions)`` array."""
+        run, k = self._runs[first]
+        return run[k : k + count]
+
     def nbytes(self) -> int:
         return sum(int(v.nbytes) for v in self.views)
+
+
+def _continues(prev: np.ndarray, view: np.ndarray) -> bool:
+    return (
+        view.base is not None and view.base is prev.base
+        and (view.dtype, view.shape) == (prev.dtype, prev.shape)
+        and view.flags.c_contiguous and prev.flags.c_contiguous
+        and view.ctypes.data == prev.ctypes.data + prev.nbytes
+    )
 
 
 class ScoreScratch:
@@ -119,10 +149,10 @@ class ScoreScratch:
     :meth:`~repro.spell.index.SpellIndex._score` call scores, never the
     batch they came from.  ``grams(n, dtype)`` is the pair buffer: every
     selected dataset's stacked ``Q @ Q.T`` lands in it, ``datasets ×
-    members × p²`` elements, written **per dataset** and read back once
+    members × p²`` elements, written **per run** and read back once
     **per block** for the Fisher-z/weight step.  ``flat(n, dtype)`` is
-    the score buffer: **per dataset**, the one ``Xn @ Q_all.T`` of the
-    members weighed positively there writes its ``(genes, columns)``
+    the score buffer: **per run**, the one ``Xn @ Q_all.T`` of the members
+    weighed positively in it writes its ``(datasets, genes, columns)``
     product into the next window, and the clip and the column mean run
     over all of it once **per block** (``Σ genes × columns`` elements —
     the only allocation of the kernel large enough to be served by a

@@ -14,11 +14,11 @@ agreement against the exact engine.
 
 Hot-path layout (see :mod:`repro.spell.arena`): the shards' normalized
 rows live in one contiguous per-dtype arena whenever they are in-RAM
-arrays, and the kernel walks zero-copy *views* of that one buffer;
-shards reopened from the persistent store stay memory-mapped (fusing
-would fault in every page and destroy the zero-copy cold start), in
-which case the views are simply the per-shard maps.  Either way it is
-one code path over ``ShardArena.views``.
+arrays, cut into *runs* of adjacent equal-shape windows, each handed
+out as one zero-copy ``(shards, genes, conditions)`` array.  Shards
+reopened from the persistent store stay memory-mapped (fusing would
+fault in every page and destroy the zero-copy cold start), each its own
+mapping and so a run of one: one code path over ``ShardArena.span``.
 
 One kernel, :meth:`SpellIndex._score`, is the only place shard values
 are multiplied; ``search``, ``search_batch`` and ``search_partials`` all
@@ -27,22 +27,20 @@ shards and hold the same number of query genes in each, stacked
 (``search`` and ``search_partials`` are the block of one).  The work
 splits three ways.
 
-**Per dataset** — the BLAS calls and nothing else, once for the whole
-block: one gather of every member's query rows ``Q``, one stacked
-``Q @ Q.T`` into the pooled pair buffer, and — for the members whose
-weight there is positive — one ``Xn @ Q_all.T`` into the pooled flat
-buffer, ``Q_all`` being their query rows end to end.  A block of eight
-four-gene queries is one ``(genes, 20) @ (20, 32)`` product per dataset
-where eight lone queries are eight ``(genes, 20) @ (20, 4)``: the same
-flops through an eighth of the dispatches, at nearly twice the BLAS
-efficiency.
+**Per run** — the BLAS calls and nothing else.  A run of the block is a
+maximal span of selected datasets, consecutive in one arena run, holding
+the same number of query genes: one gather of the members' query rows
+``Q``, one stacked ``Q @ Q.T`` and one stacked ``Xn @ Q_all.T`` over the
+members it weighs positively anywhere (unused columns are dropped).  A
+lone FIG4 query is one run of 40 datasets, two ``np.matmul`` calls and so
+two GIL hand-offs; on an mmap store every run is one dataset.
 
 **Per block** — everything between the BLAS calls, across all selected
 datasets at once: the ``i < j`` Gram entries are Fisher-z'd, averaged
 and squared into weights as one ``(datasets * members, pairs)`` array;
-the flat buffer is clipped and row-averaged in one go.  None of it sits
-in the dataset loop, which is what keeps the block of one as cheap as a
-kernel written for one query.
+the flat buffer is clipped and row-averaged in L2-sized pieces.  None
+of it sits in the run loop, which is what keeps the block of one as
+cheap as a kernel written for one query.
 
 **Per member** — what has no shared structure: one gather from the
 stacked slot->row table says where every query gene sits in every shard
@@ -53,16 +51,17 @@ out of the block's.  That tail is now the largest stage of a batch.
 
 Dispatch matters twice on a serving thread: each NumPy call is overhead
 larger than the arithmetic it wraps, and each is a GIL hand-off point
-for the next handler thread to convoy on.  A lone query costs a few
-hundred calls, a stacked member a few dozen.
+for the next handler thread to convoy on.
 
-Stacking changes no bit.  A stacked Gram is the same small ``syrk`` per
-member, and every element of ``Xn @ Q_all.T`` is the same dot product
-over the same conditions as in ``Xn @ Q.T`` — BLAS blocks over rows and
-columns, never differently along the reduction for a wider right-hand
-side (asserted, not assumed: ``tests/test_spell_kernel.py`` holds every
-member of batches of 1 to 70 to :meth:`search` and to the textbook loop,
-with BLAS threading on and off).  Three reductions fix the float order,
+Stacking changes no bit.  numpy's matmul calls the same BLAS routine
+(``syrk`` for a Gram, ``gemm`` for scores) for each 2-D slice, with that
+slice's shapes and strides, and every element of ``Xn @ Q_all.T`` is
+the same dot product over the same conditions as in ``Xn @ Q.T`` — BLAS
+blocks over rows and columns, never differently along the reduction for
+a wider right-hand side (asserted, not assumed: ``tests/test_spell_kernel.py``
+holds every member of batches of 1 to 70 to :meth:`search` and to the
+textbook loop on fused, mmap and appended indexes, with BLAS threading
+on and off).  Three reductions fix the float order,
 and each is the one a textbook per-dataset loop performs (the executable
 spec in that file holds the kernel to the loop bit for bit): the pair
 mean is a C-contiguous axis-1 ``mean`` — per row the very sum
@@ -113,7 +112,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -149,6 +147,9 @@ SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 #: spinning thread) three to four times slower.
 BLOCK_COLUMNS = 32
 
+#: Score-buffer elements one clip-and-mean pass covers (1 MiB of float64).
+MEAN_ELEMENTS = 1 << 17
+
 
 @lru_cache(maxsize=64)
 def _pair_index(p: int) -> np.ndarray:
@@ -158,6 +159,14 @@ def _pair_index(p: int) -> np.ndarray:
     index = i * p + j
     index.setflags(write=False)  # one cached array serves every query
     return index
+
+
+@lru_cache(maxsize=64)
+def _ladder(r: int) -> np.ndarray:
+    """``(r, 1, 1)`` shard positions, to gather a run's ``(r, members, p)`` rows."""
+    ladder = np.arange(r).reshape(r, 1, 1)
+    ladder.setflags(write=False)  # one cached array serves every query
+    return ladder
 
 
 @dataclass(frozen=True)
@@ -340,93 +349,114 @@ class SpellIndex:
         (parallel to ``selected``) and the float64 score vectors of that
         member's positive-weight shards concatenated in ``selected``
         order — exactly what :func:`rank_scores` (or a partials reply)
-        consumes.  Per shard the Python work is one row gather and one
-        stacked ``Q @ Q.T`` in the weight pass and one ``Xn @ Q_all.T``
-        in the score pass; everything else runs once per block.
+        consumes.  Per run of the block (see the module docstring) the Python
+        work is one row gather and one stacked ``Q @ Q.T`` in the weight pass
+        and one stacked ``Xn @ Q_all.T`` in the score pass; the rest is per block.
         """
-        views = self._arena.views
+        arena = self._arena
         n_shards, n_members, q = local.shape
         weights = [[0.0] * n_shards for _ in range(n_members)]
-        q_rows: list = [None] * n_shards  # each shard's stacked Q, kept for the score pass
+        runs: list[list] = []  # [first, end, p, span, stacked Q] over positions in selected
+        last = [-1, -1, -1]
+        for s, (i, p) in enumerate(zip(selected, n_present)):
+            if p < MIN_QUERY_PRESENT:
+                continue
+            # s extends the last run: its next view in the arena and in selected, same p
+            if not (arena.continues[i] and selected[s - 1] == i - 1 and last[1:] == [s, p]):
+                runs.append(last := [s, s, p])
+            last[1] = s + 1
 
-        # weight pass: shards holding the same number of query genes (all
-        # of them, bar ragged compendia) share one (shards, members, p, p)
+        # weight pass: runs holding the same number of query genes (all of
+        # them, bar ragged compendia) share one (shards, members, p, p)
         # Gram buffer whose i<j pairs are Fisher-z'd and averaged in one
         # go.  The reduce is a C-contiguous axis-1 mean, i.e. per row the
         # same pairwise sum np.mean takes over one member's 1-D pair
         # vector in one shard.
-        for p in sorted({n for n in n_present if n >= MIN_QUERY_PRESENT}):
-            shards = [s for s, n in enumerate(n_present) if n == p]
+        for p in sorted({run[2] for run in runs}):
+            of_p = [run for run in runs if run[2] == p]
+            shards = [s for first, end, _ in of_p for s in range(first, end)]
             grams = scratch.grams(len(shards) * n_members * p * p, self.dtype)
             grams = grams.reshape(-1, n_members, p, p)
-            for gram, s in zip(grams, shards):
-                rows = local[s]
+            done = 0
+            for run in of_p:
+                first, end, _ = run
+                rows = local[first:end]
                 if p < q:
-                    rows = rows[rows >= 0].reshape(n_members, p)
-                q_rows[s] = Q = views[selected[s]][rows]  # (members, p, cond) unit rows
-                np.matmul(Q, Q.swapaxes(1, 2), out=gram)
+                    rows = rows[rows >= 0].reshape(end - first, n_members, p)
+                X = arena.span(selected[first], end - first)
+                Q = X[_ladder(end - first), rows]  # (shards, members, p, cond) unit rows
+                np.matmul(Q, Q.swapaxes(2, 3), out=grams[done : done + end - first])
+                done += end - first
+                run += (X, Q)
             pairs = grams.reshape(-1, p * p).take(_pair_index(p), axis=1)
             mean_r = np.tanh(fisher_z(pairs).mean(axis=1)).reshape(-1, n_members)
             for member_weights, column in zip(weights, mean_r.T.tolist()):
                 for s, r in zip(shards, column):
                     member_weights[s] = max(0.0, r) ** 2
 
-        # score pass: per shard, the all-gene correlations of every member
-        # it weighs positively land as one (genes, members * p) block in
-        # the pooled flat buffer, which is clipped once and row-averaged
-        # once per run of equal p (one run, bar ragged compendia) as
-        # (genes * members, p).  The average adds the p columns left to
-        # right and divides once: below 8 columns that is bit for bit
-        # numpy's own mean(axis=1) (whose pairwise sum is a plain loop
-        # there) at a fifth of its cost; from 8 query genes up numpy would
-        # sum in 8 lanes, so this fixed order is the canonical one.
+        # score pass: per run, the all-gene correlations of the members it
+        # weighs positively anywhere land as one (shards, genes, members * p)
+        # block in the pooled flat buffer, clipped and row-averaged per
+        # stretch of equal p (one, bar ragged compendia) as (rows, p).
+        # The average adds the p columns left to right and divides once:
+        # below 8 columns that is bit for bit numpy's own mean(axis=1) (whose
+        # pairwise sum is a plain loop there) at a fifth of its cost; from 8
+        # query genes up numpy would sum in 8 lanes, so this fixed order is
+        # the canonical one.
+        by_shard = list(zip(*weights))
+        n_weighed = [n_members - column.count(0.0) for column in by_shard]
         everyone = list(range(n_members))
-        scoring = []  # (view, stacked Q of the members it weighs positively, those members)
-        for i, Q, shard_weights in zip(selected, q_rows, zip(*weights)):
-            n_weighed = n_members - shard_weights.count(0.0)
-            if n_weighed:
-                members = everyone
-                if n_weighed < n_members:
-                    members = [m for m, w in enumerate(shard_weights) if w > 0.0]
-                    Q = Q[members]
-                scoring.append((views[i], Q, members))
-        flat = scratch.flat(
-            sum(v.shape[0] * Q.shape[0] * Q.shape[1] for v, Q, _ in scoring), self.dtype
-        )
+        scoring = []  # (first, span, stacked Q of the members weighed positively, those members)
+        for first, end, p, X, Q in runs:
+            members = everyone
+            if max(n_weighed[first:end]) < n_members:
+                members = [m for m, ws in enumerate(zip(*by_shard[first:end])) if any(ws)]
+                if 0 < len(members) < n_members:
+                    Q = Q[:, members]
+            if members:
+                scoring.append((first, X, Q, members))
+        n_rows = [X.shape[0] * X.shape[1] * len(members) for _, X, _, members in scoring]
+        flat = scratch.flat(sum(n * e[2].shape[2] for n, e in zip(n_rows, scoring)), self.dtype)
         pos = 0
-        for view, Q, _ in scoring:
-            columns = Q.shape[0] * Q.shape[1]
-            block = flat[pos : pos + view.shape[0] * columns].reshape(-1, columns)
-            np.matmul(view, Q.reshape(columns, -1).T, out=block)
+        for (_, X, Q, _), n in zip(scoring, n_rows):
+            columns = Q.shape[1] * Q.shape[2]
+            block = flat[pos : pos + n * Q.shape[2]].reshape(X.shape[0], -1, columns)
+            np.matmul(X, Q.reshape(X.shape[0], columns, -1).swapaxes(1, 2), out=block)
             pos += block.size
-        np.clip(flat, -1.0, 1.0, out=flat)
-        means = np.empty(sum(v.shape[0] * Q.shape[0] for v, Q, _ in scoring))
+        means = np.empty(sum(n_rows))
         pos = row = 0
-        for p, run in groupby(scoring, key=lambda vqm: vqm[1].shape[1]):
-            n_rows = sum(v.shape[0] * Q.shape[0] for v, Q, _ in run)
-            block = flat[pos : pos + n_rows * p].reshape(n_rows, p)
-            mean = means[row : row + n_rows]
-            np.add(block[:, 0], block[:, 1], out=mean, dtype=np.float64)
-            for j in range(2, p):
-                np.add(mean, block[:, j], out=mean)
-            mean /= p
-            pos += block.size
-            row += n_rows
+        for p, stretch in groupby(zip(n_rows, scoring), key=lambda entry: entry[1][2].shape[2]):
+            end, step = row + sum(n for n, _ in stretch), MEAN_ELEMENTS // p
+            for row in range(row, end, step):  # pieces that stay in L2 from clip to mean
+                mean = means[row : min(row + step, end)]
+                block = flat[pos : pos + mean.size * p]
+                pos += block.size
+                np.clip(block, -1.0, 1.0, out=block)
+                block = block.reshape(-1, p)
+                np.add(block[:, 0], block[:, 1], out=mean, dtype=np.float64)
+                for j in range(2, p):
+                    np.add(mean, block[:, j], out=mean)
+                mean /= p
+            row = end
 
-        # a shard's means sit gene-major, (genes, members), so a run of
-        # shards weighing the same members is one strided window each; a
-        # member with one window (every member of a block of one) takes
-        # it as it is, the others join theirs
-        windows: list[list[np.ndarray]] = [[] for _ in everyone]
-        pos = 0
-        for members, run in groupby(scoring, key=itemgetter(2)):
-            end = pos + sum(view.shape[0] for view, _, _ in run) * len(members)
-            for j, m in enumerate(members):
-                windows[m].append(means[pos + j : end : len(members)])
-            pos = end
+        # a scored shard's means sit gene-major, (genes, members), shard after
+        # shard: a member's windows over consecutive scored shards of the same
+        # width join into one strided window, and several windows concatenate
+        windows: list[list[list[int]]] = [[] for _ in range(n_members)]  # [start, stop, step]
+        row = 0
+        for first, X, _, members in scoring:
+            size = X.shape[1] * len(members)
+            for column in by_shard[first : first + X.shape[0]]:
+                for j, m in enumerate(members):
+                    own = windows[m]
+                    if column[m] > 0.0 and own and own[-1][1:] == [row + j, len(members)]:
+                        own[-1][1] += size
+                    elif column[m] > 0.0:
+                        own.append([row + j, row + j + size, len(members)])
+                row += size
+        slices = [[means[a:b:c] for a, b, c in own] for own in windows]
         return weights, [
-            own[0] if len(own) == 1 else np.concatenate(own or [means[:0]])
-            for own in windows
+            own[0] if len(own) == 1 else np.concatenate(own or [means[:0]]) for own in slices
         ]
 
     # ----------------------------------------------------------------- search

@@ -285,7 +285,10 @@ def merged_from_partials(index, universe, spec):
 
 class TestBatchedKernel:
     """A batch goes through the kernel in blocks of stacked members; every
-    member is held to the same spec as a lone ``search``."""
+    member is held to the same spec as a lone ``search``.  The arena
+    layout decides the kernel's runs: a fused index is runs of equal-shape
+    shards, an mmap store runs of one, an appended index an old run plus
+    a separate shard."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -293,36 +296,49 @@ class TestBatchedKernel:
         length=st.sampled_from([1, 2, 3, 8, 17, 33, 70]),
         dtype=st.sampled_from([np.float64, np.float32]),
         ragged=st.booleans(),
-        mmap=st.booleans(),
+        rectangular=st.booleans(),
+        layout=st.sampled_from(["fused", "mmap", "appended"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_every_member_equals_search_and_the_textbook_loop_bitwise(
-        self, seed, n_datasets, length, dtype, ragged, mmap, tmp_path_factory
+        self, seed, n_datasets, length, dtype, ragged, rectangular, layout, tmp_path_factory
     ):
         rng = np.random.default_rng(seed)
         datasets = ragged_datasets(rng, n_datasets)
-        if not ragged:
-            # every dataset holds every gene (its own condition count), so
-            # members of one query size stack whatever their genes
+        if rectangular or not ragged:
+            # every dataset holds every gene (its own condition count, or
+            # under ``rectangular`` the first one's), so members of one
+            # query size stack whatever their genes; rectangular shards
+            # are one run in a fused arena
+            shapes = [(datasets[0] if rectangular else ds).matrix for ds in datasets]
             datasets = [
                 Dataset(
                     name=ds.name,
                     matrix=ExpressionMatrix(
-                        rng.normal(size=(30, ds.matrix.n_conditions)),
+                        rng.normal(size=(30, shape.n_conditions)),
                         [f"G{i:02d}" for i in range(30)],
-                        list(ds.matrix.condition_names),
+                        list(shape.condition_names),
                     ),
                 )
-                for ds in datasets
+                for ds, shape in zip(datasets, shapes)
             ]
-        index = SpellIndex.build(Compendium(datasets), dtype=dtype)
-        if mmap:
+        if layout == "appended":
+            index = SpellIndex.build(Compendium(datasets[:-1]), dtype=dtype)
+            index = index.updated(Compendium(datasets))
+        else:
+            index = SpellIndex.build(Compendium(datasets), dtype=dtype)
+        if layout == "mmap":
             from repro.spell import IndexStore
 
             store = tmp_path_factory.mktemp("kernel-store")
             IndexStore.save(index, store)
             index = IndexStore.load(store, mmap=True)
             assert not index._arena.fused
+            assert not any(index._arena.continues)
+        elif rectangular:
+            assert index._arena.continues == (
+                [False] + [True] * (n_datasets - 2) + [layout == "fused"]
+            )
         universe = GeneUniverse([(ds.name, ds.gene_ids) for ds in datasets])
         names = [ds.name for ds in datasets]
         filters = [None, None] + [
@@ -410,3 +426,63 @@ class TestBatchedKernel:
         one_block = workspace(index, BLOCK_COLUMNS // len(query))
         assert workspace(index, 500) == one_block
         assert 0 < workspace(SpellIndex.build(comp), 1) < one_block
+
+
+# ------------------------------------------------------------- kernel's shape
+def matmul_calls(index, query, monkeypatch):
+    """How many times one lone ``search`` calls ``np.matmul``, and its
+    dataset rows ``(name, weight, query genes held)``."""
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return matmul(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", counted)
+        result = index.search(query)
+    return len(calls), [(d.name, d.weight, d.n_query_present) for d in result.datasets]
+
+
+class TestKernelShape:
+    """Count lock on the kernel's BLAS calls: a run of arena shards is one
+    stacked Gram and one score matmul, whatever its length, and a run of
+    one is the per-dataset step (one Gram per dataset holding enough query
+    genes, one score matmul per dataset weighing the query positively)."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 6])
+    def test_a_fused_index_is_one_run(self, fig4, size, monkeypatch):
+        comp, truth = fig4
+        index = SpellIndex.build(comp)
+        assert index._arena.continues == [False] + [True] * (len(comp) - 1)
+        for query in fig4_queries(comp, truth, size):
+            calls, datasets = matmul_calls(index, query, monkeypatch)
+            assert any(w > 0 for _, w, _ in datasets)
+            assert calls == 2
+
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_mmap_shards_are_runs_of_one(self, fig4, size, monkeypatch, tmp_path):
+        from repro.spell import IndexStore
+
+        comp, truth = fig4
+        IndexStore.save(SpellIndex.build(comp), tmp_path)
+        index = IndexStore.load(tmp_path, mmap=True)
+        assert not any(index._arena.continues)
+        for query in fig4_queries(comp, truth, size):
+            calls, datasets = matmul_calls(index, query, monkeypatch)
+            grams = sum(n >= MIN_QUERY_PRESENT for _, _, n in datasets)
+            scores = sum(w > 0 for _, w, _ in datasets)
+            assert scores and calls == grams + scores
+
+    def test_an_appended_shard_is_its_own_run(self, fig4, monkeypatch):
+        comp, truth = fig4
+        datasets = list(comp)
+        index = SpellIndex.build(Compendium(datasets[:-1])).updated(comp)
+        assert index._arena.continues == [False] + [True] * (len(comp) - 2) + [False]
+        last = datasets[-1].name
+        for query in fig4_queries(comp, truth, 4):
+            calls, rows = matmul_calls(index, query, monkeypatch)
+            assert any(weight > 0 for name, weight, _ in rows if name != last)
+            ((_, w, n),) = [row for row in rows if row[0] == last]
+            assert calls == 2 + (n >= MIN_QUERY_PRESENT) + (w > 0)
