@@ -19,7 +19,7 @@ loop** — everything that cannot wait, which for a hit is the whole
 answer — and only when that returns ``None`` is
 :func:`~repro.api.pipeline.compute` — the kernel, the index worker
 pool's pipes, the sharded router's sockets, tenant loads, ingest,
-renders, every line of an export — submitted to a bounded thread-pool
+renders, an export with its first run — submitted to a bounded thread-pool
 executor (``aio-dispatch`` threads), one call per connection at a time,
 whose done-callback writes and carries on.  So hundreds of connections
 stay responsive while a handful of requests compute, and nothing that
@@ -34,7 +34,7 @@ parsed-but-unanswered requests the connection calls ``pause_reading``
 resumes below it.  Writing: a client that stops reading fills the
 transport's buffer to its high-water mark; from ``pause_writing`` to
 ``resume_writing`` the connection answers nothing more and pulls no
-export line.  Silence: a connection that owes no answer and has sent
+export run.  Silence: a connection that owes no answer and has sent
 nothing for :data:`~repro.api.transport.IDLE_SECONDS` is closed by one
 per-server sweep timer.
 
@@ -59,12 +59,11 @@ from functools import partial
 from repro.api.app import ApiApp
 from repro.api.errors import ApiError
 from repro.api.pipeline import Plan, Response, compute, plan_request, read_body, ready
-from repro.api.transport import DEFAULT_DRAIN_SECONDS, IDLE_SECONDS, TransportStats
+from repro.api.transport import DEFAULT_DRAIN_SECONDS, IDLE_SECONDS, TransportStats, encode_run
 from repro.api.aio.http11 import (
     CHUNKED_EOF,
     ProtocolError,
     RequestParser,
-    encode_chunk,
     encode_response,
     encode_stream_head,
 )
@@ -108,7 +107,7 @@ class _Connection(asyncio.BufferedProtocol):
         self.seen = 0  # requests admitted on this connection, ever
         self.parsing = True  # False: nothing further on this stream is trusted
         self.waiting = False  # an executor call of this connection is outstanding
-        self.stream: Response | None = None  # the export being written, line by line
+        self.stream: Response | None = None  # the export being written, run by run
         self.can_write = True  # False between pause_writing and resume_writing
         self.paused = False  # reading is paused at the pipelining window
         self.yielded = False  # a continuation of _pump is already scheduled
@@ -201,7 +200,7 @@ class _Connection(asyncio.BufferedProtocol):
             if self.waiting or not self.can_write:
                 break
             if self.stream is not None:
-                # each next() is blocking work (slicing + JSON + checksum)
+                # a later run may be blocking work (a lazy cursor, the checksum)
                 self._submit(next, self.stream.lines, None)
                 break
             if not self.window:
@@ -239,8 +238,8 @@ class _Connection(asyncio.BufferedProtocol):
         future.add_done_callback(self._landed)
 
     def _landed(self, future) -> None:
-        """An executor call came back: ``compute``'s response, a stream's
-        next line (``None`` at its end), or teardown's ``lines.close``."""
+        """An executor call landed: ``compute``'s response and a stream's
+        first run, a next run (``None`` at the end), or ``lines.close``."""
         self.waiting = False
         self.touched = self.server._loop.time()
         try:
@@ -257,12 +256,13 @@ class _Connection(asyncio.BufferedProtocol):
         if result is None:
             response, self.stream = self.stream, None
             self._finish(response, CHUNKED_EOF)
-        elif result is self.stream:
-            self.transport.write(encode_stream_head(result.content_type, close=result.close))
+        elif result is self.stream:  # its first run was pulled with compute
+            head = encode_stream_head(result.content_type, close=result.close)
+            self.transport.write(head + encode_run(next(result.lines)))
         elif isinstance(result, Response):
             self._finish(result)
         else:
-            self.transport.write(encode_chunk(result))
+            self.transport.write(encode_run(result))
         self._pump()
 
     def _finish(self, response: Response, last: bytes | None = None) -> None:

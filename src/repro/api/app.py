@@ -215,8 +215,8 @@ class ApiApp:
 
         A failure is ``(status, error payload)`` on every route.  A
         success is ``(200, the response's wire dict)`` — except that a
-        stream route answers its iterator of NDJSON lines, and ``raw``
-        (a ``?format=ppm`` render) the image bytes.
+        stream route answers its iterator of runs of NDJSON lines, and
+        ``raw`` (a ``?format=ppm`` render) the image bytes.
         """
         route = ROUTE_BY_NAME[endpoint]
         handler = getattr(self, route.handler)
@@ -449,7 +449,9 @@ class ApiApp:
 
     # ------------------------------------------------------ streaming export
     def search_export(self, request: ExportRequest):
-        """``search/export``: returns an iterator of NDJSON lines (bytes).
+        """``search/export``: returns an iterator of *runs* — tuples of
+        NDJSON lines (bytes) that are ready together, one HTTP chunk per
+        line.  A warm export is one run: every chunk line and the trailer.
 
         Everything that can fail *before* streaming — unknown
         genes/datasets, the deadline, the search itself — raises here,
@@ -465,66 +467,73 @@ class ApiApp:
         try:
             budget = Deadline.after_ms(request.deadline_ms)
             _, service = self._resolve(request.compendium)
-            lines = service.iter_result(request, deadline=budget).lines()
+            runs = service.iter_result(request, deadline=budget).runs()
         except BaseException:
             self._stats.record("search/export", sw.stop(), error=True)
             raise
-        return self._encode_export(lines, request.chunk_size, sw)
+        return self._encode_export(runs, request.chunk_size, sw)
 
     def export(self, payload, *, context: RequestContext | None = None):
         """:meth:`search_export` of one wire payload, for in-process
-        callers: gated, parsed and charged by :meth:`_parse` like every
-        route, and raising (as :class:`ApiError` or a mappable
-        exception) where a transport would answer an error status."""
-        return self.search_export(self._parse("search/export", payload, context))
+        callers, one line at a time: gated, parsed and charged by
+        :meth:`_parse` like every route, and raising (as
+        :class:`ApiError` or a mappable exception) where a transport
+        would answer an error status."""
+        return _lines(self.search_export(self._parse("search/export", payload, context)))
 
-    def _encode_export(self, lines, chunk_size: int, sw: Stopwatch):
-        """Pass an export cursor's NDJSON lines on, checksumming them.
+    def _encode_export(self, runs, chunk_size: int, sw: Stopwatch):
+        """Pass an export cursor's runs on, checksumming their lines.
 
         The checksum is ``sha256`` over the exact bytes of every chunk
         line (newline included) in stream order — the trailer promises
         integrity of what was actually sent, so it must hash wire bytes,
-        not protocol objects.  Every chunk line but a stream's last
-        holds ``chunk_size`` rows, and a cursor that yields a line yields
-        them all, so an error trailer's ``total_rows`` is that many per
-        line sent.
+        not protocol objects.  The cursor's trailer object ends its last
+        run and leaves as the checksummed trailer line.  The export
+        counts as served only when the consumer asks for more after that
+        run — it was handed off whole; one that closes the stream instead
+        (a failed write, a vanished client) counts a failed export.
+        Every chunk line but a stream's last holds ``chunk_size`` rows
+        and a cursor fails only between runs, so an error trailer's
+        ``total_rows`` is that many per line sent.
         """
         endpoint = "search/export"
         digest = hashlib.sha256()
         n_chunks = 0
-        recorded = False
         try:
-            for item in lines:
-                if isinstance(item, ExportTrailer):
-                    trailer = replace(
-                        item, checksum=f"sha256:{digest.hexdigest()}", n_chunks=n_chunks
-                    )
-                    self._stats.record(endpoint, sw.stop(), error=False)
-                    recorded = True
-                    yield ndjson_line(trailer)
-                    return
-                digest.update(item)
-                n_chunks += 1
-                yield item
+            for run in runs:
+                trailer = run[-1] if isinstance(run[-1], ExportTrailer) else None
+                lines = run if trailer is None else run[:-1]
+                for line in lines:
+                    digest.update(line)
+                n_chunks += len(lines)
+                if trailer is None:
+                    yield lines
+                    continue
+                trailer = replace(
+                    trailer, checksum=f"sha256:{digest.hexdigest()}", n_chunks=n_chunks
+                )
+                yield lines + (ndjson_line(trailer),)
+                self._stats.record(endpoint, sw.stop(), error=False)
+                return
             raise RuntimeError("export cursor ended without a trailer")
         except GeneratorExit:
             # consumer went away mid-stream (client disconnect): the
             # export did not complete — count it as an error
-            if not recorded:
-                self._stats.record(endpoint, sw.stop(), error=True)
+            self._stats.record(endpoint, sw.stop(), error=True)
             raise
         except Exception as exc:  # noqa: BLE001 — the stream boundary
             err = as_api_error(exc)
-            if not recorded:
-                self._stats.record(endpoint, sw.stop(), error=True)
-            yield ndjson_line(
-                ExportTrailer(
-                    status="error",
-                    total_rows=n_chunks * chunk_size,
-                    n_chunks=n_chunks,
-                    checksum=f"sha256:{digest.hexdigest()}",
-                    error=error_payload(err)["error"],
-                )
+            self._stats.record(endpoint, sw.stop(), error=True)
+            yield (
+                ndjson_line(
+                    ExportTrailer(
+                        status="error",
+                        total_rows=n_chunks * chunk_size,
+                        n_chunks=n_chunks,
+                        checksum=f"sha256:{digest.hexdigest()}",
+                        error=error_payload(err)["error"],
+                    )
+                ),
             )
 
     def health(self) -> HealthResponse:
@@ -604,3 +613,12 @@ class ApiApp:
         top = result.top_genes(top_genes)
         matrix = service.compendium[dataset].matrix.subset_genes(top, missing="skip")
         return dataset, matrix
+
+
+def _lines(runs):
+    """A stream's runs one line at a time; closing this closes the stream."""
+    try:
+        for run in runs:
+            yield from run
+    finally:
+        runs.close()

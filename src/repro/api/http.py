@@ -9,15 +9,15 @@ scoring matmuls, so concurrent searches genuinely overlap.
 
 **What this module decides** is how bytes move: a thread per
 connection, the stdlib's request-line/header parser, one blocking read
-of the body, the stdlib's head writer, chunk framing of a line stream,
-connection/request counters, and the graceful drain
-(:mod:`repro.api.transport`).  **What it does not decide** is anything
-about the request: routing, verbs, admission control before the body
-is read, body-length and JSON rules, raw-format negotiation, error
-bodies, ``Retry-After`` and when a connection must close are
-:mod:`repro.api.pipeline`'s, shared with the asyncio driver
-(:mod:`repro.api.aio.server`); the routes themselves are declared in
-:mod:`repro.api.routes` and documented in ``docs/api.md``.
+of the body, the stdlib's head composer, one send per answer (a
+stream's head leaves with its first run of lines), connection/request
+counters, and the graceful drain (:mod:`repro.api.transport`).  **What
+it does not decide** is anything about the request: routing, verbs,
+admission control before the body is read, body-length and JSON rules,
+raw-format negotiation, error bodies, ``Retry-After`` and when a
+connection must close are :mod:`repro.api.pipeline`'s, shared with the
+asyncio driver (:mod:`repro.api.aio.server`); the routes themselves are
+declared in :mod:`repro.api.routes` and documented in ``docs/api.md``.
 
 Run a demo server over a synthetic compendium (the repo ships no
 proprietary data) with a persistent index store::
@@ -43,7 +43,7 @@ from repro.api.transport import (
     CHUNKED_EOF,
     DEFAULT_DRAIN_SECONDS,
     TransportStats,
-    encode_chunk,
+    encode_run,
 )
 
 __all__ = ["ApiHTTPServer", "serve", "main"]
@@ -110,9 +110,8 @@ class _Handler(BaseHTTPRequestHandler):
     # keep-alive idle bound: a parked connection times out instead of
     # pinning its handler thread forever
     timeout = 60.0
-    # headers and body go out as separate sends; without TCP_NODELAY the
-    # second waits on the client's delayed ACK (~40 ms) on keep-alive
-    # connections, swamping the warm-cache path
+    # a stream's later runs and its terminator are sends of their own;
+    # without TCP_NODELAY each waits on the client's delayed ACK (~40 ms)
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
@@ -163,6 +162,9 @@ class _Handler(BaseHTTPRequestHandler):
     do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = _serve_one
 
     def _write(self, response: Response) -> None:
+        """One answer, one send: the head leaves with the body, or with a
+        stream's first run (a warm export's every chunk and its trailer);
+        each later run is one more send, the terminator the last."""
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         if response.lines is None:
@@ -175,17 +177,17 @@ class _Handler(BaseHTTPRequestHandler):
             # advertise what we will do — a keep-alive client must not
             # queue another request on this socket
             self.send_header("Connection", "close")
-        self.end_headers()
+        head = self._composed_head()
         if response.lines is None:
-            self.wfile.write(response.body)
+            self.wfile.write(head + response.body)
             return
         try:
-            for line in response.lines:
-                # one chunk, one write: the writer is unbuffered and
-                # TCP_NODELAY, so each write call is a send of its own
-                self.wfile.write(encode_chunk(line))
+            for run in response.lines:
+                # the writer is unbuffered: each write is one sendall,
+                # made as soon as its run is ready — nothing is held back
+                self.wfile.write(head + encode_run(run))
+                head = b""
             self.wfile.write(CHUNKED_EOF)
-            self.wfile.flush()
         except OSError:
             # client went away mid-stream (BrokenPipeError /
             # ConnectionResetError / TimeoutError are all OSErrors; a raw
@@ -193,6 +195,16 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
         finally:
             response.lines.close()
+
+    def _composed_head(self) -> bytes:
+        """The head ``send_response``/``send_header`` buffered, ended and
+        taken instead of flushed (``end_headers`` would send it alone)."""
+        if self.request_version == "HTTP/0.9":
+            return b""  # the stdlib writes no head to an HTTP/0.9 client
+        self._headers_buffer.append(b"\r\n")
+        head = b"".join(self._headers_buffer)
+        self._headers_buffer = []
+        return head
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.server.quiet:  # type: ignore[attr-defined]

@@ -13,7 +13,8 @@ three steps — and each step is decided here, once:
 2. :func:`read_body` applies the JSON-object rules to those bytes.
 3. :func:`respond` calls the application and returns one
    :class:`Response` value: status, content type, extra headers, the
-   body bytes *or* a line stream, and whether the connection must close.
+   body bytes *or* a stream of line runs, and whether the connection
+   must close.
 
 Step 3 is two phases, and ``respond`` is literally ``ready(...) or
 compute(...)``.  :func:`ready` is everything that **cannot wait** — a
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from typing import Mapping
 from urllib.parse import parse_qs, urlparse
 
@@ -112,30 +114,38 @@ class Plan:
 
 
 class LineStream:
-    """The lines of a streaming response, safe to abandon.
+    """The runs of a streaming response, safe to abandon.
 
-    Drivers iterate it and call :meth:`close` on every exit that did not
-    write the whole stream.  Closing fires the generator's
-    ``GeneratorExit`` path — which records the failed export and
-    releases anything pinned for it — and never raises, so cleanup can
-    not mask the transport error that caused it; after a completed
-    stream it is a no-op.
+    A run is a tuple of lines that are ready together — a warm export is
+    one run, every chunk line and the trailer — and a driver writes each
+    run in one send, one HTTP chunk per line.  The first run is pulled
+    when the stream is made, in :func:`compute` (the phase that may
+    wait), so a driver writes it with the response head and taking it
+    with the first ``next`` runs no stream code.  Each later run is one
+    ``next``, written when it comes: nothing waits for a later run.
+
+    Drivers call :meth:`close` on every exit that did not write the
+    whole stream.  Closing fires the generator's ``GeneratorExit`` path
+    — which records the failed export and releases anything pinned for
+    it — and never raises, so cleanup can not mask the transport error
+    that caused it; after a completed stream it is a no-op.
     """
 
-    __slots__ = ("_lines", "_next")
+    __slots__ = ("_runs", "_next")
 
-    def __init__(self, lines) -> None:
-        self._lines = lines
-        self._next = iter(lines).__next__
+    def __init__(self, runs) -> None:
+        self._runs = runs
+        rest = iter(runs)
+        self._next = chain(tuple(islice(rest, 1)), rest).__next__
 
     def __iter__(self) -> "LineStream":
         return self
 
-    def __next__(self) -> bytes:
+    def __next__(self) -> tuple[bytes, ...]:
         return self._next()
 
     def close(self) -> None:
-        close_quietly(self._lines)
+        close_quietly(self._runs)
 
 
 @dataclass
@@ -143,8 +153,10 @@ class Response:
     """Everything a driver writes for one request.
 
     Exactly one of ``body`` (a fixed-length response) and ``lines`` (a
-    chunked stream, one chunk per line) is set.  ``close`` is final: the
-    driver advertises ``Connection: close`` and closes after writing.
+    chunked stream of runs, one chunk per line) is set.  A driver writes
+    the head with the body, or with the stream's first run, in one send.
+    ``close`` is final: the driver advertises ``Connection: close`` and
+    closes after writing.
     """
 
     status: int
@@ -328,10 +340,11 @@ def ready(
 def compute(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:
     """Answer a planned request :func:`ready` returned ``None`` for.
 
-    This is where the application may wait.  Raw and stream requests
-    that fail *before* their first byte answer an ordinary JSON error
-    status like any other; once a stream is handed back, failures
-    surface as the structured error trailer the app layer emits.
+    This is where the application may wait, a stream's first run
+    included (:class:`LineStream`).  Raw and stream requests that fail
+    *before* their first byte answer an ordinary JSON error status like
+    any other; once a stream is handed back, failures surface as the
+    structured error trailer the app layer emits.
     """
     close = draining or not keep_alive
     status, body = app.compute_wire(

@@ -9,8 +9,11 @@ same things from each:
   a request head declares — the one rule the stdlib-parsed threaded
   driver and the hand-rolled :mod:`repro.api.aio.http11` parser must
   never disagree on.
-* **Chunk framing** (:func:`encode_chunk`, :data:`CHUNKED_EOF`): a
-  streaming response is one HTTP/1.1 chunk per line, each written whole.
+* **Chunk framing** (:func:`encode_chunk`, :func:`encode_run`,
+  :data:`CHUNKED_EOF`): a streaming response is one HTTP/1.1 chunk per
+  line, written a run at a time — the lines that are ready together
+  leave in one send, so a warm export's head, every chunk and its
+  trailer are one write.
 * **Counters** (:class:`TransportStats`): open/total connections,
   keep-alive reuse, observed pipeline depth, in-flight requests, how
   many requests were finished *during* a drain, how many an event-loop
@@ -50,6 +53,7 @@ __all__ = [
     "close_quietly",
     "declared_body_length",
     "encode_chunk",
+    "encode_run",
     "retry_after_headers",
 ]
 
@@ -85,6 +89,11 @@ def declared_body_length(headers: Mapping[str, str]) -> int:
 def encode_chunk(data: bytes) -> bytes:
     """One HTTP/1.1 body chunk: hex size line, payload, CRLF."""
     return b"%X\r\n%b\r\n" % (len(data), data)
+
+
+def encode_run(run) -> bytes:
+    """A run of lines, ready to write at once: one chunk per line."""
+    return b"".join(map(encode_chunk, run))
 
 
 def close_quietly(lines) -> None:

@@ -62,14 +62,15 @@ class ExportCursor:
     """One export's walk over a resolved ranking, with two faces.
 
     Iterated, it yields typed :class:`ExportChunk` messages then the
-    ``ok`` :class:`ExportTrailer`; :meth:`lines` yields the same chunks
+    ``ok`` :class:`ExportTrailer`; :meth:`runs` yields the same chunks
     as ready NDJSON lines (:func:`~repro.api.protocol.ndjson_line`),
-    then that trailer.  Both come from one offset walk (:meth:`_chunks`).
+    then that trailer, grouped in *runs* — tuples of what is ready
+    together.  Both come from one offset walk (:meth:`_chunks`).
 
     Chunks are cut at fixed multiples of ``chunk_size`` from zero, so a
     resumed stream's lines are bit-identical to the same-offset lines of
     an uninterrupted export (same search, same slicing) — which is what
-    lets :meth:`lines` serve every export of a ranking from one encoding
+    lets :meth:`runs` serve every export of a ranking from one encoding
     of it, memoized on the ranking's :class:`GeneTable` (``encoded``).
     """
 
@@ -118,13 +119,14 @@ class ExportCursor:
         yield from self._chunks(offset, exportable)
         yield self._trailer(offset, exportable)
 
-    def lines(self):
-        """The chunk lines as NDJSON bytes, then the trailer object.
+    def runs(self):
+        """One run: the chunk lines as NDJSON bytes, then the trailer object.
 
         The table keeps one chunking — the whole ranking's lines at one
         ``chunk_size`` — and a different size replaces it; a resumed
         stream is a suffix of it.  Everything that can fail runs before
-        the first line: a stream that yields a line yields them all.
+        the run is yielded, so the whole export is ready at once and a
+        driver may write it in one send.
         """
         offset, exportable = self._bounds()
         size = self.request.chunk_size
@@ -133,9 +135,7 @@ class ExportCursor:
         if memo is None or memo[0] != size or memo[1] != exportable:
             lines = tuple(map(ndjson_line, self._chunks(0, exportable)))
             memo = table.encoded = (size, exportable, lines)
-        trailer = self._trailer(offset, exportable)
-        yield from memo[2][-(-offset // size):]
-        yield trailer
+        yield memo[2][-(-offset // size):] + (self._trailer(offset, exportable),)
 
 
 class SearchBackend:
@@ -460,7 +460,7 @@ class SearchBackend:
         :class:`ExportChunk` objects followed by exactly one
         ``status="ok"`` :class:`ExportTrailer` (``checksum``/``n_chunks``
         are left for the stream encoder, which owns the wire bytes); its
-        :meth:`~ExportCursor.lines` is the same walk as ready NDJSON
+        :meth:`~ExportCursor.runs` is the same walk as ready NDJSON
         bytes.  The search itself runs *eagerly*, so invalid queries
         raise here — before a transport has committed a success status
         line to the stream.

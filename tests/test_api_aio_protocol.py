@@ -31,8 +31,9 @@ from repro.api.app import ApiApp
 from repro.api.http import _Handler
 from repro.api.http import serve_background as threaded_serve
 from repro.api.limits import RequestGate
-from repro.api.transport import IDLE_SECONDS, TransportStats
+from repro.api.transport import CHUNKED_EOF, IDLE_SECONDS, TransportStats
 from repro.spell import SpellService
+from repro.spell.backend import ExportCursor
 from repro.synth import make_spell_compendium
 
 TOKEN = "s3cret"
@@ -169,6 +170,20 @@ def service(setup):
 
 
 @pytest.fixture()
+def lazy_exports(monkeypatch):
+    """Export cursors that yield one line per run, as a cursor that
+    computes its lines as it goes would: each later line is a hop."""
+    ready = ExportCursor.runs
+
+    def one_line_runs(cursor):
+        for run in ready(cursor):
+            for item in run:
+                yield (item,)
+
+    monkeypatch.setattr(ExportCursor, "runs", one_line_runs)
+
+
+@pytest.fixture()
 def harness(service):
     h = Harness(ApiApp(service))
     yield h
@@ -288,7 +303,7 @@ class TestContract:
         assert harness.executor.names == []
 
     def test_3_pause_writing_stops_answers_and_export_lines(
-        self, harness, traffic
+        self, harness, traffic, lazy_exports
     ):
         # (a) a client that pipelines and never reads: the write that
         # crosses high water is the last until the buffer drains
@@ -435,7 +450,7 @@ class TestContract:
         assert harness.released == 4
 
     def test_8_an_abandoned_export_is_closed_on_the_executor(
-        self, service, traffic
+        self, service, traffic, lazy_exports
     ):
         h = Harness(ApiApp(service))
         try:
@@ -531,6 +546,48 @@ def test_the_sweep_closes_what_owes_nothing_and_has_been_silent(harness, traffic
     assert harness.stats["idle_closed"] == 2
     harness.finish()
     assert pages(busy_transport) == [0]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 100])
+def test_a_warm_export_is_two_hops_and_at_most_two_writes(
+    harness, setup, traffic, monkeypatch, chunk_size
+):
+    """The ready run is pulled inside ``compute``'s hop and leaves with
+    the head; the second hop finds the end and writes the terminator."""
+    payload = {"genes": list(setup[1].query_genes), "chunk_size": chunk_size}
+    expected = list(harness.app.export(payload))  # warm: the memo
+    running, pulled_on_executor = [], []
+    step = harness.executor.run
+
+    def run(count=None):
+        running.append(True)
+        try:
+            step(count)
+        finally:
+            running.pop()
+
+    ready = ExportCursor.runs
+
+    def watched(cursor):
+        for each in ready(cursor):
+            pulled_on_executor.append(bool(running))
+            yield each
+
+    harness.executor.run = run
+    monkeypatch.setattr(ExportCursor, "runs", watched)
+    conn, transport = harness.connect()
+    conn.data_received(traffic.export(chunk_size=chunk_size))
+    while harness.executor.parked:
+        harness.finish(1)
+    assert harness.executor.names == ["compute", "next"]
+    assert pulled_on_executor == [True]  # never on the loop
+    assert 1 <= len(transport.writes) <= 2
+    assert transport.writes[0] in (transport.written, transport.written[: -len(CHUNKED_EOF)])
+    (status, _headers, body), = split_responses(transport.written)
+    lines = body.splitlines(keepends=True)
+    assert status == 200 and lines[:-1] == expected[:-1]
+    assert json.loads(lines[-1])["status"] == "ok"
+    assert harness.stats["in_flight"] == 0
 
 
 # ------------------------------------------------- segmentation (ROADMAP 3c)

@@ -284,7 +284,10 @@ def run_pipeline(app: ApiApp, case: Case, headers=None):
     read_body(plan, case.body[:asked])
     keep_alive = lowered.get("connection") != "close"
     response = respond(app, plan, keep_alive=keep_alive, draining=False)
-    body = response.body if response.lines is None else b"".join(response.lines)
+    if response.lines is None:
+        body = response.body
+    else:
+        body = b"".join(line for run in response.lines for line in run)
     return asked, response, body
 
 

@@ -194,21 +194,22 @@ class TestExportStream:
 
 class TestMidStreamFailure:
     def _exploding_app(self, export_setup, n_good_chunks: int = 1):
-        """An app whose cursor's lines yield ``n_good_chunks`` then blow up."""
+        """An app whose cursor yields ``n_good_chunks`` one-line runs
+        then blows up."""
         compendium, truth = export_setup
         service = SpellService(compendium)
         real_iter = service.iter_result
 
         def exploding(request, **kwargs):
-            lines = real_iter(request, **kwargs).lines
+            runs = real_iter(request, **kwargs).runs
 
             def walk():
-                for i, item in enumerate(lines()):
+                for i, item in enumerate(item for run in runs() for item in run):
                     if i >= n_good_chunks:
                         raise RuntimeError("disk on fire")
-                    yield item
+                    yield (item,)
 
-            return SimpleNamespace(lines=walk)
+            return SimpleNamespace(runs=walk)
 
         service.iter_result = exploding
         return ApiApp(service), truth

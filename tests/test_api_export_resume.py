@@ -21,6 +21,7 @@ import hashlib
 import http.client
 import json
 import socket
+import struct
 import time
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from repro.api.errors import ApiError
 from repro.api.http import serve_background as threaded_serve
 from repro.api.aio.server import serve_background as aio_serve
 from repro.api.protocol import ExportRequest
+from repro.api.transport import encode_chunk
 from repro.spell import SpellService
 from repro.synth import make_spell_compendium
 
@@ -234,21 +236,23 @@ class TestResumeBitIdentity:
 
 
 def _slow_app(setup, delay: float = 0.05):
-    """A fresh app whose export cursor's lines sleep between chunks, so
-    a mid-stream disconnect is guaranteed to hit an in-progress write."""
+    """A fresh app whose export cursor yields one-line runs and sleeps
+    between chunks, so a mid-stream disconnect is guaranteed to hit an
+    in-progress write."""
     compendium, truth = setup
     service = SpellService(compendium)
     real_iter = service.iter_result
 
     def slow(request, **kwargs):
-        lines = real_iter(request, **kwargs).lines
+        runs = real_iter(request, **kwargs).runs
 
         def walk():
-            for item in lines():
-                time.sleep(delay)
-                yield item
+            for run in runs():
+                for item in run:
+                    time.sleep(delay)
+                    yield (item,)
 
-        return SimpleNamespace(lines=walk)
+        return SimpleNamespace(runs=walk)
 
     service.iter_result = slow
     return ApiApp(service), service, truth
@@ -321,6 +325,54 @@ class TestDisconnectLeaks:
             assert status == 200
             _, _, trailer = split_stream(lines)
             assert trailer["status"] == "ok"
+        finally:
+            server.close(timeout=5)
+            thread.join(timeout=10)
+            service.close()
+
+    @pytest.mark.parametrize("facade", ["threaded", "aio"])
+    def test_a_trailer_the_client_never_got_is_not_a_served_export(self, setup, facade):
+        """Every chunk line arrives, the trailer's run comes late and the
+        client resets before it: the export is counted failed, never served."""
+        compendium, truth = setup
+        service = SpellService(compendium)
+        real_iter = service.iter_result
+        payload = {"genes": list(truth.query_genes), "chunk_size": 10}
+        (ready,) = real_iter(ExportRequest.from_wire(payload)).runs()
+        framed = b"".join(map(encode_chunk, ready[:-1]))
+
+        def late_trailer(request, **kwargs):
+            runs = real_iter(request, **kwargs).runs
+
+            def walk():
+                for run in runs():
+                    yield run[:-1]
+                    time.sleep(0.3)
+                    yield run[-1:]
+
+            return SimpleNamespace(runs=walk)
+
+        service.iter_result = late_trailer
+        app = ApiApp(service)
+        server, thread = (threaded_serve if facade == "threaded" else aio_serve)(app)
+        try:
+            body = json.dumps(payload).encode()
+            sock = socket.create_connection(server.server_address[:2], timeout=30)
+            sock.sendall(
+                b"POST /v1/search/export HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+            )
+            received = b""
+            while len(received.partition(b"\r\n\r\n")[2]) < len(framed):
+                received += sock.recv(65536)
+            assert received.partition(b"\r\n\r\n")[2] == framed  # no trailer yet
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # RST: the trailer's write fails
+            assert _wait_until(
+                lambda: app.endpoint_stats().get("search/export", {}).get("count", 0) >= 1
+            )
+            stats = app.endpoint_stats()["search/export"]
+            assert (stats["count"], stats["errors"]) == (1, 1), stats
         finally:
             server.close(timeout=5)
             thread.join(timeout=10)

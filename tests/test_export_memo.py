@@ -1,14 +1,17 @@
 """A warm export is a byte copy: the encoded chunk lines a cached
 ranking keeps.
 
-:meth:`ExportCursor.lines` serves an export from one encoding of the
-ranking, memoized on its :class:`GeneTable`; the typed face (iterating
-the cursor) still builds every :class:`ExportChunk`.  The contract under
-test: the memo's bytes are exactly ``ndjson_line`` over the typed walk —
-cold or warm, resumed anywhere, through the app and over both facades,
-chunk framing included — and the memo holds one chunking, is never
-pickled, never lands on a resident entry from an uncached export, dies
-with the compendium version, and is counted in ``/v1/health``.
+:meth:`ExportCursor.runs` serves an export from one encoding of the
+ranking, memoized on its :class:`GeneTable`, as one run of lines; the
+typed face (iterating the cursor) still builds every
+:class:`ExportChunk`.  The contract under test: the memo's bytes are
+exactly ``ndjson_line`` over the typed walk — cold or warm, resumed
+anywhere, through the app, the pipeline and over both facades, chunk
+framing included, however the stream is cut into runs — and the memo
+holds one chunking, is never pickled, never lands on a resident entry
+from an uncached export, dies with the compendium version, and is
+counted in ``/v1/health``.  A warm export leaves the threaded facade in
+one write with its head (and the terminator in a second).
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import hashlib
 import json
 import pickle
 import socket
+import socketserver
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +35,12 @@ import repro
 from repro.api.aio.server import serve_background as aio_serve
 from repro.api.app import ApiApp
 from repro.api.http import serve_background as threaded_serve
+from repro.api.pipeline import plan_request, read_body, respond
 from repro.api.protocol import ExportRequest, ExportTrailer, SearchRequest, ndjson_line
+from repro.api.transport import CHUNKED_EOF
 from repro.data.pcl import write_pcl
 from repro.spell import SpellService
+from repro.spell.backend import ExportCursor
 from repro.synth import make_spell_compendium
 
 SRC = Path(repro.__file__).resolve().parent
@@ -74,19 +82,27 @@ def served(setup):
                 thread.join(timeout=10)
 
 
-def raw_export(addr, payload: dict) -> list[bytes]:
-    """POST an export and return its HTTP chunk payloads, parsed strictly
-    off the raw socket bytes (``Connection: close``, read to EOF)."""
-    body = json.dumps(payload).encode()
+def raw_response(addr, path: str, payload: dict | None = None) -> bytes:
+    """One request's raw response bytes (``Connection: close``, read to
+    EOF): a POST of ``payload``, or a GET without one."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    method = b"GET" if payload is None else b"POST"
     with socket.create_connection(addr, timeout=30) as sock:
         sock.sendall(
-            b"POST /v1/search/export HTTP/1.1\r\nHost: test\r\n"
+            method + b" " + path.encode() + b" HTTP/1.1\r\nHost: test\r\n"
             b"Connection: close\r\nContent-Type: application/json\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
         )
         raw = b""
         while block := sock.recv(65536):
             raw += block
+    return raw
+
+
+def raw_export(addr, payload: dict) -> list[bytes]:
+    """POST an export and return its HTTP chunk payloads, parsed strictly
+    off the raw socket bytes."""
+    raw = raw_response(addr, "/v1/search/export", payload)
     head, _, rest = raw.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 200"), head
     assert b"\r\nTransfer-Encoding: chunked" in head
@@ -106,6 +122,21 @@ def without_elapsed(line: bytes) -> dict:
     trailer = json.loads(line)
     trailer.pop("elapsed_seconds")
     return trailer
+
+
+def lines_of(cursor) -> list:
+    """A cursor's runs, flattened: the chunk lines, then the trailer."""
+    return [item for run in cursor.runs() for item in run]
+
+
+def piped_export(app, payload: dict) -> list[bytes]:
+    """An export's lines through the three pipeline calls, socket-free."""
+    body = json.dumps(payload).encode()
+    head = {"content-length": str(len(body))}
+    plan = plan_request(app, "POST", "/v1/search/export", head, "127.0.0.1")
+    read_body(plan, body)
+    response = respond(app, plan, keep_alive=False, draining=False)
+    return [line for run in response.lines for line in run]
 
 
 def cached_table(service, request: ExportRequest):
@@ -151,9 +182,9 @@ def test_lines_are_ndjson_of_the_typed_walk(served, setup, data):
 
     table = cached_table(service, request)
     table.encoded = None
-    cold = list(service.iter_result(request).lines())
+    cold = lines_of(service.iter_result(request))
     assert table.encoded is not None and table.encoded[0] == request.chunk_size
-    warm = list(service.iter_result(request).lines())
+    warm = lines_of(service.iter_result(request))
     for lines in (cold, warm):
         assert lines[:-1] == expected
         assert lines[-1].total_rows == typed[-1].total_rows
@@ -171,6 +202,28 @@ def test_lines_are_ndjson_of_the_typed_walk(served, setup, data):
         assert chunks[:-1] == expected  # one HTTP chunk per line, same bytes
         assert without_elapsed(chunks[-1]) == without_elapsed(streamed[-1])
 
+    # how the stream is cut into runs never changes its bytes: the ready
+    # run, split at drawn points into runs pulled one at a time
+    (ready,) = service.iter_result(request).runs()
+    cuts = data.draw(st.sets(st.integers(1, len(ready) - 1))) if len(ready) > 1 else set()
+    bounds = sorted(cuts)
+    whole_runs = ExportCursor.runs
+
+    def split_runs(cursor):
+        (run,) = whole_runs(cursor)
+        for start, stop in zip([0, *bounds], [*bounds, len(run)]):
+            yield run[start:stop]
+
+    def every_path() -> list:
+        paths = [piped_export(app, request.to_wire())]
+        paths += [raw_export(addr, request.to_wire()) for addr in addrs.values()]
+        return [(lines[:-1], without_elapsed(lines[-1])) for lines in paths]
+
+    whole = every_path()
+    with mock.patch.object(ExportCursor, "runs", split_runs):
+        assert every_path() == whole
+    assert whole[0] == (expected, without_elapsed(streamed[-1]))
+
 
 # ------------------------------------------------------------ memo contract
 def test_one_chunking_per_table(setup):
@@ -178,7 +231,7 @@ def test_one_chunking_per_table(setup):
     with SpellService(compendium) as service:
         for size in range(1, 51):
             request = ExportRequest(genes=truth.query_genes, chunk_size=size)
-            lines = list(service.iter_result(request).lines())
+            lines = lines_of(service.iter_result(request))
             table = cached_table(service, request)
             assert table.encoded[0] == size
             assert list(table.encoded[2]) == lines[:-1]
@@ -207,7 +260,7 @@ def test_racing_chunkings_never_mix(setup):
             for i in range(40):
                 size = sizes[(seed + i) % len(sizes)]
                 request = ExportRequest(genes=truth.query_genes, chunk_size=size)
-                if list(service.iter_result(request).lines())[:-1] != expected[size]:
+                if lines_of(service.iter_result(request))[:-1] != expected[size]:
                     failures.append(size)
 
         interval = sys.getswitchinterval()
@@ -230,7 +283,7 @@ def test_memo_is_never_pickled(setup):
         request = ExportRequest(genes=truth.query_genes, chunk_size=25)
         table = cached_table(service, request)
         bare = pickle.dumps(table)
-        list(service.iter_result(request).lines())
+        lines_of(service.iter_result(request))
         page = SearchRequest(genes=tuple(truth.query_genes), page_size=7)
         assert service.respond_cached(page) is not None  # a hit: the page memo
         assert table.encoded is not None and len(table.pages) == 1
@@ -246,10 +299,10 @@ def test_uncached_export_memoizes_nothing_resident(setup):
         request = ExportRequest(genes=truth.query_genes, chunk_size=10)
         table = cached_table(service, request)  # resident, not yet exported
         uncached = ExportRequest(genes=truth.query_genes, chunk_size=10, use_cache=False)
-        lines = list(service.iter_result(uncached).lines())
+        lines = lines_of(service.iter_result(uncached))
         assert table.encoded is None
         assert service.cache_stats()["encoded_bytes"] == 0
-        assert list(service.iter_result(request).lines())[:-1] == lines[:-1]
+        assert lines_of(service.iter_result(request))[:-1] == lines[:-1]
 
 
 def test_export_after_ingest_is_not_stale(setup, tmp_path):
@@ -362,13 +415,41 @@ def test_only_the_protocol_and_pipeline_encode_a_search_page():
     assert offenders == []
 
 
-def test_threaded_driver_writes_a_chunk_in_one_call():
-    tree = ast.parse((SRC / "api" / "http.py").read_text(encoding="utf-8"))
-    loops = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.For) and ast.unparse(node.iter) == "response.lines"
-    ]
-    assert len(loops) == 1
-    assert [ast.unparse(stmt) for stmt in loops[0].body] == [
-        "self.wfile.write(encode_chunk(line))"
-    ]
+@pytest.fixture()
+def sent(monkeypatch):
+    """Every write the threaded facade makes to a socket (its unbuffered
+    writer's ``write`` is one ``sendall``)."""
+    writes: list[bytes] = []
+    real = socketserver._SocketWriter.write
+
+    def counted(writer, data):
+        writes.append(bytes(data))
+        return real(writer, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", counted)
+    return writes
+
+
+def test_threaded_driver_sends_a_unary_answer_in_one_write(served, setup, sent):
+    _, _, addrs = served
+    genes = list(setup[1].query_genes)
+    for path, payload in (("/v1/search", {"genes": genes, "page_size": 5}),
+                          ("/v1/health", None)):
+        raw_response(addrs["threaded"], path, payload)  # warm
+        sent.clear()
+        raw = raw_response(addrs["threaded"], path, payload)
+        assert raw.startswith(b"HTTP/1.1 200")
+        assert sent == [raw], path
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 100])
+def test_threaded_driver_sends_a_warm_export_in_one_write(served, setup, sent, chunk_size):
+    _, _, addrs = served
+    payload = {"genes": list(setup[1].query_genes), "chunk_size": chunk_size}
+    raw_response(addrs["threaded"], "/v1/search/export", payload)  # warm: the memo
+    sent.clear()
+    raw = raw_response(addrs["threaded"], "/v1/search/export", payload)
+    assert 1 <= len(sent) <= 2 and b"".join(sent) == raw
+    # the first send is the head, every chunk line and the trailer
+    assert sent[0] in (raw, raw[: -len(CHUNKED_EOF)])
+    assert json.loads(raw_export(addrs["threaded"], payload)[-1])["status"] == "ok"
