@@ -19,22 +19,23 @@ loop** — everything that cannot wait, which for a hit is the whole
 answer — and only when that returns ``None`` is
 :func:`~repro.api.pipeline.compute` — the kernel, the index worker
 pool's pipes, the sharded router's sockets, tenant loads, ingest,
-renders, an export with its first run — submitted to a bounded thread-pool
-executor (``aio-dispatch`` threads), one call per connection at a time,
-whose done-callback writes and carries on.  So hundreds of connections
-stay responsive while a handful of requests compute, and nothing that
-can wait runs on the loop.  **What it does not decide** is anything
-about the request: routing, the gate, body rules, error bodies, headers
-and the close decision are :mod:`repro.api.pipeline`'s, the same code
-the threaded driver (:mod:`repro.api.http`) runs as one ``respond``.
+renders, a whole export — submitted to a bounded thread-pool executor
+(``aio-dispatch`` threads), one call per connection at a time, whose
+done-callback writes the answer in one ``transport.write`` and carries
+on.  So hundreds of connections stay responsive while a handful of
+requests compute, and nothing that can wait runs on the loop.  **What
+it does not decide** is anything about the request: routing, the gate,
+body rules, error bodies, headers and the close decision are
+:mod:`repro.api.pipeline`'s, the same code the threaded driver
+(:mod:`repro.api.http`) runs as one ``respond``.
 
 **Where backpressure lives.**  Reading: at ``pipeline_depth``
 parsed-but-unanswered requests the connection calls ``pause_reading``
 (the kernel's receive buffer fills and TCP stalls the client) and
 resumes below it.  Writing: a client that stops reading fills the
 transport's buffer to its high-water mark; from ``pause_writing`` to
-``resume_writing`` the connection answers nothing more and pulls no
-export run.  Silence: a connection that owes no answer and has sent
+``resume_writing`` the connection answers nothing more and starts no
+``compute``.  Silence: a connection that owes no answer and has sent
 nothing for :data:`~repro.api.transport.IDLE_SECONDS` is closed by one
 per-server sweep timer.
 
@@ -59,9 +60,8 @@ from functools import partial
 from repro.api.app import ApiApp
 from repro.api.errors import ApiError
 from repro.api.pipeline import Plan, Response, compute, plan_request, read_body, ready
-from repro.api.transport import DEFAULT_DRAIN_SECONDS, IDLE_SECONDS, TransportStats, encode_run
+from repro.api.transport import DEFAULT_DRAIN_SECONDS, IDLE_SECONDS, TransportStats
 from repro.api.aio.http11 import (
-    CHUNKED_EOF,
     ProtocolError,
     RequestParser,
     encode_response,
@@ -107,7 +107,6 @@ class _Connection(asyncio.BufferedProtocol):
         self.seen = 0  # requests admitted on this connection, ever
         self.parsing = True  # False: nothing further on this stream is trusted
         self.waiting = False  # an executor call of this connection is outstanding
-        self.stream: Response | None = None  # the export being written, run by run
         self.can_write = True  # False between pause_writing and resume_writing
         self.paused = False  # reading is paused at the pipelining window
         self.yielded = False  # a continuation of _pump is already scheduled
@@ -197,13 +196,7 @@ class _Connection(asyncio.BufferedProtocol):
         inline = 0
         while self.transport is not None:
             self._fill()
-            if self.waiting or not self.can_write:
-                break
-            if self.stream is not None:
-                # a later run may be blocking work (a lazy cursor, the checksum)
-                self._submit(next, self.stream.lines, None)
-                break
-            if not self.window:
+            if self.waiting or not self.can_write or not self.window:
                 break
             if inline >= server.pipeline_depth:
                 # a burst of hits waits on nothing: give the loop a turn
@@ -217,7 +210,11 @@ class _Connection(asyncio.BufferedProtocol):
             # what may wait costs a thread hop
             response = ready(server.app, plan, **phase)
             if response is None:
-                self._submit(partial(compute, server.app, plan, **phase))
+                work = partial(compute, server.app, plan, **phase)
+                server._loop.run_in_executor(server._executor, work).add_done_callback(
+                    self._landed
+                )
+                self.waiting = True
                 break
             server.stats.answered_inline()
             inline += 1
@@ -232,45 +229,32 @@ class _Connection(asyncio.BufferedProtocol):
             else:
                 self.transport.resume_reading()
 
-    def _submit(self, fn, *args) -> None:
-        future = self.server._loop.run_in_executor(self.server._executor, fn, *args)
-        self.waiting = True
-        future.add_done_callback(self._landed)
-
     def _landed(self, future) -> None:
-        """An executor call landed: ``compute``'s response and a stream's
-        first run, a next run (``None`` at the end), or ``lines.close``."""
+        """``compute`` landed: write its response and carry on."""
         self.waiting = False
         self.touched = self.server._loop.time()
         try:
-            result = future.result()
+            response = future.result()
         except Exception as exc:  # noqa: BLE001 — the pipeline answers its own failures
             self.server._log(f"dropping {self.peer}: executor call failed: {exc!r}")
-            if self.transport is not None:
-                return self.transport.abort()
-            result = None
-        if isinstance(result, Response) and result.lines is not None:
-            self.stream = result  # from here on teardown owes its generator a close
+            response = None
         if self.transport is None:
             return self._teardown()
-        if result is None:
-            response, self.stream = self.stream, None
-            self._finish(response, CHUNKED_EOF)
-        elif result is self.stream:  # its first run was pulled with compute
-            head = encode_stream_head(result.content_type, close=result.close)
-            self.transport.write(head + encode_run(next(result.lines)))
-        elif isinstance(result, Response):
-            self._finish(result)
-        else:
-            self.transport.write(encode_run(result))
+        if response is None:
+            return self.transport.abort()
+        self._finish(response)
         self._pump()
 
-    def _finish(self, response: Response, last: bytes | None = None) -> None:
-        """Write the last bytes of the front request's answer; retire it."""
-        self.transport.write(last or encode_response(
-            response.status, response.body, response.content_type,
-            extra_headers=response.headers, close=response.close,
-        ))
+    def _finish(self, response: Response) -> None:
+        """Write the front request's answer in one write; retire it."""
+        if response.chunked:
+            head = encode_stream_head(response.content_type, close=response.close)
+            self.transport.write(head + response.body)
+        else:
+            self.transport.write(encode_response(
+                response.status, response.body, response.content_type,
+                extra_headers=response.headers, close=response.close,
+            ))
         self.window.popleft()
         self.server.stats.request_finished()
         if response.close or not self.window and (self.eof or self.server._draining):
@@ -291,11 +275,6 @@ class _Connection(asyncio.BufferedProtocol):
 
     def _teardown(self) -> None:
         """The client is gone and nothing of it is left on the executor."""
-        if self.stream is not None:
-            # abandoned mid-export: close the generator where it runs (it
-            # records the failed export and releases what it pinned)
-            stream, self.stream = self.stream, None
-            return self._submit(stream.lines.close)
         self._forget()
         self.server._connections.discard(self)
         self.server.stats.connection_closed()
@@ -464,17 +443,21 @@ class AioApiServer:
 
         With ``drain=True`` (default) the server honors the drain
         contract before stopping; returns once the loop has fully torn
-        down (bounded by ``timeout`` + drain budget).
+        down (bounded by ``timeout`` + drain budget).  The server's
+        transport probe then leaves ``/v1/health``.
         """
         if not drain:
             self.drain_seconds = 0.0
         loop = self._loop
         if loop is None or self._stopped.is_set():
             self._sock.close()
-            return True
-        loop.call_soon_threadsafe(self._cancel_serve)
-        budget = (timeout if timeout is not None else self.drain_seconds) + 5.0
-        return self._stopped.wait(budget)
+            stopped = True
+        else:
+            loop.call_soon_threadsafe(self._cancel_serve)
+            budget = (timeout if timeout is not None else self.drain_seconds) + 5.0
+            stopped = self._stopped.wait(budget)
+        self.app.service.unregister_transport_stats(self.transport_label, self.stats.snapshot)
+        return stopped
 
     def _cancel_serve(self) -> None:
         task = self._serve_task

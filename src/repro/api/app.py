@@ -19,17 +19,17 @@ test harness.  Responsibilities:
   itself: an unknown gene or dataset is the verdict of the backend's gene
   universe, raised typed and mapped to its code like any other error.
 * **Observability** — per-endpoint count/error/latency counters, served
-  by the ``health`` endpoint.
+  by the ``health`` endpoint and kept in two places: :meth:`ApiApp.ready_wire`
+  counts refusals and ready answers, :meth:`ApiApp.compute_wire` every
+  handler answer, an export included — it is complete when its handler
+  returns.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import replace
 
 from repro.api.errors import ApiError, as_api_error, error_payload
 from repro.api.limits import RequestContext, RequestGate
@@ -42,7 +42,6 @@ from repro.api.protocol import (
     DatasetListRequest,
     DatasetListResponse,
     ExportRequest,
-    ExportTrailer,
     HealthResponse,
     IngestRequest,
     IngestResponse,
@@ -50,7 +49,6 @@ from repro.api.protocol import (
     RenderResponse,
     SearchRequest,
     SearchResponse,
-    ndjson_line,
 )
 from repro.api.routes import ROUTE_BY_NAME, ROUTES, all_endpoints
 from repro.cluster.hierarchical import hierarchical_cluster
@@ -198,15 +196,27 @@ class ApiApp:
         only :meth:`compute_wire` can tell, is final (an error body)
         when any of those steps refused the request, and on a ready
         half's success is ``(200, the encoded JSON body)``.
+
+        An answer is counted here, a refusal as an error.  An unknown
+        name is counted under one fixed sentinel key: a client spraying
+        bogus names must not grow the stats map (and the health payload)
+        without bound.
         """
+        started = time.perf_counter()
         try:
             request = self._parse(endpoint, payload, context)
             ready = ROUTE_BY_NAME[endpoint].ready
             body = getattr(self, ready)(request) if ready else None
         except Exception as exc:  # noqa: BLE001 — the boundary swallows all
             err = as_api_error(exc)
+            self._stats.record(
+                _stats_key(endpoint), time.perf_counter() - started, error=True
+            )
             return None, (err.http_status, error_payload(err))
-        return request, None if body is None else (200, body)
+        if body is None:
+            return request, None
+        self._stats.record(endpoint, time.perf_counter() - started, error=False)
+        return request, (200, body)
 
     def compute_wire(self, endpoint: str, request, *, raw: bool = False) -> tuple[int, object]:
         """Run the handler for a request :meth:`ready_wire` parsed but
@@ -215,19 +225,23 @@ class ApiApp:
 
         A failure is ``(status, error payload)`` on every route.  A
         success is ``(200, the response's wire dict)`` — except that a
-        stream route answers its iterator of runs of NDJSON lines, and
-        ``raw`` (a ``?format=ppm`` render) the image bytes.
+        stream route answers its tuple of NDJSON lines, and ``raw`` (a
+        ``?format=ppm`` render) the image bytes.  Either is counted here:
+        the answer is complete when the handler returns.
         """
         route = ROUTE_BY_NAME[endpoint]
         handler = getattr(self, route.handler)
+        started = time.perf_counter()
         try:
             response = handler() if request is None else handler(request)
+            if route.kind != "stream":
+                response = response.ppm if raw else response.to_wire()
         except Exception as exc:  # noqa: BLE001 — the boundary swallows all
             err = as_api_error(exc)
+            self._stats.record(endpoint, time.perf_counter() - started, error=True)
             return err.http_status, error_payload(err)
-        if route.kind == "stream":
-            return 200, response
-        return 200, response.ppm if raw else response.to_wire()
+        self._stats.record(endpoint, time.perf_counter() - started, error=False)
+        return 200, response
 
     def _parse(self, endpoint: str, payload, context: RequestContext | None):
         """Gate, route and parse one wire request into its protocol type
@@ -237,36 +251,25 @@ class ApiApp:
         request, for every route.  The tenant is charged from the parsed
         name, before any handler resolves it: a request over its
         tenant's budget never loads that tenant.
-
-        A refusal is counted here — the handler never runs, so
-        ``_timed()`` never sees it, and a flood of 401/429/413s or
-        malformed bodies must stay visible in ``/v1/health`` error
-        rates.  An unknown name is counted under one fixed sentinel key:
-        a client spraying bogus names must not grow the stats map (and
-        the health payload) without bound.
         """
         route = ROUTE_BY_NAME.get(endpoint)
-        try:
-            self.gate.admit(endpoint, context)
-            if route is None:
-                raise ApiError(
-                    "UNKNOWN_ENDPOINT",
-                    f"no endpoint {endpoint!r}",
-                    details={"endpoints": all_endpoints()},
-                )
-            if route.request_cls is None:
-                return None
-            request = route.request_cls.from_wire(payload if payload is not None else {})
-            # the tenant rides in the body, so its rate budget can only
-            # be charged here, post-parse — admission (auth, per-peer,
-            # per-token) already ran pre-body
-            tenant = self._tenant_of(request)
-            if tenant is not None:
-                self.gate.charge_tenant(tenant, context)
-            return request
-        except Exception:
-            self._stats.record(endpoint if route is not None else "(unknown)", 0.0, error=True)
-            raise
+        self.gate.admit(endpoint, context)
+        if route is None:
+            raise ApiError(
+                "UNKNOWN_ENDPOINT",
+                f"no endpoint {endpoint!r}",
+                details={"endpoints": all_endpoints()},
+            )
+        if route.request_cls is None:
+            return None
+        request = route.request_cls.from_wire(payload if payload is not None else {})
+        # the tenant rides in the body, so its rate budget can only be
+        # charged here, post-parse — admission (auth, per-peer,
+        # per-token) already ran pre-body
+        tenant = self._tenant_of(request)
+        if tenant is not None:
+            self.gate.charge_tenant(tenant, context)
+        return request
 
     # -------------------------------------------------------------- endpoints
     def search(self, request: SearchRequest) -> SearchResponse:
@@ -278,55 +281,44 @@ class ApiApp:
 
         Same checks, same errors, same bytes — but only for a resident
         tenant whose result cache already holds the answer; otherwise
-        ``None``, with nothing counted (``search`` then counts it once).
+        ``None``, having touched nothing (``search`` then answers it).
         """
         return self._search(request, wait=False)
 
     def _search(
         self, request: SearchRequest, *, wait: bool
     ) -> SearchResponse | bytes | None:
-        sw = Stopwatch()
-        sw.start()
-        response = None
-        try:
-            # the budget starts at admission, so validation time counts
-            # against the client's deadline_ms too
-            budget = Deadline.after_ms(request.deadline_ms)
-            resolved = self._resolve(request.compendium, wait=wait)
-            if resolved is not None:
-                _, service = resolved
-                respond = service.respond if wait else service.respond_cached
-                response = respond(request, deadline=budget)
-        except BaseException:
-            self._stats.record("search", sw.stop(), error=True)
-            raise
-        if response is not None:
-            self._stats.record("search", sw.stop(), error=False)
-        return response
+        # the budget starts at admission, so validation time counts
+        # against the client's deadline_ms too
+        budget = Deadline.after_ms(request.deadline_ms)
+        resolved = self._resolve(request.compendium, wait=wait)
+        if resolved is None:
+            return None
+        _, service = resolved
+        respond = service.respond if wait else service.respond_cached
+        return respond(request, deadline=budget)
 
     def search_batch(self, request: BatchSearchRequest) -> BatchSearchResponse:
-        with self._timed("search/batch"):
-            budget = Deadline.after_ms(request.deadline_ms)
-            _, service = self._resolve(request.compendium)
-            return service.respond_batch(request, deadline=budget)
+        budget = Deadline.after_ms(request.deadline_ms)
+        _, service = self._resolve(request.compendium)
+        return service.respond_batch(request, deadline=budget)
 
     def datasets(self, request: DatasetListRequest) -> DatasetListResponse:
-        with self._timed("datasets"):
-            _, service = self._resolve(request.compendium)
-            tiers = service.dataset_tiers()  # {} -> all resident (the v1 default)
-            return DatasetListResponse(
-                datasets=tuple(
-                    DatasetInfo(
-                        name=ds.name,
-                        n_genes=ds.n_genes,
-                        n_conditions=ds.n_conditions,
-                        metadata=dict(ds.metadata),
-                        fingerprint=ds.fingerprint,
-                        tier=tiers.get(ds.name, "resident"),
-                    )
-                    for ds in service.compendium
+        _, service = self._resolve(request.compendium)
+        tiers = service.dataset_tiers()  # {} -> all resident (the v1 default)
+        return DatasetListResponse(
+            datasets=tuple(
+                DatasetInfo(
+                    name=ds.name,
+                    n_genes=ds.n_genes,
+                    n_conditions=ds.n_conditions,
+                    metadata=dict(ds.metadata),
+                    fingerprint=ds.fingerprint,
+                    tier=tiers.get(ds.name, "resident"),
                 )
+                for ds in service.compendium
             )
+        )
 
     def ingest(self, request: IngestRequest) -> IngestResponse:
         """``POST /v1/ingest``: add one SOFT/PCL dataset to a live tenant.
@@ -338,38 +330,37 @@ class ApiApp:
         ingest lands in the default service (same ordering guarantees,
         no on-disk source bookkeeping beyond its own store).
         """
-        with self._timed("ingest"):
-            with Stopwatch() as sw:
-                if self.catalog is not None:
-                    tenant, service, dataset = self.catalog.ingest(
-                        request.compendium,
-                        request.name,
-                        request.format,
-                        request.content,
+        with Stopwatch() as sw:
+            if self.catalog is not None:
+                tenant, service, dataset = self.catalog.ingest(
+                    request.compendium,
+                    request.name,
+                    request.format,
+                    request.content,
+                )
+            else:
+                tenant, service = self._resolve(request.compendium)
+                dataset = parse_dataset(
+                    request.content, request.format, name=request.name
+                )
+                if request.name in service.compendium:
+                    raise ApiError(
+                        "DATASET_EXISTS",
+                        f"compendium {tenant!r} already serves a dataset "
+                        f"named {request.name!r}",
+                        details={"compendium": tenant, "dataset": request.name},
                     )
-                else:
-                    tenant, service = self._resolve(request.compendium)
-                    dataset = parse_dataset(
-                        request.content, request.format, name=request.name
-                    )
-                    if request.name in service.compendium:
-                        raise ApiError(
-                            "DATASET_EXISTS",
-                            f"compendium {tenant!r} already serves a dataset "
-                            f"named {request.name!r}",
-                            details={"compendium": tenant, "dataset": request.name},
-                        )
-                    service.ingest_dataset(dataset)
-            return IngestResponse(
-                compendium=tenant,
-                dataset=dataset.name,
-                n_genes=dataset.n_genes,
-                n_conditions=dataset.n_conditions,
-                fingerprint=dataset.fingerprint,
-                compendium_fingerprint=service.compendium.fingerprint,
-                datasets=len(service.compendium),
-                elapsed_seconds=sw.elapsed,
-            )
+                service.ingest_dataset(dataset)
+        return IngestResponse(
+            compendium=tenant,
+            dataset=dataset.name,
+            n_genes=dataset.n_genes,
+            n_conditions=dataset.n_conditions,
+            fingerprint=dataset.fingerprint,
+            compendium_fingerprint=service.compendium.fingerprint,
+            datasets=len(service.compendium),
+            elapsed_seconds=sw.elapsed,
+        )
 
     def cluster(self, request: ClusterRequest) -> ClusterResponse:
         """Hierarchically cluster the top genes of a search result.
@@ -378,183 +369,121 @@ class ApiApp:
         search's top-weighted one); genes absent from that dataset are
         dropped, and at least two must survive.
         """
-        with self._timed("cluster"):
-            with Stopwatch() as sw:
-                dataset, matrix = self._top_submatrix(
-                    request.search, request.dataset, request.top_genes
+        with Stopwatch() as sw:
+            dataset, matrix = self._top_submatrix(
+                request.search, request.dataset, request.top_genes
+            )
+            if matrix.n_genes < 2:
+                raise ApiError(
+                    "INVALID_REQUEST",
+                    f"only {matrix.n_genes} of the top {request.top_genes} "
+                    f"genes are present in dataset {dataset!r}; "
+                    "clustering needs at least 2",
                 )
-                if matrix.n_genes < 2:
-                    raise ApiError(
-                        "INVALID_REQUEST",
-                        f"only {matrix.n_genes} of the top {request.top_genes} "
-                        f"genes are present in dataset {dataset!r}; "
-                        "clustering needs at least 2",
-                    )
-                tree = hierarchical_cluster(
-                    matrix.values,
-                    metric=request.metric,
-                    linkage=request.linkage,
-                    leaf_ids=matrix.gene_ids,
-                )
-            return ClusterResponse(
-                genes=tuple(matrix.gene_ids[i] for i in tree.leaf_order()),
-                dataset=dataset,
+            tree = hierarchical_cluster(
+                matrix.values,
                 metric=request.metric,
                 linkage=request.linkage,
-                merges=tuple(
-                    (int(left), int(right), float(height), int(size))
-                    for left, right, height, size in tree.to_merges()
-                ),
-                elapsed_seconds=sw.elapsed,
+                leaf_ids=matrix.gene_ids,
             )
+        return ClusterResponse(
+            genes=tuple(matrix.gene_ids[i] for i in tree.leaf_order()),
+            dataset=dataset,
+            metric=request.metric,
+            linkage=request.linkage,
+            merges=tuple(
+                (int(left), int(right), float(height), int(size))
+                for left, right, height, size in tree.to_merges()
+            ),
+            elapsed_seconds=sw.elapsed,
+        )
 
     def render_heatmap(self, request: RenderRequest) -> RenderResponse:
         """Render the top genes of a search result as a PPM heatmap."""
-        with self._timed("render/heatmap"):
-            with Stopwatch() as sw:
-                dataset, matrix = self._top_submatrix(
-                    request.search, request.dataset, request.top_genes
-                )
-                if matrix.n_genes < 1:
-                    raise ApiError(
-                        "INVALID_REQUEST",
-                        f"none of the top {request.top_genes} genes are "
-                        f"present in dataset {dataset!r}",
-                    )
-                if request.cluster and matrix.n_genes >= 2:
-                    tree = hierarchical_cluster(
-                        matrix.values, leaf_ids=matrix.gene_ids
-                    )
-                    matrix = matrix.reorder_genes(tree.leaf_order())
-                colormap = get_colormap(request.colormap)
-                if request.saturation is not None:
-                    colormap = colormap.with_saturation(request.saturation)
-                width = matrix.n_conditions * request.cell_width
-                height = matrix.n_genes * request.cell_height
-                pixels = render_heatmap_block(
-                    matrix.values,
-                    colormap,
-                    x=0, y=0, w=width, h=height,
-                    rx=0, ry=0, rw=width, rh=height,
-                )
-            return RenderResponse(
-                width=width,
-                height=height,
-                dataset=dataset,
-                colormap=request.colormap,
-                genes=tuple(matrix.gene_ids),
-                ppm=encode_ppm(pixels),
-                elapsed_seconds=sw.elapsed,
+        with Stopwatch() as sw:
+            dataset, matrix = self._top_submatrix(
+                request.search, request.dataset, request.top_genes
             )
+            if matrix.n_genes < 1:
+                raise ApiError(
+                    "INVALID_REQUEST",
+                    f"none of the top {request.top_genes} genes are "
+                    f"present in dataset {dataset!r}",
+                )
+            if request.cluster and matrix.n_genes >= 2:
+                tree = hierarchical_cluster(
+                    matrix.values, leaf_ids=matrix.gene_ids
+                )
+                matrix = matrix.reorder_genes(tree.leaf_order())
+            colormap = get_colormap(request.colormap)
+            if request.saturation is not None:
+                colormap = colormap.with_saturation(request.saturation)
+            width = matrix.n_conditions * request.cell_width
+            height = matrix.n_genes * request.cell_height
+            pixels = render_heatmap_block(
+                matrix.values,
+                colormap,
+                x=0, y=0, w=width, h=height,
+                rx=0, ry=0, rw=width, rh=height,
+            )
+        return RenderResponse(
+            width=width,
+            height=height,
+            dataset=dataset,
+            colormap=request.colormap,
+            genes=tuple(matrix.gene_ids),
+            ppm=encode_ppm(pixels),
+            elapsed_seconds=sw.elapsed,
+        )
 
     # ------------------------------------------------------ streaming export
-    def search_export(self, request: ExportRequest):
-        """``search/export``: returns an iterator of *runs* — tuples of
-        NDJSON lines (bytes) that are ready together, one HTTP chunk per
-        line.  A warm export is one run: every chunk line and the trailer.
+    def search_export(self, request: ExportRequest) -> tuple[bytes, ...]:
+        """``search/export``: the export's NDJSON lines (bytes) — every
+        chunk line, then the checksummed trailer — one HTTP chunk each.
 
-        Everything that can fail *before* streaming — unknown
-        genes/datasets, the deadline, the search itself — raises here,
-        so a transport can still answer with an ordinary error status.
-        Once the iterator is handed back, failure mid-walk surfaces as a
-        final ``status="error"`` trailer line carrying the structured
-        error — a consumer always sees either an ``ok`` trailer with a
-        matching checksum or an explicit error, never a silently
-        truncated stream.
+        The whole export is ready before a byte of it is sent, so every
+        failure — unknown genes/datasets, the deadline, the search, the
+        encoding — raises here, and the transport answers it with an
+        ordinary error status.
         """
-        sw = Stopwatch()
-        sw.start()
-        try:
-            budget = Deadline.after_ms(request.deadline_ms)
-            _, service = self._resolve(request.compendium)
-            runs = service.iter_result(request, deadline=budget).runs()
-        except BaseException:
-            self._stats.record("search/export", sw.stop(), error=True)
-            raise
-        return self._encode_export(runs, request.chunk_size, sw)
+        budget = Deadline.after_ms(request.deadline_ms)
+        _, service = self._resolve(request.compendium)
+        return service.iter_result(request, deadline=budget).lines()
 
     def export(self, payload, *, context: RequestContext | None = None):
         """:meth:`search_export` of one wire payload, for in-process
-        callers, one line at a time: gated, parsed and charged by
-        :meth:`_parse` like every route, and raising (as
-        :class:`ApiError` or a mappable exception) where a transport
-        would answer an error status."""
-        return _lines(self.search_export(self._parse("search/export", payload, context)))
-
-    def _encode_export(self, runs, chunk_size: int, sw: Stopwatch):
-        """Pass an export cursor's runs on, checksumming their lines.
-
-        The checksum is ``sha256`` over the exact bytes of every chunk
-        line (newline included) in stream order — the trailer promises
-        integrity of what was actually sent, so it must hash wire bytes,
-        not protocol objects.  The cursor's trailer object ends its last
-        run and leaves as the checksummed trailer line.  The export
-        counts as served only when the consumer asks for more after that
-        run — it was handed off whole; one that closes the stream instead
-        (a failed write, a vanished client) counts a failed export.
-        Every chunk line but a stream's last holds ``chunk_size`` rows
-        and a cursor fails only between runs, so an error trailer's
-        ``total_rows`` is that many per line sent.
-        """
-        endpoint = "search/export"
-        digest = hashlib.sha256()
-        n_chunks = 0
-        try:
-            for run in runs:
-                trailer = run[-1] if isinstance(run[-1], ExportTrailer) else None
-                lines = run if trailer is None else run[:-1]
-                for line in lines:
-                    digest.update(line)
-                n_chunks += len(lines)
-                if trailer is None:
-                    yield lines
-                    continue
-                trailer = replace(
-                    trailer, checksum=f"sha256:{digest.hexdigest()}", n_chunks=n_chunks
-                )
-                yield lines + (ndjson_line(trailer),)
-                self._stats.record(endpoint, sw.stop(), error=False)
-                return
-            raise RuntimeError("export cursor ended without a trailer")
-        except GeneratorExit:
-            # consumer went away mid-stream (client disconnect): the
-            # export did not complete — count it as an error
-            self._stats.record(endpoint, sw.stop(), error=True)
-            raise
-        except Exception as exc:  # noqa: BLE001 — the stream boundary
-            err = as_api_error(exc)
-            self._stats.record(endpoint, sw.stop(), error=True)
-            yield (
-                ndjson_line(
-                    ExportTrailer(
-                        status="error",
-                        total_rows=n_chunks * chunk_size,
-                        n_chunks=n_chunks,
-                        checksum=f"sha256:{digest.hexdigest()}",
-                        error=error_payload(err)["error"],
-                    )
-                ),
+        callers: a generator over its lines.  It enters and is counted
+        like every route (:meth:`ready_wire`, then :meth:`compute_wire`),
+        and raises the :class:`ApiError` a transport would answer as an
+        error status."""
+        request, answer = self.ready_wire("search/export", payload, context=context)
+        status, body = answer or self.compute_wire("search/export", request)
+        if status != 200:
+            error = body["error"]
+            raise ApiError(
+                error["code"], error["message"],
+                details=error.get("details"), http_status=status,
             )
+        return (line for line in body)
 
     def health(self) -> HealthResponse:
-        with self._timed("health"):
-            service = self.service
-            tenants = self.catalog.stats() if self.catalog is not None else {}
-            return HealthResponse(
-                status="ok",
-                uptime_seconds=time.monotonic() - self._started,
-                datasets=len(service.compendium),
-                genes=service.gene_count(),
-                index_bytes=service.index_bytes(),
-                query_count=service.query_count,
-                cache=service.cache_stats(),
-                endpoints=self._stats.snapshot(),
-                serving=service.serving_stats(),
-                limits=self.gate.stats(),
-                shards=service.shard_stats(),
-                storage=service.storage_stats(),
-                tenants=tenants,
-            )
+        service = self.service
+        tenants = self.catalog.stats() if self.catalog is not None else {}
+        return HealthResponse(
+            status="ok",
+            uptime_seconds=time.monotonic() - self._started,
+            datasets=len(service.compendium),
+            genes=service.gene_count(),
+            index_bytes=service.index_bytes(),
+            query_count=service.query_count,
+            cache=service.cache_stats(),
+            endpoints=self._stats.snapshot(),
+            serving=service.serving_stats(),
+            limits=self.gate.stats(),
+            shards=service.shard_stats(),
+            storage=service.storage_stats(),
+            tenants=tenants,
+        )
 
     def endpoint_stats(self) -> dict[str, dict[str, float]]:
         return self._stats.snapshot()
@@ -568,22 +497,9 @@ class ApiApp:
         caller-supplied name is clamped to known endpoints so a spray
         cannot grow the stats map.
         """
-        known = endpoint in ROUTE_BY_NAME
-        self._stats.record(endpoint if known else "(unknown)", 0.0, error=True)
+        self._stats.record(_stats_key(endpoint), 0.0, error=True)
 
     # -------------------------------------------------------------- internals
-    @contextmanager
-    def _timed(self, endpoint: str):
-        sw = Stopwatch()
-        sw.start()
-        try:
-            yield
-        except BaseException:
-            self._stats.record(endpoint, sw.stop(), error=True)
-            raise
-        else:
-            self._stats.record(endpoint, sw.stop(), error=False)
-
     def _top_submatrix(self, search: SearchRequest, dataset: str | None, top_genes: int):
         """``(dataset, matrix)``: the expression submatrix of a search's
         top genes in one dataset — the named one, or the search's
@@ -615,10 +531,7 @@ class ApiApp:
         return dataset, matrix
 
 
-def _lines(runs):
-    """A stream's runs one line at a time; closing this closes the stream."""
-    try:
-        for run in runs:
-            yield from run
-    finally:
-        runs.close()
+def _stats_key(endpoint: str) -> str:
+    """The stats row a request is counted under: its endpoint, or one
+    sentinel for every name no route has."""
+    return endpoint if endpoint in ROUTE_BY_NAME else "(unknown)"

@@ -9,15 +9,16 @@ scoring matmuls, so concurrent searches genuinely overlap.
 
 **What this module decides** is how bytes move: a thread per
 connection, the stdlib's request-line/header parser, one blocking read
-of the body, the stdlib's head composer, one send per answer (a
-stream's head leaves with its first run of lines), connection/request
-counters, and the graceful drain (:mod:`repro.api.transport`).  **What
-it does not decide** is anything about the request: routing, verbs,
-admission control before the body is read, body-length and JSON rules,
-raw-format negotiation, error bodies, ``Retry-After`` and when a
-connection must close are :mod:`repro.api.pipeline`'s, shared with the
-asyncio driver (:mod:`repro.api.aio.server`); the routes themselves are
-declared in :mod:`repro.api.routes` and documented in ``docs/api.md``.
+of the body, the stdlib's head composer, one send per answer (an
+export's head, every chunk and the terminator included),
+connection/request counters, and the graceful drain
+(:mod:`repro.api.transport`).  **What it does not decide** is
+anything about the request: routing, verbs, admission control before
+the body is read, body-length and JSON rules, raw-format negotiation,
+error bodies, ``Retry-After`` and when a connection must close are
+:mod:`repro.api.pipeline`'s, shared with the asyncio driver
+(:mod:`repro.api.aio.server`); the routes themselves are declared in
+:mod:`repro.api.routes` and documented in ``docs/api.md``.
 
 Run a demo server over a synthetic compendium (the repo ships no
 proprietary data) with a persistent index store::
@@ -39,12 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.api import cli
 from repro.api.app import ApiApp
 from repro.api.pipeline import Response, plan_request, read_body, respond
-from repro.api.transport import (
-    CHUNKED_EOF,
-    DEFAULT_DRAIN_SECONDS,
-    TransportStats,
-    encode_run,
-)
+from repro.api.transport import DEFAULT_DRAIN_SECONDS, TransportStats
 
 __all__ = ["ApiHTTPServer", "serve", "main"]
 
@@ -75,8 +71,9 @@ class ApiHTTPServer(ThreadingHTTPServer):
         self.quiet = quiet
         self.drain_seconds = float(drain_seconds)
         self.stats = TransportStats()
+        self.transport_label = str(transport_label)
         self._closed = False
-        app.service.register_transport_stats(str(transport_label), self.stats.snapshot)
+        app.service.register_transport_stats(self.transport_label, self.stats.snapshot)
 
     @property
     def draining(self) -> bool:
@@ -91,7 +88,8 @@ class ApiHTTPServer(ThreadingHTTPServer):
         ``timeout`` (default ``drain_seconds``) so a wedged handler
         cannot hold shutdown hostage.  Returns ``True`` when fully
         drained, ``False`` when the bound expired with work in flight.
-        Must be called off the serving thread (like ``shutdown()``).
+        The server's transport probe then leaves ``/v1/health``.  Must
+        be called off the serving thread (like ``shutdown()``).
         """
         self.stats.begin_drain()
         self.shutdown()  # stops serve_forever; no new connections accepted
@@ -101,6 +99,7 @@ class ApiHTTPServer(ThreadingHTTPServer):
         if not self._closed:
             self._closed = True
             self.server_close()
+        self.app.service.unregister_transport_stats(self.transport_label, self.stats.snapshot)
         return drained
 
 
@@ -110,8 +109,8 @@ class _Handler(BaseHTTPRequestHandler):
     # keep-alive idle bound: a parked connection times out instead of
     # pinning its handler thread forever
     timeout = 60.0
-    # a stream's later runs and its terminator are sends of their own;
-    # without TCP_NODELAY each waits on the client's delayed ACK (~40 ms)
+    # an answer longer than one segment ends in a short one; without
+    # TCP_NODELAY it may wait on the client's delayed ACK (~40 ms)
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
@@ -162,39 +161,27 @@ class _Handler(BaseHTTPRequestHandler):
     do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = _serve_one
 
     def _write(self, response: Response) -> None:
-        """One answer, one send: the head leaves with the body, or with a
-        stream's first run (a warm export's every chunk and its trailer);
-        each later run is one more send, the terminator the last."""
+        """One answer, one send: the head leaves with the whole body — an
+        export's every chunk, its trailer and the terminator included."""
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
-        if response.lines is None:
-            self.send_header("Content-Length", str(len(response.body)))
-        else:
+        if response.chunked:
             self.send_header("Transfer-Encoding", "chunked")
+        else:
+            self.send_header("Content-Length", str(len(response.body)))
         for name, value in response.headers.items():
             self.send_header(name, value)
         if response.close:
             # advertise what we will do — a keep-alive client must not
             # queue another request on this socket
             self.send_header("Connection", "close")
-        head = self._composed_head()
-        if response.lines is None:
-            self.wfile.write(head + response.body)
-            return
         try:
-            for run in response.lines:
-                # the writer is unbuffered: each write is one sendall,
-                # made as soon as its run is ready — nothing is held back
-                self.wfile.write(head + encode_run(run))
-                head = b""
-            self.wfile.write(CHUNKED_EOF)
+            # the writer is unbuffered: this is one sendall
+            self.wfile.write(self._composed_head() + response.body)
         except OSError:
-            # client went away mid-stream (BrokenPipeError /
-            # ConnectionResetError / TimeoutError are all OSErrors; a raw
-            # EPIPE surfaces the same way): the connection is dead, drop it
+            # the client went away (BrokenPipeError / ConnectionResetError
+            # / TimeoutError are all OSErrors): the connection is dead
             self.close_connection = True
-        finally:
-            response.lines.close()
 
     def _composed_head(self) -> bytes:
         """The head ``send_response``/``send_header`` buffered, ended and

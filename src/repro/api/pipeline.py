@@ -8,13 +8,14 @@ three steps — and each step is decided here, once:
    :class:`~repro.api.limits.RequestContext`, admission control (auth,
    rate limits, the body cap on the *declared* size — so a rejected
    client never costs a body read), rejection accounting, and whether
-   the answer is a JSON body, raw bytes or a line stream.  The returned
-   :class:`Plan` says how many body bytes the driver must read.
+   the answer is a JSON body, raw bytes or a chunked line stream.  The
+   returned :class:`Plan` says how many body bytes the driver must read.
 2. :func:`read_body` applies the JSON-object rules to those bytes.
 3. :func:`respond` calls the application and returns one
    :class:`Response` value: status, content type, extra headers, the
-   body bytes *or* a stream of line runs, and whether the connection
-   must close.
+   body bytes (a stream's already chunk-framed), whether they are
+   chunked, and whether the connection must close.  It leaves in one
+   write.
 
 Step 3 is two phases, and ``respond`` is literally ``ready(...) or
 compute(...)``.  :func:`ready` is everything that **cannot wait** — a
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
 from typing import Mapping
 from urllib.parse import parse_qs, urlparse
 
@@ -61,8 +61,9 @@ from repro.api.errors import ApiError, error_payload
 from repro.api.limits import RequestContext
 from repro.api.routes import ROUTE_BY_NAME, Route
 from repro.api.transport import (
-    close_quietly,
+    CHUNKED_EOF,
     declared_body_length,
+    encode_chunk,
     retry_after_headers,
 )
 
@@ -113,58 +114,23 @@ class Plan:
     error: ApiError | None = None
 
 
-class LineStream:
-    """The runs of a streaming response, safe to abandon.
-
-    A run is a tuple of lines that are ready together — a warm export is
-    one run, every chunk line and the trailer — and a driver writes each
-    run in one send, one HTTP chunk per line.  The first run is pulled
-    when the stream is made, in :func:`compute` (the phase that may
-    wait), so a driver writes it with the response head and taking it
-    with the first ``next`` runs no stream code.  Each later run is one
-    ``next``, written when it comes: nothing waits for a later run.
-
-    Drivers call :meth:`close` on every exit that did not write the
-    whole stream.  Closing fires the generator's ``GeneratorExit`` path
-    — which records the failed export and releases anything pinned for
-    it — and never raises, so cleanup can not mask the transport error
-    that caused it; after a completed stream it is a no-op.
-    """
-
-    __slots__ = ("_runs", "_next")
-
-    def __init__(self, runs) -> None:
-        self._runs = runs
-        rest = iter(runs)
-        self._next = chain(tuple(islice(rest, 1)), rest).__next__
-
-    def __iter__(self) -> "LineStream":
-        return self
-
-    def __next__(self) -> tuple[bytes, ...]:
-        return self._next()
-
-    def close(self) -> None:
-        close_quietly(self._runs)
-
-
 @dataclass
 class Response:
-    """Everything a driver writes for one request.
+    """Everything a driver writes for one request, in one write.
 
-    Exactly one of ``body`` (a fixed-length response) and ``lines`` (a
-    chunked stream of runs, one chunk per line) is set.  A driver writes
-    the head with the body, or with the stream's first run, in one send.
-    ``close`` is final: the driver advertises ``Connection: close`` and
-    closes after writing.
+    ``body`` is a fixed-length body, or with ``chunked`` a stream's whole
+    chunk-framed body — one HTTP chunk per line, then the terminator — so
+    the head says ``Transfer-Encoding: chunked`` instead of a
+    ``Content-Length``.  ``close`` is final: the driver advertises
+    ``Connection: close`` and closes after writing.
     """
 
     status: int
     content_type: str
-    body: bytes | None = None
-    lines: LineStream | None = None
+    body: bytes
     headers: dict[str, str] = field(default_factory=dict)
     close: bool = False
+    chunked: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -340,11 +306,9 @@ def ready(
 def compute(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:
     """Answer a planned request :func:`ready` returned ``None`` for.
 
-    This is where the application may wait, a stream's first run
-    included (:class:`LineStream`).  Raw and stream requests that fail
-    *before* their first byte answer an ordinary JSON error status like
-    any other; once a stream is handed back, failures surface as the
-    structured error trailer the app layer emits.
+    This is where the application may wait, a whole export included:
+    its lines are ready when the app answers, so a raw or stream request
+    that fails answers an ordinary JSON error status like any other.
     """
     close = draining or not keep_alive
     status, body = app.compute_wire(
@@ -354,7 +318,8 @@ def compute(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Res
         return _json(status, body, close)
     if plan.kind == "raw":
         return Response(200, PPM_TYPE, body=body, close=close)
-    return Response(200, NDJSON_TYPE, lines=LineStream(body), close=close)
+    framed = b"".join(map(encode_chunk, body)) + CHUNKED_EOF
+    return Response(200, NDJSON_TYPE, body=framed, close=close, chunked=True)
 
 
 def respond(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:

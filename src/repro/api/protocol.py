@@ -858,15 +858,18 @@ class ExportChunk(_Message):
 class ExportTrailer(_Message):
     """The final NDJSON line of a streaming export: totals + integrity.
 
-    ``status`` is ``"ok"`` or ``"error"``; a mid-stream failure streams
-    as an *error trailer* (``error`` carrying the standard
-    ``{code, message, details}`` object) rather than a silently
-    truncated response — a consumer that never sees a trailer knows the
-    stream was cut.  ``checksum`` is ``sha256:<hex>`` over the exact
-    bytes of every chunk line (each including its terminating newline)
-    in stream order, so reassembly can be verified without re-parsing;
-    ``total_rows`` / ``n_chunks`` count what was actually streamed and
-    ``total_genes`` reports the full candidate ranking size.  Query
+    The server sends ``status="ok"``: an export is ready whole before its
+    first byte leaves, so a failure answers an ordinary JSON error status
+    before the first byte, never a truncated stream — a consumer that
+    never sees a trailer knows the stream was cut.  ``"error"`` (with
+    ``error`` carrying the standard ``{code, message, details}`` object)
+    stays in the append-only v1 schema, but is never sent.
+
+    ``checksum`` is ``sha256:<hex>`` over the exact bytes of every chunk
+    line (each including its terminating newline) in stream order, so
+    reassembly can be verified without re-parsing; ``total_rows`` /
+    ``n_chunks`` count what was actually streamed and ``total_genes``
+    reports the full candidate ranking size.  Query
     attribution and the ranked ``dataset_rows`` ride here (once per
     stream, not once per chunk).
 

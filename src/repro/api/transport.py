@@ -9,11 +9,10 @@ same things from each:
   a request head declares — the one rule the stdlib-parsed threaded
   driver and the hand-rolled :mod:`repro.api.aio.http11` parser must
   never disagree on.
-* **Chunk framing** (:func:`encode_chunk`, :func:`encode_run`,
-  :data:`CHUNKED_EOF`): a streaming response is one HTTP/1.1 chunk per
-  line, written a run at a time — the lines that are ready together
-  leave in one send, so a warm export's head, every chunk and its
-  trailer are one write.
+* **Chunk framing** (:func:`encode_chunk`, :data:`CHUNKED_EOF`): a
+  streaming response is one HTTP/1.1 chunk per line and the terminator,
+  framed whole before it is written — every response, head and body,
+  leaves in one write.
 * **Counters** (:class:`TransportStats`): open/total connections,
   keep-alive reuse, observed pipeline depth, in-flight requests, how
   many requests were finished *during* a drain, how many an event-loop
@@ -50,10 +49,8 @@ __all__ = [
     "DEFAULT_DRAIN_SECONDS",
     "IDLE_SECONDS",
     "TransportStats",
-    "close_quietly",
     "declared_body_length",
     "encode_chunk",
-    "encode_run",
     "retry_after_headers",
 ]
 
@@ -89,30 +86,6 @@ def declared_body_length(headers: Mapping[str, str]) -> int:
 def encode_chunk(data: bytes) -> bytes:
     """One HTTP/1.1 body chunk: hex size line, payload, CRLF."""
     return b"%X\r\n%b\r\n" % (len(data), data)
-
-
-def encode_run(run) -> bytes:
-    """A run of lines, ready to write at once: one chunk per line."""
-    return b"".join(map(encode_chunk, run))
-
-
-def close_quietly(lines) -> None:
-    """Close a streaming line generator, swallowing cleanup failures.
-
-    The pipeline's line streams close through this on every abnormal
-    stream exit: closing fires the generator's ``GeneratorExit`` path (which records the failed
-    export).  The cleanup itself must never mask the original transport
-    error — a generator already finished, already executing on another
-    thread (``ValueError``), or misbehaving during close is not worth
-    losing the real exception over.
-    """
-    close = getattr(lines, "close", None)
-    if close is None:
-        return
-    try:
-        close()
-    except Exception:  # noqa: BLE001 — cleanup must not mask the cause
-        pass
 
 
 def retry_after_headers(body: dict) -> dict:

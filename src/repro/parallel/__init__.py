@@ -13,7 +13,7 @@ from repro.parallel.partition import (
     balanced_partition,
     chunk_ranges,
 )
-from repro.parallel.pmap import parallel_map, parallel_starmap
+from repro.parallel.pmap import parallel_map
 from repro.parallel.workqueue import WorkStealingPool, StealStats
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "balanced_partition",
     "chunk_ranges",
     "parallel_map",
-    "parallel_starmap",
     "WorkStealingPool",
     "StealStats",
 ]

@@ -9,11 +9,11 @@ and exceptions propagate to the caller.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from repro.util.errors import ValidationError
 
-__all__ = ["parallel_map", "parallel_starmap"]
+__all__ = ["parallel_map"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -39,13 +39,3 @@ def parallel_map(
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, items))
-
-
-def parallel_starmap(
-    fn: Callable[..., R],
-    arg_tuples: Sequence[tuple],
-    *,
-    n_workers: int = 4,
-) -> list[R]:
-    """``parallel_map`` for functions taking multiple positional arguments."""
-    return parallel_map(lambda args: fn(*args), list(arg_tuples), n_workers=n_workers)

@@ -9,7 +9,7 @@ misses are computed*.  Everything around that step is decided here,
 once, in :meth:`~SearchBackend._answer`: query validation, the
 result-cache probe and store (a partial answer is never admitted — a
 later identical query must retry the missing shards, not replay the
-gap) and the served-count/latency counters.  A batch is that function
+gap) and the served count.  A batch is that function
 over its members — hits answered inline, the misses handed to the step
 together — and :meth:`~SearchBackend.respond`,
 :meth:`~SearchBackend.search` and :meth:`~SearchBackend.iter_result` are
@@ -22,6 +22,7 @@ must not block.  A subclass supplies
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from time import perf_counter
 from typing import Sequence
@@ -43,7 +44,6 @@ from repro.spell.engine import SpellResult
 from repro.spell.index import BatchQuery
 from repro.spell.partials import GeneUniverse, checked_query
 from repro.util.deadline import Deadline
-from repro.util.errors import SearchError
 from repro.util.timing import Stopwatch
 
 __all__ = ["COMPLETE", "ExportCursor", "PAGES_PER_RANKING", "SearchBackend"]
@@ -62,15 +62,14 @@ class ExportCursor:
     """One export's walk over a resolved ranking, with two faces.
 
     Iterated, it yields typed :class:`ExportChunk` messages then the
-    ``ok`` :class:`ExportTrailer`; :meth:`runs` yields the same chunks
-    as ready NDJSON lines (:func:`~repro.api.protocol.ndjson_line`),
-    then that trailer, grouped in *runs* — tuples of what is ready
-    together.  Both come from one offset walk (:meth:`_chunks`).
+    ``ok`` :class:`ExportTrailer`; :meth:`lines` is the same export as
+    its wire lines (:func:`~repro.api.protocol.ndjson_line`).  Both come
+    from one offset walk (:meth:`_chunks`).
 
     Chunks are cut at fixed multiples of ``chunk_size`` from zero, so a
     resumed stream's lines are bit-identical to the same-offset lines of
     an uninterrupted export (same search, same slicing) — which is what
-    lets :meth:`runs` serve every export of a ranking from one encoding
+    lets :meth:`lines` serve every export of a ranking from one encoding
     of it, memoized on the ranking's :class:`GeneTable` (``encoded``).
     """
 
@@ -97,7 +96,7 @@ class ExportCursor:
             yield ExportChunk(offset=offset, gene_rows=tuple(table.rows(offset, stop)))
             offset = stop
 
-    def _trailer(self, offset: int, exportable: int) -> ExportTrailer:
+    def _trailer(self, offset: int, exportable: int, **integrity) -> ExportTrailer:
         result, request = self.result, self.request
         return ExportTrailer(
             status="ok",
@@ -112,6 +111,7 @@ class ExportCursor:
                 for i, d in enumerate(result.datasets[: request.top_datasets])
             ),
             elapsed_seconds=float(self.elapsed),
+            **integrity,
         )
 
     def __iter__(self):
@@ -119,14 +119,16 @@ class ExportCursor:
         yield from self._chunks(offset, exportable)
         yield self._trailer(offset, exportable)
 
-    def runs(self):
-        """One run: the chunk lines as NDJSON bytes, then the trailer object.
+    def lines(self) -> tuple[bytes, ...]:
+        """The export's wire lines: the chunk lines, then the trailer line.
 
         The table keeps one chunking — the whole ranking's lines at one
         ``chunk_size`` — and a different size replaces it; a resumed
-        stream is a suffix of it.  Everything that can fail runs before
-        the run is yielded, so the whole export is ready at once and a
-        driver may write it in one send.
+        export is a suffix of it.  The trailer's ``checksum`` is
+        ``sha256`` over the exact bytes of this export's chunk lines
+        (newline included) in order — it promises the integrity of what
+        is sent, so it hashes wire bytes, not protocol objects — and its
+        ``n_chunks`` counts them.
         """
         offset, exportable = self._bounds()
         size = self.request.chunk_size
@@ -135,7 +137,14 @@ class ExportCursor:
         if memo is None or memo[0] != size or memo[1] != exportable:
             lines = tuple(map(ndjson_line, self._chunks(0, exportable)))
             memo = table.encoded = (size, exportable, lines)
-        yield memo[2][-(-offset // size):] + (self._trailer(offset, exportable),)
+        chunks = memo[2][-(-offset // size):]
+        trailer = self._trailer(
+            offset,
+            exportable,
+            checksum="sha256:" + hashlib.sha256(b"".join(chunks)).hexdigest(),
+            n_chunks=len(chunks),
+        )
+        return chunks + (ndjson_line(trailer),)
 
 
 class SearchBackend:
@@ -157,10 +166,7 @@ class SearchBackend:
         self._cache = (
             QueryCache(cache_size, min_cost=cache_min_cost) if cache_size > 0 else None
         )
-        # requests answered and their summed seconds: a pair, not a
-        # per-request list, so a long-lived server's memory stays flat
-        self._served = 0
-        self._served_seconds = 0.0
+        self._served = 0  # requests answered
         # their own lock, never the maintenance one: a cache hit answered
         # on an event loop must not queue behind an index splice
         self._served_lock = threading.Lock()
@@ -202,10 +208,9 @@ class SearchBackend:
             extra += ("datasets", tuple(sorted(set(datasets))))
         return extra
 
-    def _record_served(self, answers: int, seconds: float) -> None:
+    def _record_served(self, answers: int) -> None:
         with self._served_lock:
             self._served += answers
-            self._served_seconds += seconds
 
     def _answer(
         self,
@@ -241,7 +246,6 @@ class SearchBackend:
         decides it, for one member or many.  That half never waits: it
         does not reach ``_compute_many``.
         """
-        started = perf_counter()
         version = self.compendium.version
         keyed: list[tuple] = []  # (query, top_k, datasets, cache-key extra | None)
         looked_up = 0
@@ -294,7 +298,7 @@ class SearchBackend:
                 answers[position] = (result, report, each)
         for result, _, _ in answers:
             self._note_dataset_use(result)
-        self._record_served(len(answers), perf_counter() - started)
+        self._record_served(len(answers))
         hits = len(answers) - len(pending)
         return answers, (hits, looked_up - hits, width)
 
@@ -458,12 +462,11 @@ class SearchBackend:
 
         Returns an :class:`ExportCursor`: iterated, it yields
         :class:`ExportChunk` objects followed by exactly one
-        ``status="ok"`` :class:`ExportTrailer` (``checksum``/``n_chunks``
-        are left for the stream encoder, which owns the wire bytes); its
-        :meth:`~ExportCursor.runs` is the same walk as ready NDJSON
-        bytes.  The search itself runs *eagerly*, so invalid queries
-        raise here — before a transport has committed a success status
-        line to the stream.
+        ``status="ok"`` :class:`ExportTrailer` (without ``checksum`` and
+        ``n_chunks``, which describe wire bytes); its
+        :meth:`~ExportCursor.lines` is the same export as wire lines,
+        trailer included.  The search itself runs *eagerly*, so invalid
+        queries raise here.
         """
         budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
         budget.check("export admission")
@@ -477,12 +480,6 @@ class SearchBackend:
     def query_count(self) -> int:
         with self._served_lock:
             return self._served
-
-    def mean_latency(self) -> float:
-        with self._served_lock:
-            if not self._served:
-                raise SearchError("no queries executed yet")
-            return self._served_seconds / self._served
 
     def cache_stats(self) -> dict[str, int]:
         if self._cache is None:
@@ -500,8 +497,13 @@ class SearchBackend:
         """
         self._transport_probes[str(label)] = probe
 
-    def unregister_transport_stats(self, label: str) -> None:
-        self._transport_probes.pop(str(label), None)
+    def unregister_transport_stats(self, label: str, probe) -> None:
+        """Detach ``probe`` from ``label`` if that label still holds it:
+        a closing facade never removes a later facade registered under
+        the same label."""
+        label = str(label)
+        if self._transport_probes.get(label) == probe:
+            self._transport_probes.pop(label, None)
 
     def _topology_stats(self) -> dict:
         """The backend-specific part of :meth:`serving_stats`."""

@@ -31,9 +31,8 @@ from repro.api.app import ApiApp
 from repro.api.http import _Handler
 from repro.api.http import serve_background as threaded_serve
 from repro.api.limits import RequestGate
-from repro.api.transport import CHUNKED_EOF, IDLE_SECONDS, TransportStats
+from repro.api.transport import IDLE_SECONDS, TransportStats
 from repro.spell import SpellService
-from repro.spell.backend import ExportCursor
 from repro.synth import make_spell_compendium
 
 TOKEN = "s3cret"
@@ -150,7 +149,7 @@ class Harness:
         self.server._sweeper.cancel()
         self.server._sock.close()
         self.loop.close()
-        self.app.service.unregister_transport_stats("aio-fake")
+        self.app.service.unregister_transport_stats("aio-fake", self.server.stats.snapshot)
 
 
 # -------------------------------------------------------------- the fixtures
@@ -167,20 +166,6 @@ def service(setup):
     with SpellService(setup[0], n_workers=1) as svc:
         svc.search(setup[1].query_genes)  # every page of this query is a hit
         yield svc
-
-
-@pytest.fixture()
-def lazy_exports(monkeypatch):
-    """Export cursors that yield one line per run, as a cursor that
-    computes its lines as it goes would: each later line is a hop."""
-    ready = ExportCursor.runs
-
-    def one_line_runs(cursor):
-        for run in ready(cursor):
-            for item in run:
-                yield (item,)
-
-    monkeypatch.setattr(ExportCursor, "runs", one_line_runs)
 
 
 @pytest.fixture()
@@ -269,7 +254,7 @@ def pages(transport: FakeTransport) -> list:
     return out
 
 
-# ------------------------------------------------- the ten contract points
+# ----------------------------------------------------- the contract points
 class TestContract:
     def test_1_a_hit_behind_a_miss_waits_answers_keep_their_order(
         self, harness, traffic
@@ -302,9 +287,7 @@ class TestContract:
         assert harness.stats["read_pauses"] == 1
         assert harness.executor.names == []
 
-    def test_3_pause_writing_stops_answers_and_export_lines(
-        self, harness, traffic, lazy_exports
-    ):
+    def test_3_pause_writing_stops_answers_and_export_lines(self, harness, traffic):
         # (a) a client that pipelines and never reads: the write that
         # crosses high water is the last until the buffer drains
         conn, transport = harness.connect(pause_at_write=2)
@@ -317,24 +300,15 @@ class TestContract:
         assert pages(transport) == list(range(DEPTH))
         assert harness.stats["write_pauses"] == 1
 
-        # (b) mid-export: the line on the executor lands and is written,
-        # but no further line is pulled while the client is not reading
+        # (b) an export owed to a client that is not reading is not even
+        # computed until the client drains: nothing is built to be buffered
         conn, transport = harness.connect()
-        conn.data_received(traffic.export(chunk_size=10))
-        harness.finish()  # compute: the stream head is written
-        assert transport.writes and b"Transfer-Encoding: chunked" in transport.writes[0]
-        harness.finish(1)  # line 1
-        assert harness.executor.names[-2:] == ["next", "next"]  # line 2 is on its way
         conn.pause_writing()
-        harness.finish(1)  # line 2 lands and is written ...
-        written = len(transport.writes)
-        assert harness.executor.parked == []  # ... and line 3 is not asked for
+        conn.data_received(traffic.export(chunk_size=10))
         harness.turn()
-        assert len(transport.writes) == written
+        assert harness.executor.names == [] and transport.writes == []
         conn.resume_writing()
-        assert len(harness.executor.parked) == 1
-        while harness.executor.parked:
-            harness.finish(1)
+        harness.finish()
         (status, _headers, body), = split_responses(transport.written)
         trailer = json.loads(body.strip().split(b"\n")[-1])
         assert status == 200 and trailer["status"] == "ok"
@@ -449,39 +423,6 @@ class TestContract:
         assert harness.stats["in_flight"] == 0 and harness.stats["drained_requests"] == 4
         assert harness.released == 4
 
-    def test_8_an_abandoned_export_is_closed_on_the_executor(
-        self, service, traffic, lazy_exports
-    ):
-        h = Harness(ApiApp(service))
-        try:
-            for lost_while in ("a line is on the executor", "the client is not reading"):
-                before = h.app.endpoint_stats().get("search/export", {}).get("errors", 0)
-                conn, transport = h.connect()
-                conn.data_received(traffic.export(chunk_size=10))
-                h.finish()  # compute
-                h.finish(1)  # line 1; line 2 is parked
-                if lost_while == "the client is not reading":
-                    conn.pause_writing()
-                    h.finish(1)
-                    assert h.executor.parked == []
-                stream = conn.stream.lines
-                conn.connection_lost(ConnectionResetError())
-                assert h.stats["in_flight"] == 1  # still owed its cleanup
-                h.finish(1)
-                if lost_while == "a line is on the executor":
-                    assert h.executor.names[-1] == "close"  # never on the loop
-                    h.finish(1)
-                assert h.executor.names[-1] == "close" and h.executor.parked == []
-                assert conn.stream is None
-                with pytest.raises(StopIteration):
-                    next(stream)  # the generator really was closed
-                errors = h.app.endpoint_stats()["search/export"]["errors"]
-                assert errors == before + 1, lost_while
-                assert h.stats["in_flight"] == 0 and h.stats["open_connections"] == 0
-            assert h.released == 2
-        finally:
-            h.close()
-
     def test_9_started_and_finished_pair_when_the_client_vanishes(
         self, harness, traffic
     ):
@@ -549,43 +490,20 @@ def test_the_sweep_closes_what_owes_nothing_and_has_been_silent(harness, traffic
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 100])
-def test_a_warm_export_is_two_hops_and_at_most_two_writes(
-    harness, setup, traffic, monkeypatch, chunk_size
-):
-    """The ready run is pulled inside ``compute``'s hop and leaves with
-    the head; the second hop finds the end and writes the terminator."""
+def test_a_warm_export_is_one_hop_and_one_write(harness, setup, traffic, chunk_size):
+    """``compute`` answers the whole export — head, every chunk line, the
+    trailer and the terminator leave in the one write its landing makes."""
     payload = {"genes": list(setup[1].query_genes), "chunk_size": chunk_size}
     expected = list(harness.app.export(payload))  # warm: the memo
-    running, pulled_on_executor = [], []
-    step = harness.executor.run
-
-    def run(count=None):
-        running.append(True)
-        try:
-            step(count)
-        finally:
-            running.pop()
-
-    ready = ExportCursor.runs
-
-    def watched(cursor):
-        for each in ready(cursor):
-            pulled_on_executor.append(bool(running))
-            yield each
-
-    harness.executor.run = run
-    monkeypatch.setattr(ExportCursor, "runs", watched)
     conn, transport = harness.connect()
     conn.data_received(traffic.export(chunk_size=chunk_size))
-    while harness.executor.parked:
-        harness.finish(1)
-    assert harness.executor.names == ["compute", "next"]
-    assert pulled_on_executor == [True]  # never on the loop
-    assert 1 <= len(transport.writes) <= 2
-    assert transport.writes[0] in (transport.written, transport.written[: -len(CHUNKED_EOF)])
-    (status, _headers, body), = split_responses(transport.written)
+    harness.finish()
+    assert harness.executor.names == ["compute"] and harness.executor.parked == []
+    assert len(transport.writes) == 1
+    (status, headers, body), = split_responses(transport.written)
+    assert status == 200 and headers["transfer-encoding"] == "chunked"
     lines = body.splitlines(keepends=True)
-    assert status == 200 and lines[:-1] == expected[:-1]
+    assert lines[:-1] == expected[:-1]
     assert json.loads(lines[-1])["status"] == "ok"
     assert harness.stats["in_flight"] == 0
 
@@ -690,7 +608,6 @@ def test_a_slow_loris_is_closed_at_the_idle_bound_neighbours_never_notice(
     finally:
         server.close(timeout=5)
         thread.join(timeout=10)
-        service.unregister_transport_stats("aio-idle")
 
 
 def test_a_client_that_pipelines_and_never_reads_stalls_only_itself(setup, service):
@@ -751,7 +668,6 @@ def test_a_client_that_pipelines_and_never_reads_stalls_only_itself(setup, servi
     finally:
         server.close(timeout=5)
         thread.join(timeout=10)
-        service.unregister_transport_stats("aio-deaf")
 
 
 # ------------------------------------------------- counters, structure locks
@@ -775,7 +691,27 @@ def test_transport_snapshot_appends_its_three_new_counters(service):
     finally:
         server.close(timeout=5)
         thread.join(timeout=10)
-        service.unregister_transport_stats("http-counters")
+
+
+def test_a_closed_facade_leaves_health(service):
+    """``close()`` takes a facade's transport probe out of ``/v1/health``
+    — its own probe only: a later facade under the same label stays."""
+    app = ApiApp(service)
+
+    def transports() -> dict:
+        return service.serving_stats().get("transport", {})
+
+    old, old_thread = threaded_serve(app, transport_label="http-twice")
+    new, new_thread = threaded_serve(app, transport_label="http-twice")
+    aio, aio_thread = serve_background(app, transport_label="aio-once")
+    assert {"http-twice", "aio-once"} <= set(transports())
+    old.close(timeout=5)
+    old_thread.join(timeout=10)
+    assert transports()["http-twice"]["draining"] is False  # the later facade's
+    for server, thread in ((new, new_thread), (aio, aio_thread)):
+        server.close(timeout=5)
+        thread.join(timeout=10)
+    assert not {"http-twice", "aio-once"} & set(transports())
 
 
 def test_both_drivers_hold_connections_to_one_idle_bound():

@@ -284,10 +284,7 @@ def run_pipeline(app: ApiApp, case: Case, headers=None):
     read_body(plan, case.body[:asked])
     keep_alive = lowered.get("connection") != "close"
     response = respond(app, plan, keep_alive=keep_alive, draining=False)
-    if response.lines is None:
-        body = response.body
-    else:
-        body = b"".join(line for run in response.lines for line in run)
+    body = unchunk(response.body)[0] if response.chunked else response.body
     return asked, response, body
 
 
@@ -374,22 +371,25 @@ def split_responses(data: bytes) -> list[tuple[int, dict[str, str], bytes]]:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         if headers.get("transfer-encoding") == "chunked":
-            body = bytearray()
-            while True:
-                size_line, _, rest = rest.partition(b"\r\n")
-                size = int(size_line, 16)
-                if size == 0:
-                    rest = rest[2:]  # the terminating CRLF
-                    break
-                body += rest[:size]
-                rest = rest[size + 2:]
-            body = bytes(body)
+            body, rest = unchunk(rest)
         else:
             length = int(headers["content-length"])
             body, rest = rest[:length], rest[length:]
         responses.append((int(lines[0].split(" ")[1]), headers, body))
         data = rest
     return responses
+
+
+def unchunk(data: bytes) -> tuple[bytes, bytes]:
+    """A chunked body's payload, and whatever follows its terminator."""
+    body = bytearray()
+    while True:
+        size_line, _, data = data.partition(b"\r\n")
+        size = int(size_line, 16)
+        if size == 0:
+            return bytes(body), data[2:]  # the terminating CRLF
+        body += data[:size]
+        data = data[size + 2:]
 
 
 FACADES = {"threaded": threaded_serve, "aio": aio_serve}
@@ -404,8 +404,6 @@ def serving(app: ApiApp, facade: str):
     finally:
         server.close(timeout=5)
         thread.join(timeout=10)
-        app.service.unregister_transport_stats("http")
-        app.service.unregister_transport_stats("aio")
 
 
 def run_wire(service, case: Case, facade: str):
@@ -726,8 +724,9 @@ def _tree(module) -> ast.Module:
 def test_every_route_enters_the_app_one_way():
     """Structure lock: in the app only ``_parse`` admits, decodes or
     charges a request; the pipeline's waiting phase reaches the app only
-    through ``compute_wire``; and the side doors and the dispatch tables
-    derived beside ``ROUTE_BY_NAME`` stay deleted."""
+    through ``compute_wire``; and the side doors, the dispatch tables
+    derived beside ``ROUTE_BY_NAME`` and the multi-run stream protocol
+    stay deleted."""
     app_tree = _tree(repro.api.app)
     assert _callers(app_tree, {"admit", "charge_tenant", "from_wire"}) == {"_parse"}
     (compute,) = [
@@ -741,7 +740,8 @@ def test_every_route_enters_the_app_one_way():
     }
     assert called == {"compute_wire"}
     gone = re.compile(
-        r"\b(render_heatmap_wire|unary_endpoints|stream_endpoints|ENDPOINTS|STREAM_ENDPOINTS)\b"
+        r"\b(render_heatmap_wire|unary_endpoints|stream_endpoints|ENDPOINTS|STREAM_ENDPOINTS"
+        r"|LineStream|close_quietly|encode_run|_encode_export|_timed)\b"
     )
     src = Path(repro.api.app.__file__).parents[1]
     offenders = [

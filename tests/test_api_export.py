@@ -2,26 +2,31 @@
 
 The acceptance bar (ISSUE 5): the export stream, reassembled, is
 **bit-identical** to the concatenation of all ``/v1/search`` pages for
-the same request — asserted over a live socket — and failures surface
-as a structured error trailer, never a silently truncated stream.
+the same request — asserted over a live socket — and a failure answers
+a structured JSON error status before the first byte, never a silently
+truncated stream.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import threading
 import urllib.error
 import urllib.request
-from types import SimpleNamespace
 
 import pytest
 
+from repro.api.aio.server import serve_background as aio_serve
 from repro.api.app import ApiApp
 from repro.api.errors import ApiError
 from repro.api.http import serve
+from repro.api.http import serve_background as threaded_serve
+from repro.api.pipeline import plan_request, read_body, respond
 from repro.api.protocol import ExportChunk, ExportRequest, ExportTrailer
 from repro.spell import SpellService
+from repro.spell.backend import ExportCursor
 
 
 @pytest.fixture(scope="module")
@@ -192,75 +197,62 @@ class TestExportStream:
         assert "/v1/search/export" in body["error"]["details"]["endpoints"]
 
 
-class TestMidStreamFailure:
-    def _exploding_app(self, export_setup, n_good_chunks: int = 1):
-        """An app whose cursor yields ``n_good_chunks`` one-line runs
-        then blows up."""
+class TestEncodingFailure:
+    def test_a_failing_cursor_answers_an_error_status(
+        self, export_setup, monkeypatch
+    ):
+        """An export is ready whole before its first byte is sent, so a
+        cursor that raises while it encodes is answered with a structured
+        JSON error status, never a 200 — in process (the pipeline both
+        facades run, and ``ApiApp.export``) and over both facades' sockets — and
+        each answer is one failed export in the endpoint stats."""
         compendium, truth = export_setup
-        service = SpellService(compendium)
-        real_iter = service.iter_result
+        real_chunks = ExportCursor._chunks
 
-        def exploding(request, **kwargs):
-            runs = real_iter(request, **kwargs).runs
+        def exploding(cursor, offset, exportable):
+            for i, chunk in enumerate(real_chunks(cursor, offset, exportable)):
+                if i == 2:
+                    raise RuntimeError("disk on fire")
+                yield chunk
 
-            def walk():
-                for i, item in enumerate(item for run in runs() for item in run):
-                    if i >= n_good_chunks:
-                        raise RuntimeError("disk on fire")
-                    yield (item,)
+        monkeypatch.setattr(ExportCursor, "_chunks", exploding)
+        payload = {"genes": list(truth.query_genes), "chunk_size": 5}
+        body = json.dumps(payload).encode()
 
-            return SimpleNamespace(runs=walk)
+        def assert_internal(status, content_type, answer):
+            assert status == 500
+            assert content_type.startswith("application/json")
+            assert json.loads(answer)["error"]["code"] == "INTERNAL"
 
-        service.iter_result = exploding
-        return ApiApp(service), truth
-
-    def test_error_trailer_not_truncation(self, export_setup):
-        app, truth = self._exploding_app(export_setup, n_good_chunks=2)
-        lines = list(
-            app.export({"genes": list(truth.query_genes), "chunk_size": 5})
-        )
-        parsed = [json.loads(line) for line in lines]
-        assert [p["kind"] for p in parsed] == ["chunk", "chunk", "trailer"]
-        trailer = parsed[-1]
-        assert trailer["status"] == "error"
-        assert trailer["error"]["code"] == "INTERNAL"
-        assert trailer["n_chunks"] == 2
-        # the checksum still covers what *was* streamed
-        digest = hashlib.sha256()
-        for line in lines[:-1]:
-            digest.update(line)
-        assert trailer["checksum"] == f"sha256:{digest.hexdigest()}"
-        # and the failed export shows in the endpoint stats
-        stats = app.endpoint_stats()["search/export"]
-        assert stats["errors"] == 1
-
-    def test_error_trailer_over_live_socket(self, export_setup):
-        """The HTTP stream terminates cleanly (valid chunked encoding)
-        with the error trailer as its last line."""
-        app, truth = self._exploding_app(export_setup, n_good_chunks=1)
-        server = serve(app, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            request = urllib.request.Request(
-                f"http://{host}:{port}/v1/search/export",
-                data=json.dumps(
-                    {"genes": list(truth.query_genes), "chunk_size": 5}
-                ).encode(),
-                method="POST",
+        with SpellService(compendium) as service:
+            app = ApiApp(service)
+            plan = plan_request(
+                app, "POST", "/v1/search/export",
+                {"content-length": str(len(body))}, "127.0.0.1",
             )
-            with urllib.request.urlopen(request, timeout=30) as resp:
-                assert resp.status == 200  # headers were already committed
-                raw = resp.read()  # a broken stream would raise here
-            lines = [json.loads(line) for line in raw.split(b"\n") if line]
-            assert lines[-1]["kind"] == "trailer"
-            assert lines[-1]["status"] == "error"
-            assert lines[-1]["error"]["code"] == "INTERNAL"
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            read_body(plan, body)
+            response = respond(app, plan, keep_alive=True, draining=False)
+            assert_internal(response.status, response.content_type, response.body)
+            assert not response.chunked
+            with pytest.raises(ApiError) as exc:
+                app.export(payload)
+            assert (exc.value.code, exc.value.http_status) == ("INTERNAL", 500)
+            for serve_background in (threaded_serve, aio_serve):
+                server, thread = serve_background(app)
+                try:
+                    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+                    conn.request("POST", "/v1/search/export", body=body)
+                    answer = conn.getresponse()
+                    assert answer.getheader("Transfer-Encoding") is None
+                    assert_internal(
+                        answer.status, answer.getheader("Content-Type"), answer.read()
+                    )
+                    conn.close()
+                finally:
+                    server.close(timeout=5)
+                    thread.join(timeout=10)
+            stats = app.endpoint_stats()["search/export"]
+            assert (stats["count"], stats["errors"]) == (4, 4)
 
 
 class TestServiceCursor:

@@ -357,8 +357,6 @@ class TestQuotas:
             thr_server.close(timeout=5)
             aio_thread.join(timeout=10)
             thr_thread.join(timeout=10)
-            service.unregister_transport_stats("aio-quota")
-            service.unregister_transport_stats("http-quota")
             service.close()
 
     def test_per_token_quota_isolates_principals(self, gated, setup):

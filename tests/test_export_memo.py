@@ -1,17 +1,16 @@
 """A warm export is a byte copy: the encoded chunk lines a cached
 ranking keeps.
 
-:meth:`ExportCursor.runs` serves an export from one encoding of the
-ranking, memoized on its :class:`GeneTable`, as one run of lines; the
-typed face (iterating the cursor) still builds every
+:meth:`ExportCursor.lines` serves an export from one encoding of the
+ranking, memoized on its :class:`GeneTable`, plus its checksummed
+trailer line; the typed face (iterating the cursor) still builds every
 :class:`ExportChunk`.  The contract under test: the memo's bytes are
 exactly ``ndjson_line`` over the typed walk — cold or warm, resumed
 anywhere, through the app, the pipeline and over both facades, chunk
-framing included, however the stream is cut into runs — and the memo
-holds one chunking, is never pickled, never lands on a resident entry
-from an uncached export, dies with the compendium version, and is
-counted in ``/v1/health``.  A warm export leaves the threaded facade in
-one write with its head (and the terminator in a second).
+framing included — and the memo holds one chunking, is never pickled,
+never lands on a resident entry from an uncached export, dies with the
+compendium version, and is counted in ``/v1/health``.  A warm export
+leaves the threaded facade in one write, head and terminator included.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import socketserver
 import sys
 import threading
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,10 +35,8 @@ from repro.api.app import ApiApp
 from repro.api.http import serve_background as threaded_serve
 from repro.api.pipeline import plan_request, read_body, respond
 from repro.api.protocol import ExportRequest, ExportTrailer, SearchRequest, ndjson_line
-from repro.api.transport import CHUNKED_EOF
 from repro.data.pcl import write_pcl
 from repro.spell import SpellService
-from repro.spell.backend import ExportCursor
 from repro.synth import make_spell_compendium
 
 SRC = Path(repro.__file__).resolve().parent
@@ -106,6 +102,11 @@ def raw_export(addr, payload: dict) -> list[bytes]:
     head, _, rest = raw.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 200"), head
     assert b"\r\nTransfer-Encoding: chunked" in head
+    return unchunk(rest)
+
+
+def unchunk(rest: bytes) -> list[bytes]:
+    """The payloads of a chunked body, parsed strictly."""
     chunks = []
     while True:
         size_line, _, rest = rest.partition(b"\r\n")
@@ -124,9 +125,9 @@ def without_elapsed(line: bytes) -> dict:
     return trailer
 
 
-def lines_of(cursor) -> list:
-    """A cursor's runs, flattened: the chunk lines, then the trailer."""
-    return [item for run in cursor.runs() for item in run]
+def lines_of(cursor) -> list[bytes]:
+    """A cursor's wire lines: the chunk lines, then the trailer line."""
+    return list(cursor.lines())
 
 
 def piped_export(app, payload: dict) -> list[bytes]:
@@ -136,7 +137,8 @@ def piped_export(app, payload: dict) -> list[bytes]:
     plan = plan_request(app, "POST", "/v1/search/export", head, "127.0.0.1")
     read_body(plan, body)
     response = respond(app, plan, keep_alive=False, draining=False)
-    return [line for run in response.lines for line in run]
+    assert response.status == 200 and response.chunked
+    return unchunk(response.body)
 
 
 def cached_table(service, request: ExportRequest):
@@ -187,8 +189,9 @@ def test_lines_are_ndjson_of_the_typed_walk(served, setup, data):
     warm = lines_of(service.iter_result(request))
     for lines in (cold, warm):
         assert lines[:-1] == expected
-        assert lines[-1].total_rows == typed[-1].total_rows
-        assert lines[-1].total_genes == typed[-1].total_genes
+        trailer = json.loads(lines[-1])
+        assert trailer["total_rows"] == typed[-1].total_rows
+        assert trailer["total_genes"] == typed[-1].total_genes
 
     streamed = list(app.export(request.to_wire()))
     assert streamed[:-1] == expected
@@ -197,32 +200,11 @@ def test_lines_are_ndjson_of_the_typed_walk(served, setup, data):
     assert trailer["n_chunks"] == len(expected)
     assert trailer["total_rows"] == sum(len(c.gene_rows) for c in typed[:-1])
     assert trailer["checksum"] == "sha256:" + hashlib.sha256(b"".join(expected)).hexdigest()
-    for addr in addrs.values():
-        chunks = raw_export(addr, request.to_wire())
+    paths = [piped_export(app, request.to_wire())]
+    paths += [raw_export(addr, request.to_wire()) for addr in addrs.values()]
+    for chunks in paths:
         assert chunks[:-1] == expected  # one HTTP chunk per line, same bytes
         assert without_elapsed(chunks[-1]) == without_elapsed(streamed[-1])
-
-    # how the stream is cut into runs never changes its bytes: the ready
-    # run, split at drawn points into runs pulled one at a time
-    (ready,) = service.iter_result(request).runs()
-    cuts = data.draw(st.sets(st.integers(1, len(ready) - 1))) if len(ready) > 1 else set()
-    bounds = sorted(cuts)
-    whole_runs = ExportCursor.runs
-
-    def split_runs(cursor):
-        (run,) = whole_runs(cursor)
-        for start, stop in zip([0, *bounds], [*bounds, len(run)]):
-            yield run[start:stop]
-
-    def every_path() -> list:
-        paths = [piped_export(app, request.to_wire())]
-        paths += [raw_export(addr, request.to_wire()) for addr in addrs.values()]
-        return [(lines[:-1], without_elapsed(lines[-1])) for lines in paths]
-
-    whole = every_path()
-    with mock.patch.object(ExportCursor, "runs", split_runs):
-        assert every_path() == whole
-    assert whole[0] == (expected, without_elapsed(streamed[-1]))
 
 
 # ------------------------------------------------------------ memo contract
@@ -415,6 +397,49 @@ def test_only_the_protocol_and_pipeline_encode_a_search_page():
     assert offenders == []
 
 
+def _stats_records(tree) -> list[tuple[str | None, str | None]]:
+    """``(class, function)`` around every ``<x>._stats.record(...)`` call
+    (a nested function counts as the one it is defined in)."""
+    found = []
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, fn or child.name)
+                continue
+            func = getattr(child, "func", None)
+            if (
+                isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                and func.attr == "record" and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "_stats"
+            ):
+                found.append((cls, fn))
+            visit(child, cls, fn)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_endpoints_are_counted_where_the_app_answers():
+    """Under ``repro.api`` an endpoint is counted in three places:
+    ``ApiApp.ready_wire`` (refusals and ready answers),
+    ``ApiApp.compute_wire`` (every handler answer, an export included)
+    and ``ApiApp.record_rejection`` (a refusal before the app saw the
+    request)."""
+    counted = {
+        (path.relative_to(SRC).as_posix(), cls, fn)
+        for path in sorted((SRC / "api").rglob("*.py"))
+        for cls, fn in _stats_records(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert counted == {
+        ("api/app.py", "ApiApp", name)
+        for name in ("ready_wire", "compute_wire", "record_rejection")
+    }
+
+
 @pytest.fixture()
 def sent(monkeypatch):
     """Every write the threaded facade makes to a socket (its unbuffered
@@ -449,7 +474,6 @@ def test_threaded_driver_sends_a_warm_export_in_one_write(served, setup, sent, c
     raw_response(addrs["threaded"], "/v1/search/export", payload)  # warm: the memo
     sent.clear()
     raw = raw_response(addrs["threaded"], "/v1/search/export", payload)
-    assert 1 <= len(sent) <= 2 and b"".join(sent) == raw
-    # the first send is the head, every chunk line and the trailer
-    assert sent[0] in (raw, raw[: -len(CHUNKED_EOF)])
+    # one send: the head, every chunk line, the trailer and the terminator
+    assert sent == [raw]
     assert json.loads(raw_export(addrs["threaded"], payload)[-1])["status"] == "ok"

@@ -16,7 +16,6 @@ from repro.parallel import (
     chunk_ranges,
     cyclic_partition,
     parallel_map,
-    parallel_starmap,
     run_ranks,
 )
 from repro.util.errors import CommunicationError, ValidationError
@@ -248,9 +247,6 @@ class TestParallelMap:
 
         with pytest.raises(RuntimeError):
             parallel_map(bad, range(6), n_workers=3)
-
-    def test_starmap(self):
-        assert parallel_starmap(lambda a, b: a + b, [(1, 2), (3, 4)], n_workers=2) == [3, 7]
 
     def test_worker_validation(self):
         with pytest.raises(ValidationError):
