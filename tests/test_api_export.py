@@ -197,16 +197,15 @@ class TestExportStream:
         assert "/v1/search/export" in body["error"]["details"]["endpoints"]
 
 
-class TestEncodingFailure:
-    def test_a_failing_cursor_answers_an_error_status(
-        self, export_setup, monkeypatch
-    ):
-        """An export is ready whole before its first byte is sent, so a
-        cursor that raises while it encodes is answered with a structured
-        JSON error status, never a 200 — in process (the pipeline both
-        facades run, and ``ApiApp.export``) and over both facades' sockets — and
-        each answer is one failed export in the endpoint stats."""
-        compendium, truth = export_setup
+class TestMidStreamFailure:
+    """A cursor that raises while it encodes.  An export is ready whole
+    before its first byte is sent, so the failure is answered with a
+    structured JSON error status (500 ``INTERNAL``) — never a 200 with a
+    truncated stream, and no chunk or trailer line at all — and each answer
+    is one failed export in the endpoint stats."""
+
+    @pytest.fixture
+    def exploding(self, monkeypatch):
         real_chunks = ExportCursor._chunks
 
         def exploding(cursor, offset, exportable):
@@ -216,14 +215,18 @@ class TestEncodingFailure:
                 yield chunk
 
         monkeypatch.setattr(ExportCursor, "_chunks", exploding)
+
+    @staticmethod
+    def assert_internal(status, content_type, answer):
+        assert status == 500
+        assert content_type.startswith("application/json")
+        assert json.loads(answer)["error"]["code"] == "INTERNAL"
+
+    def test_error_trailer_not_truncation(self, export_setup, exploding):
+        """In process: the pipeline both facades run, and ``ApiApp.export``."""
+        compendium, truth = export_setup
         payload = {"genes": list(truth.query_genes), "chunk_size": 5}
         body = json.dumps(payload).encode()
-
-        def assert_internal(status, content_type, answer):
-            assert status == 500
-            assert content_type.startswith("application/json")
-            assert json.loads(answer)["error"]["code"] == "INTERNAL"
-
         with SpellService(compendium) as service:
             app = ApiApp(service)
             plan = plan_request(
@@ -232,19 +235,35 @@ class TestEncodingFailure:
             )
             read_body(plan, body)
             response = respond(app, plan, keep_alive=True, draining=False)
-            assert_internal(response.status, response.content_type, response.body)
+            self.assert_internal(
+                response.status, response.content_type, response.body
+            )
             assert not response.chunked
             with pytest.raises(ApiError) as exc:
                 app.export(payload)
             assert (exc.value.code, exc.value.http_status) == ("INTERNAL", 500)
+            stats = app.endpoint_stats()["search/export"]
+            assert (stats["count"], stats["errors"]) == (2, 2)
+
+    def test_error_trailer_over_live_socket(self, export_setup, exploding):
+        """Over both facades' sockets: a plain JSON answer, not a chunked
+        stream."""
+        compendium, truth = export_setup
+        body = json.dumps(
+            {"genes": list(truth.query_genes), "chunk_size": 5}
+        ).encode()
+        with SpellService(compendium) as service:
+            app = ApiApp(service)
             for serve_background in (threaded_serve, aio_serve):
                 server, thread = serve_background(app)
                 try:
-                    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+                    conn = http.client.HTTPConnection(
+                        *server.server_address[:2], timeout=30
+                    )
                     conn.request("POST", "/v1/search/export", body=body)
                     answer = conn.getresponse()
                     assert answer.getheader("Transfer-Encoding") is None
-                    assert_internal(
+                    self.assert_internal(
                         answer.status, answer.getheader("Content-Type"), answer.read()
                     )
                     conn.close()
@@ -252,7 +271,7 @@ class TestEncodingFailure:
                     server.close(timeout=5)
                     thread.join(timeout=10)
             stats = app.endpoint_stats()["search/export"]
-            assert (stats["count"], stats["errors"]) == (4, 4)
+            assert (stats["count"], stats["errors"]) == (2, 2)
 
 
 class TestServiceCursor:
