@@ -17,7 +17,7 @@ query API"); this bench prices the facade itself:
    vs the single-process facade: identical answers, and the multi-core
    numbers land in ``benchmarks/results/BENCH_4.json``.
 4. **Deep export vs paging** — pulling the *whole* ranking through
-   ``POST /v1/search/export`` (one chunked NDJSON stream) vs paging
+   ``POST /v1/search/export`` (one NDJSON body) vs paging
    ``/v1/search`` to exhaustion with the same slice size: identical
    rows asserted, export must be at least 2x faster (it pays one HTTP
    round trip, one cache lookup, and one metadata serialization for
@@ -289,7 +289,7 @@ def test_http_concurrent_throughput(live_facade):
 
 
 def test_http_export_vs_paged_deep_result(live_facade):
-    """Full-universe export: one chunked stream vs paging to exhaustion.
+    """Full-universe export: one NDJSON body vs paging to exhaustion.
 
     The SPELL-style downstream consumer (enrichment pipelines) wants the
     *entire* ranking; before ``/v1/search/export`` it had to page
@@ -362,8 +362,8 @@ def test_http_export_vs_paged_deep_result(live_facade):
         ],
         notes=(
             f"Full-universe ranking ({len(export_rows)} rows) in slices of "
-            f"{slice_size}, warm cache; export streamed {trailer['n_chunks']} "
-            f"chunks over one chunked response and came back {speedup:.1f}x "
+            f"{slice_size}, warm cache; export sent {trailer['n_chunks']} "
+            f"chunk lines in one response and came back {speedup:.1f}x "
             "faster.  Rows are asserted bit-identical, and the trailer "
             "checksum covers the streamed bytes."
         ),

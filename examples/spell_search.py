@@ -3,8 +3,8 @@
 
 Builds a compendium with a planted co-expression module, boots the real
 HTTP facade (`repro.api.http`) on an ephemeral port, and drives the full
-v1 surface over the wire: `/v1/search`, `/v1/search/export` (chunked
-NDJSON deep export, checksum-verified), `/v1/datasets`, `/v1/cluster`,
+v1 surface over the wire: `/v1/search`, `/v1/search/export` (NDJSON
+deep export, checksum-verified), `/v1/datasets`, `/v1/cluster`,
 `/v1/render/heatmap`, `/v1/health` — then verifies the wire answers are
 bit-identical to direct `SpellService` results and scores SPELL against
 the text-search baseline.

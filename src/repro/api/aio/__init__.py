@@ -8,8 +8,8 @@ isolation:
 * :mod:`repro.api.aio.server` — one event loop driving sockets under
   the shared request pipeline (:mod:`repro.api.pipeline`): accept loop,
   one ``asyncio.BufferedProtocol`` per connection (keep-alive,
-  pipelining, read/write backpressure, the idle bound), chunk framing,
-  graceful drain.  Where code runs: the pipeline's ``ready`` phase — what is
+  pipelining, read/write backpressure, the idle bound), graceful
+  drain.  Where code runs: the pipeline's ``ready`` phase — what is
   already in memory, a result-cache hit above all — is answered on the
   loop; its ``compute`` phase — anything that can wait — on a bounded
   ``aio-dispatch`` thread pool;

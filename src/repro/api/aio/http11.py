@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.api.transport import CHUNKED_EOF, declared_body_length, encode_chunk
+from repro.api.transport import declared_body_length
 
 __all__ = [
     "MAX_REQUEST_LINE_BYTES",
@@ -40,9 +40,6 @@ __all__ = [
     "RequestHead",
     "RequestParser",
     "encode_response",
-    "encode_chunk",
-    "encode_stream_head",
-    "CHUNKED_EOF",
     "reason_phrase",
 ]
 
@@ -235,12 +232,16 @@ class RequestParser:
 # --------------------------------------------------------------------------
 # response encoding
 # --------------------------------------------------------------------------
-def _head_lines(
+def encode_response(
     status: int,
-    content_type: str,
-    extra_headers: dict[str, str] | None,
-    close: bool,
-) -> list[str]:
+    body: bytes,
+    content_type: str = "application/json; charset=utf-8",
+    *,
+    extra_headers: dict[str, str] | None = None,
+    close: bool = False,
+) -> bytes:
+    """One complete response, head and ``Content-Length`` body, ready to
+    write — the only response shape there is."""
     lines = [
         f"HTTP/1.1 {int(status)} {reason_phrase(status)}",
         "Server: repro-aio/1",
@@ -250,19 +251,6 @@ def _head_lines(
         lines.append(f"{name}: {value}")
     if close:
         lines.append("Connection: close")
-    return lines
-
-
-def encode_response(
-    status: int,
-    body: bytes,
-    content_type: str = "application/json; charset=utf-8",
-    *,
-    extra_headers: dict[str, str] | None = None,
-    close: bool = False,
-) -> bytes:
-    """One complete fixed-length response, ready to write."""
-    lines = _head_lines(status, content_type, extra_headers, close)
     lines.append(f"Content-Length: {len(body)}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
 
@@ -280,14 +268,3 @@ def encode_json_response(
         extra_headers=extra_headers,
         close=close,
     )
-
-
-def encode_stream_head(
-    content_type: str = "application/x-ndjson; charset=utf-8",
-    *,
-    close: bool = False,
-) -> bytes:
-    """Headers committing to a chunked (streaming) response body."""
-    lines = _head_lines(200, content_type, None, close)
-    lines.append("Transfer-Encoding: chunked")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")

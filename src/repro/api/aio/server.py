@@ -61,12 +61,7 @@ from repro.api.app import ApiApp
 from repro.api.errors import ApiError
 from repro.api.pipeline import Plan, Response, compute, plan_request, read_body, ready
 from repro.api.transport import DEFAULT_DRAIN_SECONDS, IDLE_SECONDS, TransportStats
-from repro.api.aio.http11 import (
-    ProtocolError,
-    RequestParser,
-    encode_response,
-    encode_stream_head,
-)
+from repro.api.aio.http11 import ProtocolError, RequestParser, encode_response
 
 __all__ = ["AioApiServer", "serve", "serve_background"]
 
@@ -247,14 +242,10 @@ class _Connection(asyncio.BufferedProtocol):
 
     def _finish(self, response: Response) -> None:
         """Write the front request's answer in one write; retire it."""
-        if response.chunked:
-            head = encode_stream_head(response.content_type, close=response.close)
-            self.transport.write(head + response.body)
-        else:
-            self.transport.write(encode_response(
-                response.status, response.body, response.content_type,
-                extra_headers=response.headers, close=response.close,
-            ))
+        self.transport.write(encode_response(
+            response.status, response.body, response.content_type,
+            extra_headers=response.headers, close=response.close,
+        ))
         self.window.popleft()
         self.server.stats.request_finished()
         if response.close or not self.window and (self.eof or self.server._draining):

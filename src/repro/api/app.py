@@ -439,7 +439,7 @@ class ApiApp:
     # ------------------------------------------------------ streaming export
     def search_export(self, request: ExportRequest) -> tuple[bytes, ...]:
         """``search/export``: the export's NDJSON lines (bytes) — every
-        chunk line, then the checksummed trailer — one HTTP chunk each.
+        chunk line, then the checksummed trailer — sent as one body.
 
         The whole export is ready before a byte of it is sent, so every
         failure — unknown genes/datasets, the deadline, the search, the
@@ -484,9 +484,6 @@ class ApiApp:
             storage=service.storage_stats(),
             tenants=tenants,
         )
-
-    def endpoint_stats(self) -> dict[str, dict[str, float]]:
-        return self._stats.snapshot()
 
     def record_rejection(self, endpoint: str) -> None:
         """Count a transport-level gate rejection against an endpoint.

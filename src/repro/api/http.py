@@ -9,8 +9,8 @@ scoring matmuls, so concurrent searches genuinely overlap.
 
 **What this module decides** is how bytes move: a thread per
 connection, the stdlib's request-line/header parser, one blocking read
-of the body, the stdlib's head composer, one send per answer (an
-export's head, every chunk and the terminator included),
+of the body, the stdlib's head composer, one send per answer (head
+and whole body, an export's every line included),
 connection/request counters, and the graceful drain
 (:mod:`repro.api.transport`).  **What it does not decide** is
 anything about the request: routing, verbs, admission control before
@@ -40,7 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.api import cli
 from repro.api.app import ApiApp
 from repro.api.pipeline import Response, plan_request, read_body, respond
-from repro.api.transport import DEFAULT_DRAIN_SECONDS, TransportStats
+from repro.api.transport import DEFAULT_DRAIN_SECONDS, IDLE_SECONDS, TransportStats
 
 __all__ = ["ApiHTTPServer", "serve", "main"]
 
@@ -108,7 +108,7 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # keep-alive idle bound: a parked connection times out instead of
     # pinning its handler thread forever
-    timeout = 60.0
+    timeout = IDLE_SECONDS
     # an answer longer than one segment ends in a short one; without
     # TCP_NODELAY it may wait on the client's delayed ACK (~40 ms)
     disable_nagle_algorithm = True
@@ -162,13 +162,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _write(self, response: Response) -> None:
         """One answer, one send: the head leaves with the whole body — an
-        export's every chunk, its trailer and the terminator included."""
+        export's every line and its trailer included."""
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
-        if response.chunked:
-            self.send_header("Transfer-Encoding", "chunked")
-        else:
-            self.send_header("Content-Length", str(len(response.body)))
+        self.send_header("Content-Length", str(len(response.body)))
         for name, value in response.headers.items():
             self.send_header(name, value)
         if response.close:

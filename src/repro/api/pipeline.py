@@ -8,14 +8,13 @@ three steps — and each step is decided here, once:
    :class:`~repro.api.limits.RequestContext`, admission control (auth,
    rate limits, the body cap on the *declared* size — so a rejected
    client never costs a body read), rejection accounting, and whether
-   the answer is a JSON body, raw bytes or a chunked line stream.  The
+   the answer is a JSON body, raw bytes or NDJSON lines.  The
    returned :class:`Plan` says how many body bytes the driver must read.
 2. :func:`read_body` applies the JSON-object rules to those bytes.
 3. :func:`respond` calls the application and returns one
    :class:`Response` value: status, content type, extra headers, the
-   body bytes (a stream's already chunk-framed), whether they are
-   chunked, and whether the connection must close.  It leaves in one
-   write.
+   body bytes (a stream's lines joined) and whether the connection must
+   close.  It leaves in one write, framed by its ``Content-Length``.
 
 Step 3 is two phases, and ``respond`` is literally ``ready(...) or
 compute(...)``.  :func:`ready` is everything that **cannot wait** — a
@@ -60,12 +59,7 @@ from repro.api.app import ApiApp, all_endpoints
 from repro.api.errors import ApiError, error_payload
 from repro.api.limits import RequestContext
 from repro.api.routes import ROUTE_BY_NAME, Route
-from repro.api.transport import (
-    CHUNKED_EOF,
-    declared_body_length,
-    encode_chunk,
-    retry_after_headers,
-)
+from repro.api.transport import declared_body_length, retry_after_headers
 
 __all__ = [
     "PREFIX",
@@ -118,9 +112,7 @@ class Plan:
 class Response:
     """Everything a driver writes for one request, in one write.
 
-    ``body`` is a fixed-length body, or with ``chunked`` a stream's whole
-    chunk-framed body — one HTTP chunk per line, then the terminator — so
-    the head says ``Transfer-Encoding: chunked`` instead of a
+    ``body`` is the whole body — a stream's lines joined — sent with its
     ``Content-Length``.  ``close`` is final: the driver advertises
     ``Connection: close`` and closes after writing.
     """
@@ -130,7 +122,6 @@ class Response:
     body: bytes
     headers: dict[str, str] = field(default_factory=dict)
     close: bool = False
-    chunked: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -318,8 +309,7 @@ def compute(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Res
         return _json(status, body, close)
     if plan.kind == "raw":
         return Response(200, PPM_TYPE, body=body, close=close)
-    framed = b"".join(map(encode_chunk, body)) + CHUNKED_EOF
-    return Response(200, NDJSON_TYPE, body=framed, close=close, chunked=True)
+    return Response(200, NDJSON_TYPE, body=b"".join(body), close=close)
 
 
 def respond(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:

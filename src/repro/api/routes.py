@@ -104,7 +104,7 @@ ROUTES: tuple[Route, ...] = (
         response_cls=(ExportChunk, ExportTrailer),
         kind="stream",
         summary=(
-            "Full ranking as chunked NDJSON: one chunk line per slice, "
+            "Full ranking as NDJSON: one chunk line per slice, "
             "terminated by a checksummed trailer line."
         ),
     ),

@@ -8,11 +8,9 @@ same things from each:
 * **Body framing** (:func:`declared_body_length`): how many body bytes
   a request head declares — the one rule the stdlib-parsed threaded
   driver and the hand-rolled :mod:`repro.api.aio.http11` parser must
-  never disagree on.
-* **Chunk framing** (:func:`encode_chunk`, :data:`CHUNKED_EOF`): a
-  streaming response is one HTTP/1.1 chunk per line and the terminator,
-  framed whole before it is written — every response, head and body,
-  leaves in one write.
+  never disagree on.  Responses need no such rule: every one, an export
+  included, is complete before it is sent and states its
+  ``Content-Length``.
 * **Counters** (:class:`TransportStats`): open/total connections,
   keep-alive reuse, observed pipeline depth, in-flight requests, how
   many requests were finished *during* a drain, how many an event-loop
@@ -45,18 +43,12 @@ import time
 from typing import Mapping
 
 __all__ = [
-    "CHUNKED_EOF",
     "DEFAULT_DRAIN_SECONDS",
     "IDLE_SECONDS",
     "TransportStats",
     "declared_body_length",
-    "encode_chunk",
     "retry_after_headers",
 ]
-
-#: Sentinel chunk terminating a chunked response body.
-CHUNKED_EOF = b"0\r\n\r\n"
-
 
 def declared_body_length(headers: Mapping[str, str]) -> int:
     """Body bytes a request head declares (``headers`` keys lower-cased).
@@ -81,11 +73,6 @@ def declared_body_length(headers: Mapping[str, str]) -> int:
     if not raw or not all(c in "0123456789" for c in raw):
         raise ValueError(f"bad Content-Length {raw!r}")
     return int(raw)
-
-
-def encode_chunk(data: bytes) -> bytes:
-    """One HTTP/1.1 body chunk: hex size line, payload, CRLF."""
-    return b"%X\r\n%b\r\n" % (len(data), data)
 
 
 def retry_after_headers(body: dict) -> dict:

@@ -34,6 +34,7 @@ from repro.api.limits import RequestGate
 from repro.api.transport import IDLE_SECONDS, TransportStats
 from repro.spell import SpellService
 from repro.synth import make_spell_compendium
+from tests.test_api_conformance import split_responses
 
 TOKEN = "s3cret"
 DEPTH = 4
@@ -208,44 +209,12 @@ def traffic(setup):
     return Traffic
 
 
-def split_responses(data: bytes) -> list[tuple[int, dict[str, str], bytes]]:
-    """Every complete HTTP/1.1 response in ``data``: (status, headers, body)."""
-    responses = []
-    while data:
-        head, sep, rest = data.partition(b"\r\n\r\n")
-        assert sep and head.startswith(b"HTTP/1.1 "), data[:200]
-        lines = head.decode("latin-1").split("\r\n")
-        headers = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        if headers.get("transfer-encoding") == "chunked":
-            body = bytearray()
-            while True:
-                size_line, sep, rest = rest.partition(b"\r\n")
-                assert sep, "chunked stream cut short"
-                size = int(size_line, 16)
-                if size == 0:
-                    rest = rest[2:]
-                    break
-                body += rest[:size]
-                rest = rest[size + 2:]
-            body = bytes(body)
-        else:
-            length = int(headers["content-length"])
-            body, rest = rest[:length], rest[length:]
-            assert len(body) == length
-        responses.append((int(lines[0].split(" ")[1]), headers, body))
-        data = rest
-    return responses
-
-
 def pages(transport: FakeTransport) -> list:
     """What each written response answered: a page number, or the
     response's kind for anything that is not a search page."""
     out = []
     for status, headers, body in split_responses(transport.written):
-        if headers.get("transfer-encoding") == "chunked":
+        if headers["content-type"].startswith("application/x-ndjson"):
             out.append("export")
         elif status != 200:
             out.append(status)
@@ -491,8 +460,8 @@ def test_the_sweep_closes_what_owes_nothing_and_has_been_silent(harness, traffic
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 100])
 def test_a_warm_export_is_one_hop_and_one_write(harness, setup, traffic, chunk_size):
-    """``compute`` answers the whole export — head, every chunk line, the
-    trailer and the terminator leave in the one write its landing makes."""
+    """``compute`` answers the whole export — head, every chunk line and
+    the trailer leave in the one write its landing makes."""
     payload = {"genes": list(setup[1].query_genes), "chunk_size": chunk_size}
     expected = list(harness.app.export(payload))  # warm: the memo
     conn, transport = harness.connect()
@@ -501,7 +470,8 @@ def test_a_warm_export_is_one_hop_and_one_write(harness, setup, traffic, chunk_s
     assert harness.executor.names == ["compute"] and harness.executor.parked == []
     assert len(transport.writes) == 1
     (status, headers, body), = split_responses(transport.written)
-    assert status == 200 and headers["transfer-encoding"] == "chunked"
+    assert status == 200 and headers["content-length"] == str(len(body))
+    assert "transfer-encoding" not in headers
     lines = body.splitlines(keepends=True)
     assert lines[:-1] == expected[:-1]
     assert json.loads(lines[-1])["status"] == "ok"

@@ -283,9 +283,7 @@ def run_pipeline(app: ApiApp, case: Case, headers=None):
     asked = plan.body_bytes
     read_body(plan, case.body[:asked])
     keep_alive = lowered.get("connection") != "close"
-    response = respond(app, plan, keep_alive=keep_alive, draining=False)
-    body = unchunk(response.body)[0] if response.chunked else response.body
-    return asked, response, body
+    return asked, respond(app, plan, keep_alive=keep_alive, draining=False)
 
 
 def assert_pinned(case: Case, body: bytes) -> None:
@@ -296,7 +294,7 @@ def assert_pinned(case: Case, body: bytes) -> None:
 
 
 def errors_counted(app: ApiApp, endpoint: str | None) -> int:
-    return app.endpoint_stats().get(endpoint, {}).get("errors", 0)
+    return app.health().endpoints.get(endpoint, {}).get("errors", 0)
 
 
 @pytest.mark.parametrize("index", range(len(CASE_NAMES)), ids=CASE_NAMES)
@@ -310,7 +308,8 @@ def check_row(app: ApiApp, case: Case) -> None:
     for headers in case.warmup:
         assert run_pipeline(app, case, headers)[1].status == 200
     before = errors_counted(app, case.rejected)
-    asked, response, body = run_pipeline(app, case)
+    asked, response = run_pipeline(app, case)
+    body = response.body
     assert response.status == case.status
     assert asked == case.reads
     assert response.close is case.close
@@ -360,7 +359,7 @@ def exchange(addr, data: bytes) -> bytes:
 
 
 def split_responses(data: bytes) -> list[tuple[int, dict[str, str], bytes]]:
-    """Every HTTP/1.1 response in ``data``: (status, headers, body)."""
+    """Every complete HTTP/1.1 response in ``data``: (status, headers, body)."""
     responses = []
     while data:
         head, sep, rest = data.partition(b"\r\n\r\n")
@@ -370,26 +369,12 @@ def split_responses(data: bytes) -> list[tuple[int, dict[str, str], bytes]]:
         for line in lines[1:]:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        if headers.get("transfer-encoding") == "chunked":
-            body, rest = unchunk(rest)
-        else:
-            length = int(headers["content-length"])
-            body, rest = rest[:length], rest[length:]
+        length = int(headers["content-length"])
+        body, rest = rest[:length], rest[length:]
+        assert len(body) == length
         responses.append((int(lines[0].split(" ")[1]), headers, body))
         data = rest
     return responses
-
-
-def unchunk(data: bytes) -> tuple[bytes, bytes]:
-    """A chunked body's payload, and whatever follows its terminator."""
-    body = bytearray()
-    while True:
-        size_line, _, data = data.partition(b"\r\n")
-        size = int(size_line, 16)
-        if size == 0:
-            return bytes(body), data[2:]  # the terminating CRLF
-        body += data[:size]
-        data = data[size + 2:]
 
 
 FACADES = {"threaded": threaded_serve, "aio": aio_serve}
@@ -424,8 +409,8 @@ def test_both_facades_put_the_pipeline_on_the_wire(setup, service, index):
     reference_app = make_app(service, case.profile)
     for headers in case.warmup:
         run_pipeline(reference_app, case, headers)
-    _asked, expected, expected_body = run_pipeline(reference_app, case)
-    want = comparable(expected.content_type, expected_body)
+    _asked, expected = run_pipeline(reference_app, case)
+    want = comparable(expected.content_type, expected.body)
 
     for facade in FACADES:
         data, counted = run_wire(service, case, facade)
@@ -543,10 +528,11 @@ def post_everywhere(app: ApiApp, requests: list[tuple[str, dict]]) -> list[tuple
     answers = []
     for case in cases:
         t0 = time.monotonic()
-        _, response, body = run_pipeline(app, case)
+        _, response = run_pipeline(app, case)
         seconds = time.monotonic() - t0
         answers.append(
-            (("pipeline", case.target), response.status, response.content_type, body, seconds)
+            (("pipeline", case.target), response.status, response.content_type,
+             response.body, seconds)
         )
     for facade in FACADES:
         with serving(app, facade) as addr:
@@ -725,8 +711,8 @@ def test_every_route_enters_the_app_one_way():
     """Structure lock: in the app only ``_parse`` admits, decodes or
     charges a request; the pipeline's waiting phase reaches the app only
     through ``compute_wire``; and the side doors, the dispatch tables
-    derived beside ``ROUTE_BY_NAME`` and the multi-run stream protocol
-    stay deleted."""
+    derived beside ``ROUTE_BY_NAME``, the multi-run stream protocol and
+    chunked response framing stay deleted."""
     app_tree = _tree(repro.api.app)
     assert _callers(app_tree, {"admit", "charge_tenant", "from_wire"}) == {"_parse"}
     (compute,) = [
@@ -741,7 +727,8 @@ def test_every_route_enters_the_app_one_way():
     assert called == {"compute_wire"}
     gone = re.compile(
         r"\b(render_heatmap_wire|unary_endpoints|stream_endpoints|ENDPOINTS|STREAM_ENDPOINTS"
-        r"|LineStream|close_quietly|encode_run|_encode_export|_timed)\b"
+        r"|LineStream|close_quietly|encode_run|_encode_export|_timed"
+        r"|encode_chunk|CHUNKED_EOF|encode_stream_head)\b"
     )
     src = Path(repro.api.app.__file__).parents[1]
     offenders = [

@@ -91,16 +91,17 @@ def read_stream(base: str, payload: dict):
 
 class TestExportStream:
     def test_export_bit_identical_to_paged(self, live_export):
-        """The acceptance bar, over a live socket with real chunked HTTP."""
+        """The acceptance bar, over a live socket with real HTTP."""
         base, _, truth = live_export
         genes = list(truth.query_genes)
         size = 7  # deliberately not a divisor of the ranking length
 
-        headers, chunks, trailer, _ = read_stream(
+        headers, chunks, trailer, lines = read_stream(
             base, {"genes": genes, "chunk_size": size}
         )
         assert headers["Content-Type"].startswith("application/x-ndjson")
-        assert headers.get("Transfer-Encoding") == "chunked"
+        assert headers["Content-Length"] == str(sum(len(line) + 1 for line in lines))
+        assert "Transfer-Encoding" not in headers
 
         paged_rows: list = []
         page = 0
@@ -238,16 +239,15 @@ class TestMidStreamFailure:
             self.assert_internal(
                 response.status, response.content_type, response.body
             )
-            assert not response.chunked
             with pytest.raises(ApiError) as exc:
                 app.export(payload)
             assert (exc.value.code, exc.value.http_status) == ("INTERNAL", 500)
-            stats = app.endpoint_stats()["search/export"]
+            stats = app.health().endpoints["search/export"]
             assert (stats["count"], stats["errors"]) == (2, 2)
 
     def test_error_trailer_over_live_socket(self, export_setup, exploding):
-        """Over both facades' sockets: a plain JSON answer, not a chunked
-        stream."""
+        """Over both facades' sockets: a plain JSON answer, not an NDJSON
+        body."""
         compendium, truth = export_setup
         body = json.dumps(
             {"genes": list(truth.query_genes), "chunk_size": 5}
@@ -270,7 +270,7 @@ class TestMidStreamFailure:
                 finally:
                     server.close(timeout=5)
                     thread.join(timeout=10)
-            stats = app.endpoint_stats()["search/export"]
+            stats = app.health().endpoints["search/export"]
             assert (stats["count"], stats["errors"]) == (2, 2)
 
 

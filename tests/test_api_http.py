@@ -482,7 +482,7 @@ class TestWireHandlerDirect:
         for name in ("bogus1", "bogus2", "bogus3"):
             status, _ = app.handle_wire(name, {})
             assert status == 404
-        stats = app.endpoint_stats()
+        stats = app.health().endpoints
         assert "bogus1" not in stats
         assert stats["(unknown)"]["errors"] == 3
 

@@ -11,14 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.api.aio.http11 import (
-    CHUNKED_EOF,
     MAX_HEADER_BYTES,
     MAX_REQUEST_LINE_BYTES,
     ProtocolError,
     RequestParser,
-    encode_chunk,
     encode_response,
-    encode_stream_head,
     reason_phrase,
 )
 
@@ -174,17 +171,6 @@ class TestEncoders:
     def test_extra_headers_emitted(self):
         data = encode_response(429, b"{}", extra_headers={"Retry-After": "2"})
         assert b"Retry-After: 2" in data.split(b"\r\n\r\n")[0]
-
-    def test_stream_head_is_chunked_no_length(self):
-        head = encode_stream_head()
-        assert b"Transfer-Encoding: chunked" in head
-        assert b"Content-Length" not in head
-        assert head.endswith(b"\r\n\r\n")
-
-    def test_chunk_encoding_exact_bytes(self):
-        assert encode_chunk(b"hello") == b"5\r\nhello\r\n"
-        assert encode_chunk(b"x" * 16) == b"10\r\n" + b"x" * 16 + b"\r\n"
-        assert CHUNKED_EOF == b"0\r\n\r\n"
 
     def test_reason_phrases(self):
         assert reason_phrase(200) == "OK"

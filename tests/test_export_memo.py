@@ -6,11 +6,11 @@ ranking, memoized on its :class:`GeneTable`, plus its checksummed
 trailer line; the typed face (iterating the cursor) still builds every
 :class:`ExportChunk`.  The contract under test: the memo's bytes are
 exactly ``ndjson_line`` over the typed walk — cold or warm, resumed
-anywhere, through the app, the pipeline and over both facades, chunk
+anywhere, through the app, the pipeline and over both facades, HTTP
 framing included — and the memo holds one chunking, is never pickled,
 never lands on a resident entry from an uncached export, dies with the
 compendium version, and is counted in ``/v1/health``.  A warm export
-leaves the threaded facade in one write, head and terminator included.
+leaves the threaded facade in one write, head included.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.api.protocol import ExportRequest, ExportTrailer, SearchRequest, ndjs
 from repro.data.pcl import write_pcl
 from repro.spell import SpellService
 from repro.synth import make_spell_compendium
+from tests.test_api_conformance import split_responses
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -78,14 +79,15 @@ def served(setup):
                 thread.join(timeout=10)
 
 
-def raw_response(addr, path: str, payload: dict | None = None) -> bytes:
+def raw_response(addr, path: str, payload: dict | None = None,
+                 version: bytes = b"HTTP/1.1") -> bytes:
     """One request's raw response bytes (``Connection: close``, read to
     EOF): a POST of ``payload``, or a GET without one."""
     body = b"" if payload is None else json.dumps(payload).encode()
     method = b"GET" if payload is None else b"POST"
     with socket.create_connection(addr, timeout=30) as sock:
         sock.sendall(
-            method + b" " + path.encode() + b" HTTP/1.1\r\nHost: test\r\n"
+            method + b" " + path.encode() + b" " + version + b"\r\nHost: test\r\n"
             b"Connection: close\r\nContent-Type: application/json\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
         )
@@ -96,27 +98,13 @@ def raw_response(addr, path: str, payload: dict | None = None) -> bytes:
 
 
 def raw_export(addr, payload: dict) -> list[bytes]:
-    """POST an export and return its HTTP chunk payloads, parsed strictly
-    off the raw socket bytes."""
-    raw = raw_response(addr, "/v1/search/export", payload)
-    head, _, rest = raw.partition(b"\r\n\r\n")
-    assert head.startswith(b"HTTP/1.1 200"), head
-    assert b"\r\nTransfer-Encoding: chunked" in head
-    return unchunk(rest)
-
-
-def unchunk(rest: bytes) -> list[bytes]:
-    """The payloads of a chunked body, parsed strictly."""
-    chunks = []
-    while True:
-        size_line, _, rest = rest.partition(b"\r\n")
-        size = int(size_line, 16)
-        if size == 0:
-            assert rest == b"\r\n"  # the terminating chunk, nothing after it
-            return chunks
-        assert rest[size : size + 2] == b"\r\n"
-        chunks.append(rest[:size])
-        rest = rest[size + 2 :]
+    """POST an export and return its NDJSON lines, parsed strictly off
+    the raw socket bytes: a ``Content-Length`` body, never chunked."""
+    (status, headers, body), = split_responses(
+        raw_response(addr, "/v1/search/export", payload)
+    )
+    assert status == 200 and "transfer-encoding" not in headers
+    return body.splitlines(keepends=True)
 
 
 def without_elapsed(line: bytes) -> dict:
@@ -137,8 +125,8 @@ def piped_export(app, payload: dict) -> list[bytes]:
     plan = plan_request(app, "POST", "/v1/search/export", head, "127.0.0.1")
     read_body(plan, body)
     response = respond(app, plan, keep_alive=False, draining=False)
-    assert response.status == 200 and response.chunked
-    return unchunk(response.body)
+    assert response.status == 200
+    return response.body.splitlines(keepends=True)
 
 
 def cached_table(service, request: ExportRequest):
@@ -202,9 +190,30 @@ def test_lines_are_ndjson_of_the_typed_walk(served, setup, data):
     assert trailer["checksum"] == "sha256:" + hashlib.sha256(b"".join(expected)).hexdigest()
     paths = [piped_export(app, request.to_wire())]
     paths += [raw_export(addr, request.to_wire()) for addr in addrs.values()]
-    for chunks in paths:
-        assert chunks[:-1] == expected  # one HTTP chunk per line, same bytes
-        assert without_elapsed(chunks[-1]) == without_elapsed(streamed[-1])
+    for lines in paths:
+        assert lines[:-1] == expected  # the same lines, byte for byte
+        assert without_elapsed(lines[-1]) == without_elapsed(streamed[-1])
+
+
+@pytest.mark.parametrize("facade", ["threaded", "aio"])
+def test_an_http10_export_is_a_content_length_body(served, setup, facade):
+    """An HTTP/1.0 client cannot read chunked transfer coding (RFC 9112
+    6.1): it gets a ``Content-Length`` body whose lines verify against
+    their own trailer."""
+    _, _, addrs = served
+    payload = {"genes": list(setup[1].query_genes), "chunk_size": 7}
+    raw = raw_response(addrs[facade], "/v1/search/export", payload, b"HTTP/1.0")
+    (status, headers, body), = split_responses(raw)
+    assert status == 200
+    assert headers["content-type"].startswith("application/x-ndjson")
+    assert headers["content-length"] == str(len(body))
+    assert "transfer-encoding" not in headers
+    *chunk_lines, trailer_line = body.splitlines(keepends=True)
+    trailer = json.loads(trailer_line)
+    assert trailer["status"] == "ok"
+    assert [json.loads(line)["kind"] for line in chunk_lines] == ["chunk"] * len(chunk_lines)
+    assert trailer["n_chunks"] == len(chunk_lines) > 1
+    assert trailer["checksum"] == "sha256:" + hashlib.sha256(b"".join(chunk_lines)).hexdigest()
 
 
 # ------------------------------------------------------------ memo contract
@@ -474,6 +483,6 @@ def test_threaded_driver_sends_a_warm_export_in_one_write(served, setup, sent, c
     raw_response(addrs["threaded"], "/v1/search/export", payload)  # warm: the memo
     sent.clear()
     raw = raw_response(addrs["threaded"], "/v1/search/export", payload)
-    # one send: the head, every chunk line, the trailer and the terminator
+    # one send: the head, every chunk line and the trailer
     assert sent == [raw]
     assert json.loads(raw_export(addrs["threaded"], payload)[-1])["status"] == "ok"
