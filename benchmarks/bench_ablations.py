@@ -1,4 +1,4 @@
-"""ABL — ablations of the design choices DESIGN.md calls out.
+"""ABL — ablations of the implementation's own design choices.
 
 Not figures from the paper; these quantify why the implementation is
 built the way it is:

@@ -1,7 +1,7 @@
 """Shared benchmark fixtures and the paper-style report writer.
 
-Every bench regenerates the rows/series for one paper artifact (see
-DESIGN.md §4) and records them via :func:`write_report`, which both
+Every bench regenerates the rows/series for one paper artifact (named in
+its module docstring) and records them via :func:`write_report`, which both
 prints the table and persists it under ``benchmarks/results/`` so the
 numbers survive pytest's output capture.
 """

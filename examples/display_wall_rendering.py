@@ -72,8 +72,8 @@ def main() -> None:
     healthy = wall.render(dl)
     degraded = wall.render(dl, fail_nodes={2})
     assert np.array_equal(healthy.pixels, degraded.pixels)
-    print("\nnode 2 killed mid-frame: dynamic scheduler reassigned its tiles; "
-          "frame is byte-identical.")
+    print("\nnode 2 dead for the whole frame: the survivors took every tile from "
+          "the dynamic schedule's shared queue; frame is byte-identical.")
     print("tiles per node after failure:", degraded.metrics.tiles_per_node)
 
     out = OUT / "wall_frame.ppm"

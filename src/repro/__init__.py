@@ -16,9 +16,10 @@ Substrates: :mod:`repro.data` (matrices, PCL/CDT/GTR/ATR formats,
 compendium, merged 3-D interface), :mod:`repro.cluster` (hierarchical
 clustering and dendrograms), :mod:`repro.stats` (hypergeometric tests,
 FDR, missing-data correlation), :mod:`repro.viz` (software framebuffer
-renderer), :mod:`repro.wall` (simulated tiled display wall on an
-MPI-style communicator), :mod:`repro.parallel` (in-process message
-passing and data-parallel helpers), :mod:`repro.synth` (synthetic
+renderer), :mod:`repro.wall` (simulated tiled display wall: render
+nodes as threads of one process, or as servers across sockets),
+:mod:`repro.parallel` (partitioning, parallel map and the wall's task
+pool), :mod:`repro.synth` (synthetic
 compendia with planted biology standing in for the paper's proprietary
 datasets).
 

@@ -19,12 +19,12 @@ socket is held open for the group's lifetime so the port cannot be
 reused out from under a restarting worker.
 
 This module owns the *processes* and nothing about what they serve:
-workers build their own :class:`~repro.api.app.ApiApp` from a picklable
-``"module:callable"`` factory spec (a bound app object cannot cross a
-``spawn`` boundary) and a plain options dict.  The default factory is
+each worker builds its own :class:`~repro.api.app.ApiApp` with
 :func:`repro.api.cli.build_app` — the builder every serving CLI uses —
-so equal options give every worker bit-identical data, and the oracle
-invariant holds regardless of which loop the kernel picks.
+from a plain picklable options dict (a bound app object cannot cross a
+``spawn`` boundary), so equal options give every worker bit-identical
+data, and the oracle invariant holds regardless of which loop the kernel
+picks.
 
 Shutdown honors the drain contract end-to-end: ``stop()`` sends
 SIGTERM, each worker runs :func:`repro.api.cli.serve_until_signalled`
@@ -36,7 +36,6 @@ killed and reported.
 from __future__ import annotations
 
 import atexit
-import importlib
 import json
 import multiprocessing
 import os
@@ -47,41 +46,10 @@ import urllib.request
 
 from repro.api.transport import DEFAULT_DRAIN_SECONDS
 
-__all__ = ["LoopGroup", "default_app_factory", "resolve_factory"]
-
-#: Factory spec the CLI and tests use when none is given: a synthetic
-#: compendium app (the repo ships no proprietary data).
-DEFAULT_FACTORY = "repro.api.aio.supervisor:default_app_factory"
-
-
-def resolve_factory(spec: str):
-    """``"module:callable"`` → the callable (imported in *this* process)."""
-    modname, sep, attr = spec.partition(":")
-    if not sep or not modname or not attr:
-        raise ValueError(
-            f"factory spec {spec!r} must look like 'package.module:callable'"
-        )
-    fn = getattr(importlib.import_module(modname), attr, None)
-    if not callable(fn):
-        raise ValueError(f"factory spec {spec!r} does not name a callable")
-    return fn
-
-
-def default_app_factory(**options):
-    """Build the demo :class:`~repro.api.app.ApiApp` in this process.
-
-    ``options`` are :func:`repro.api.cli.build_app`'s keywords — the
-    plain picklable scalars the CLI parsed in the parent — so every
-    worker (and the threaded CLI) serves identical data for identical
-    arguments.
-    """
-    from repro.api.cli import build_app
-
-    return build_app(**options)[0]
+__all__ = ["LoopGroup"]
 
 
 def _worker_main(
-    factory_spec: str,
     factory_kwargs: dict | None,
     host: str,
     port: int,
@@ -91,10 +59,10 @@ def _worker_main(
     """Entry point of one worker process: build app, serve, drain on TERM."""
     import asyncio
 
-    from repro.api.cli import serve_until_signalled
+    from repro.api.cli import build_app, serve_until_signalled
     from repro.api.aio.server import AioApiServer
 
-    app = resolve_factory(factory_spec)(**(factory_kwargs or {}))
+    app = build_app(**(factory_kwargs or {}))[0]
     server = AioApiServer(
         app,
         host=host,
@@ -125,7 +93,6 @@ class LoopGroup:
         n_loops: int | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        factory: str = DEFAULT_FACTORY,
         factory_kwargs: dict | None = None,
         server_options: dict | None = None,
         start_timeout: float = 120.0,
@@ -134,7 +101,6 @@ class LoopGroup:
         self.n_loops = max(1, int(n_loops if n_loops is not None else os.cpu_count() or 1))
         self.host = host
         self._requested_port = int(port)
-        self.factory = factory
         self.factory_kwargs = dict(factory_kwargs or {})
         self.server_options = dict(server_options or {})
         self.server_options.setdefault("drain_seconds", drain_seconds)
@@ -154,7 +120,6 @@ class LoopGroup:
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    self.factory,
                     self.factory_kwargs,
                     self.host,
                     self.port,

@@ -1,12 +1,11 @@
-"""Parallel-execution substrate: MPI-style message passing, partitioning,
-parallel map and work stealing.
+"""Parallel-execution substrate: partitioning, parallel map and the
+task pool behind the wall's in-process tile schedules.
 
-The display wall in the paper is a cluster-driven system; this package
-provides the in-process equivalent (see DESIGN.md §2 for the mpi4py
-substitution rationale).
+The paper's display wall is driven by a cluster; this reproduction runs
+each render node as a thread of one process, and ``schedule="rpc"``
+runs them as servers across sockets.
 """
 
-from repro.parallel.comm import ANY_SOURCE, ANY_TAG, Communicator, run_ranks
 from repro.parallel.partition import (
     block_partition,
     cyclic_partition,
@@ -14,18 +13,15 @@ from repro.parallel.partition import (
     chunk_ranges,
 )
 from repro.parallel.pmap import parallel_map
-from repro.parallel.workqueue import WorkStealingPool, StealStats
+from repro.parallel.workqueue import SHARED, WorkStealingPool, StealStats
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Communicator",
-    "run_ranks",
     "block_partition",
     "cyclic_partition",
     "balanced_partition",
     "chunk_ranges",
     "parallel_map",
+    "SHARED",
     "WorkStealingPool",
     "StealStats",
 ]

@@ -1,30 +1,40 @@
-"""Work-stealing task pool for irregular workloads (dynamic tile scheduling).
+"""Task pool for the wall's tile schedules: per-worker lists or one FIFO,
+with or without stealing.
 
 Static tile assignment wastes nodes when content is uneven across the
-wall (dense heatmap tiles cost more than empty bezels).  The
-work-stealing pool keeps one deque per worker; a worker pops from its own
-deque's front and steals from the *back* of the busiest victim when
-empty — the standard Cilk-style discipline, here with a single lock per
-deque since tasks are coarse (whole tiles).
+wall (dense heatmap tiles cost more than empty bezels).  The pool keeps
+one deque per worker; a worker pops from its own deque's front and, when
+stealing is on, steals from the *back* of the busiest victim when empty
+— the standard Cilk-style discipline, here with a single lock per deque
+since tasks are coarse (whole tiles).  With :data:`SHARED` placement
+every worker's deque is the same FIFO, which is first-come first-served
+master/worker scheduling without a master.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from typing import Any, Callable, Sequence
 
+from repro.parallel.partition import cyclic_partition
 from repro.util.errors import ValidationError
 
-__all__ = ["WorkStealingPool", "StealStats"]
+__all__ = ["WorkStealingPool", "StealStats", "SHARED"]
+
+#: ``placement`` value: one FIFO that every worker takes from the front of.
+SHARED = "shared"
 
 
 class StealStats:
-    """Counters the scheduler bench reports: tasks run and steals per worker."""
+    """Counters the scheduler bench reports: tasks run, steals and busy
+    seconds per worker."""
 
     def __init__(self, n_workers: int) -> None:
         self.tasks_run = [0] * n_workers
         self.steals = [0] * n_workers
+        self.busy_seconds = [0.0] * n_workers
 
     @property
     def total_steals(self) -> int:
@@ -40,13 +50,17 @@ class StealStats:
 
 
 class WorkStealingPool:
-    """Execute ``tasks[i] = (fn, args)`` across workers with stealing.
+    """Execute ``tasks[i] = (fn, args)`` across worker threads.
 
-    ``run`` partitions the task list round-robin as each worker's initial
-    deque, then lets idle workers steal.  Results come back indexed by
-    task position.  A ``fail_worker`` set simulates node death: those
-    workers stop before running anything, and their tasks must be stolen
-    by survivors (the failure-injection tests assert completion).
+    ``placement`` says where the tasks start: one list of task indices
+    per worker (default: round-robin), or :data:`SHARED`.  ``steal`` lets
+    a worker whose own deque is empty take from the back of another's.
+    Nothing is queued after ``run`` starts, so a worker with nothing to
+    pop or steal returns, and the run is over when every worker thread
+    has joined.  Results come back indexed by task position.  A
+    ``fail_workers`` set simulates node death: those workers stop before
+    running anything, and their tasks must be reachable by a survivor
+    (stolen, or taken from the shared FIFO) or ``run`` refuses up front.
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -58,6 +72,8 @@ class WorkStealingPool:
         self,
         tasks: Sequence[tuple[Callable[..., Any], tuple]],
         *,
+        placement: Sequence[Sequence[int]] | str | None = None,
+        steal: bool = True,
         fail_workers: set[int] | frozenset[int] = frozenset(),
     ) -> tuple[list[Any], StealStats]:
         for w in fail_workers:
@@ -66,16 +82,23 @@ class WorkStealingPool:
         if len(fail_workers) >= self.n_workers:
             raise ValidationError("cannot fail every worker")
         n_tasks = len(tasks)
+        if placement == SHARED:
+            shared = deque(range(n_tasks))
+            deques = [shared] * self.n_workers
+            locks = [threading.Lock()] * self.n_workers
+        else:
+            lists = cyclic_partition(n_tasks, self.n_workers) if placement is None else placement
+            if len(lists) != self.n_workers:
+                raise ValidationError(f"placement needs {self.n_workers} lists, got {len(lists)}")
+            if sorted(i for lst in lists for i in lst) != list(range(n_tasks)):
+                raise ValidationError("placement must list every task index exactly once")
+            if not steal and any(lists[w] for w in fail_workers):
+                raise ValidationError("tasks placed on a failed worker, and no worker steals")
+            deques = [deque(lst) for lst in lists]
+            locks = [threading.Lock() for _ in range(self.n_workers)]
         results: list[Any] = [None] * n_tasks
         errors: list[BaseException] = []
         stats = StealStats(self.n_workers)
-
-        deques: list[deque[int]] = [deque() for _ in range(self.n_workers)]
-        locks = [threading.Lock() for _ in range(self.n_workers)]
-        for i in range(n_tasks):
-            deques[i % self.n_workers].append(i)
-        outstanding = [n_tasks]
-        outstanding_lock = threading.Lock()
 
         def try_pop(worker: int) -> int | None:
             with locks[worker]:
@@ -99,27 +122,21 @@ class WorkStealingPool:
         def worker_loop(worker: int) -> None:
             if worker in fail_workers:
                 return  # simulated dead node: its deque is left for thieves
-            while True:
-                with outstanding_lock:
-                    if outstanding[0] == 0 or errors:
-                        return
+            while not errors:
                 task_idx = try_pop(worker)
-                if task_idx is None:
+                if task_idx is None and steal:
                     task_idx = try_steal(worker)
                 if task_idx is None:
-                    with outstanding_lock:
-                        if outstanding[0] == 0:
-                            return
-                    continue  # spin: tasks may still appear via other deques
+                    return  # nothing left this worker may take, and nothing more is queued
                 fn, args = tasks[task_idx]
+                t0 = time.perf_counter()
                 try:
                     results[task_idx] = fn(*args)
                 except BaseException as exc:  # noqa: BLE001
                     errors.append(exc)
                     return
+                stats.busy_seconds[worker] += time.perf_counter() - t0
                 stats.tasks_run[worker] += 1
-                with outstanding_lock:
-                    outstanding[0] -= 1
 
         threads = [
             threading.Thread(target=worker_loop, args=(w,), name=f"steal-{w}", daemon=True)
@@ -131,7 +148,7 @@ class WorkStealingPool:
             t.join(timeout=60.0)
         if errors:
             raise errors[0]
-        with outstanding_lock:
-            if outstanding[0] != 0:
-                raise ValidationError(f"{outstanding[0]} tasks never completed")
+        never_run = n_tasks - sum(stats.tasks_run)
+        if never_run:
+            raise ValidationError(f"{never_run} tasks never completed")
         return results, stats

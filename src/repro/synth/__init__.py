@@ -4,7 +4,8 @@ The paper evaluates on real yeast compendia (Gasch 2000 stress,
 Brauer/Saldanha 2004 nutrient limitation, Hughes 2000 knockouts) and the
 real Gene Ontology.  Those inputs are not redistributable, so this
 package generates structurally equivalent data with *known planted
-ground truth* — see DESIGN.md §2 for the substitution rationale.
+ground truth*: a test can check that each analysis recovers what was
+planted.
 """
 
 from repro.synth.names import systematic_names, make_annotations

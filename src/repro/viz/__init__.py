@@ -1,8 +1,8 @@
 """Rendering substrate: framebuffer, colormaps, heatmaps, dendrograms,
 bitmap text, layout boxes, and the region-addressable display list.
 
-This package substitutes for the original system's Java/Swing surface
-(DESIGN.md §2).  Everything renders into NumPy pixel arrays; the display
+This package substitutes NumPy pixel arrays for the original system's
+Java/Swing surface: everything renders into those arrays, and the display
 list's region rendering is what lets the simulated wall render tiles in
 parallel with byte-identical compositing.
 """

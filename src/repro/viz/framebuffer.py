@@ -1,7 +1,7 @@
 """Software RGB framebuffer over a NumPy array.
 
-All rendering in this reproduction targets this buffer (the Java/Swing
-surface of the original is substituted per DESIGN.md §2).  Drawing
+All rendering in this reproduction targets this buffer, which stands in
+for the original's Java/Swing surface.  Drawing
 primitives clip silently at the edges so callers can draw in absolute
 canvas coordinates and let tiles crop — that property is what makes the
 tiled wall renderer byte-identical to a single-surface render.

@@ -1,22 +1,14 @@
-"""Simulated scalable display wall (paper Figure 3, DESIGN.md §2 substitution).
+"""Simulated scalable display wall (paper Figure 3).
 
-A master rank distributes display-list tiles to render-node ranks over
-the MPI-style communicator, composites the returned pixels, and enforces
-a swap-lock barrier per frame.  Schedulers: static blocks, cost-balanced
-LPT, dynamic master-worker, and work stealing with fault injection.
+The paper's wall is driven by a cluster; here each render node is a
+thread of one process, and ``schedule="rpc"`` runs the nodes as servers
+across sockets.  Display-list tiles go to the nodes, the returned pixels
+are composited, and a frame is complete only when every node has
+finished (the swap-lock).  Schedulers: static blocks, cost-balanced LPT,
+dynamic first-come first-served, and work stealing with fault injection.
 """
 
 from repro.wall.geometry import WallGeometry, TileSpec, DESKTOP_2MPIXEL
-from repro.wall.protocol import (
-    FrameBegin,
-    RenderTile,
-    TileDone,
-    NodeFailed,
-    Shutdown,
-    TAG_CONTROL,
-    TAG_TASK,
-    TAG_RESULT,
-)
 from repro.wall.scheduler import static_assignment, cost_balanced_assignment, SCHEDULE_MODES
 from repro.wall.compositor import compose_tiles
 from repro.wall.metrics import FrameMetrics
@@ -29,14 +21,6 @@ __all__ = [
     "WallGeometry",
     "TileSpec",
     "DESKTOP_2MPIXEL",
-    "FrameBegin",
-    "RenderTile",
-    "TileDone",
-    "NodeFailed",
-    "Shutdown",
-    "TAG_CONTROL",
-    "TAG_TASK",
-    "TAG_RESULT",
     "static_assignment",
     "cost_balanced_assignment",
     "SCHEDULE_MODES",

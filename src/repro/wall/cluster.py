@@ -1,12 +1,15 @@
 """The simulated display wall cluster.
 
-One master rank orchestrates N render-node ranks over the MPI-style
-communicator: broadcast the frame's display list, hand out tiles
-(statically, cost-balanced, or dynamically), collect pixels, composite,
-and hold the swap-lock barrier so a frame is complete everywhere before
-it is "displayed".  A work-stealing mode runs the same tile workload on
-the :class:`~repro.parallel.workqueue.WorkStealingPool` and supports
-fault injection (dead nodes whose tiles survivors must pick up).
+A frame's tiles go to N render nodes, the returned pixels are
+composited, and the frame is complete only when every node has finished
+its part — the swap-lock, so a frame is whole everywhere before it is
+"displayed".  The in-process schedules run each node as a thread of a
+:class:`~repro.parallel.workqueue.WorkStealingPool` and differ only in
+where the tiles start: block lists (``static``), cost-balanced lists
+(``balanced``), one shared FIFO (``dynamic``), or round-robin lists
+that idle nodes steal from (``workstealing``).  ``rpc`` runs the dynamic
+policy across sockets.  ``dynamic``, ``workstealing`` and ``rpc``
+support fault injection (dead nodes whose tiles survivors must pick up).
 
 This is the substrate for the paper's Figure 3 deployment and the FIG3
 scalability bench; the byte-identical-composite property is what makes
@@ -20,21 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.parallel.comm import ANY_SOURCE, Communicator, run_ranks
-from repro.parallel.workqueue import WorkStealingPool
+from repro.parallel.workqueue import SHARED, WorkStealingPool
 from repro.util.errors import RenderError, ValidationError
 from repro.viz.scene import DisplayList
 from repro.wall.compositor import compose_tiles
 from repro.wall.geometry import TileSpec, WallGeometry
 from repro.wall.metrics import FrameMetrics
-from repro.wall.protocol import (
-    TAG_RESULT,
-    TAG_TASK,
-    NodeFailed,
-    RenderTile,
-    Shutdown,
-    TileDone,
-)
 from repro.wall.scheduler import SCHEDULE_MODES, cost_balanced_assignment, static_assignment
 
 __all__ = ["WallFrame", "DisplayWall"]
@@ -57,7 +51,7 @@ class DisplayWall:
     geometry:
         Tile grid and resolutions.
     n_nodes:
-        Render nodes in the cluster (excludes the master).
+        Render nodes in the cluster.
     schedule:
         One of :data:`SCHEDULE_MODES`.
     """
@@ -80,9 +74,9 @@ class DisplayWall:
     ) -> WallFrame:
         """Render one frame.  ``fail_nodes`` simulates dead render nodes.
 
-        Fault injection requires a reassigning scheduler (``dynamic`` or
-        ``workstealing``); static modes raise, matching reality — a
-        static wall loses its dead projector's tiles.
+        Fault injection requires a reassigning scheduler (``dynamic``,
+        ``workstealing`` or ``rpc``); static modes raise, matching
+        reality — a static wall loses its dead projector's tiles.
         """
         self._check_canvas(display_list)
         for n in fail_nodes:
@@ -97,11 +91,31 @@ class DisplayWall:
             )
         self._frame_counter += 1
         frame_id = self._frame_counter
-        if self.schedule == "workstealing":
-            return self._render_workstealing(display_list, frame_id, fail_nodes)
+        tiles = self.geometry.tiles()
+        start = time.perf_counter()
         if self.schedule == "rpc":
-            return self._render_rpc(display_list, frame_id, fail_nodes)
-        return self._render_comm(display_list, frame_id, fail_nodes)
+            done, busy, tiles_per_node = self._render_rpc(
+                display_list, tiles, frame_id, fail_nodes
+            )
+        else:
+            done, busy, tiles_per_node = self._render_threads(display_list, tiles, fail_nodes)
+        elapsed = time.perf_counter() - start
+        composite = compose_tiles(
+            self.geometry.canvas_width,
+            self.geometry.canvas_height,
+            [(tiles[tid].region, px) for tid, px in sorted(done.items())],
+            background=display_list.background,
+        )
+        metrics = FrameMetrics(
+            frame_id=frame_id,
+            n_tiles=len(tiles),
+            n_nodes=self.n_nodes,
+            frame_seconds=max(elapsed, 1e-9),
+            busy_seconds=busy,
+            tiles_per_node=tiles_per_node,
+            failed_nodes=tuple(sorted(fail_nodes)),
+        )
+        return WallFrame(pixels=composite, metrics=metrics, tile_pixels=done)
 
     def render_serial(self, display_list: DisplayList) -> WallFrame:
         """Single-node reference render (the correctness baseline)."""
@@ -120,139 +134,36 @@ class DisplayWall:
         )
         return WallFrame(pixels=pixels, metrics=metrics)
 
-    # ---------------------------------------------------------- comm backends
-    def _render_comm(
-        self, display_list: DisplayList, frame_id: int, fail_nodes
-    ) -> WallFrame:
-        tiles = self.geometry.tiles()
-        start = time.perf_counter()
-        results = run_ranks(
-            self._rank_main,
-            self.n_nodes + 1,
-            display_list,
-            frame_id,
-            tiles,
-            frozenset(fail_nodes),
-        )
-        elapsed = time.perf_counter() - start
-        done_tiles, busy, tiles_per_node = results[0]
-        composite = compose_tiles(
-            self.geometry.canvas_width,
-            self.geometry.canvas_height,
-            [(tiles[tid].region, px) for tid, px in sorted(done_tiles.items())],
-            background=display_list.background,
-        )
-        metrics = FrameMetrics(
-            frame_id=frame_id,
-            n_tiles=len(tiles),
-            n_nodes=self.n_nodes,
-            frame_seconds=max(elapsed, 1e-9),
-            busy_seconds=busy,
-            tiles_per_node=tiles_per_node,
-            failed_nodes=tuple(sorted(fail_nodes)),
-        )
-        return WallFrame(pixels=composite, metrics=metrics, tile_pixels=done_tiles)
+    # --------------------------------------------------------- thread backend
+    def _render_threads(self, display_list, tiles: list[TileSpec], fail_nodes):
+        """The in-process schedules: one pool thread per node; the pool's
+        join of every node thread is the frame's swap-lock."""
 
-    def _rank_main(self, comm: Communicator, display_list, frame_id, tiles, fail_nodes):
-        """SPMD entry: rank 0 is the master, ranks 1..N are render nodes."""
-        # the display list travels by bcast, mirroring data distribution on a
-        # real cluster (in-process it is a zero-copy reference)
-        display_list = comm.bcast(display_list, root=0)
-        if comm.rank == 0:
-            result = self._master_loop(comm, display_list, frame_id, tiles, fail_nodes)
-        else:
-            self._node_loop(comm, display_list, comm.rank - 1 in fail_nodes)
-            result = None
-        comm.barrier()  # swap-lock: no rank proceeds until the frame is whole
-        return result
+        def render_tile(tile: TileSpec) -> np.ndarray:
+            box = tile.region
+            return display_list.render_region(box.x, box.y, box.w, box.h)
 
-    def _master_loop(self, comm, display_list, frame_id, tiles, fail_nodes):
-        n_nodes = comm.size - 1
-        pending: list[TileSpec] = []
-        assigned: dict[int, list[TileSpec]] = {}
-        if self.schedule == "static":
-            assignment = static_assignment(tiles, n_nodes)
-        elif self.schedule == "balanced":
-            assignment = cost_balanced_assignment(tiles, n_nodes, display_list)
-        else:  # dynamic: seed one tile per node, queue the rest
-            assignment = {node: [] for node in range(n_nodes)}
-            pending = list(tiles)
-
-        inflight: dict[int, list[TileSpec]] = {node: [] for node in range(n_nodes)}
-        alive = set(range(n_nodes))
-        done: dict[int, np.ndarray] = {}
-        busy: dict[int, float] = {node: 0.0 for node in range(n_nodes)}
-        tiles_per_node: dict[int, int] = {node: 0 for node in range(n_nodes)}
-
-        def dispatch(node: int, tile: TileSpec) -> None:
-            comm.send(RenderTile(frame_id, tile.tile_id, tile.region), node + 1, TAG_TASK)
-            inflight[node].append(tile)
-
+        placement: list[list[int]] | str | None = None  # workstealing: round-robin
         if self.schedule == "dynamic":
-            for node in range(n_nodes):
-                if pending:
-                    dispatch(node, pending.pop(0))
-        else:
-            for node, node_tiles in assignment.items():
-                for tile in node_tiles:
-                    dispatch(node, tile)
-
-        while len(done) < len(tiles):
-            src, msg = comm.recv_with_source(ANY_SOURCE, TAG_RESULT)
-            node = src - 1
-            if isinstance(msg, NodeFailed):
-                alive.discard(node)
-                # requeue everything that node had not finished
-                requeue = inflight.pop(node, [])
-                inflight[node] = []
-                if self.schedule != "dynamic":
-                    raise RenderError("node failure under a static schedule")
-                pending = requeue + pending
-                # keep survivors fed
-                for other in sorted(alive):
-                    if pending and not inflight[other]:
-                        dispatch(other, pending.pop(0))
-                if not alive:
-                    raise RenderError("all render nodes failed")
-                continue
-            assert isinstance(msg, TileDone)
-            done[msg.tile_id] = msg.pixels
-            busy[node] += msg.render_seconds
-            tiles_per_node[node] += 1
-            inflight[node] = [t for t in inflight[node] if t.tile_id != msg.tile_id]
-            if self.schedule == "dynamic" and pending and node in alive:
-                dispatch(node, pending.pop(0))
-        for node in range(n_nodes):
-            comm.send(Shutdown(), node + 1, TAG_TASK)
-        return done, busy, tiles_per_node
-
-    @staticmethod
-    def _node_loop(comm, display_list, simulate_failure: bool) -> None:
-        if simulate_failure:
-            comm.send(NodeFailed(node_rank=comm.rank), 0, TAG_RESULT)
-            # a dead node still reaches the barrier in _rank_main: the real
-            # machine's swap hardware does not wait for a crashed PC, and the
-            # in-process barrier must not deadlock.
-            # take the one message already on its way to us (a RenderTile,
-            # dropped silently: we are "dead" — or the Shutdown) so the
-            # mailbox does not leak
-            comm.recv(0, TAG_TASK)
-            return
-        while True:
-            msg = comm.recv(0, TAG_TASK)
-            if isinstance(msg, Shutdown):
-                return
-            assert isinstance(msg, RenderTile)
-            t0 = time.perf_counter()
-            box = msg.region
-            pixels = display_list.render_region(box.x, box.y, box.w, box.h)
-            dt = time.perf_counter() - t0
-            comm.send(
-                TileDone(msg.frame_id, msg.tile_id, pixels, comm.rank, dt), 0, TAG_RESULT
+            placement = SHARED
+        elif self.schedule in ("static", "balanced"):
+            plan = (
+                static_assignment(tiles, self.n_nodes)
+                if self.schedule == "static"
+                else cost_balanced_assignment(tiles, self.n_nodes, display_list)
             )
+            placement = [[t.tile_id for t in plan[n]] for n in range(self.n_nodes)]
+        pixels, stats = WorkStealingPool(self.n_nodes).run(
+            [(render_tile, (tile,)) for tile in tiles],
+            placement=placement,
+            steal=self.schedule == "workstealing",
+            fail_workers=set(fail_nodes),
+        )
+        done = {tile.tile_id: px for tile, px in zip(tiles, pixels)}
+        return done, dict(enumerate(stats.busy_seconds)), dict(enumerate(stats.tasks_run))
 
     # ------------------------------------------------------------ rpc backend
-    def _render_rpc(self, display_list, frame_id: int, fail_nodes) -> WallFrame:
+    def _render_rpc(self, display_list, tiles: list[TileSpec], frame_id: int, fail_nodes):
         """Dynamic scheduling over the generic RPC layer (real sockets).
 
         Each render node is an :class:`~repro.rpc.server.RpcServer`; the
@@ -265,9 +176,6 @@ class DisplayWall:
         """
         from repro.rpc.membership import Membership
         from repro.rpc.server import RpcServer
-
-        tiles = self.geometry.tiles()
-        start = time.perf_counter()
 
         def make_handler(dl):
             def render_tile(payload: dict) -> dict:
@@ -332,65 +240,7 @@ class DisplayWall:
         finally:
             for server in servers:
                 server.close()
-
-        elapsed = time.perf_counter() - start
-        composite = compose_tiles(
-            self.geometry.canvas_width,
-            self.geometry.canvas_height,
-            [(tiles[tid].region, px) for tid, px in sorted(done.items())],
-            background=display_list.background,
-        )
-        metrics = FrameMetrics(
-            frame_id=frame_id,
-            n_tiles=len(tiles),
-            n_nodes=self.n_nodes,
-            frame_seconds=max(elapsed, 1e-9),
-            busy_seconds=busy,
-            tiles_per_node=tiles_per_node,
-            failed_nodes=tuple(sorted(fail_nodes)),
-        )
-        return WallFrame(pixels=composite, metrics=metrics, tile_pixels=done)
-
-    # ------------------------------------------------------- stealing backend
-    def _render_workstealing(self, display_list, frame_id, fail_nodes) -> WallFrame:
-        tiles = self.geometry.tiles()
-        busy: dict[int, float] = {n: 0.0 for n in range(self.n_nodes)}
-
-        def render_tile(tile: TileSpec, worker_slot: list[float]):
-            t0 = time.perf_counter()
-            box = tile.region
-            pixels = display_list.render_region(box.x, box.y, box.w, box.h)
-            worker_slot.append(time.perf_counter() - t0)
-            return tile.tile_id, pixels
-
-        slots: list[list[float]] = [[] for _ in tiles]
-        tasks = [(render_tile, (tile, slots[i])) for i, tile in enumerate(tiles)]
-        pool = WorkStealingPool(self.n_nodes)
-        start = time.perf_counter()
-        results, stats = pool.run(tasks, fail_workers=set(fail_nodes))
-        elapsed = time.perf_counter() - start
-        done = {tid: px for tid, px in results}
-        # attribute busy time to workers via run counts (per-tile times summed)
-        total_tile_time = sum(s[0] for s in slots if s)
-        for w in range(self.n_nodes):
-            share = stats.tasks_run[w] / max(1, len(tiles))
-            busy[w] = total_tile_time * share
-        composite = compose_tiles(
-            self.geometry.canvas_width,
-            self.geometry.canvas_height,
-            [(tiles[tid].region, px) for tid, px in sorted(done.items())],
-            background=display_list.background,
-        )
-        metrics = FrameMetrics(
-            frame_id=frame_id,
-            n_tiles=len(tiles),
-            n_nodes=self.n_nodes,
-            frame_seconds=max(elapsed, 1e-9),
-            busy_seconds=busy,
-            tiles_per_node={w: stats.tasks_run[w] for w in range(self.n_nodes)},
-            failed_nodes=tuple(sorted(fail_nodes)),
-        )
-        return WallFrame(pixels=composite, metrics=metrics, tile_pixels=done)
+        return done, busy, tiles_per_node
 
     # ---------------------------------------------------------------- helpers
     def _check_canvas(self, display_list: DisplayList) -> None:

@@ -2,10 +2,12 @@
 
 Static assignment splits the tile list up front (cheap, but load follows
 content); cost-balanced assignment weighs tiles by how many display-list
-commands intersect them (the LPT heuristic); dynamic scheduling is
-implemented inside the master loop (first-come first-served); the
-work-stealing mode delegates to :class:`repro.parallel.WorkStealingPool`;
-and the ``rpc`` mode runs the dynamic policy over real sockets — render
+commands intersect them (the LPT heuristic).  The four in-process modes
+all run on :class:`repro.parallel.WorkStealingPool`, one thread per node:
+``static`` and ``balanced`` hand it these plans without stealing,
+``dynamic`` one shared first-come first-served FIFO, and
+``workstealing`` round-robin lists that idle nodes steal from.  The
+``rpc`` mode runs the dynamic policy over real sockets — render
 nodes are :class:`repro.rpc.server.RpcServer` instances and the master
 fans tiles out through :meth:`repro.rpc.membership.Membership.scatter`,
 the same layer the sharded query router uses.

@@ -1,185 +1,23 @@
-"""Tests for the parallel substrate: communicator, partitioning, pmap, stealing."""
+"""Tests for the parallel substrate: partitioning, pmap, the task pool."""
 
+import sys
 import threading
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel import (
-    ANY_SOURCE,
+    SHARED,
     WorkStealingPool,
     balanced_partition,
     block_partition,
     chunk_ranges,
     cyclic_partition,
     parallel_map,
-    run_ranks,
 )
-from repro.util.errors import CommunicationError, ValidationError
-
-
-class TestPointToPoint:
-    def test_send_recv_roundtrip(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send({"x": 1}, dest=1, tag=5)
-                return comm.recv(source=1, tag=6)
-            payload = comm.recv(source=0, tag=5)
-            comm.send(payload["x"] + 1, dest=0, tag=6)
-            return None
-
-        results = run_ranks(fn, 2)
-        assert results[0] == 2
-
-    def test_tag_matching_out_of_order(self):
-        """A message with the wrong tag is buffered, not lost."""
-
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send("second", dest=1, tag=2)
-                comm.send("first", dest=1, tag=1)
-                return None
-            first = comm.recv(source=0, tag=1)
-            second = comm.recv(source=0, tag=2)
-            return (first, second)
-
-        results = run_ranks(fn, 2)
-        assert results[1] == ("first", "second")
-
-    def test_any_source_recv_with_source(self):
-        def fn(comm):
-            if comm.rank == 0:
-                got = set()
-                for _ in range(2):
-                    src, val = comm.recv_with_source(ANY_SOURCE, tag=9)
-                    got.add((src, val))
-                return got
-            comm.send(comm.rank * 10, dest=0, tag=9)
-            return None
-
-        results = run_ranks(fn, 3)
-        assert results[0] == {(1, 10), (2, 20)}
-
-    def test_numpy_arrays_pass_through(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send(np.arange(10), dest=1)
-                return None
-            arr = comm.recv(source=0)
-            return int(arr.sum())
-
-        assert run_ranks(fn, 2)[1] == 45
-
-    def test_recv_timeout_raises(self):
-        def fn(comm):
-            if comm.rank == 1:
-                comm.recv(source=0, tag=99)  # nothing ever sent
-            return None
-
-        with pytest.raises(CommunicationError):
-            run_ranks(fn, 2, timeout=0.3)
-
-    def test_bad_dest_raises(self):
-        def fn(comm):
-            comm.send(1, dest=5)
-
-        with pytest.raises(CommunicationError):
-            run_ranks(fn, 2, timeout=1.0)
-
-
-class TestCollectives:
-    def test_bcast(self):
-        def fn(comm):
-            value = {"data": 42} if comm.rank == 0 else None
-            return comm.bcast(value, root=0)["data"]
-
-        assert run_ranks(fn, 4) == [42, 42, 42, 42]
-
-    def test_scatter_gather(self):
-        def fn(comm):
-            values = [i * i for i in range(comm.size)] if comm.rank == 0 else None
-            mine = comm.scatter(values, root=0)
-            gathered = comm.gather(mine + 1, root=0)
-            return gathered
-
-        results = run_ranks(fn, 4)
-        assert results[0] == [1, 2, 5, 10]
-        assert results[1] is None
-
-    def test_scatter_wrong_length_raises(self):
-        def fn(comm):
-            values = [1, 2] if comm.rank == 0 else None
-            comm.scatter(values, root=0)
-
-        with pytest.raises(CommunicationError):
-            run_ranks(fn, 3, timeout=1.0)
-
-    def test_allgather(self):
-        def fn(comm):
-            return comm.allgather(comm.rank)
-
-        assert run_ranks(fn, 3) == [[0, 1, 2]] * 3
-
-    def test_reduce_and_allreduce(self):
-        def fn(comm):
-            total = comm.reduce(comm.rank + 1, lambda a, b: a + b, root=0)
-            every = comm.allreduce(comm.rank + 1, lambda a, b: a + b)
-            return (total, every)
-
-        results = run_ranks(fn, 4)
-        assert results[0] == (10, 10)
-        assert results[2] == (None, 10)
-
-    def test_reduce_rank_order_deterministic(self):
-        def fn(comm):
-            return comm.reduce([comm.rank], lambda a, b: a + b, root=0)
-
-        assert run_ranks(fn, 4)[0] == [0, 1, 2, 3]
-
-    def test_barrier_synchronizes(self):
-        hits: list[int] = []
-        lock = threading.Lock()
-
-        def fn(comm):
-            if comm.rank == 0:
-                time.sleep(0.05)
-            with lock:
-                hits.append(comm.rank)
-            comm.barrier()
-            # after the barrier everyone must have arrived
-            with lock:
-                return len(hits)
-
-        results = run_ranks(fn, 3)
-        assert all(r == 3 for r in results)
-
-    def test_nonroot_collective_root_validation(self):
-        def fn(comm):
-            comm.bcast(1, root=9)
-
-        with pytest.raises(CommunicationError):
-            run_ranks(fn, 2, timeout=1.0)
-
-
-class TestRunRanks:
-    def test_results_in_rank_order(self):
-        assert run_ranks(lambda comm: comm.rank * 2, 5) == [0, 2, 4, 6, 8]
-
-    def test_exception_propagates_with_rank(self):
-        def fn(comm):
-            if comm.rank == 2:
-                raise ValueError("boom")
-            comm.barrier()
-
-        with pytest.raises(CommunicationError, match="rank 2"):
-            run_ranks(fn, 4, timeout=2.0)
-
-    def test_zero_ranks_rejected(self):
-        with pytest.raises(CommunicationError):
-            run_ranks(lambda c: None, 0)
+from repro.util.errors import ValidationError
 
 
 class TestPartition:
@@ -312,3 +150,100 @@ class TestWorkStealing:
     def test_empty_task_list(self):
         results, stats = WorkStealingPool(3).run([])
         assert results == [] and sum(stats.tasks_run) == 0
+
+    def test_idle_workers_return_instead_of_spinning(self):
+        """A worker with nothing to pop or steal returns: three idle
+        workers must not burn CPU while one task sleeps."""
+
+        def sleeper():
+            time.sleep(0.3)
+
+        tasks = [(sleeper, ())] + [(lambda: None, ())] * 3
+        cpu_before = time.process_time()
+        WorkStealingPool(4).run(tasks)
+        assert time.process_time() - cpu_before < 0.15
+
+    def test_busy_seconds_are_measured_per_worker(self):
+        tasks = [(time.sleep, (0.05,)), (lambda: None, ())]
+        _, stats = WorkStealingPool(2).run(tasks, placement=[[0], [1]], steal=False)
+        assert stats.busy_seconds[0] >= 0.05
+        assert stats.busy_seconds[1] < 0.05
+
+    def test_placement_must_list_every_task_once(self):
+        pool = WorkStealingPool(2)
+        tasks = [(lambda: 1, ())] * 3
+        for bad in ([[0, 1], [1, 2]], [[0], [2]], [[0, 1, 2]], [[0], [1], [2]]):
+            with pytest.raises(ValidationError):
+                pool.run(tasks, placement=bad)
+
+    def test_no_task_lost_or_repeated_under_contention(self):
+        """More workers than cores and a tiny switch interval: the shared
+        FIFO and the stealing deques still hand out each task once."""
+        runs = [0] * 400
+        lock = threading.Lock()
+
+        def task(i):
+            with lock:
+                runs[i] += 1
+
+        tasks = [(task, (i,)) for i in range(len(runs))]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            for placement, steal in ((SHARED, False), (None, True)):
+                _, stats = WorkStealingPool(8).run(tasks, placement=placement, steal=steal)
+                assert sum(stats.tasks_run) == len(tasks)
+            assert time.perf_counter() - start < 30.0
+        finally:
+            sys.setswitchinterval(old)
+        assert runs == [2] * len(runs)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_task_runs_exactly_once(self, data):
+        """Random placements, stealing on or off, failed workers: each task
+        runs once, or ``run`` refuses at once when no live worker can
+        reach a task."""
+        n_workers = data.draw(st.integers(1, 6), label="n_workers")
+        n_tasks = data.draw(st.integers(0, 30), label="n_tasks")
+        fail = data.draw(
+            st.sets(st.integers(0, n_workers - 1), max_size=n_workers - 1), label="fail"
+        )
+        steal = data.draw(st.booleans(), label="steal")
+        if data.draw(st.booleans(), label="shared"):
+            placement = SHARED
+        else:
+            owners = data.draw(
+                st.lists(st.integers(0, n_workers - 1), min_size=n_tasks, max_size=n_tasks),
+                label="owners",
+            )
+            placement = [
+                data.draw(st.permutations([i for i, o in enumerate(owners) if o == w]))
+                for w in range(n_workers)
+            ]
+        runs = [0] * n_tasks
+        lock = threading.Lock()
+
+        def task(i):
+            with lock:
+                runs[i] += 1
+            return i
+
+        tasks = [(task, (i,)) for i in range(n_tasks)]
+        pool = WorkStealingPool(n_workers)
+        if placement != SHARED and not steal and any(placement[w] for w in fail):
+            start = time.perf_counter()
+            with pytest.raises(ValidationError):
+                pool.run(tasks, placement=placement, steal=steal, fail_workers=fail)
+            assert time.perf_counter() - start < 1.0
+            assert runs == [0] * n_tasks
+            return
+        results, stats = pool.run(tasks, placement=placement, steal=steal, fail_workers=fail)
+        assert results == list(range(n_tasks))
+        assert runs == [1] * n_tasks
+        assert sum(stats.tasks_run) == n_tasks
+        for w in fail:
+            assert stats.tasks_run[w] == 0 and stats.busy_seconds[w] == 0.0
+        if placement != SHARED and not steal:
+            assert stats.tasks_run == [len(lst) for lst in placement]

@@ -98,15 +98,6 @@ class TestAssortedEdgeCases:
         lm = golem.local_map(focus, up=0, down=0)
         assert lm.term_ids() == [focus]
 
-    def test_comm_send_to_self(self):
-        from repro.parallel import run_ranks
-
-        def fn(comm):
-            comm.send("hello-self", dest=comm.rank, tag=1)
-            return comm.recv(source=comm.rank, tag=1)
-
-        assert run_ranks(fn, 2) == ["hello-self", "hello-self"]
-
     def test_viewport_column_scrolling(self):
         from repro.core import Viewport
 

@@ -3,6 +3,8 @@ the full cluster render loop and fault injection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.viz import Box, DisplayList, HeatmapCmd, LineCmd, RectCmd, TextCmd, get_colormap
 from repro.wall import (
@@ -242,6 +244,46 @@ class TestDisplayWallRendering:
         wall = DisplayWall(geo, n_nodes=5, schedule="dynamic")
         frame = wall.render(dl)
         assert np.array_equal(frame.pixels, wall.render_serial(dl).pixels)
+
+
+class TestScheduleProperty:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_in_process_schedule_matches_serial(self, data):
+        """Any in-process schedule, node count and survivable failure set:
+        the composite is the serial render's bytes and every tile is
+        rendered once, by a live node."""
+        schedule = data.draw(
+            st.sampled_from(["static", "balanced", "dynamic", "workstealing"]), label="schedule"
+        )
+        n_nodes = data.draw(st.integers(1, 6), label="n_nodes")
+        geo = WallGeometry(
+            rows=data.draw(st.integers(1, 3), label="rows"),
+            cols=data.draw(st.integers(1, 4), label="cols"),
+            tile_width=data.draw(st.integers(8, 40), label="tile_width"),
+            tile_height=data.draw(st.integers(8, 40), label="tile_height"),
+        )
+        fail: set[int] = set()
+        if schedule in ("dynamic", "workstealing"):
+            fail = data.draw(
+                st.sets(st.integers(0, n_nodes - 1), max_size=n_nodes - 1), label="fail"
+            )
+        dl = make_scene(geo, seed=data.draw(st.integers(0, 3), label="seed"))
+        wall = DisplayWall(geo, n_nodes=n_nodes, schedule=schedule)
+        frame = wall.render(dl, fail_nodes=fail)
+        m = frame.metrics
+        assert np.array_equal(frame.pixels, wall.render_serial(dl).pixels)
+        assert sum(m.tiles_per_node.values()) == geo.n_tiles
+        assert sorted(frame.tile_pixels) == list(range(geo.n_tiles))
+        for node in fail:
+            assert m.tiles_per_node[node] == 0 and m.busy_seconds[node] == 0.0
+        if schedule in ("static", "balanced"):
+            plan = (
+                static_assignment(geo.tiles(), n_nodes)
+                if schedule == "static"
+                else cost_balanced_assignment(geo.tiles(), n_nodes, dl)
+            )
+            assert m.tiles_per_node == {n: len(plan[n]) for n in range(n_nodes)}
 
 
 class TestFrameMetrics:
