@@ -178,8 +178,9 @@ class ApiApp:
         :meth:`ready_wire` (never waits) or :meth:`compute_wire` (may).
         A transport that must not block calls the first where it stands
         and the second from a worker thread; the answer is the same.
-        A ready answer arrives encoded, and is decoded here for the
-        in-process caller.
+        A ready page arrives encoded, and is decoded here for the
+        in-process caller; a stream answers its tuple of NDJSON lines
+        whichever phase answered it.
         """
         request, answer = self.ready_wire(endpoint, payload, context=context)
         status, body = answer or self.compute_wire(endpoint, request)
@@ -195,7 +196,9 @@ class ApiApp:
         Returns ``(parsed request, answer)``; ``answer`` is ``None`` when
         only :meth:`compute_wire` can tell, is final (an error body)
         when any of those steps refused the request, and on a ready
-        half's success is ``(200, the encoded JSON body)``.
+        half's success is ``(200, body)``: a unary route's encoded JSON
+        body, or a stream's tuple of NDJSON lines — the shape
+        :meth:`compute_wire` answers it in.
 
         An answer is counted here, a refusal as an error.  An unknown
         name is counted under one fixed sentinel key: a client spraying
@@ -446,16 +449,35 @@ class ApiApp:
         encoding — raises here, and the transport answers it with an
         ordinary error status.
         """
+        return self._export(request, wait=True)
+
+    def search_export_cached(self, request: ExportRequest) -> tuple[bytes, ...] | None:
+        """The half of :meth:`search_export` that never waits: the same
+        lines, from offset 0 of a resident tenant's cached ranking whose
+        lines are already encoded at this ``chunk_size``; otherwise
+        ``None``, having touched nothing (``search_export`` then answers
+        it)."""
+        return self._export(request, wait=False)
+
+    def _export(
+        self, request: ExportRequest, *, wait: bool
+    ) -> tuple[bytes, ...] | None:
         budget = Deadline.after_ms(request.deadline_ms)
-        _, service = self._resolve(request.compendium)
+        resolved = self._resolve(request.compendium, wait=wait)
+        if resolved is None:
+            return None
+        _, service = resolved
+        if not wait:
+            return service.export_cached(request, deadline=budget)
         return service.iter_result(request, deadline=budget).lines()
 
     def export(self, payload, *, context: RequestContext | None = None):
         """:meth:`search_export` of one wire payload, for in-process
         callers: a generator over its lines.  It enters and is counted
-        like every route (:meth:`ready_wire`, then :meth:`compute_wire`),
-        and raises the :class:`ApiError` a transport would answer as an
-        error status."""
+        like every route (:meth:`ready_wire`, then :meth:`compute_wire`
+        when the ready half cannot answer — both answer the tuple of
+        lines), and raises the :class:`ApiError` a transport would answer
+        as an error status."""
         request, answer = self.ready_wire("search/export", payload, context=context)
         status, body = answer or self.compute_wire("search/export", request)
         if status != 200:

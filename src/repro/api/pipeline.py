@@ -21,12 +21,13 @@ compute(...)``.  :func:`ready` is everything that **cannot wait** — a
 failed plan, parsing and validating the request (of every kind: JSON,
 raw or stream), the tenant charge, resolving an already-resident
 tenant, the deadline check, the result-cache probe and, on a hit, the
-page's bytes (kept encoded on the cached ranking, with this request's
-``elapsed_seconds`` spliced in) — and returns ``None`` when only the
-second phase can tell.  :func:`compute`
+page's bytes or an export's lines from offset 0 (kept encoded on the
+cached ranking, with this request's ``elapsed_seconds`` spliced in) —
+and returns ``None`` when only the second phase can tell.  :func:`compute`
 is everything that **may wait**: the scoring kernel, the process pool's
 pipes, the router's sockets, a lazy tenant load, ingest and its fsync,
-exports, renders — and the unknown-gene/dataset verdicts, which belong
+encoding or resuming an export, renders — and the unknown-gene/dataset
+verdicts, which belong
 to the backend's gene universe: an index that may need a splice before
 it can be asked.  A driver with a thread
 per request calls ``respond``; a driver with an event loop calls
@@ -276,22 +277,37 @@ def _json(status: int, body: dict | bytes, close: bool) -> Response:
     )
 
 
+def _answer(plan: Plan, status: int, body, close: bool) -> Response:
+    """The app's answer to ``plan`` as a :class:`Response`, whichever
+    phase gave it: an error or a unary answer is JSON, a raw one its
+    image bytes, a stream's lines one NDJSON body."""
+    if status != 200 or plan.kind == "unary":
+        return _json(status, body, close)
+    if plan.kind == "raw":
+        return Response(200, PPM_TYPE, body=body, close=close)
+    return Response(200, NDJSON_TYPE, body=b"".join(body), close=close)
+
+
 def ready(
     app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool
 ) -> Response | None:
     """Answer a planned request if that takes no waiting, else ``None``.
 
     Safe to call from a thread that must not block (an event loop): it
-    reaches no kernel, pool, socket or disk.  It is also the only phase
-    that parses the body and charges the tenant, for every kind of
-    request — ``plan.request`` carries the result to :func:`compute`.
+    reaches no kernel, pool, socket or disk.  What it answers is already
+    in memory — an error, a cached page's bytes, or the lines of an
+    export from offset 0 whose ranking is cached with those lines
+    encoded (an NDJSON body, as :func:`compute` would send it).  It is
+    also the only phase that parses the body and charges the tenant, for
+    every kind of request — ``plan.request`` carries the result to
+    :func:`compute`.
     """
     if plan.error is not None:
         return _json(plan.error.http_status, error_payload(plan.error), True)
     plan.request, answer = app.ready_wire(
         plan.route.name, plan.payload, context=plan.context
     )
-    return None if answer is None else _json(*answer, draining or not keep_alive)
+    return None if answer is None else _answer(plan, *answer, draining or not keep_alive)
 
 
 def compute(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:
@@ -301,15 +317,10 @@ def compute(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Res
     its lines are ready when the app answers, so a raw or stream request
     that fails answers an ordinary JSON error status like any other.
     """
-    close = draining or not keep_alive
     status, body = app.compute_wire(
         plan.route.name, plan.request, raw=plan.kind == "raw"
     )
-    if status != 200 or plan.kind == "unary":
-        return _json(status, body, close)
-    if plan.kind == "raw":
-        return Response(200, PPM_TYPE, body=body, close=close)
-    return Response(200, NDJSON_TYPE, body=b"".join(body), close=close)
+    return _answer(plan, status, body, draining or not keep_alive)
 
 
 def respond(app: ApiApp, plan: Plan, *, keep_alive: bool, draining: bool) -> Response:

@@ -108,8 +108,8 @@ __all__ = [
     "ExportChunk",
     "ExportTrailer",
     "HealthResponse",
+    "elapsed_parts",
     "ndjson_line",
-    "page_body_parts",
     "page_count",
     "check_page",
 ]
@@ -485,30 +485,34 @@ def ndjson_line(message: "_Message") -> bytes:
     """One message as one line of a streaming export: its JSON bytes and
     a newline.  The only place a stream line is encoded — the chunk
     lines a cached ranking memoizes and both trailers come from here,
-    so the checksummed bytes are what the golden test pins.  The pages a
-    cached ranking memoizes are cut from it too (:func:`page_body_parts`)."""
+    so the checksummed bytes are what the golden test pins.  The pages
+    and export trailers a cached ranking memoizes are cut from it too
+    (:func:`elapsed_parts`)."""
     return json.dumps(message.to_wire()).encode("utf-8") + b"\n"
 
 
 _ELAPSED_KEY = b'"elapsed_seconds": '
 
 
-def page_body_parts(page: "SearchResponse") -> tuple[bytes, bytes]:
-    """``page``'s JSON body cut around its ``elapsed_seconds`` value.
+def elapsed_parts(message: "_Message", *, line: bool = False) -> tuple[bytes, bytes]:
+    """``message``'s encoding cut around its ``elapsed_seconds`` value.
 
     Returns ``(head, tail)`` such that ``head + float.__repr__(seconds)
-    + tail`` is the body a page differing only in ``elapsed_seconds``
-    encodes to — ``json.dumps`` writes a finite float as its ``repr`` —
-    so a cache hit answers with stored bytes.  The cut is the first
-    ``"elapsed_seconds": `` in the body, which is the field itself: that
-    text can only be an object key (a quote inside a JSON string is
-    escaped), and every field before it is a string, a number or a list,
-    so no gene or dataset name a client chose can forge it.
+    + tail`` is what a message differing only in ``elapsed_seconds``
+    encodes to — its JSON body, or with ``line`` its NDJSON line —
+    because ``json.dumps`` writes a finite float as its ``repr``; so a
+    cache hit answers a page or an export trailer with stored bytes.
+    The cut is the first ``"elapsed_seconds": `` in the body, which is
+    the field itself: that text can only be an object key (a quote
+    inside a JSON string is escaped), and every field before it in a
+    :class:`SearchResponse` or an :class:`ExportTrailer` is a string, a
+    number or a list, so no gene or dataset name a client chose can
+    forge it.
     """
-    body = ndjson_line(page)
+    body = ndjson_line(message)
     start = body.index(_ELAPSED_KEY) + len(_ELAPSED_KEY)
-    stop = start + len(float.__repr__(page.elapsed_seconds))
-    return body[:start], body[stop:-1]
+    stop = start + len(float.__repr__(message.elapsed_seconds))
+    return body[:start], body[stop:] if line else body[stop:-1]
 
 
 # --------------------------------------------------------------------------

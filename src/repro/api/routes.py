@@ -58,9 +58,9 @@ class Route:
     order of appearance).  ``raw_formats`` lists ``?format=``
     values that switch the response to raw bytes instead of the JSON
     envelope.  ``ready`` names the handler's never-waiting half when it
-    has one: an ``ApiApp`` method that answers the encoded JSON body
-    from what is already in memory or returns ``None`` (see
-    ``ApiApp.ready_wire``).
+    has one: an ``ApiApp`` method that answers from what is already in
+    memory — a unary route's encoded JSON body, a stream's lines — or
+    returns ``None`` (see ``ApiApp.ready_wire``).
     """
 
     name: str
@@ -101,6 +101,7 @@ ROUTES: tuple[Route, ...] = (
         method="POST",
         request_cls=ExportRequest,
         handler="search_export",
+        ready="search_export_cached",
         response_cls=(ExportChunk, ExportTrailer),
         kind="stream",
         summary=(

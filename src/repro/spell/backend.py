@@ -15,7 +15,8 @@ together — and :meth:`~SearchBackend.respond`,
 :meth:`~SearchBackend.search` and :meth:`~SearchBackend.iter_result` are
 the batch of one.  The step is also the only place a search can *wait*
 (kernel, pool pipes, shard sockets), so everything before it is callable
-on its own — :meth:`~SearchBackend.respond_cached` — from a thread that
+on its own — :meth:`~SearchBackend.respond_cached` for a page,
+:meth:`~SearchBackend.export_cached` for an export — from a thread that
 must not block.  A subclass supplies
 :meth:`~SearchBackend._compute_many` plus whatever is genuinely its own.
 """
@@ -35,8 +36,8 @@ from repro.api.protocol import (
     ExportTrailer,
     SearchRequest,
     SearchResponse,
+    elapsed_parts,
     ndjson_line,
-    page_body_parts,
 )
 from repro.data.compendium import Compendium
 from repro.spell.cache import QueryCache, rebind_result
@@ -119,32 +120,69 @@ class ExportCursor:
         yield from self._chunks(offset, exportable)
         yield self._trailer(offset, exportable)
 
+    def memo(self) -> tuple | None:
+        """The ranking's export memo (``GeneTable.encoded``) when it holds
+        this export's chunking, else ``None``."""
+        memo = self.result.genes.encoded
+        if memo is None or memo[0] != self.request.chunk_size:
+            return None
+        return memo if memo[1] == self._bounds()[1] else None
+
     def lines(self) -> tuple[bytes, ...]:
         """The export's wire lines: the chunk lines, then the trailer line.
 
         The table keeps one chunking — the whole ranking's lines at one
-        ``chunk_size`` — and a different size replaces it; a resumed
-        export is a suffix of it.  The trailer's ``checksum`` is
-        ``sha256`` over the exact bytes of this export's chunk lines
-        (newline included) in order — it promises the integrity of what
-        is sent, so it hashes wire bytes, not protocol objects — and its
-        ``n_chunks`` counts them.
+        ``chunk_size``, with their checksum — and a different size
+        replaces it; a resumed export is a suffix of it.  The trailer's
+        ``checksum`` is ``sha256`` over the exact bytes of this export's
+        chunk lines (newline included) in order — it promises the
+        integrity of what is sent, so it hashes wire bytes, not protocol
+        objects — and its ``n_chunks`` counts them.  Only a resumed
+        export hashes per call; from offset 0 the memo's checksum is
+        this export's.
         """
         offset, exportable = self._bounds()
         size = self.request.chunk_size
-        table = self.result.genes
-        memo = table.encoded
-        if memo is None or memo[0] != size or memo[1] != exportable:
+        memo = self.memo()
+        if memo is None:
             lines = tuple(map(ndjson_line, self._chunks(0, exportable)))
-            memo = table.encoded = (size, exportable, lines)
+            memo = self.result.genes.encoded = (size, exportable, lines, _checksum(lines), {})
         chunks = memo[2][-(-offset // size):]
         trailer = self._trailer(
             offset,
             exportable,
-            checksum="sha256:" + hashlib.sha256(b"".join(chunks)).hexdigest(),
+            checksum=_checksum(chunks) if offset else memo[3],
             n_chunks=len(chunks),
         )
         return chunks + (ndjson_line(trailer),)
+
+    def spliced(self, memo: tuple) -> tuple[bytes, ...]:
+        """:meth:`lines` of an export from offset 0, out of ``memo`` (this
+        export's chunking, as :meth:`memo` returned it) and encoding no
+        chunk.
+
+        The trailer line is the memo's stored one for this ``(query as
+        sent, top_datasets)``, cut around ``elapsed_seconds``
+        (:func:`~repro.api.protocol.elapsed_parts`) with this export's
+        value spliced in.  The first export of a key builds it and stores
+        it — copy-on-write, up to :data:`PAGES_PER_RANKING` trailers.
+        """
+        size, exportable, lines, checksum, trailers = memo
+        key = (self.request.genes, self.request.top_datasets)
+        parts = trailers.get(key)
+        if parts is None:
+            trailer = self._trailer(0, exportable, checksum=checksum, n_chunks=len(lines))
+            parts = elapsed_parts(trailer, line=True)
+            table = self.result.genes
+            if len(trailers) < PAGES_PER_RANKING and table.encoded is memo:
+                table.encoded = (size, exportable, lines, checksum, {**trailers, key: parts})
+        elapsed = float.__repr__(float(self.elapsed)).encode("ascii")
+        return lines + (parts[0] + elapsed + parts[1],)
+
+
+def _checksum(lines: tuple[bytes, ...]) -> str:
+    """The trailer's ``checksum`` of ``lines``, sent in order."""
+    return "sha256:" + hashlib.sha256(b"".join(lines)).hexdigest()
 
 
 class SearchBackend:
@@ -219,6 +257,7 @@ class SearchBackend:
         *,
         require_complete: bool = False,
         cached_only: bool = False,
+        accept=None,
     ) -> tuple[list[tuple[SpellResult, dict, float]], tuple[int, int, int]] | None:
         """Probe, score the misses, store: the path every search takes.
 
@@ -243,8 +282,10 @@ class SearchBackend:
         is not the answer is ``None`` having touched nothing — no hit, no
         miss, no LRU reorder, no served count — so the full call that
         follows is the one that counts.  One hold of the cache's lock
-        decides it, for one member or many.  That half never waits: it
-        does not reach ``_compute_many``.
+        decides it, for one member or many, and ``accept`` (a predicate
+        on a resident result, run under that lock) can refuse a resident
+        member as if it were missing.  That half never waits: it does not
+        reach ``_compute_many``.
         """
         version = self.compendium.version
         keyed: list[tuple] = []  # (query, top_k, datasets, cache-key extra | None)
@@ -264,7 +305,7 @@ class SearchBackend:
         if cached_only:
             if looked_up == len(keyed):
                 resident = self._cache.probe_all(
-                    version, [(query, extra) for query, _, _, extra in keyed]
+                    version, [(query, extra) for query, _, _, extra in keyed], accept
                 )
             if resident is None:
                 return None
@@ -396,6 +437,7 @@ class SearchBackend:
         with this hit's ``elapsed_seconds`` spliced in; the first hit on a
         page builds and stores it, up to :data:`PAGES_PER_RANKING`.  A
         miss never fills the memo, and an error is never stored.
+        :meth:`export_cached` is the same half of an export.
         """
         answered = self._respond(
             (request,), deadline, "search admission", cached_only=True
@@ -411,7 +453,7 @@ class SearchBackend:
         key = (request.genes, request.page, request.page_size, request.top_datasets)
         parts = pages.get(key)
         if parts is None:
-            parts = page_body_parts(self._page(request, answer))
+            parts = elapsed_parts(self._page(request, answer))
             if len(pages) < PAGES_PER_RANKING:
                 # copy-on-write: a reader never sees a dict change size
                 table.pages = {**pages, key: parts}
@@ -474,6 +516,39 @@ class SearchBackend:
         answers, _ = self._answer((member,), budget, require_complete=True)
         result, _report, seconds = answers[0]
         return ExportCursor(result, request, seconds)
+
+    def export_cached(
+        self, request: ExportRequest, *, deadline: Deadline | None = None
+    ) -> tuple[bytes, ...] | None:
+        """:meth:`iter_result`'s wire lines when they are already encoded,
+        else ``None`` with no counter moved — the half of an export that
+        never waits (same checks, same errors, same bytes but for
+        ``elapsed_seconds``).
+
+        It answers an export from offset 0 whose ranking is in the result
+        cache with its lines encoded at this ``chunk_size``: the memo is
+        judged with the hit, in one hold of the cache's lock, and the
+        lines it saw are the lines answered, so this half never encodes a
+        ranking.  The trailer is :meth:`ExportCursor.spliced`'s.  A
+        resumed export, a ``use_cache=False`` one and a ranking not yet
+        encoded at this size are ``None``; the full call answers them.
+        """
+        if request.resume_offset:
+            return None
+        budget = Deadline.tighter(deadline, Deadline.after_ms(request.deadline_ms))
+        budget.check("export admission")
+        seen: list = []
+
+        def encoded(result: SpellResult) -> bool:
+            seen.append(ExportCursor(result, request, 0.0).memo())
+            return seen[-1] is not None
+
+        member = (request.genes, request.top_k, request.datasets, request.use_cache, None)
+        answered = self._answer((member,), budget, cached_only=True, accept=encoded)
+        if answered is None:
+            return None
+        ((result, _, seconds),), _ = answered
+        return ExportCursor(result, request, seconds).spliced(seen[-1])
 
     # ------------------------------------------------------------------ stats
     @property

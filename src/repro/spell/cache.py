@@ -29,16 +29,18 @@ Admission and rejection are counted (and per-entry hit counts tracked)
 so ``/v1/health`` can report how the policy behaves in production.
 
 A resident result may also hold encoded bytes on its ``GeneTable``: its
-export encoding (the NDJSON chunk lines of one chunking) and the bodies
-of the pages its cache hits were answered with; ``encoded_bytes`` in
-:meth:`QueryCache.stats` sums both, so what the memos hold is visible.
+export encoding (the NDJSON chunk lines of one chunking, plus the
+trailers its warm exports were answered with) and the bodies of the
+pages its cache hits were answered with; ``encoded_bytes`` in
+:meth:`QueryCache.stats` sums them all, so what the memos hold is
+visible.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.spell.engine import SpellResult
 from repro.util.lru import LruCache
@@ -110,17 +112,24 @@ class QueryCache:
     def lookup(self, version: int, query: Sequence[str], *, extra: tuple = ()):
         return self._lru.get(query_key(version, query, extra=extra))
 
-    def probe_all(self, version: int, members: Sequence[tuple[Sequence[str], tuple]]):
+    def probe_all(
+        self,
+        version: int,
+        members: Sequence[tuple[Sequence[str], tuple]],
+        accept: Callable[[object], bool] | None = None,
+    ):
         """:meth:`lookup` of every ``(query, extra)`` member, all or nothing.
 
-        When every member is resident they are all served (and counted)
-        exactly as by :meth:`lookup`; when any is missing the answer is
-        ``None`` and nothing — ``hits``/``misses``/``evictions``, the LRU
-        order — has moved, so the :meth:`lookup` a caller makes next, once
-        it is somewhere it may wait for the answers, is the one that counts.
+        When every member is resident (and ``accept``, if given, takes
+        each resident value) they are all served and counted exactly as by
+        :meth:`lookup`; otherwise the answer is ``None`` and nothing —
+        ``hits``/``misses``/``evictions``, the LRU order — has moved, so
+        the :meth:`lookup` a caller makes next, once it is somewhere it may
+        wait for the answers, is the one that counts.
         """
         return self._lru.probe_all(
-            [query_key(version, query, extra=extra) for query, extra in members]
+            [query_key(version, query, extra=extra) for query, extra in members],
+            accept,
         )
 
     def store(

@@ -79,22 +79,26 @@ class GeneTable(SequenceABC):
     was truncated by a top-k query.
 
     ``encoded`` is the export memo: ``None``, or ``(chunk_size,
-    exportable, lines)`` — the ranking cut at one ``chunk_size`` as
-    ready NDJSON chunk lines (:class:`~repro.spell.backend.ExportCursor`
-    builds and reads it).  The arrays never change, so the bytes are
-    derived once and live exactly as long as the table: in the result
-    cache, until the entry is evicted or the compendium version moves
-    on.  It is never pickled — a worker's reply and a loaded copy carry
-    the arrays only.
+    exportable, lines, checksum, trailers)`` — the ranking cut at one
+    ``chunk_size`` as ready NDJSON chunk lines, the ``sha256:`` checksum
+    of all of them, and the trailer lines warm exports of it were
+    answered with: at most
+    :data:`~repro.spell.backend.PAGES_PER_RANKING`, keyed ``(query as
+    sent, top_datasets)`` and cut around ``elapsed_seconds``
+    (:class:`~repro.spell.backend.ExportCursor` builds and reads it).
+    The arrays never change, so the bytes are derived once and live
+    exactly as long as the table: in the result cache, until the entry
+    is evicted or the compendium version moves on.  It is never pickled
+    — a worker's reply and a loaded copy carry the arrays only.
 
     ``pages`` is the page memo beside it, with the same lifetime: the
     :class:`~repro.api.protocol.SearchResponse` bodies cache hits on
     this ranking were answered with, keyed ``(query as sent, page,
-    page_size, top_datasets)`` and cut around ``elapsed_seconds``
-    (:func:`~repro.api.protocol.page_body_parts`;
+    page_size, top_datasets)`` and cut around ``elapsed_seconds`` by the
+    same rule (:func:`~repro.api.protocol.elapsed_parts`;
     :meth:`~repro.spell.backend.SearchBackend.respond_cached` fills and
-    reads it).  It is replaced, never mutated, so a reader on another
-    thread or on an event loop needs no lock.
+    reads it).  Both memos are replaced, never mutated, so a reader on
+    another thread or on an event loop needs no lock.
     """
 
     __slots__ = ("ids", "scores", "n_datasets", "total", "encoded", "pages")
@@ -134,7 +138,9 @@ class GeneTable(SequenceABC):
         """Bytes held by the export and page memos (0 when there are none)."""
         held = sum(len(head) + len(tail) for head, tail in self.pages.values())
         if self.encoded is not None:
-            held += sum(map(len, self.encoded[2]))
+            _, _, lines, _, trailers = self.encoded
+            held += sum(map(len, lines))
+            held += sum(len(head) + len(tail) for head, tail in trailers.values())
         return held
 
     @classmethod

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Generic, Hashable, Sequence, TypeVar
+from typing import Callable, Generic, Hashable, Sequence, TypeVar
 
 from repro.util.errors import ValidationError
 
@@ -63,7 +63,9 @@ class LruCache(Generic[K, V]):
                 return default
             return value
 
-    def probe_all(self, keys: Sequence[K]) -> list[V] | None:
+    def probe_all(
+        self, keys: Sequence[K], accept: Callable[[V], bool] | None = None
+    ) -> list[V] | None:
         """Every key's value, or ``None`` unless all of them are resident.
 
         For a caller whose miss is followed by a counting :meth:`get` of
@@ -71,12 +73,14 @@ class LruCache(Generic[K, V]):
         when every key is resident each is a hit like any other — counted,
         made most-recently-used, in the order given — and when any is
         missing every counter and the recency order stay exactly as they
-        were.  One lock hold decides it, so the verdict is exact however
-        many keys there are.
+        were.  A resident value ``accept`` refuses counts as missing.  One
+        lock hold decides it, so the verdict is exact however many keys
+        there are.
         """
         with self._lock:
             for key in keys:
-                if key not in self._data:
+                value = self._data.get(key, _MISSING)
+                if value is _MISSING or (accept is not None and not accept(value)):
                     return None
             return [self._hit(key) for key in keys]
 

@@ -630,9 +630,10 @@ class TestInlineWarmPath:
         assert fresh["executor"].submissions == before + 2
 
     def test_what_may_wait_goes_to_the_executor(self, setup, fresh):
-        """use_cache=false, batches, cluster, render, export, datasets and
-        health have no ready half: each is one submission however warm
-        the cache is."""
+        """use_cache=false, batches, cluster, render, datasets and health
+        have no ready half, and an export whose lines are not yet encoded
+        must encode them: each is one submission however warm the cache
+        is.  The same export again is answered from its lines, inline."""
         _, truth = setup
         query = list(truth.query_genes)
         assert request_raw(fresh["aio"], "POST", "/v1/search", {"genes": query})[0] == 200
@@ -643,13 +644,21 @@ class TestInlineWarmPath:
             ("POST", "/v1/render/heatmap", {"search": {"genes": query}, "top_genes": 8}),
             ("POST", "/v1/render/heatmap?format=ppm",
              {"search": {"genes": query}, "top_genes": 8}),
-            ("POST", "/v1/search/export", {"genes": query}),
+            ("POST", "/v1/search/export", {"genes": query}),  # cold: encodes
             ("GET", "/v1/datasets", None),
             ("GET", "/v1/health", None),
         ]:
             before = fresh["executor"].submissions
             assert request_raw(fresh["aio"], method, path, payload)[0] == 200
             assert fresh["executor"].submissions == before + 1, path
+        before = fresh["executor"].submissions
+        status, warm, _ = request_raw(fresh["aio"], "POST", "/v1/search/export", {"genes": query})
+        assert status == 200 and fresh["executor"].submissions == before  # not one more
+        _, computed, _ = request_raw(
+            fresh["aio"], "POST", "/v1/search/export", {"genes": query, "use_cache": False}
+        )
+        assert fresh["executor"].submissions == before + 1
+        assert warm.splitlines()[:-1] == computed.splitlines()[:-1]
 
     def test_pipelined_hits_are_all_answered_in_order(self, setup):
         """A client pipelining far past the window gets every answer, in

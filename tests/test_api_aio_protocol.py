@@ -459,15 +459,16 @@ def test_the_sweep_closes_what_owes_nothing_and_has_been_silent(harness, traffic
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 100])
-def test_a_warm_export_is_one_hop_and_one_write(harness, setup, traffic, chunk_size):
-    """``compute`` answers the whole export — head, every chunk line and
-    the trailer leave in the one write its landing makes."""
+def test_a_warm_export_is_answered_inline_in_one_write(harness, setup, traffic, chunk_size):
+    """``ready`` answers a warm export on the loop, from the memo — head,
+    every chunk line and the trailer leave in one write, and nothing is
+    handed to the executor."""
     payload = {"genes": list(setup[1].query_genes), "chunk_size": chunk_size}
     expected = list(harness.app.export(payload))  # warm: the memo
     conn, transport = harness.connect()
     conn.data_received(traffic.export(chunk_size=chunk_size))
     harness.finish()
-    assert harness.executor.names == ["compute"] and harness.executor.parked == []
+    assert harness.executor.names == [] and harness.executor.parked == []
     assert len(transport.writes) == 1
     (status, headers, body), = split_responses(transport.written)
     assert status == 200 and headers["content-length"] == str(len(body))

@@ -23,6 +23,7 @@ import socket
 import socketserver
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from repro.api.pipeline import plan_request, read_body, respond
 from repro.api.protocol import ExportRequest, ExportTrailer, SearchRequest, ndjson_line
 from repro.data.pcl import write_pcl
 from repro.spell import SpellService
+from repro.spell.backend import PAGES_PER_RANKING
 from repro.synth import make_spell_compendium
 from tests.test_api_conformance import split_responses
 
@@ -195,6 +197,152 @@ def test_lines_are_ndjson_of_the_typed_walk(served, setup, data):
         assert without_elapsed(lines[-1]) == without_elapsed(streamed[-1])
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ready_export_is_the_typed_walk_export(served, setup, data):
+    """The ready half's export — chunk lines from the memo, the trailer
+    spliced into a stored cut — is what the compute half sends, on both
+    facades, apart from ``elapsed_seconds``: whatever the gene order,
+    ``top_datasets``, filter and resume point.  A ``use_cache=false``
+    export is its own typed walk's bytes too.  Every trailer's
+    ``checksum`` and ``n_chunks`` re-verify against the chunk lines sent
+    with it."""
+    service, app, addrs = served
+    compendium, truth = setup
+
+    def exportable_of(top_k, datasets):
+        result = service.search(truth.query_genes, top_k=top_k, datasets=datasets)
+        return min(result.total_genes, len(result.genes))
+
+    def walk(request):
+        """The chunk lines and trailer (sans ``elapsed_seconds``) the
+        typed walk of ``request`` puts on the wire."""
+        typed = list(service.iter_result(request))
+        chunks = [ndjson_line(chunk) for chunk in typed[:-1]]
+        trailer = without_elapsed(ndjson_line(typed[-1]))
+        trailer.update(
+            checksum="sha256:" + hashlib.sha256(b"".join(chunks)).hexdigest(),
+            n_chunks=len(chunks),
+        )
+        return chunks, trailer
+
+    genes = tuple(data.draw(st.permutations(truth.query_genes)))
+    request = replace(
+        data.draw(export_requests(genes, [ds.name for ds in compendium], exportable_of)),
+        top_datasets=data.draw(st.integers(0, 8)),
+    )
+    payload = request.to_wire()
+    # a ranking's last bits follow the gene order it was first scored
+    # in, and the cache key does not: an uncached export is compared with
+    # its own walk
+    expected = {True: walk(request), False: walk(replace(request, use_cache=False))}
+
+    status, computed = app.compute_wire("search/export", request)  # encodes the lines
+    assert status == 200
+    bodies = {"compute": (list(computed), True)}
+    _, answer = app.ready_wire("search/export", payload)
+    if request.resume_offset:
+        assert answer is None  # a resumed export is compute's
+    else:
+        assert answer[0] == 200
+        bodies["ready"] = (list(answer[1]), True)
+    for name, addr in addrs.items():
+        bodies[name] = (raw_export(addr, payload), True)  # warm: ready's from offset 0
+        uncached = dict(payload, use_cache=False)
+        bodies[f"{name}, uncached"] = (raw_export(addr, uncached), False)
+    for name, (lines, cached) in bodies.items():
+        chunks, trailer = expected[cached]
+        assert lines[:-1] == chunks, name
+        assert without_elapsed(lines[-1]) == trailer, name
+
+
+def test_handle_wire_answers_a_warm_export_like_a_cold_one(setup):
+    """``handle_wire`` and ``export`` never raise on a stream, whichever
+    phase answered it: a cold export (compute's lines) and a warm one
+    (the ready half's) are both ``(200, lines)`` with the same lines."""
+    compendium, truth = setup
+    with SpellService(compendium) as service:
+        app = ApiApp(service)
+        payload = {"genes": list(truth.query_genes), "chunk_size": 9}
+        assert app.ready_wire("search/export", payload)[1] is None
+        cold = app.handle_wire("search/export", payload)
+        assert app.ready_wire("search/export", payload)[1] is not None
+        warm = app.handle_wire("search/export", payload)
+        streamed = list(app.export(payload))
+        for status, lines in (cold, warm, (200, streamed)):
+            assert status == 200
+            assert all(isinstance(line, bytes) for line in lines)
+            assert list(lines[:-1]) == list(cold[1][:-1])
+            assert without_elapsed(lines[-1]) == without_elapsed(cold[1][-1])
+
+
+@pytest.mark.parametrize("facade", ["threaded", "aio"])
+def test_a_warm_export_counts_one_hit_one_query_one_answer(served, setup, facade):
+    service, app, addrs = served
+    payload = {"genes": list(setup[1].query_genes), "chunk_size": 11}
+
+    def counts():
+        cache, answers = service.cache_stats(), app.health().endpoints["search/export"]
+        return (
+            cache["hits"], cache["misses"], service.query_count,
+            answers["count"], answers["errors"],
+        )
+
+    raw_export(addrs[facade], payload)  # encodes the lines
+    before = counts()
+    raw_export(addrs[facade], payload)
+    assert [a - b for a, b in zip(counts(), before)] == [1, 0, 1, 1, 0]
+
+
+def test_ready_refuses_an_export_it_would_resume_or_encode(setup):
+    """In ``ready``, a resumed export, a ``use_cache=false`` export and a
+    resident ranking whose lines are not encoded at this ``chunk_size``
+    are ``None`` and move nothing: not the cache's counters, the served
+    count, the endpoint counts or the LRU order (read off what the LRU
+    evicts next)."""
+    compendium, truth = setup
+    target = list(truth.query_genes)
+    spare = [g for g in compendium.gene_universe() if g not in target]
+    other, new = spare[:2], spare[2:4]
+    with SpellService(compendium, cache_size=2) as service:
+        app = ApiApp(service)
+        payload = {"genes": target, "chunk_size": 10}
+        list(app.export(payload))  # resident, lines encoded at 10
+        service.search(other)  # LRU order: target, other
+        before = (service.cache_stats(), service.query_count, app.health().endpoints)
+        for refused in (
+            dict(payload, resume_offset=10),
+            dict(payload, use_cache=False),
+            dict(payload, chunk_size=7),
+        ):
+            request, answer = app.ready_wire("search/export", refused)
+            assert request is not None and answer is None, refused
+        assert (service.cache_stats(), service.query_count, app.health().endpoints) == before
+        service.search(new)  # evicts the LRU entry: still the target
+        hits = service.cache_stats()["hits"]
+        service.search(other)
+        assert service.cache_stats()["hits"] == hits + 1
+        assert app.ready_wire("search/export", payload)[1] is None  # evicted
+
+
+def test_trailer_memo_is_bounded(setup):
+    """A ranking stores at most ``PAGES_PER_RANKING`` trailers; a warm
+    export past that builds its trailer per call, with the same bytes."""
+    compendium, truth = setup
+    with SpellService(compendium) as service:
+        app = ApiApp(service)
+        payload = {"genes": list(truth.query_genes), "chunk_size": 13}
+        list(app.export(payload))
+        table = cached_table(service, ExportRequest.from_wire(payload))
+        for top_datasets in range(PAGES_PER_RANKING + 3):
+            sent = dict(payload, top_datasets=top_datasets)
+            warm = list(app.export(sent))
+            assert without_elapsed(warm[-1]) == without_elapsed(
+                list(app.export(dict(sent, use_cache=False)))[-1]
+            )
+        assert len(table.encoded[4]) == PAGES_PER_RANKING
+
+
 @pytest.mark.parametrize("facade", ["threaded", "aio"])
 def test_an_http10_export_is_a_content_length_body(served, setup, facade):
     """An HTTP/1.0 client cannot read chunked transfer coding (RFC 9112
@@ -275,9 +423,10 @@ def test_memo_is_never_pickled(setup):
         table = cached_table(service, request)
         bare = pickle.dumps(table)
         lines_of(service.iter_result(request))
+        assert service.export_cached(request) is not None  # a warm export: a trailer
         page = SearchRequest(genes=tuple(truth.query_genes), page_size=7)
         assert service.respond_cached(page) is not None  # a hit: the page memo
-        assert table.encoded is not None and len(table.pages) == 1
+        assert len(table.encoded[4]) == 1 and len(table.pages) == 1
         assert pickle.dumps(table) == bare  # not one byte more on the wire
         copy = pickle.loads(bare)
         assert copy.encoded is None and copy == table
@@ -338,6 +487,10 @@ def test_health_counts_encoded_bytes(setup):
         lines = list(app.export(payload))
         held = app.handle_wire("health", None)[1]["cache"]["encoded_bytes"]
         assert held == sum(map(len, lines[:-1])) > 0
+        trailer = list(app.export(payload))[-1]  # warm: stores its trailer, cut
+        elapsed = repr(json.loads(trailer)["elapsed_seconds"]).encode()
+        held += len(trailer) - len(elapsed)
+        assert app.handle_wire("health", None)[1]["cache"]["encoded_bytes"] == held
         list(app.export(payload))  # a repeat warm export adds nothing
         assert app.handle_wire("health", None)[1]["cache"]["encoded_bytes"] == held
 
