@@ -19,7 +19,8 @@ loop** — everything that cannot wait, which for a hit is the whole
 answer — and only when that returns ``None`` is
 :func:`~repro.api.pipeline.compute` — the kernel, the index worker
 pool's pipes, the sharded router's sockets, tenant loads, ingest,
-renders, a whole export — submitted to a bounded thread-pool executor
+renders, encoding or resuming an export — submitted to a bounded
+thread-pool executor
 (``aio-dispatch`` threads), one call per connection at a time, whose
 done-callback writes the answer in one ``transport.write`` and carries
 on.  So hundreds of connections stay responsive while a handful of

@@ -10,10 +10,11 @@ test harness.  Responsibilities:
 * **Routing** — every route, whether it answers a JSON body, raw bytes
   (``?format=ppm``) or an NDJSON stream, enters one way:
   :meth:`ApiApp.ready_wire` gates, parses and tenant-charges it (and
-  answers it when a never-waiting half can), :meth:`ApiApp.compute_wire`
-  runs its handler.  ``handle_wire(endpoint, payload)`` is the two in a
-  row, entirely in wire (JSON-object) space, so transports never import
-  protocol types.
+  answers it when a never-waiting half can: a cached search page, or an
+  export whose lines the cached ranking already holds),
+  :meth:`ApiApp.compute_wire` runs its handler.
+  ``handle_wire(endpoint, payload)`` is the two in a row, entirely in
+  wire (JSON-object) space, so transports never import protocol types.
 * **Error discipline** — every failure crossing the boundary becomes a
   stable code (:mod:`repro.api.errors`).  The app does not judge a query
   itself: an unknown gene or dataset is the verdict of the backend's gene

@@ -416,6 +416,51 @@ def test_racing_chunkings_never_mix(setup):
         assert failures == []
 
 
+def test_racing_warm_exports_never_mix(setup):
+    """Threads exporting one cached ranking through the app — gene
+    orders, ``top_datasets`` and chunk sizes mixed, so the ready half's
+    trailer memo and the compute half's re-chunking race — each get
+    exactly their own lines and trailer."""
+    compendium, truth = setup
+    genes = list(truth.query_genes)
+    payloads = [
+        {"genes": order, "chunk_size": size, "top_datasets": top}
+        for order in (genes, genes[::-1])
+        for size in (7, 13)
+        for top in (2, 5, 10)
+    ]
+    with SpellService(compendium) as service:
+        app = ApiApp(service)
+
+        def export(payload):
+            *chunks, trailer = app.export(payload)
+            return chunks, without_elapsed(trailer)
+
+        expected = [export(payload) for payload in payloads]
+        failures: list = []
+
+        def worker(seed: int) -> None:
+            for i in range(30):
+                k = (seed * 7 + i) % len(payloads)
+                if export(payloads[k]) != expected[k]:
+                    failures.append(payloads[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        table = cached_table(service, ExportRequest.from_wire(payloads[0]))
+        assert len(table.encoded[4]) <= PAGES_PER_RANKING
+
+
 def test_memo_is_never_pickled(setup):
     compendium, truth = setup
     with SpellService(compendium) as service:
